@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import harness
-from .errors import KfacLabError
+from .errors import KfacLabError, ShapeMismatch
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -24,7 +24,7 @@ def _load_config(path: str) -> harness.ExperimentConfig:
         with open(path) as fh:
             raw = json.load(fh)
         return harness.ExperimentConfig.from_dict(raw)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ShapeMismatch) as exc:
         raise SystemExit(f"config error: {exc}") from exc
 
 

@@ -8,9 +8,15 @@ targets are exact (contraction of per-output-coordinate backward passes
 against the closed-form output metric); expectations over inputs are plain
 averages over the dataset, so every estimator here is deterministic.
 
-All three estimators funnel through one per-location accumulator, which is
-what makes the degenerate reductions (1x1 conv grid with radius 0, one-step
-recurrence) reproduce the dense factors bit for bit.
+Every layer kind is the same homogenized map Wbar @ Abar applied at T
+locations (1 for dense, the grid size for conv, the step count for
+recurrent layers). Factors come from one batched forward pass and one
+batched backward pass of all K output basis cotangents: A is one matmul of
+the (n+1, N*T) input columns with themselves, G one contraction of the
+(N, K, m, T) cotangents against the per-sample output metric. Since all
+kinds go through the same arithmetic, the degenerate reductions (1x1 conv
+grid with radius 0, one-step recurrence) reproduce the dense factors bit
+for bit.
 """
 
 from dataclasses import dataclass
@@ -19,8 +25,8 @@ import numpy as np
 
 from .errors import SingularFactor, SingularMatrix, TooLarge, UnsupportedLayer
 from .linalg import kron, solve, unvec, vec
-from .metrics import FisherMetric, basis_backpasses
-from .nets import LayerParams, ParamSet, backward, forward, unflatten_params
+from .metrics import FisherMetric
+from .nets import LayerParams, ParamSet, backward_batch, forward_batch, unflatten_params
 
 ASSEMBLY_CAP = 5000
 
@@ -63,60 +69,32 @@ def _inputs_of(dataset):
     return dataset.inputs if hasattr(dataset, "inputs") else dataset
 
 
-def _accumulate_layer(a_acc, g_acc, abar, dz_stack, m):
-    """Add one sample's contribution, averaged over locations/steps.
-
-    abar: homogenized input columns, one per location ((n+1) x T);
-    dz_stack: cotangents of the activation input for each output coordinate
-    (K x n_out x T); m: output metric matrix (K x K).
-    """
-    t = abar.shape[1]
-    a_loc = np.zeros_like(a_acc)
-    g_loc = np.zeros_like(g_acc)
-    for ti in range(t):
-        col = abar[:, ti].reshape(-1, 1)
-        a_loc += col @ col.T
-        c = dz_stack[:, :, ti].T
-        g_loc += c @ m @ c.T
-    a_acc += a_loc / t
-    g_acc += g_loc / t
-
-
 def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
     """Kronecker factors for every layer of the network.
 
-    The G factor contracts the per-output-coordinate backward passes against
-    the output metric matrix, i.e. G_i = E_x[C_i M C_i^T] with C_i the
-    Jacobian from layer i's pre-activations to the output. With the Fisher
-    metric this is the exact E_x E_y[Dz Dz^T].
+    With abar the homogenized layer inputs and C_i the Jacobian from layer
+    i's pre-activations to the output, A_i = E[abar abar^T] and
+    G_i = E_x[C_i M C_i^T], both averaged over samples and locations; M is
+    the output metric matrix at each sample. The columns of C_i come from
+    one batched backward pass of the output basis vectors. With the Fisher
+    metric G_i is the exact E_x E_y[Dz Dz^T].
     """
     if metric is None:
         metric = FisherMetric()
     inputs = _inputs_of(dataset)
     if not len(inputs):
         raise ValueError("factor estimation needs a nonempty dataset")
-    shapes = [
-        (lp.wbar.shape[1], lp.wbar.shape[0]) for lp in params.layers
-    ]  # (n_in+1, n_out)
-    a_accs = [np.zeros((n_in, n_in)) for n_in, _ in shapes]
-    g_accs = [np.zeros((n_out, n_out)) for _, n_out in shapes]
-    for x in inputs:
-        trace = forward(spec, params, x)
-        passes = basis_backpasses(trace)
-        m = metric.matrix(model, trace.output)
-        for i in range(len(spec.layers)):
-            dz_stack = np.stack([bt.layers[i].dz for bt in passes])
-            _accumulate_layer(a_accs[i], g_accs[i], trace.layers[i].abar, dz_stack, m)
-    n = len(inputs)
+    trace = forward_batch(spec, params, inputs)
+    n, k = trace.output.shape
+    back = backward_batch(trace, np.broadcast_to(np.eye(k), (n, k, k)))
+    m = metric.matrix(model, trace.output)  # (N, K, K)
     factors = []
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "dense":
-            scale = 1.0
-        elif layer.kind == "conv2d":
-            scale = float(layer.num_locations)
-        else:
-            scale = float(layer.steps)
-        factors.append(KroneckerFactor(i, a_accs[i] / n, g_accs[i] / n, scale))
+    for i, (abar, dz) in enumerate(zip(trace.abar, back.dz)):
+        t = abar.shape[-1]
+        cols = abar.swapaxes(0, 1).reshape(abar.shape[1], n * t)
+        m_dz = (m @ dz.reshape(n, k, -1)).reshape(dz.shape)
+        g = np.tensordot(dz, m_dz, axes=([0, 1, 3], [0, 1, 3]))
+        factors.append(KroneckerFactor(i, cols @ cols.T / (n * t), g / (n * t), float(t)))
     return KFacMetric(factors)
 
 
@@ -195,24 +173,20 @@ def apply_inverse(metric: KFacMetric, grad: ParamSet, config: UpdateConfig) -> P
 # objective and update rules
 
 
+def objective(spec, params, model, dataset) -> float:
+    """Empirical risk (mean loss), from one batched forward pass."""
+    output = forward_batch(spec, params, dataset.inputs).output
+    return float(np.mean(model.loss(np.asarray(dataset.targets), output)))
+
+
 def objective_and_gradient(spec, params, model, dataset):
-    """Empirical risk (mean loss) and its gradient as a ParamSet."""
-    total = 0.0
-    grad = None
-    n = len(dataset.inputs)
-    for x, y in zip(dataset.inputs, dataset.targets):
-        trace = forward(spec, params, x)
-        total += model.loss(y, trace.output)
-        bt = backward(trace, model.loss_grad(y, trace.output))
-        grad = bt.grad if grad is None else grad.add_scaled(bt.grad, 1.0)
-    scale = 1.0 / n
-    grad = ParamSet(
-        [
-            LayerParams(lp.wbar * scale, None if lp.v is None else lp.v * scale)
-            for lp in grad.layers
-        ]
-    )
-    return total / n, grad
+    """Empirical risk (mean loss) and its gradient as a ParamSet, from one
+    batched forward and one batched backward pass."""
+    trace = forward_batch(spec, params, dataset.inputs)
+    y = np.asarray(dataset.targets)
+    h = float(np.mean(model.loss(y, trace.output)))
+    u = model.loss_grad(y, trace.output) / len(y)
+    return h, backward_batch(trace, u[:, None, :]).grad
 
 
 def kfac_step(spec, params, model, dataset, metric, config: UpdateConfig) -> ParamSet:

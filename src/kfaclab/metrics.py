@@ -22,6 +22,21 @@ PARAM_CAP = 5000  # dense P x P constructions refuse anything bigger
 
 # ---------------------------------------------------------------------------
 # output models
+#
+# loss, loss_grad and fisher act along the last axis of z (and y), so one
+# call serves a single output vector or a whole (N, dim) batch of them.
+
+
+def _softmax_hessian(z) -> np.ndarray:
+    """diag(p) - p p^T with p = softmax(z), along the last axis."""
+    p = softmax(z, axis=-1)
+    return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
+
+
+def _eye_like(z, scale=1.0) -> np.ndarray:
+    """scale * I for every output vector in z, as a read-only view."""
+    k = np.shape(z)[-1]
+    return np.broadcast_to(scale * np.eye(k), np.shape(z) + (k,))
 
 
 @dataclass
@@ -36,17 +51,16 @@ class CategoricalLogits:
     def dim(self) -> int:
         return self.num_classes
 
-    def loss(self, y: int, z) -> float:
-        return float(logsumexp(z) - z[y])
+    def loss(self, y, z):
+        z = np.asarray(z, dtype=np.float64)
+        picked = np.take_along_axis(z, np.asarray(y)[..., None], axis=-1)[..., 0]
+        return logsumexp(z, axis=-1) - picked
 
-    def loss_grad(self, y: int, z) -> np.ndarray:
-        g = softmax(z)
-        g[y] -= 1.0
-        return g
+    def loss_grad(self, y, z) -> np.ndarray:
+        return softmax(z, axis=-1) - np.eye(self.num_classes)[y]
 
     def fisher(self, z) -> np.ndarray:
-        p = softmax(z)
-        return np.diag(p) - np.outer(p, p)
+        return _softmax_hessian(z)
 
     def sample(self, z, rng) -> int:
         p = softmax(z)
@@ -67,16 +81,16 @@ class GaussianFixedVar:
 
     kind = "gaussian_fixed_var"
 
-    def loss(self, y, z) -> float:
+    def loss(self, y, z):
         r = np.asarray(y) - z
-        return float(0.5 * (r @ r) / self.variance
-                     + 0.5 * self.dim * np.log(2.0 * np.pi * self.variance))
+        return (0.5 * np.sum(r * r, axis=-1) / self.variance
+                + 0.5 * self.dim * np.log(2.0 * np.pi * self.variance))
 
     def loss_grad(self, y, z) -> np.ndarray:
         return (z - np.asarray(y)) / self.variance
 
     def fisher(self, z) -> np.ndarray:
-        return np.eye(self.dim) / self.variance
+        return _eye_like(z, 1.0 / self.variance)
 
     def sample(self, z, rng) -> np.ndarray:
         return z + np.sqrt(self.variance) * rng.standard_normal(self.dim)
@@ -111,13 +125,13 @@ class WrappedOutputModel:
         return self.base.dim
 
     def _unmap(self, z):
-        return self._omega_inv @ (np.asarray(z) - self.gamma)
+        return (np.asarray(z) - self.gamma) @ self._omega_inv.T
 
-    def loss(self, y, z) -> float:
+    def loss(self, y, z):
         return self.base.loss(y, self._unmap(z))
 
     def loss_grad(self, y, z) -> np.ndarray:
-        return self._omega_inv.T @ self.base.loss_grad(y, self._unmap(z))
+        return self.base.loss_grad(y, self._unmap(z)) @ self._omega_inv
 
     def fisher(self, z) -> np.ndarray:
         f = self.base.fisher(self._unmap(z))
@@ -150,7 +164,7 @@ class EuclideanMetric:
     tag = "euclidean"
 
     def matrix(self, model, z) -> np.ndarray:
-        return np.eye(len(z))
+        return _eye_like(z)
 
 
 @dataclass
@@ -163,10 +177,9 @@ class BregmanMetric:
 
     def matrix(self, model, z) -> np.ndarray:
         if self.generator == "half_sq_norm":
-            return np.eye(len(z))
+            return _eye_like(z)
         if self.generator == "log_sum_exp":
-            p = softmax(z)
-            return np.diag(p) - np.outer(p, p)
+            return _softmax_hessian(z)
         raise ValueError(f"unsupported generator {self.generator!r}")
 
     def divergence(self, za, zb) -> float:

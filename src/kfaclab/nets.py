@@ -10,9 +10,20 @@ grid is preserved). The recurrent cell is
 
 with a fixed initial state (zeros unless the layer says otherwise).
 
-Everything is per-sample: forward returns a full trace, backward and jvp
-replay it. Activations act on 2-d arrays (columns for vector layers, grids
-for conv layers) so all layer kinds share the same code paths.
+Every layer kind is the same homogenized map Wbar @ Abar applied at T
+locations: T is 1 for dense layers, the grid size for conv layers (Abar
+holds im2col patch columns) and the step count for recurrent layers.
+
+The batched engine (forward_batch, backward_batch) runs all N samples at
+once: Abar is an (N, n+1, T) tensor per layer, and backward takes an
+(N, K, output_dim) stack of cotangents, all K output coordinates in one
+pass. Training, factor estimation and the invariance harness use it.
+
+The per-sample path (forward, backward, jvp) evaluates one input and keeps
+a full trace. It is the reference oracle: the dense and Monte-Carlo Fisher
+and the tests are built on it. Activations act along the second-to-last
+axis (columns for vector layers, grids for conv layers), so both paths and
+all layer kinds share them.
 """
 
 import json
@@ -20,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatch
 from .linalg import unvec, vec
@@ -106,7 +118,8 @@ class Softplus(_Elementwise):
 
 @dataclass
 class AffineWrapped(Activation):
-    """phi'(z) = omega @ base(phi @ z + tau) + gamma, columnwise on 2-d input.
+    """phi'(z) = omega @ base(phi @ z + tau) + gamma, columnwise (the maps act
+    along the second-to-last axis, so leading batch axes pass through).
 
     omega and phi must be invertible; this is how a change of basis of the
     activation and pre-activation spaces shows up inside the nonlinearity.
@@ -397,50 +410,200 @@ def zero_tangent(params: ParamSet) -> ParamSet:
 
 
 def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np.ndarray:
-    """Expand a channels-by-locations grid into patch columns.
+    """Expand a channels-by-locations grid into patch columns (im2col).
 
     Column t holds the radius-R neighbourhood of location t, ordered
     offset-major: rows [d*J, (d+1)*J) hold channel values at spatial offset
     index d, offsets scanned row-major over the (2R+1)x(2R+1) window.
     Beyond the border patches read padding_value (zeros when omitted).
+    Leading axes are batch axes: (..., J, H*W) -> (..., J*(2R+1)^2, H*W).
     """
     grid = np.asarray(grid, dtype=np.float64)
     h, w = grid_hw
-    j = grid.shape[0]
-    if grid.shape != (j, h * w):
-        raise ShapeMismatch(f"grid shape {grid.shape} != ({j}, {h * w})")
+    if grid.ndim < 2 or grid.shape[-1] != h * w:
+        raise ShapeMismatch(f"grid shape {grid.shape} != (..., J, {h * w})")
+    lead, j = grid.shape[:-2], grid.shape[-2]
     k = 2 * radius + 1
-    padded = np.zeros((j, h + 2 * radius, w + 2 * radius))
+    padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
     if padding_value is not None and np.any(padding_value):
         padded += np.asarray(padding_value, dtype=np.float64)[:, None, None]
-    padded[:, radius : radius + h, radius : radius + w] = grid.reshape(j, h, w)
-    out = np.empty((j * k * k, h * w))
-    for d in range(k * k):
-        dy, dx = divmod(d, k)
-        block = padded[:, dy : dy + h, dx : dx + w]
-        out[d * j : (d + 1) * j] = block.reshape(j, h * w)
-    return out
+    padded[..., radius : radius + h, radius : radius + w] = grid.reshape(lead + (j, h, w))
+    windows = sliding_window_view(padded, (k, k), axis=(-2, -1))  # (..., J, H, W, k, k)
+    return np.moveaxis(windows, (-2, -1), (-5, -4)).reshape(lead + (k * k * j, h * w))
 
 
 def fold_patches(patches, radius: int, grid_hw: tuple) -> np.ndarray:
-    """Adjoint of extract_patches: scatter-add patch columns back to the grid."""
+    """Adjoint of extract_patches: scatter-add patch columns back to the grid.
+
+    Leading axes are batch axes, as in extract_patches.
+    """
     patches = np.asarray(patches, dtype=np.float64)
     h, w = grid_hw
     k = 2 * radius + 1
-    j = patches.shape[0] // (k * k)
-    if patches.shape != (j * k * k, h * w):
+    if patches.ndim < 2 or patches.shape[-2] % (k * k) or patches.shape[-1] != h * w:
         raise ShapeMismatch(f"patch matrix shape {patches.shape} unexpected")
-    padded = np.zeros((j, h + 2 * radius, w + 2 * radius))
+    lead, j = patches.shape[:-2], patches.shape[-2] // (k * k)
+    blocks = patches.reshape(lead + (k * k, j, h, w))
+    padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
     for d in range(k * k):
         dy, dx = divmod(d, k)
-        padded[:, dy : dy + h, dx : dx + w] += patches[d * j : (d + 1) * j].reshape(
-            j, h, w
-        )
-    return padded[:, radius : radius + h, radius : radius + w].reshape(j, h * w)
+        padded[..., dy : dy + h, dx : dx + w] += blocks[..., d, :, :, :]
+    return padded[..., radius : radius + h, radius : radius + w].reshape(lead + (j, h * w))
 
 
 # ---------------------------------------------------------------------------
-# forward / backward / jvp
+# batched engine
+
+
+@dataclass
+class BatchTrace:
+    """What forward_batch keeps per layer: the homogenized inputs abar,
+    (N, n+1, T), and what the activation saw, act_in, (N, m, T).
+
+    T is 1 for dense layers, the grid size for conv layers and the step
+    count for recurrent layers (act_in holds z'_t there).
+    """
+
+    spec: NetworkSpec
+    params: ParamSet
+    x: np.ndarray  # the stacked inputs, (N, ...)
+    abar: list
+    act_in: list
+    output: np.ndarray  # (N, output_dim)
+
+
+@dataclass
+class BatchBackward:
+    dz: list  # per layer, cotangents of act_in: (N, K, m, T)
+    grad: ParamSet  # summed over the batch; None unless K == 1
+
+
+def _homogenize_batch(cols) -> np.ndarray:
+    ones = np.ones(cols.shape[:-2] + (1, cols.shape[-1]))
+    return np.concatenate([cols, ones], axis=-2)
+
+
+def _flatten_cols(grid) -> np.ndarray:
+    """(..., m, T) -> (..., m*T) column-major, as vec flattens one sample."""
+    return grid.swapaxes(-1, -2).reshape(grid.shape[:-2] + (-1,))
+
+
+def _unflatten_cols(flat, rows: int, cols: int) -> np.ndarray:
+    return flat.reshape(flat.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
+
+
+def _out_layout(layer) -> tuple:
+    """(rows, cols) of the activation a layer emits."""
+    if layer.kind == "conv2d":
+        return layer.out_channels, layer.num_locations
+    return (layer.out_dim if layer.kind == "dense" else layer.hidden_dim), 1
+
+
+def forward_batch(spec: NetworkSpec, params: ParamSet, xs) -> BatchTrace:
+    """Evaluate the network on a batch; every layer is one Wbar @ Abar.
+
+    xs stacks inputs of the shapes forward takes along a new leading axis.
+    Conv layers expand their input with extract_patches; a recurrent layer
+    runs its steps over the whole batch at once.
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    n = x.shape[0]
+    abars, act_ins = [], []
+    carry = x
+    for layer, lp in zip(spec.layers, params.layers):
+        if layer.kind == "dense":
+            if carry.ndim == 3:
+                carry = _flatten_cols(carry)
+            if carry.shape != (n, layer.in_dim):
+                raise ShapeMismatch(
+                    f"dense layer expects (N, {layer.in_dim}), got {carry.shape}"
+                )
+            abar = _homogenize_batch(carry[:, :, None])
+            z = lp.wbar @ abar
+            carry = layer.activation.value(z)[:, :, 0]
+        elif layer.kind == "conv2d":
+            want = (n, layer.in_channels, layer.num_locations)
+            if carry.shape != want:
+                raise ShapeMismatch(f"conv layer expects {want}, got {carry.shape}")
+            patches = extract_patches(
+                carry, layer.kernel_radius, layer.grid, layer.padding_value
+            )
+            abar = _homogenize_batch(patches)
+            z = lp.wbar @ abar
+            carry = layer.activation.value(z)
+        else:
+            want = (n, layer.steps, layer.input_dim)
+            if carry.shape != want:
+                raise ShapeMismatch(f"recurrent layer expects {want}, got {carry.shape}")
+            vx = lp.v @ carry.swapaxes(1, 2)
+            abar = np.empty((n, layer.hidden_dim + 1, layer.steps))
+            z = np.empty((n, layer.hidden_dim, layer.steps))
+            a = np.broadcast_to(layer.initial_state, (n, layer.hidden_dim))
+            for t in range(layer.steps):
+                abar_t = _homogenize_batch(a[:, :, None])
+                zp_t = lp.wbar @ abar_t + vx[:, :, t : t + 1]
+                a = layer.activation.value(zp_t)[:, :, 0]
+                abar[:, :, t] = abar_t[:, :, 0]
+                z[:, :, t] = zp_t[:, :, 0]
+            carry = a
+        abars.append(abar)
+        act_ins.append(z)
+    output = _flatten_cols(carry) if carry.ndim == 3 else carry
+    return BatchTrace(spec, params, x, abars, act_ins, output)
+
+
+def backward_batch(trace: BatchTrace, cotangents) -> BatchBackward:
+    """Reverse pass for a stack of output cotangents, (N, K, output_dim).
+
+    dz is linear in the cotangents, so K basis vectors give every column of
+    the output Jacobian in one pass. The parameter gradient is only defined
+    for one cotangent per sample (K == 1). Nothing is pulled back past
+    layer 0: no caller reads the input cotangent.
+    """
+    u = np.asarray(cotangents, dtype=np.float64)
+    n = trace.output.shape[0]
+    if u.ndim != 3 or u.shape[0] != n or u.shape[2] != trace.output.shape[1]:
+        raise ShapeMismatch(
+            f"cotangent stack {u.shape} does not fit output {trace.output.shape}"
+        )
+    k = u.shape[1]
+    spec, params = trace.spec, trace.params
+    dzs = [None] * len(spec.layers)
+    grads = [None] * len(spec.layers)
+    carry = u
+    for i in reversed(range(len(spec.layers))):
+        layer, lp = spec.layers[i], params.layers[i]
+        act_in = trace.act_in[i]
+        w = lp.wbar[:, :-1]
+        da = carry if carry.ndim == 4 else _unflatten_cols(carry, *_out_layout(layer))
+        if layer.kind == "recurrent":
+            dz = np.empty((n, k) + act_in.shape[1:])
+            for t in reversed(range(layer.steps)):
+                dzp = layer.activation.vjp(act_in[:, None, :, t : t + 1], da)
+                dz[:, :, :, t] = dzp[:, :, :, 0]
+                da = w.T @ dzp
+        else:
+            dz = layer.activation.vjp(act_in[:, None], da)
+            if i > 0 and layer.kind == "conv2d":
+                carry = fold_patches(w.T @ dz, layer.kernel_radius, layer.grid)
+            elif i > 0:
+                carry = (w.T @ dz)[:, :, :, 0]
+        dzs[i] = dz
+        if k == 1:
+            dwbar = np.tensordot(dz[:, 0], trace.abar[i], axes=([0, 2], [0, 2]))
+            dv = None
+            if layer.kind == "recurrent":  # always layer 0, so it reads trace.x
+                dv = np.tensordot(dz[:, 0], trace.x, axes=([0, 2], [0, 1]))
+            grads[i] = LayerParams(dwbar, dv)
+    return BatchBackward(dzs, ParamSet(grads) if k == 1 else None)
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference path: forward / backward / jvp
+#
+# The batched engine above is what training and factor estimation run. This
+# path evaluates one sample at a time and stays as the oracle that the dense
+# Fisher, the Monte-Carlo Fisher, jvp and the tests compare against.
 
 
 @dataclass
@@ -538,14 +701,16 @@ class LayerBackward:
 class BackwardTrace:
     layers: list
     grad: ParamSet  # per-layer DWbar (and DV for recurrent layers)
-    dx: np.ndarray  # cotangent of the network input
 
     def flatten(self) -> np.ndarray:
         return self.grad.flatten()
 
 
 def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
-    """Reverse-mode pass: parameter cotangents for one output covector."""
+    """Reverse-mode pass: parameter cotangents for one output covector.
+
+    Nothing is pulled back past layer 0: no caller reads the input cotangent.
+    """
     u = np.asarray(output_cotangent, dtype=np.float64)
     if u.shape != trace.output.shape:
         raise ShapeMismatch(f"cotangent shape {u.shape} != output {trace.output.shape}")
@@ -561,7 +726,8 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
             dwbar = dz @ lt.abar.T
             grads[i] = LayerParams(dwbar)
             layer_back[i] = LayerBackward("dense", dz)
-            carry = w.T @ dz[:, 0]
+            if i > 0:
+                carry = w.T @ dz[:, 0]
         elif layer.kind == "conv2d":
             da = carry
             if da.ndim == 1:  # flattened grid fed to a dense head or the output
@@ -570,14 +736,13 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
             dwbar = dz @ lt.abar.T
             grads[i] = LayerParams(dwbar)
             layer_back[i] = LayerBackward("conv2d", dz)
-            dpatches = w.T @ dz
-            carry = fold_patches(dpatches, layer.kernel_radius, layer.grid)
+            if i > 0:
+                carry = fold_patches(w.T @ dz, layer.kernel_radius, layer.grid)
         else:
             da = carry
             dwbar = np.zeros_like(lp.wbar)
             dv = np.zeros_like(lp.v)
             dz_cols = np.empty((layer.hidden_dim, layer.steps))
-            dx_seq = np.empty_like(lt.a_in)
             for t in reversed(range(layer.steps)):
                 dzp = layer.activation.vjp(
                     lt.act_in[:, t].reshape(-1, 1), da.reshape(-1, 1)
@@ -585,15 +750,13 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
                 dwbar += dzp @ lt.abar[:, t].reshape(1, -1)
                 dv += dzp @ lt.a_in[t].reshape(1, -1)
                 dz_cols[:, t] = dzp[:, 0]
-                dx_seq[t] = lp.v.T @ dzp[:, 0]
                 da = w.T @ dzp[:, 0]
             grads[i] = LayerParams(dwbar, dv)
             layer_back[i] = LayerBackward("recurrent", dz_cols)
-            carry = dx_seq
         if i > 0 and spec.layers[i - 1].kind == "conv2d" and layer.kind == "dense":
             prev = spec.layers[i - 1]
             carry = unvec(carry, prev.out_channels, prev.num_locations)
-    return BackwardTrace(layer_back, ParamSet(grads), carry)
+    return BackwardTrace(layer_back, ParamSet(grads))
 
 
 def jvp(trace: ForwardTrace, param_tangent: ParamSet) -> np.ndarray:

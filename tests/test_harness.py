@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kfaclab import cli
+from kfaclab import cli, harness
 from kfaclab.harness import (
     POST_UPDATE_TOL,
     STEP0_TOL,
@@ -249,6 +249,24 @@ def test_compare_params_detects_unrelated_params():
     assert compare_params_through_reparam(a, b, r) > 1e-3
 
 
+def test_nan_in_twin_params_gives_nan_gaps_and_no_pass(monkeypatch):
+    # max(0.0, nan) is 0.0, so a Python-max reduction would record 0 here.
+    real = harness.reparam.transform_network
+
+    def poisoned(spec, params, r):
+        spec_t, params_t = real(spec, params, r)
+        params_t.layers[-1].wbar[0, 0] = np.nan
+        return spec_t, params_t
+
+    monkeypatch.setattr(harness.reparam, "transform_network", poisoned)
+    report = run_invariance(_mlp_config(steps=0))
+    record = report.records[0]
+    assert np.isnan(record.forward_discrepancy)
+    assert np.isnan(record.param_discrepancy)
+    assert np.isnan(report.max_forward_discrepancy)
+    assert report.verdict == "fail"
+
+
 def test_compare_params_after_matching_steps():
     # One K-FAC step on each side stays equivalent in parameter space. The
     # transformed side sees the data and output model in its own bases.
@@ -370,6 +388,37 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert cli.main(["train", "--config", "/no/such/file", "--out", "-"]) == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def _mis_chained(raw):
+    raw["architecture"] = {
+        "type": "layers",
+        "layers": [
+            {"kind": "dense", "in_dim": 8, "out_dim": 5, "activation": "logistic"},
+            {"kind": "dense", "in_dim": 4, "out_dim": 6, "activation": "logistic"},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw["architecture"].update(type="transformer"), "unknown architecture type"),
+        (lambda raw: raw.update(output_model={"kind": "poisson"}), "unknown output model"),
+        (_mis_chained, "layer 1 declares input 4 but layer 0 emits 5"),
+        (lambda raw: raw["output_model"].update(classes=2), "output model dimension 2"),
+    ],
+)
+def test_cli_unbuildable_config_exits_with_config_error(tmp_path, capsys, edit, message):
+    raw = _mlp_config().to_dict()
+    edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["check-invariance", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_train_writes_csv(tmp_path, capsys):
