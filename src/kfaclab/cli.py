@@ -2,8 +2,9 @@
 
 Exit codes for check-invariance: 0 when the verdict is pass (or the run is
 damped and therefore only reported), 2 on a fail verdict, 3 when the run hit
-a degenerate metric, 4 for configuration problems. train and dump-factors
-exit 0 or 4.
+a degenerate metric or a solve met inf/NaN entries, 4 for configuration
+problems. train exits 0, 3 in the same cases, or 4; dump-factors exits 0
+or 4.
 """
 
 import argparse

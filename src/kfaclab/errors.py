@@ -9,6 +9,10 @@ class SingularMatrix(KfacLabError):
     """A solve or inverse hit a pivot below the singularity threshold."""
 
 
+class NonFinite(KfacLabError, ValueError):
+    """A solve received inf or NaN entries."""
+
+
 class NotSymmetric(KfacLabError):
     """A symmetric-only operation received a matrix with too much asymmetry."""
 
@@ -19,10 +23,6 @@ class ShapeMismatch(KfacLabError):
 
 class TooLarge(KfacLabError):
     """A dense construction was requested above the supported size cap."""
-
-
-class UnsupportedLayer(KfacLabError):
-    """An operation was asked to handle a layer kind outside its contract."""
 
 
 class SingularFactor(KfacLabError):

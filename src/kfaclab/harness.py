@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
-from .errors import KfacLabError, SingularFactor, SingularMatrix
+from .errors import NonFinite, SingularFactor, SingularMatrix
 from .kfac import UpdateConfig
 from .linalg import sym_eig_min
 
@@ -36,12 +36,7 @@ class Dataset:
 
 
 def _draw_input(spec: nets.NetworkSpec, rng, scale: float):
-    first = spec.layers[0]
-    if first.kind == "dense":
-        return scale * rng.standard_normal(first.in_dim)
-    if first.kind == "conv2d":
-        return scale * rng.standard_normal((first.in_channels, first.num_locations))
-    return scale * rng.standard_normal((first.steps, first.input_dim))
+    return scale * rng.standard_normal(spec.layers[0].in_shape)
 
 
 def probe_inputs(spec: nets.NetworkSpec, seed: int, count: int = NUM_PROBES, scale: float = 1.0):
@@ -80,10 +75,6 @@ def synthetic_dataset(
 # ---------------------------------------------------------------------------
 # configuration
 
-_OPTIMIZERS = ("kfac", "ngd", "sgd")
-_METRICS = ("fisher", "gauss-newton", "ggn")
-
-
 @dataclass
 class ExperimentConfig:
     architecture: dict
@@ -112,9 +103,9 @@ class ExperimentConfig:
             )
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.optimizer not in _OPTIMIZERS:
+        if self.optimizer not in _STEP_FNS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.metric not in _METRICS:
+        if self.metric not in metrics.METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.dataset_spec.get("num_samples", 0) < 1:
             raise ValueError("dataset_spec.num_samples must be at least 1")
@@ -199,16 +190,6 @@ def build_output_model(d: dict):
     raise ValueError(f"unknown output model {kind!r}")
 
 
-def build_metric(name: str):
-    if name == "fisher":
-        return metrics.FisherMetric()
-    if name == "gauss-newton":
-        return metrics.EuclideanMetric()
-    if name == "ggn":
-        return metrics.BregmanMetric("log_sum_exp")
-    raise ValueError(f"unknown metric {name!r}")
-
-
 def build_reparam(
     spec: nets.NetworkSpec, source: dict, identity_output: bool = False
 ) -> reparam.NetworkReparam:
@@ -286,12 +267,15 @@ def compare_params_through_reparam(
 ) -> float:
     """Max abs difference after mapping the transformed parameters back.
 
-    Non-finite twin parameters cannot be mapped back and give NaN, which
-    no tolerance accepts.
+    Twin parameters that are non-finite, or so large that mapping them back
+    overflows, cannot be compared and give NaN, which no tolerance accepts.
     """
     if not np.isfinite(w_t.flatten()).all():
         return float("nan")
-    back = reparam.transform_params(w_t, r.inverse())
+    try:
+        back = reparam.transform_params(w_t, r.inverse())
+    except NonFinite:
+        return float("nan")
     return float(np.max(np.abs(w.flatten() - back.flatten())))
 
 
@@ -357,7 +341,7 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     r, spec_t, params_t, data_t, model_t, out_back = _transformed_side(
         spec, model, params, data, config
     )
-    metric = build_metric(config.metric)
+    metric = metrics.METRICS[config.metric]
     step_fn = _STEP_FNS[config.optimizer]
     ucfg = UpdateConfig(config.learning_rate, config.damping, config.damping_mode)
 
@@ -429,7 +413,7 @@ def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
 def run_training(config: ExperimentConfig):
     """Objective trajectory [(step, h(w))], step 0 included."""
     spec, model, params, data, _ = _setup(config)
-    metric = build_metric(config.metric)
+    metric = metrics.METRICS[config.metric]
     step_fn = _STEP_FNS[config.optimizer]
     ucfg = UpdateConfig(config.learning_rate, config.damping, config.damping_mode)
     rows = []
@@ -451,5 +435,5 @@ def training_csv(rows) -> str:
 def dump_factors(config: ExperimentConfig) -> str:
     """Kronecker factors at the initial parameters, as JSON."""
     spec, model, params, data, _ = _setup(config)
-    factors = kfac.estimate_factors(spec, params, model, data, build_metric(config.metric))
-    return kfac.factors_to_json(factors)
+    metric = metrics.METRICS[config.metric]
+    return kfac.factors_to_json(kfac.estimate_factors(spec, params, model, data, metric))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularFactor, SingularMatrix, TooLarge, UnsupportedLayer
+from .errors import SingularFactor, SingularMatrix, TooLarge
 from .linalg import kron, solve, unvec, vec
 from .metrics import FisherMetric
 from .nets import LayerParams, ParamSet, backward_batch, forward_batch, unflatten_params
@@ -65,10 +65,6 @@ class UpdateConfig:
 # factor estimation
 
 
-def _inputs_of(dataset):
-    return dataset.inputs if hasattr(dataset, "inputs") else dataset
-
-
 def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
     """Kronecker factors for every layer of the network.
 
@@ -81,10 +77,9 @@ def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
     """
     if metric is None:
         metric = FisherMetric()
-    inputs = _inputs_of(dataset)
-    if not len(inputs):
+    if not len(dataset.inputs):
         raise ValueError("factor estimation needs a nonempty dataset")
-    trace = forward_batch(spec, params, inputs)
+    trace = forward_batch(spec, params, dataset.inputs)
     n, k = trace.output.shape
     back = backward_batch(trace, np.broadcast_to(np.eye(k), (n, k, k)))
     m = metric.matrix(model, trace.output)  # (N, K, K)
@@ -96,28 +91,6 @@ def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
         g = np.tensordot(dz, m_dz, axes=([0, 1, 3], [0, 1, 3]))
         factors.append(KroneckerFactor(i, cols @ cols.T / (n * t), g / (n * t), float(t)))
     return KFacMetric(factors)
-
-
-def estimate_factors_dense(spec, params, model, dataset, metric=None) -> KFacMetric:
-    for layer in spec.layers:
-        if layer.kind != "dense":
-            raise UnsupportedLayer(f"dense estimator got a {layer.kind} layer")
-    return estimate_factors(spec, params, model, dataset, metric)
-
-
-def estimate_factors_conv(spec, params, model, dataset, metric=None) -> KFacMetric:
-    kinds = {layer.kind for layer in spec.layers}
-    if "conv2d" not in kinds:
-        raise UnsupportedLayer("conv estimator needs at least one conv layer")
-    if "recurrent" in kinds:
-        raise UnsupportedLayer("conv estimator cannot handle recurrent layers")
-    return estimate_factors(spec, params, model, dataset, metric)
-
-
-def estimate_factors_rnn(spec, params, model, dataset, metric=None) -> KFacMetric:
-    if spec.layers[0].kind != "recurrent":
-        raise UnsupportedLayer("rnn estimator needs a leading recurrent layer")
-    return estimate_factors(spec, params, model, dataset, metric)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ dense LAPACK routines are the honest reference implementation.
 import numpy as np
 import scipy.linalg
 
-from .errors import NotSymmetric, SingularMatrix
+from .errors import NonFinite, NotSymmetric, SingularMatrix
 
 # Pivot threshold for solve, relative to the largest entry of the matrix.
 SINGULARITY_RTOL = 1e-12
@@ -56,7 +56,7 @@ def solve(a, rhs) -> np.ndarray:
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs leading dim {rhs.shape[0]} != {a.shape[0]}")
     if not np.isfinite(a).all() or not np.isfinite(rhs).all():
-        raise ValueError("solve received non-finite entries")
+        raise NonFinite("solve received non-finite entries")
 
     scale = np.abs(a).max() if a.size else 0.0
     if scale == 0.0:
@@ -95,24 +95,3 @@ def sym_eig_min(a) -> float:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL * scale:.3e}")
     w = np.linalg.eigvalsh(0.5 * (a + a.T))
     return float(w[0])
-
-
-def psd_project_sqrt(a) -> np.ndarray:
-    """Square root S with S @ S.T = a for symmetric PSD a.
-
-    Eigenvalues below zero by roundoff are clipped. Used to factor output
-    metric matrices into covector directions.
-    """
-    a = as_matrix(a)
-    w, u = np.linalg.eigh(0.5 * (a + a.T))
-    w = np.clip(w, 0.0, None)
-    return u * np.sqrt(w)
-
-
-def kron_inverse_check(b, c) -> float:
-    """Max-abs difference between (b ox c)^-1 and b^-1 ox c^-1. Test helper."""
-    b = as_matrix(b)
-    c = as_matrix(c)
-    lhs = inv(kron(b, c))
-    rhs = kron(inv(b), inv(c))
-    return float(np.abs(lhs - rhs).max())

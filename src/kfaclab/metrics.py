@@ -7,14 +7,13 @@ pass per output coordinate, so no sampling noise enters unless explicitly
 requested (mc_fisher).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, softmax
 
 from .errors import TooLarge
-from .linalg import inv, psd_project_sqrt
+from .linalg import inv
 from .nets import ForwardTrace, backward, forward
 
 PARAM_CAP = 5000  # dense P x P constructions refuse anything bigger
@@ -25,12 +24,6 @@ PARAM_CAP = 5000  # dense P x P constructions refuse anything bigger
 #
 # loss, loss_grad and fisher act along the last axis of z (and y), so one
 # call serves a single output vector or a whole (N, dim) batch of them.
-
-
-def _softmax_hessian(z) -> np.ndarray:
-    """diag(p) - p p^T with p = softmax(z), along the last axis."""
-    p = softmax(z, axis=-1)
-    return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
 
 
 def _eye_like(z, scale=1.0) -> np.ndarray:
@@ -45,8 +38,6 @@ class CategoricalLogits:
 
     num_classes: int
 
-    kind = "categorical_logits"
-
     @property
     def dim(self) -> int:
         return self.num_classes
@@ -60,7 +51,9 @@ class CategoricalLogits:
         return softmax(z, axis=-1) - np.eye(self.num_classes)[y]
 
     def fisher(self, z) -> np.ndarray:
-        return _softmax_hessian(z)
+        """diag(p) - p p^T with p = softmax(z)."""
+        p = softmax(z, axis=-1)
+        return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
 
     def sample(self, z, rng) -> int:
         p = softmax(z)
@@ -78,8 +71,6 @@ class GaussianFixedVar:
 
     dim: int
     variance: float = 1.0
-
-    kind = "gaussian_fixed_var"
 
     def loss(self, y, z):
         r = np.asarray(y) - z
@@ -113,8 +104,6 @@ class WrappedOutputModel:
     omega: np.ndarray
     gamma: np.ndarray
 
-    kind = "wrapped"
-
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=np.float64)
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
@@ -144,64 +133,25 @@ class WrappedOutputModel:
         return self.base.kl(self._unmap(z1), self._unmap(z2))
 
 
-def output_fisher(model, z) -> np.ndarray:
-    """Closed-form E_y[(dL/dz)(dL/dz)^T] at the given output point."""
-    return model.fisher(np.asarray(z, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # output metrics
 
 
 class FisherMetric:
-    tag = "fisher"
-
     def matrix(self, model, z) -> np.ndarray:
         return model.fisher(z)
 
 
 class EuclideanMetric:
-    tag = "euclidean"
-
     def matrix(self, model, z) -> np.ndarray:
         return _eye_like(z)
 
 
-@dataclass
-class BregmanMetric:
-    """Hessian of a convex generator, evaluated at the network output."""
-
-    generator: str  # "half_sq_norm" or "log_sum_exp"
-
-    tag = "bregman"
-
-    def matrix(self, model, z) -> np.ndarray:
-        if self.generator == "half_sq_norm":
-            return _eye_like(z)
-        if self.generator == "log_sum_exp":
-            return _softmax_hessian(z)
-        raise ValueError(f"unsupported generator {self.generator!r}")
-
-    def divergence(self, za, zb) -> float:
-        """D(za, zb) = F(za) - F(zb) - <grad F(zb), za - zb>."""
-        za = np.asarray(za, dtype=np.float64)
-        zb = np.asarray(zb, dtype=np.float64)
-        if self.generator == "half_sq_norm":
-            d = za - zb
-            return float(0.5 * (d @ d))
-        if self.generator == "log_sum_exp":
-            return float(logsumexp(za) - logsumexp(zb) - softmax(zb) @ (za - zb))
-        raise ValueError(f"unsupported generator {self.generator!r}")
-
-
-def metric_by_name(name: str):
-    if name == "fisher":
-        return FisherMetric()
-    if name in ("euclidean", "gauss-newton"):
-        return EuclideanMetric()
-    if name.startswith("bregman:"):
-        return BregmanMetric(name.split(":", 1)[1])
-    raise ValueError(f"unknown metric {name!r}")
+# The generalized Gauss-Newton metric is the Hessian of the loss in the
+# output. Both output models here are exponential families in their natural
+# parameters (categorical logits, the Gaussian mean), where that Hessian is
+# the Fisher, so "ggn" names the Fisher metric too.
+METRICS = {"fisher": FisherMetric(), "gauss-newton": EuclideanMetric(), "ggn": FisherMetric()}
 
 
 # ---------------------------------------------------------------------------
@@ -274,31 +224,6 @@ def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> D
     )
 
 
-def sample_output_covector(metric, model, z, rng) -> np.ndarray:
-    """Random covector phi with E[phi phi^T] equal to the metric matrix at z.
-
-    The categorical Fisher case uses the pair-difference identity
-    diag(p) - p p^T = 1/2 E_{i,j~p}[(e_i - e_j)(e_i - e_j)^T], which keeps
-    every draw exactly orthogonal to the all-ones null direction. Other
-    metrics factor the matrix through its eigendecomposition.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if metric.tag == "euclidean":
-        return rng.standard_normal(len(z))
-    if metric.tag == "fisher" and getattr(model, "kind", None) == "categorical_logits":
-        p = softmax(z)
-        p = p / p.sum()
-        i = int(rng.choice(len(z), p=p))
-        j = int(rng.choice(len(z), p=p))
-        phi = np.zeros(len(z))
-        c = 1.0 / np.sqrt(2.0)
-        phi[i] += c
-        phi[j] -= c
-        return phi
-    s = psd_project_sqrt(metric.matrix(model, z))
-    return s @ rng.standard_normal(s.shape[1])
-
-
 def kl_quadratic_check(spec, params, model, inputs, delta) -> tuple:
     """(averaged closed-form KL under a parameter shift, 1/2 delta^T F delta)."""
     shifted = params.add_scaled(delta, 1.0)
@@ -312,24 +237,3 @@ def kl_quadratic_check(spec, params, model, inputs, delta) -> tuple:
     d = delta.flatten()
     rhs = 0.5 * float(d @ f @ d)
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# binary dump
-
-
-def save_fisher(path, fisher: DenseFisher) -> None:
-    """Shape header line, then the matrix as row-major little-endian float64."""
-    header = {"shape": list(fisher.matrix.shape), "construction": fisher.construction}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(fisher.matrix, dtype="<f8").tobytes())
-
-
-def load_fisher(path) -> DenseFisher:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        rows, cols = header["shape"]
-        data = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    return DenseFisher(data.reshape(rows, cols), header["construction"])

@@ -12,7 +12,9 @@ with a fixed initial state (zeros unless the layer says otherwise).
 
 Every layer kind is the same homogenized map Wbar @ Abar applied at T
 locations: T is 1 for dense layers, the grid size for conv layers (Abar
-holds im2col patch columns) and the step count for recurrent layers.
+holds im2col patch columns) and the step count for recurrent layers. Each
+kind is one class (DenseLayer, ConvLayer, RecurrentLayer) holding the facts
+and steps that differ between kinds.
 
 The batched engine (forward_batch, backward_batch) runs all N samples at
 once: Abar is an (N, n+1, T) tensor per layer, and backward takes an
@@ -26,8 +28,8 @@ axis (columns for vector layers, grids for conv layers), so both paths and
 all layer kinds share them.
 """
 
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.special
@@ -174,20 +176,136 @@ def activation_name(act: Activation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# layer and network specs
+# layer kinds
+#
+# Each kind knows its own shapes and spaces, how a batch of inputs expands to
+# Abar and how a cotangent of Abar folds back, how a change of basis moves the
+# points it stores, and its dict form. The batched engine and the reparam code
+# loop over layers through these and never ask for the kind.
+
+
+class Layer:
+    """Shared behaviour of the layer kinds; subclasses are dataclasses.
+
+    Shapes are per sample: in_shape is what the layer reads, out_shape what
+    it emits. in_space and out_space are the local dimensions of the
+    activation spaces it reads and writes (channels for grids); out_space is
+    also the dimension of its pre-activation space.
+    """
+
+    kind = None
+    fixed_input_basis = False  # True when the input space has no change of basis
+    v_shape = None  # only the recurrent cell has an input map V
+
+    @property
+    def out_space(self) -> int:
+        return self.out_shape[0]  # grids emit channels by locations
+
+    @property
+    def output_dim(self) -> int:
+        """Dimension of the emitted activation once flattened."""
+        return math.prod(self.out_shape)
+
+    @property
+    def out_copies(self) -> int:
+        """Copies of the local output space in the emitted activation."""
+        return self.output_dim // self.out_space
+
+    def expand(self, x):
+        """Input columns of Abar for a batch x, without the row of ones."""
+        raise NotImplementedError
+
+    def fold(self, cols):
+        """Adjoint of expand: a cotangent of the input columns to the input."""
+        raise NotImplementedError
+
+    def emit(self, a):
+        """The activation, (N, m, T), in the layout the layer emits."""
+        return a
+
+    def apply(self, lp, x) -> tuple:
+        """(abar, act_in, output) for a batch x of shape (N, *in_shape)."""
+        abar = _homogenize_batch(self.expand(x))
+        z = lp.wbar @ abar
+        return abar, z, self.emit(self.activation.value(z))
+
+    def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
+        """dz, (N, K, m, T), for activation cotangents da, and the cotangent
+        of the layer input when to_input is set (None otherwise)."""
+        dz = self.activation.vjp(act_in[:, None], da)
+        return dz, self.fold(lp.wbar[:, :-1].T @ dz) if to_input else None
+
+    def input_map_grad(self, dz, x):
+        """Gradient of the input map V for one cotangent per sample."""
+        return None
+
+    def map_input(self, m, x) -> np.ndarray:
+        """A network input x expressed through the input-space map m."""
+        return m.apply(x)
+
+    def rebased(self, activation, in_map, out_map):
+        """The layer in new bases, with the given (wrapped) activation."""
+        return replace(self, activation=activation)
+
+    def to_dict(self) -> dict:
+        """Fields in declaration order; an all-zero stored point is left out."""
+        out = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "activation":
+                value = activation_name(value)
+            elif isinstance(value, np.ndarray):
+                if not value.any():
+                    continue
+                value = value.tolist()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        kw = {f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
+        kw["activation"] = activation_by_name(d["activation"])
+        return cls(**kw)
 
 
 @dataclass
-class DenseLayer:
+class DenseLayer(Layer):
     in_dim: int
     out_dim: int
     activation: Activation
 
     kind = "dense"
 
+    @property
+    def in_shape(self) -> tuple:
+        return (self.in_dim,)
+
+    @property
+    def out_shape(self) -> tuple:
+        return (self.out_dim,)
+
+    @property
+    def in_space(self) -> int:
+        return self.in_dim
+
+    @property
+    def wbar_shape(self) -> tuple:
+        return (self.out_dim, self.in_dim + 1)
+
+    def expand(self, x):
+        return x[:, :, None]
+
+    def fold(self, cols):
+        return cols[:, :, :, 0]
+
+    def emit(self, a):
+        return a[:, :, 0]
+
 
 @dataclass
-class ConvLayer:
+class ConvLayer(Layer):
     """2-d convolution, stride 1, padding width = kernel_radius.
 
     Input and output live on the same grid; grid = (height, width) and
@@ -209,6 +327,7 @@ class ConvLayer:
     kind = "conv2d"
 
     def __post_init__(self):
+        self.grid = tuple(self.grid)
         if self.padding_value is None:
             self.padding_value = np.zeros(self.in_channels)
         else:
@@ -225,14 +344,44 @@ class ConvLayer:
         k = 2 * self.kernel_radius + 1
         return k * k
 
+    @property
+    def in_shape(self) -> tuple:
+        return (self.in_channels, self.num_locations)
+
+    @property
+    def out_shape(self) -> tuple:
+        return (self.out_channels, self.num_locations)
+
+    @property
+    def in_space(self) -> int:
+        return self.in_channels
+
+    @property
+    def wbar_shape(self) -> tuple:
+        return (self.out_channels, self.in_channels * self.num_offsets + 1)
+
+    def expand(self, x):
+        return extract_patches(x, self.kernel_radius, self.grid, self.padding_value)
+
+    def fold(self, cols):
+        return fold_patches(cols, self.kernel_radius, self.grid)
+
+    def map_input(self, m, x) -> np.ndarray:
+        return m.apply_cols(x)
+
+    def rebased(self, activation, in_map, out_map):
+        return replace(self, activation=activation,
+                       padding_value=in_map.apply(self.padding_value))
+
 
 @dataclass
-class RecurrentLayer:
+class RecurrentLayer(Layer):
     """Recurrent cell run for a fixed number of steps; output is a_T.
 
     initial_state defaults to zeros. It is part of the architecture (not a
     trained parameter) but a change of basis of the hidden space must remap
-    it, so it lives here explicitly.
+    it, so it lives here explicitly. The input is a sequence, whose
+    coordinates no change of basis touches.
     """
 
     input_dim: int
@@ -242,6 +391,7 @@ class RecurrentLayer:
     initial_state: np.ndarray = None
 
     kind = "recurrent"
+    fixed_input_basis = True
 
     def __post_init__(self):
         if self.steps < 1:
@@ -252,6 +402,66 @@ class RecurrentLayer:
             self.initial_state = np.asarray(self.initial_state, dtype=np.float64)
             if self.initial_state.shape != (self.hidden_dim,):
                 raise ShapeMismatch("initial_state length != hidden_dim")
+
+    @property
+    def in_shape(self) -> tuple:
+        return (self.steps, self.input_dim)
+
+    @property
+    def out_shape(self) -> tuple:
+        return (self.hidden_dim,)
+
+    @property
+    def in_space(self) -> int:
+        return self.input_dim
+
+    @property
+    def wbar_shape(self) -> tuple:
+        return (self.hidden_dim, self.hidden_dim + 1)
+
+    @property
+    def v_shape(self) -> tuple:
+        return (self.hidden_dim, self.input_dim)
+
+    def apply(self, lp, x) -> tuple:
+        """The steps run over the whole batch at once; Abar holds the
+        homogenized previous state at each step and act_in holds z'_t."""
+        n = x.shape[0]
+        vx = lp.v @ x.swapaxes(1, 2)
+        abar = np.empty((n, self.hidden_dim + 1, self.steps))
+        z = np.empty((n, self.hidden_dim, self.steps))
+        a = np.broadcast_to(self.initial_state, (n, self.hidden_dim))
+        for t in range(self.steps):
+            abar_t = _homogenize_batch(a[:, :, None])
+            zp_t = lp.wbar @ abar_t + vx[:, :, t : t + 1]
+            a = self.activation.value(zp_t)[:, :, 0]
+            abar[:, :, t] = abar_t[:, :, 0]
+            z[:, :, t] = zp_t[:, :, 0]
+        return abar, z, a
+
+    def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
+        """Back through the steps; the cell is always the first layer, so
+        its input cotangent is never asked for."""
+        w = lp.wbar[:, :-1]
+        dz = np.empty(da.shape[:2] + act_in.shape[1:])
+        for t in reversed(range(self.steps)):
+            dzp = self.activation.vjp(act_in[:, None, :, t : t + 1], da)
+            dz[:, :, :, t] = dzp[:, :, :, 0]
+            da = w.T @ dzp
+        return dz, None
+
+    def input_map_grad(self, dz, x):
+        return np.tensordot(dz, x, axes=([0, 2], [0, 1]))
+
+    def map_input(self, m, x) -> np.ndarray:
+        return np.array(x, copy=True)
+
+    def rebased(self, activation, in_map, out_map):
+        return replace(self, activation=activation,
+                       initial_state=out_map.apply(self.initial_state))
+
+
+LAYER_KINDS = {cls.kind: cls for cls in (DenseLayer, ConvLayer, RecurrentLayer)}
 
 
 @dataclass
@@ -269,27 +479,17 @@ class NetworkSpec:
             if i == 0:
                 continue
             prev = self.layers[i - 1]
-            got = layer.in_channels if layer.kind == "conv2d" else layer.in_dim
-            want = _emitted_dim(prev) if layer.kind == "dense" else prev.out_channels
+            want = prev.output_dim if layer.kind == "dense" else prev.out_space
             if layer.kind == "conv2d" and prev.grid != layer.grid:
                 raise ShapeMismatch("consecutive conv layers must share the grid")
-            if got != want:
+            if layer.in_space != want:
                 raise ShapeMismatch(
-                    f"layer {i} declares input {got} but layer {i - 1} emits {want}"
+                    f"layer {i} declares input {layer.in_space} but layer {i - 1} emits {want}"
                 )
 
     @property
     def output_dim(self) -> int:
-        return _emitted_dim(self.layers[-1])
-
-
-def _emitted_dim(layer) -> int:
-    """Dimension the layer hands to a following dense layer (grids flatten)."""
-    if layer.kind == "dense":
-        return layer.out_dim
-    if layer.kind == "conv2d":
-        return layer.out_channels * layer.num_locations
-    return layer.hidden_dim
+        return self.layers[-1].output_dim
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +543,7 @@ class ParamSet:
 
 def param_shapes(spec: NetworkSpec) -> list:
     """Per-layer (wbar_shape, v_shape_or_None)."""
-    shapes = []
-    for layer in spec.layers:
-        if layer.kind == "dense":
-            shapes.append(((layer.out_dim, layer.in_dim + 1), None))
-        elif layer.kind == "conv2d":
-            cols = layer.in_channels * layer.num_offsets + 1
-            shapes.append(((layer.out_channels, cols), None))
-        else:
-            shapes.append(
-                (
-                    (layer.hidden_dim, layer.hidden_dim + 1),
-                    (layer.hidden_dim, layer.input_dim),
-                )
-            )
-    return shapes
+    return [(layer.wbar_shape, layer.v_shape) for layer in spec.layers]
 
 
 def unflatten_params(spec: NetworkSpec, w: np.ndarray) -> ParamSet:
@@ -492,60 +678,24 @@ def _unflatten_cols(flat, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(flat.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
 
 
-def _out_layout(layer) -> tuple:
-    """(rows, cols) of the activation a layer emits."""
-    if layer.kind == "conv2d":
-        return layer.out_channels, layer.num_locations
-    return (layer.out_dim if layer.kind == "dense" else layer.hidden_dim), 1
-
-
 def forward_batch(spec: NetworkSpec, params: ParamSet, xs) -> BatchTrace:
     """Evaluate the network on a batch; every layer is one Wbar @ Abar.
 
     xs stacks inputs of the shapes forward takes along a new leading axis.
-    Conv layers expand their input with extract_patches; a recurrent layer
-    runs its steps over the whole batch at once.
+    A grid that meets a layer reading vectors flattens column-wise, as in
+    forward.
     """
     x = np.asarray(xs, dtype=np.float64)
-    n = x.shape[0]
     abars, act_ins = [], []
     carry = x
     for layer, lp in zip(spec.layers, params.layers):
-        if layer.kind == "dense":
-            if carry.ndim == 3:
-                carry = _flatten_cols(carry)
-            if carry.shape != (n, layer.in_dim):
-                raise ShapeMismatch(
-                    f"dense layer expects (N, {layer.in_dim}), got {carry.shape}"
-                )
-            abar = _homogenize_batch(carry[:, :, None])
-            z = lp.wbar @ abar
-            carry = layer.activation.value(z)[:, :, 0]
-        elif layer.kind == "conv2d":
-            want = (n, layer.in_channels, layer.num_locations)
-            if carry.shape != want:
-                raise ShapeMismatch(f"conv layer expects {want}, got {carry.shape}")
-            patches = extract_patches(
-                carry, layer.kernel_radius, layer.grid, layer.padding_value
+        if carry.ndim == 3 and len(layer.in_shape) == 1:
+            carry = _flatten_cols(carry)
+        if carry.shape[1:] != layer.in_shape:
+            raise ShapeMismatch(
+                f"{layer.kind} layer expects (N,) + {layer.in_shape}, got {carry.shape}"
             )
-            abar = _homogenize_batch(patches)
-            z = lp.wbar @ abar
-            carry = layer.activation.value(z)
-        else:
-            want = (n, layer.steps, layer.input_dim)
-            if carry.shape != want:
-                raise ShapeMismatch(f"recurrent layer expects {want}, got {carry.shape}")
-            vx = lp.v @ carry.swapaxes(1, 2)
-            abar = np.empty((n, layer.hidden_dim + 1, layer.steps))
-            z = np.empty((n, layer.hidden_dim, layer.steps))
-            a = np.broadcast_to(layer.initial_state, (n, layer.hidden_dim))
-            for t in range(layer.steps):
-                abar_t = _homogenize_batch(a[:, :, None])
-                zp_t = lp.wbar @ abar_t + vx[:, :, t : t + 1]
-                a = layer.activation.value(zp_t)[:, :, 0]
-                abar[:, :, t] = abar_t[:, :, 0]
-                z[:, :, t] = zp_t[:, :, 0]
-            carry = a
+        abar, z, carry = layer.apply(lp, carry)
         abars.append(abar)
         act_ins.append(z)
     output = _flatten_cols(carry) if carry.ndim == 3 else carry
@@ -573,28 +723,14 @@ def backward_batch(trace: BatchTrace, cotangents) -> BatchBackward:
     carry = u
     for i in reversed(range(len(spec.layers))):
         layer, lp = spec.layers[i], params.layers[i]
-        act_in = trace.act_in[i]
-        w = lp.wbar[:, :-1]
-        da = carry if carry.ndim == 4 else _unflatten_cols(carry, *_out_layout(layer))
-        if layer.kind == "recurrent":
-            dz = np.empty((n, k) + act_in.shape[1:])
-            for t in reversed(range(layer.steps)):
-                dzp = layer.activation.vjp(act_in[:, None, :, t : t + 1], da)
-                dz[:, :, :, t] = dzp[:, :, :, 0]
-                da = w.T @ dzp
-        else:
-            dz = layer.activation.vjp(act_in[:, None], da)
-            if i > 0 and layer.kind == "conv2d":
-                carry = fold_patches(w.T @ dz, layer.kernel_radius, layer.grid)
-            elif i > 0:
-                carry = (w.T @ dz)[:, :, :, 0]
-        dzs[i] = dz
+        if carry.ndim == 3:
+            carry = _unflatten_cols(carry, layer.out_space, layer.out_copies)
+        dzs[i], carry = layer.pullback(lp, trace.act_in[i], carry, i > 0)
         if k == 1:
-            dwbar = np.tensordot(dz[:, 0], trace.abar[i], axes=([0, 2], [0, 2]))
-            dv = None
-            if layer.kind == "recurrent":  # always layer 0, so it reads trace.x
-                dv = np.tensordot(dz[:, 0], trace.x, axes=([0, 2], [0, 1]))
-            grads[i] = LayerParams(dwbar, dv)
+            dz = dzs[i][:, 0]
+            dwbar = np.tensordot(dz, trace.abar[i], axes=([0, 2], [0, 2]))
+            # only a first layer has an input map V, so it reads the input
+            grads[i] = LayerParams(dwbar, layer.input_map_grad(dz, trace.x))
     return BatchBackward(dzs, ParamSet(grads) if k == 1 else None)
 
 
@@ -799,110 +935,16 @@ def jvp(trace: ForwardTrace, param_tangent: ParamSet) -> np.ndarray:
 # serialization
 
 
-def layer_to_dict(layer) -> dict:
-    act = activation_name(layer.activation)
-    if layer.kind == "dense":
-        return {
-            "kind": "dense",
-            "in_dim": layer.in_dim,
-            "out_dim": layer.out_dim,
-            "activation": act,
-        }
-    if layer.kind == "conv2d":
-        out = {
-            "kind": "conv2d",
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "kernel_radius": layer.kernel_radius,
-            "grid": list(layer.grid),
-            "activation": act,
-        }
-        if np.any(layer.padding_value):
-            out["padding_value"] = layer.padding_value.tolist()
-        return out
-    out = {
-        "kind": "recurrent",
-        "input_dim": layer.input_dim,
-        "hidden_dim": layer.hidden_dim,
-        "steps": layer.steps,
-        "activation": act,
-    }
-    if np.any(layer.initial_state):
-        out["initial_state"] = layer.initial_state.tolist()
-    return out
-
-
 def layer_from_dict(d: dict):
-    act = activation_by_name(d["activation"])
     kind = d["kind"]
-    if kind == "dense":
-        return DenseLayer(d["in_dim"], d["out_dim"], act)
-    if kind == "conv2d":
-        return ConvLayer(
-            d["in_channels"],
-            d["out_channels"],
-            d["kernel_radius"],
-            tuple(d["grid"]),
-            act,
-            padding_value=np.asarray(d["padding_value"])
-            if "padding_value" in d
-            else None,
-        )
-    if kind == "recurrent":
-        return RecurrentLayer(
-            d["input_dim"],
-            d["hidden_dim"],
-            d["steps"],
-            act,
-            initial_state=np.asarray(d["initial_state"])
-            if "initial_state" in d
-            else None,
-        )
-    raise ValueError(f"unknown layer kind {kind!r}")
+    if kind not in LAYER_KINDS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    return LAYER_KINDS[kind].from_dict(d)
 
 
 def spec_to_dict(spec: NetworkSpec) -> dict:
-    return {"layers": [layer_to_dict(layer) for layer in spec.layers]}
+    return {"layers": [layer.to_dict() for layer in spec.layers]}
 
 
 def spec_from_dict(d: dict) -> NetworkSpec:
     return NetworkSpec([layer_from_dict(ld) for ld in d["layers"]])
-
-
-def save_params(path, params: ParamSet) -> None:
-    """Binary checkpoint: one JSON shape-header line, then raw little-endian
-    float64 in flatten order."""
-    header = {
-        "layers": [
-            {
-                "wbar": list(lp.wbar.shape),
-                "v": None if lp.v is None else list(lp.v.shape),
-            }
-            for lp in params.layers
-        ]
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(params.flatten().astype("<f8").tobytes())
-
-
-def load_params(path) -> ParamSet:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    layers = []
-    pos = 0
-    for entry in header["layers"]:
-        r, c = entry["wbar"]
-        wbar = unvec(flat[pos : pos + r * c], r, c)
-        pos += r * c
-        v = None
-        if entry["v"] is not None:
-            r, c = entry["v"]
-            v = unvec(flat[pos : pos + r * c], r, c)
-            pos += r * c
-        layers.append(LayerParams(wbar.copy(), None if v is None else v.copy()))
-    if pos != flat.size:
-        raise ShapeMismatch("checkpoint payload does not match its header")
-    return ParamSet(layers)

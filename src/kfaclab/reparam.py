@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nets
 from .errors import ShapeMismatch
 from .linalg import kron, solve
-from .nets import AffineWrapped, NetworkSpec, ParamSet
+from .nets import AffineWrapped, LayerParams, NetworkSpec, ParamSet
 
 
 @dataclass
@@ -131,25 +130,8 @@ def compose(s: NetworkReparam, r: NetworkReparam) -> NetworkReparam:
 def space_dims(spec: NetworkSpec) -> tuple:
     """Local dimensions of the activation spaces (input first) and the
     pre-activation spaces. Conv spaces count channels, not grid cells."""
-    first = spec.layers[0]
-    if first.kind == "dense":
-        act = [first.in_dim]
-    elif first.kind == "conv2d":
-        act = [first.in_channels]
-    else:
-        act = [first.input_dim]
-    pre = []
-    for layer in spec.layers:
-        if layer.kind == "dense":
-            act.append(layer.out_dim)
-            pre.append(layer.out_dim)
-        elif layer.kind == "conv2d":
-            act.append(layer.out_channels)
-            pre.append(layer.out_channels)
-        else:
-            act.append(layer.hidden_dim)
-            pre.append(layer.hidden_dim)
-    return act, pre
+    pre = [layer.out_space for layer in spec.layers]
+    return [spec.layers[0].in_space] + pre, pre
 
 
 def _check_dims(spec: NetworkSpec, r: NetworkReparam) -> None:
@@ -160,7 +142,7 @@ def _check_dims(spec: NetworkSpec, r: NetworkReparam) -> None:
         raise ShapeMismatch(
             f"reparam dims {got_act}/{got_pre} do not match network {act}/{pre}"
         )
-    if spec.layers[0].kind == "recurrent" and not r.activation_maps[0].is_identity():
+    if spec.layers[0].fixed_input_basis and not r.activation_maps[0].is_identity():
         raise ShapeMismatch("sequence-input space must keep the identity map")
 
 
@@ -209,32 +191,13 @@ def transform_params(params: ParamSet, r: NetworkReparam) -> ParamSet:
                 raise ShapeMismatch("hidden-space map does not fit recurrent layer")
             wbar = _transform_wbar(lp.wbar, in_map, r.pre_map(i))
             v = np.ascontiguousarray(solve(r.pre_map(i).b, lp.v))
-            out.append(nets.LayerParams(wbar, v))
+            out.append(LayerParams(wbar, v))
         else:
             in_map = _layer_in_map(r, i, lp.wbar)
             out.append(
-                nets.LayerParams(_transform_wbar(lp.wbar, in_map, r.pre_map(i)))
+                LayerParams(_transform_wbar(lp.wbar, in_map, r.pre_map(i)))
             )
     return ParamSet(out)
-
-
-def transform_params_dense(params: ParamSet, r: NetworkReparam) -> ParamSet:
-    for i, lp in enumerate(params.layers):
-        if lp.v is not None or r.in_map(i).dim != lp.wbar.shape[1] - 1:
-            raise ShapeMismatch("transform_params_dense needs an all-dense network")
-    return transform_params(params, r)
-
-
-def transform_params_conv(params: ParamSet, r: NetworkReparam) -> ParamSet:
-    if any(lp.v is not None for lp in params.layers):
-        raise ShapeMismatch("transform_params_conv cannot handle recurrent layers")
-    return transform_params(params, r)
-
-
-def transform_params_rnn(params: ParamSet, r: NetworkReparam) -> ParamSet:
-    if params.layers[0].v is None:
-        raise ShapeMismatch("transform_params_rnn needs a leading recurrent layer")
-    return transform_params(params, r)
 
 
 def transform_activation(act, omega: AffineMap, phi: AffineMap):
@@ -263,54 +226,25 @@ def transform_network(spec: NetworkSpec, params: ParamSet, r: NetworkReparam):
     states get remapped, parameters transform per layer.
     """
     _check_dims(spec, r)
-    new_params = transform_params(params, r)
-    new_layers = []
-    for i, layer in enumerate(spec.layers):
-        act = transform_activation(layer.activation, r.out_map(i), r.pre_map(i))
-        if layer.kind == "dense":
-            new_layers.append(nets.DenseLayer(layer.in_dim, layer.out_dim, act))
-        elif layer.kind == "conv2d":
-            new_layers.append(
-                nets.ConvLayer(
-                    layer.in_channels,
-                    layer.out_channels,
-                    layer.kernel_radius,
-                    layer.grid,
-                    act,
-                    padding_value=r.in_map(i).apply(layer.padding_value),
-                )
-            )
-        else:
-            new_layers.append(
-                nets.RecurrentLayer(
-                    layer.input_dim,
-                    layer.hidden_dim,
-                    layer.steps,
-                    act,
-                    initial_state=r.out_map(i).apply(layer.initial_state),
-                )
-            )
-    return NetworkSpec(new_layers), new_params
+    new_layers = [
+        layer.rebased(
+            transform_activation(layer.activation, r.out_map(i), r.pre_map(i)),
+            r.in_map(i),
+            r.out_map(i),
+        )
+        for i, layer in enumerate(spec.layers)
+    ]
+    return NetworkSpec(new_layers), transform_params(params, r)
 
 
 def transform_input(spec: NetworkSpec, r: NetworkReparam, x) -> np.ndarray:
     """The network input expressed in the new input-space basis."""
-    first = spec.layers[0]
-    m = r.activation_maps[0]
-    if first.kind == "dense":
-        return m.apply(x)
-    if first.kind == "conv2d":
-        return m.apply_cols(x)
-    return np.array(x, copy=True)  # sequence inputs keep their coordinates
+    return spec.layers[0].map_input(r.activation_maps[0], x)
 
 
 def output_space_map(spec: NetworkSpec, r: NetworkReparam) -> AffineMap:
     """Effective map on the flattened network output (lifts conv-last grids)."""
-    last = spec.layers[-1]
-    m = r.activation_maps[-1]
-    if last.kind == "conv2d":
-        return m.lift(last.num_locations)
-    return m
+    return r.activation_maps[-1].lift(spec.layers[-1].out_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +282,7 @@ def random_reparam(
 
     act_maps = [rand_map(n) for n in act_dims]
     pre_maps = [rand_map(n) for n in pre_dims]
-    if spec.layers[0].kind == "recurrent":
+    if spec.layers[0].fixed_input_basis:
         act_maps[0] = AffineMap.identity(act_dims[0])
     if identity_output:
         act_maps[-1] = AffineMap.identity(act_dims[-1])

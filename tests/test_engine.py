@@ -4,20 +4,19 @@ Random dense, conv and recurrent stacks, and their randomly re-based twins
 (wrapped activations, remapped padding points and initial states, a wrapped
 output model), are generated with hypothesis. On each, the batched factors,
 objective and gradient must match a per-sample loop over forward, backward
-and basis_backpasses to a relative error of 1e-12.
+and basis_backpasses to a relative error of 1e-12, and a twin must compute
+the same function as its network.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfaclab.harness import Dataset
+from kfaclab.harness import STEP0_TOL, Dataset
 from kfaclab.kfac import estimate_factors, objective, objective_and_gradient
 from kfaclab.metrics import (
-    BregmanMetric,
+    METRICS,
     CategoricalLogits,
-    EuclideanMetric,
-    FisherMetric,
     GaussianFixedVar,
     WrappedOutputModel,
     basis_backpasses,
@@ -159,10 +158,10 @@ def problems(draw):
 
 
 @ENGINE_SETTINGS
-@given(problems(), st.sampled_from((FisherMetric(), EuclideanMetric(),
-                                    BregmanMetric("log_sum_exp"))))
-def test_batched_factors_match_per_sample_loop(problem, metric):
+@given(problems(), st.sampled_from(sorted(METRICS)))
+def test_batched_factors_match_per_sample_loop(problem, metric_name):
     spec, params, model, data = problem
+    metric = METRICS[metric_name]
     got = estimate_factors(spec, params, model, data, metric)
     want_a, want_g = oracle_factors(spec, params, model, data.inputs, metric)
     for i, f in enumerate(got.factors):
@@ -195,6 +194,20 @@ def test_batched_backward_matches_basis_backpasses(problem):
         for kk, bt in enumerate(basis_backpasses(one)):
             for i, lb in enumerate(bt.layers):
                 np.testing.assert_allclose(dz[i][s, kk], lb.dz, rtol=1e-11, atol=1e-15)
+
+
+@ENGINE_SETTINGS
+@given(networks(), st.sampled_from((1.0, 10.0, 100.0)))
+def test_rebased_twin_computes_the_same_function(net, cap):
+    spec, params, shape, rng = net
+    r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=cap)
+    spec_t, params_t = transform_network(spec, params, r)
+    xs = [rng.standard_normal(shape) for _ in range(4)]
+    out = forward_batch(spec, params, xs).output
+    xs_t = [transform_input(spec, r, x) for x in xs]
+    out_t = forward_batch(spec_t, params_t, xs_t).output
+    back = output_space_map(spec, r).inverse().apply_cols(out_t.T).T
+    assert np.max(np.abs(back - out)) <= STEP0_TOL
 
 
 def test_backward_batch_gives_no_gradient_for_several_cotangents():

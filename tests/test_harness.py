@@ -353,6 +353,12 @@ def test_training_csv_format():
 # CLI
 
 
+def test_ggn_factors_equal_fisher_factors_on_a_gaussian_model():
+    # the loss Hessian of a Gaussian mean is its Fisher, I / variance
+    fisher = dump_factors(_ngd_config(optimizer="kfac"))
+    assert dump_factors(_ngd_config(optimizer="kfac", metric="ggn")) == fisher
+
+
 def _write_config(tmp_path, name, config):
     path = tmp_path / name
     path.write_text(json.dumps(config.to_dict()))
@@ -388,6 +394,27 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert cli.main(["train", "--config", "/no/such/file", "--out", "-"]) == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_cli_diverging_run_fails_without_a_traceback(tmp_path, capsys):
+    # the twin's parameters stay finite but overflow when mapped back
+    raw = _mlp_config().to_dict()
+    raw.update(
+        architecture={"type": "mlp", "dims": [4, 5, 3]},
+        output_model={"kind": "categorical", "classes": 3},
+        dataset_spec={"num_samples": 8},
+        reparam_source={"kind": "random", "seed": 1},
+        optimizer="sgd",
+        steps=3,
+        learning_rate=1e308,
+    )
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(raw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["check-invariance", "--config", str(path)]) == cli.EXIT_FAIL
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert np.isnan(report["records"][1]["param_discrepancy"])
 
 
 def _mis_chained(raw):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from kfaclab.errors import SingularFactor, TooLarge, UnsupportedLayer
+from kfaclab.errors import SingularFactor, TooLarge
 from kfaclab.harness import Dataset
 from kfaclab.kfac import (
     KFacMetric,
@@ -15,9 +15,6 @@ from kfaclab.kfac import (
     apply_inverse,
     assemble_dense,
     estimate_factors,
-    estimate_factors_conv,
-    estimate_factors_dense,
-    estimate_factors_rnn,
     factors_to_json,
     kfac_step,
     ngd_step,
@@ -32,7 +29,6 @@ from kfaclab.metrics import (
     GaussianFixedVar,
     basis_backpasses,
     exact_fisher,
-    output_fisher,
 )
 from kfaclab.nets import (
     ConvLayer,
@@ -71,7 +67,7 @@ def test_zero_input_gives_corner_a():
     params = init_params(spec, 0)
     model = GaussianFixedVar(2)
     data = Dataset([np.zeros(3)], [np.zeros(2)])
-    metric = estimate_factors_dense(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
     want = np.zeros((4, 4))
     want[3, 3] = 1.0
     np.testing.assert_array_equal(metric.factors[0].a, want)
@@ -85,7 +81,7 @@ def test_linear_gaussian_g_is_identity_and_block_is_exact():
     params = init_params(spec, 1)
     model = GaussianFixedVar(2)
     data = _dense_dataset(rng, 8, 3, 2)
-    metric = estimate_factors_dense(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
     f = metric.factors[0]
     np.testing.assert_array_equal(f.g, np.eye(2))
     assert f.scale == 1.0
@@ -101,7 +97,7 @@ def test_two_layer_factors_match_chain_rule_oracle():
     params = init_params(spec, 2)
     model = CategoricalLogits(3)
     data = _dense_dataset(rng, 6, 3, 3, categorical=True)
-    metric = estimate_factors_dense(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
 
     n = len(data)
     a1 = np.zeros((4, 4))
@@ -111,7 +107,7 @@ def test_two_layer_factors_match_chain_rule_oracle():
     w2 = params.layers[1].wbar[:, :-1]
     for x in data.inputs:
         trace = forward(spec, params, x)
-        f_out = output_fisher(model, trace.output)
+        f_out = model.fisher(trace.output)
         abar0 = trace.layers[0].abar[:, 0]
         abar1 = trace.layers[1].abar[:, 0]
         a1 += np.outer(abar0, abar0)
@@ -125,31 +121,6 @@ def test_two_layer_factors_match_chain_rule_oracle():
     np.testing.assert_allclose(metric.factors[1].a, a2 / n, atol=1e-12)
     np.testing.assert_allclose(metric.factors[0].g, g1 / n, atol=1e-12)
     np.testing.assert_allclose(metric.factors[1].g, g2 / n, atol=1e-12)
-
-
-def test_estimator_kind_guards():
-    dense = NetworkSpec([DenseLayer(2, 2, Identity())])
-    conv = NetworkSpec(
-        [
-            ConvLayer(1, 2, 1, (3, 3), Logistic()),
-            DenseLayer(18, 2, Identity()),
-        ]
-    )
-    rnn = NetworkSpec(
-        [
-            RecurrentLayer(2, 3, 2, Logistic()),
-            DenseLayer(3, 2, Identity()),
-        ]
-    )
-    params = {id(dense): init_params(dense, 0)}
-    model = GaussianFixedVar(2)
-    data = Dataset([np.zeros(2)], [np.zeros(2)])
-    with pytest.raises(UnsupportedLayer):
-        estimate_factors_dense(conv, init_params(conv, 0), model, data)
-    with pytest.raises(UnsupportedLayer):
-        estimate_factors_conv(dense, params[id(dense)], model, data)
-    with pytest.raises(UnsupportedLayer):
-        estimate_factors_rnn(dense, params[id(dense)], model, data)
 
 
 def test_empty_dataset_rejected():
@@ -180,7 +151,7 @@ def test_conv_factors_match_per_location_loop():
     params = init_params(spec, 3)
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=(2, 9)) for _ in range(4)], _gaussian_targets(rng, 4, 2))
-    metric = estimate_factors_conv(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
 
     layer = spec.layers[0]
     t = layer.num_locations
@@ -189,7 +160,7 @@ def test_conv_factors_match_per_location_loop():
     for x in data.inputs:
         trace = forward(spec, params, x)
         passes = basis_backpasses(trace)
-        m = output_fisher(model, trace.output)
+        m = model.fisher(trace.output)
         abar = trace.layers[0].abar
         dz = np.stack([bt.layers[0].dz for bt in passes])  # K x n_out x T
         for ti in range(t):
@@ -215,7 +186,7 @@ def test_rnn_factors_match_per_step_loop():
     params = init_params(spec, 4)
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=(3, 2)) for _ in range(4)], _gaussian_targets(rng, 4, 2))
-    metric = estimate_factors_rnn(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
 
     steps = spec.layers[0].steps
     a_slow = np.zeros_like(metric.factors[0].a)
@@ -223,7 +194,7 @@ def test_rnn_factors_match_per_step_loop():
     for x in data.inputs:
         trace = forward(spec, params, x)
         passes = basis_backpasses(trace)
-        m = output_fisher(model, trace.output)
+        m = model.fisher(trace.output)
         abar = trace.layers[0].abar
         dz = np.stack([bt.layers[0].dz for bt in passes])
         for ti in range(steps):
@@ -257,12 +228,12 @@ def test_rnn_zero_recurrence_kills_early_step_cotangents():
     for x in data.inputs:
         trace = forward(spec, params, x)
         passes = basis_backpasses(trace)
-        m = output_fisher(model, trace.output)
+        m = model.fisher(trace.output)
         dz = np.stack([bt.layers[0].dz for bt in passes])
         np.testing.assert_array_equal(dz[:, :, :2], np.zeros_like(dz[:, :, :2]))
         c = dz[:, :, 2].T
         g_last += (c @ m @ c.T) / 3.0
-    metric = estimate_factors_rnn(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
     np.testing.assert_allclose(metric.factors[0].g, g_last / len(data), atol=1e-14)
 
 
@@ -289,8 +260,8 @@ def test_trivial_conv_factors_match_dense_bitwise():
     conv_data = Dataset([x.reshape(2, 1) for x in xs], ys)
     dense_data = Dataset(xs, ys)
 
-    mc = estimate_factors_conv(conv_spec, conv_params, model, conv_data)
-    md = estimate_factors_dense(dense_spec, dense_params, model, dense_data)
+    mc = estimate_factors(conv_spec, conv_params, model, conv_data)
+    md = estimate_factors(dense_spec, dense_params, model, dense_data)
     for fc, fd in zip(mc.factors, md.factors):
         np.testing.assert_array_equal(fc.a, fd.a)
         np.testing.assert_array_equal(fc.g, fd.g)
@@ -322,8 +293,8 @@ def test_one_step_rnn_factors_match_dense_bitwise():
     rnn_data = Dataset([np.zeros((1, 2)) for _ in range(n)], ys)
     dense_data = Dataset([h0.copy() for _ in range(n)], ys)
 
-    mr = estimate_factors_rnn(rnn_spec, rnn_params, model, rnn_data)
-    md = estimate_factors_dense(dense_spec, dense_params, model, dense_data)
+    mr = estimate_factors(rnn_spec, rnn_params, model, rnn_data)
+    md = estimate_factors(dense_spec, dense_params, model, dense_data)
     for fr, fd in zip(mr.factors, md.factors):
         np.testing.assert_array_equal(fr.a, fd.a)
         np.testing.assert_array_equal(fr.g, fd.g)
@@ -337,7 +308,7 @@ def test_factors_are_psd():
     for seed in range(5):
         params = init_params(spec, seed, weight_scale=2.0)
         data = _dense_dataset(rng, 6, 3, 4, categorical=True)
-        metric = estimate_factors_dense(spec, params, model, data)
+        metric = estimate_factors(spec, params, model, data)
         for f in metric.factors:
             assert np.linalg.eigvalsh(f.a).min() >= -1e-12
             assert np.linalg.eigvalsh(f.g).min() >= -1e-12
@@ -351,13 +322,13 @@ def test_last_layer_g_averages_the_output_metric():
     params = init_params(spec, 9)
     model = CategoricalLogits(4)
     data = _dense_dataset(rng, 6, 3, 4, categorical=True)
-    metric = estimate_factors_dense(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
     avg = np.zeros((4, 4))
     for x in data.inputs:
-        avg += output_fisher(model, forward(spec, params, x).output)
+        avg += model.fisher(forward(spec, params, x).output)
     np.testing.assert_allclose(metric.factors[0].g, avg / len(data), atol=1e-13)
 
-    euclid = estimate_factors_dense(spec, params, model, data, metric=EuclideanMetric())
+    euclid = estimate_factors(spec, params, model, data, metric=EuclideanMetric())
     np.testing.assert_array_equal(euclid.factors[0].g, np.eye(4))
 
 
@@ -531,7 +502,7 @@ def test_identity_factors_reduce_kfac_to_sgd():
     model = GaussianFixedVar(2)
     xs = [np.array(s, dtype=float) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     data = Dataset(xs, _gaussian_targets(rng, 4, 2))
-    metric = estimate_factors_dense(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
     np.testing.assert_array_equal(metric.factors[0].a, np.eye(3))
     np.testing.assert_array_equal(metric.factors[0].g, np.eye(2))
     config = UpdateConfig(0.5)
@@ -583,7 +554,7 @@ def test_single_sample_kfac_step_equals_ngd_step():
     assert np.abs(kfac.flatten() - ngd.flatten()).max() <= 1e-8
 
     fisher = exact_fisher(spec, params, model, data.inputs).matrix
-    metric = estimate_factors_dense(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
     block = assemble_dense(metric)
     np.testing.assert_allclose(block, fisher, atol=1e-12)
 
@@ -650,7 +621,7 @@ def test_factors_to_json_round_trips_exactly():
     params = init_params(spec, 23)
     model = GaussianFixedVar(2)
     data = _dense_dataset(rng, 4, 2, 2)
-    metric = estimate_factors_dense(spec, params, model, data)
+    metric = estimate_factors(spec, params, model, data)
     blob = json.loads(factors_to_json(metric))
     assert [b["layer_index"] for b in blob] == [0, 1]
     for b, f in zip(blob, metric.factors):

@@ -5,7 +5,6 @@ from kfaclab.errors import NotSymmetric, SingularMatrix
 from kfaclab.linalg import (
     inv,
     kron,
-    kron_inverse_check,
     solve,
     sym_eig_min,
     unvec,
@@ -200,6 +199,11 @@ def test_sym_eig_min_accepts_roundoff_asymmetry():
     a = m @ m.T
     a[0, 1] += 1e-14  # below the relative tolerance
     sym_eig_min(a)
+
+
+def kron_inverse_check(b, c) -> float:
+    """Max-abs difference between (b ox c)^-1 and b^-1 ox c^-1."""
+    return float(np.abs(inv(kron(b, c)) - kron(inv(b), inv(c))).max())
 
 
 def test_kron_inverse_check_identity():

@@ -2,24 +2,20 @@ import numpy as np
 import pytest
 import scipy.special
 
-from kfaclab import metrics, nets, reparam
+from kfaclab import nets, reparam
 from kfaclab.errors import TooLarge
 from kfaclab.linalg import kron, sym_eig_min
 from kfaclab.metrics import (
-    BregmanMetric,
+    METRICS,
     CategoricalLogits,
     EuclideanMetric,
-    FisherMetric,
     GaussianFixedVar,
     WrappedOutputModel,
     exact_fisher,
     kl_quadratic_check,
     mc_fisher,
-    metric_by_name,
-    output_fisher,
     output_jacobian,
     pullback_metric,
-    sample_output_covector,
 )
 from kfaclab.nets import (
     DenseLayer,
@@ -45,15 +41,15 @@ def mlp(dims, act):
 
 def test_categorical_fisher_binary_uniform():
     model = CategoricalLogits(2)
-    f = output_fisher(model, np.zeros(2))
+    f = model.fisher(np.zeros(2))
     np.testing.assert_allclose(f, np.array([[0.25, -0.25], [-0.25, 0.25]]), atol=1e-14)
 
 
 def test_gaussian_fisher_is_identity_over_variance():
     model = GaussianFixedVar(3, variance=1.0)
-    np.testing.assert_array_equal(output_fisher(model, np.ones(3)), np.eye(3))
+    np.testing.assert_array_equal(model.fisher(np.ones(3)), np.eye(3))
     model4 = GaussianFixedVar(2, variance=4.0)
-    np.testing.assert_allclose(output_fisher(model4, np.zeros(2)), np.eye(2) / 4.0)
+    np.testing.assert_allclose(model4.fisher(np.zeros(2)), np.eye(2) / 4.0)
 
 
 def test_categorical_fisher_matches_class_enumeration():
@@ -67,14 +63,14 @@ def test_categorical_fisher_matches_class_enumeration():
         for k in range(3):
             g = model.loss_grad(k, z)
             acc += p[k] * np.outer(g, g)
-        np.testing.assert_allclose(output_fisher(model, z), acc, atol=1e-12)
+        np.testing.assert_allclose(model.fisher(z), acc, atol=1e-12)
 
 
 def test_categorical_fisher_rows_sum_to_zero():
     rng = np.random.default_rng(1)
     model = CategoricalLogits(5)
     for _ in range(10):
-        f = output_fisher(model, rng.standard_normal(5))
+        f = model.fisher(rng.standard_normal(5))
         np.testing.assert_allclose(f.sum(axis=1), np.zeros(5), atol=1e-14)
         assert sym_eig_min(f) >= -1e-10
 
@@ -161,20 +157,21 @@ def test_pullback_degenerate_direction_exactly_zero():
 
 
 def test_pullback_matches_divergence_finite_difference():
-    # quadratic Bregman-divergence growth rate reproduces the metric
+    # quadratic growth of the log-sum-exp Bregman divergence D(z1, z0), which
+    # is the categorical KL(z0 || z1), reproduces the metric
     spec = mlp([3, 4, 2], Tanh())
     params = init_params(spec, seed=2)
     rng = np.random.default_rng(6)
     x = rng.standard_normal(3)
-    metric = BregmanMetric("log_sum_exp")
-    g = pullback_metric(spec, params, CategoricalLogits(2), x, metric)
+    model = CategoricalLogits(2)
+    g = pullback_metric(spec, params, model, x, METRICS["ggn"])
     v = rng.standard_normal(params.num_params)
     h = 1e-4
     from kfaclab.nets import unflatten_params
 
     z0 = forward(spec, params, x).output
     z1 = forward(spec, unflatten_params(spec, params.flatten() + h * v), x).output
-    div = metric.divergence(z1, z0)
+    div = model.kl(z0, z1)
     quad = 0.5 * h * h * float(v @ g @ v)
     assert div / quad == pytest.approx(1.0, rel=1e-3)
 
@@ -184,8 +181,8 @@ def test_pullback_psd():
     params = init_params(spec, seed=3)
     rng = np.random.default_rng(7)
     model = CategoricalLogits(3)
-    for name in ("fisher", "euclidean", "gauss-newton", "bregman:log_sum_exp"):
-        g = pullback_metric(spec, params, model, rng.standard_normal(4), metric_by_name(name))
+    for metric in METRICS.values():
+        g = pullback_metric(spec, params, model, rng.standard_normal(4), metric)
         assert sym_eig_min(g) >= -1e-8
 
 
@@ -274,68 +271,6 @@ def test_mc_fisher_null_direction():
     assert float(vf @ f @ vf) == 0.0
 
 
-def test_fisher_dump_round_trip(tmp_path):
-    spec = mlp([3, 2], Tanh())
-    params = init_params(spec, seed=11)
-    f = exact_fisher(spec, params, CategoricalLogits(2), [np.ones(3)])
-    path = tmp_path / "fisher.bin"
-    metrics.save_fisher(path, f)
-    again = metrics.load_fisher(path)
-    assert np.array_equal(again.matrix, f.matrix)
-    assert again.construction == f.construction
-
-
-# ---------------------------------------------------------------------------
-# covector sampling
-
-
-def test_covector_euclidean_covariance():
-    rng = np.random.default_rng(12)
-    model = GaussianFixedVar(3)
-    metric = EuclideanMetric()
-    draws = np.stack(
-        [sample_output_covector(metric, model, np.zeros(3), rng) for _ in range(100000)]
-    )
-    cov = draws.T @ draws / len(draws)
-    assert np.max(np.abs(cov - np.eye(3))) <= 0.03
-
-
-def test_covector_categorical_fisher_covariance():
-    rng = np.random.default_rng(13)
-    model = CategoricalLogits(3)
-    z = np.array([0.5, -0.2, 0.1])
-    target = output_fisher(model, z)
-    draws = np.stack(
-        [sample_output_covector(FisherMetric(), model, z, rng) for _ in range(100000)]
-    )
-    cov = draws.T @ draws / len(draws)
-    assert np.max(np.abs(cov - target)) <= 0.03
-
-
-def test_covector_categorical_exactly_centered():
-    rng = np.random.default_rng(14)
-    model = CategoricalLogits(4)
-    z = np.array([2.0, -1.0, 0.0, 0.5])
-    ones = np.ones(4)
-    for _ in range(200):
-        phi = sample_output_covector(FisherMetric(), model, z, rng)
-        assert float(ones @ phi) == 0.0
-
-
-def test_covector_general_metric_covariance():
-    # eigendecomposition square-root path
-    rng = np.random.default_rng(15)
-    model = CategoricalLogits(3)
-    z = np.array([0.1, 0.4, -0.6])
-    metric = BregmanMetric("log_sum_exp")
-    target = metric.matrix(model, z)
-    draws = np.stack(
-        [sample_output_covector(metric, model, z, rng) for _ in range(100000)]
-    )
-    cov = draws.T @ draws / len(draws)
-    assert np.max(np.abs(cov - target)) <= 0.03
-
-
 # ---------------------------------------------------------------------------
 # KL quadratic form
 
@@ -379,26 +314,29 @@ def test_kl_exactly_quadratic_for_linear_gaussian():
 # metric specializations and tensoriality
 
 
-def test_gauss_newton_equals_half_norm_ggn():
-    spec = mlp([3, 4, 2], Tanh())
-    params = init_params(spec, seed=15)
-    model = GaussianFixedVar(2)
-    x = np.random.default_rng(18).standard_normal(3)
-    gn = pullback_metric(spec, params, model, x, EuclideanMetric())
-    ggn = pullback_metric(spec, params, model, x, BregmanMetric("half_sq_norm"))
-    np.testing.assert_array_equal(gn, ggn)
-
-
 def test_lse_ggn_equals_categorical_fisher():
+    # the registry's "ggn" pulls back the loss Hessian in the output, built
+    # here by hand: the log-sum-exp Hessian diag(p) - p p^T (the categorical
+    # Fisher) for logits, I / variance for a Gaussian mean
     spec = mlp([3, 5, 4], Logistic())
     params = init_params(spec, seed=16)
-    model = CategoricalLogits(4)
     rng = np.random.default_rng(19)
-    for _ in range(5):
-        x = rng.standard_normal(3)
-        fish = pullback_metric(spec, params, model, x, FisherMetric())
-        ggn = pullback_metric(spec, params, model, x, BregmanMetric("log_sum_exp"))
-        np.testing.assert_allclose(fish, ggn, atol=1e-10)
+
+    def lse_hessian(z):
+        p = scipy.special.softmax(z)
+        return np.diag(p) - np.outer(p, p)
+
+    cases = (
+        (CategoricalLogits(4), lse_hessian),
+        (GaussianFixedVar(4, variance=0.3), lambda z: np.eye(4) / 0.3),
+    )
+    for model, hessian in cases:
+        for _ in range(5):
+            x = rng.standard_normal(3)
+            trace = forward(spec, params, x)
+            jac = output_jacobian(trace)
+            ggn = pullback_metric(spec, params, model, x, METRICS["ggn"])
+            np.testing.assert_allclose(ggn, jac.T @ hessian(trace.output) @ jac, atol=1e-10)
 
 
 def test_exact_fisher_transforms_tensorially():

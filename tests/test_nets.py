@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.special
@@ -476,30 +478,41 @@ def test_add_scaled_keeps_v_when_other_has_none():
 
 
 def test_spec_json_round_trip():
-    spec = NetworkSpec(
+    conv = NetworkSpec(
         [
             ConvLayer(2, 3, 1, (3, 3), Tanh(), padding_value=np.array([0.5, -1.0])),
             ConvLayer(3, 2, 1, (3, 3), Logistic()),
             DenseLayer(18, 4, Identity()),
         ]
     )
-    again = nets.spec_from_dict(nets.spec_to_dict(spec))
-    assert [l.kind for l in again.layers] == [l.kind for l in spec.layers]
-    np.testing.assert_array_equal(
-        again.layers[0].padding_value, spec.layers[0].padding_value
+    rnn = NetworkSpec(
+        [
+            RecurrentLayer(2, 3, 4, Tanh(), initial_state=np.array([0.5, 0.0, -1.0])),
+            DenseLayer(3, 2, Logistic()),
+        ]
     )
-    assert again.layers[2].in_dim == 18
-
-
-def test_params_checkpoint_round_trip(tmp_path):
-    spec = NetworkSpec(
-        [RecurrentLayer(2, 4, 3, Tanh()), DenseLayer(4, 2, Identity())]
-    )
-    params = init_params(spec, seed=16)
-    path = tmp_path / "params.bin"
-    nets.save_params(path, params)
-    again = nets.load_params(path)
-    for a, b in zip(params.layers, again.layers):
-        assert np.array_equal(a.wbar, b.wbar)
-        if a.v is not None:
-            assert np.array_equal(a.v, b.v)
+    want = {
+        "conv": {"layers": [
+            {"kind": "conv2d", "in_channels": 2, "out_channels": 3, "kernel_radius": 1,
+             "grid": [3, 3], "activation": "tanh", "padding_value": [0.5, -1.0]},
+            {"kind": "conv2d", "in_channels": 3, "out_channels": 2, "kernel_radius": 1,
+             "grid": [3, 3], "activation": "logistic"},
+            {"kind": "dense", "in_dim": 18, "out_dim": 4, "activation": "identity"},
+        ]},
+        "rnn": {"layers": [
+            {"kind": "recurrent", "input_dim": 2, "hidden_dim": 3, "steps": 4,
+             "activation": "tanh", "initial_state": [0.5, 0.0, -1.0]},
+            {"kind": "dense", "in_dim": 3, "out_dim": 2, "activation": "logistic"},
+        ]},
+    }
+    for name, spec in (("conv", conv), ("rnn", rnn)):
+        d = nets.spec_to_dict(spec)
+        assert json.dumps(d) == json.dumps(want[name])  # same keys in the same order
+        again = nets.spec_from_dict(json.loads(json.dumps(d)))
+        assert [l.kind for l in again.layers] == [l.kind for l in spec.layers]
+        assert nets.spec_to_dict(again) == d
+    again = nets.spec_from_dict(want["conv"])
+    np.testing.assert_array_equal(again.layers[0].padding_value, conv.layers[0].padding_value)
+    assert again.layers[0].grid == (3, 3) and again.layers[2].in_dim == 18
+    again = nets.spec_from_dict(want["rnn"])
+    np.testing.assert_array_equal(again.layers[0].initial_state, rnn.layers[0].initial_state)

@@ -36,9 +36,6 @@ from kfaclab.reparam import (
     transform_input,
     transform_network,
     transform_params,
-    transform_params_conv,
-    transform_params_dense,
-    transform_params_rnn,
 )
 
 MLP3 = NetworkSpec(
@@ -177,7 +174,7 @@ def test_pure_scaling_divides_weights():
         [AffineMap(2.0 * np.eye(2), np.zeros(2)), AffineMap.identity(2)],
         [AffineMap(3.0 * np.eye(2), np.zeros(2))],
     )
-    out = transform_params_dense(params, r)
+    out = transform_params(params, r)
     w = params.layers[0].wbar
     np.testing.assert_allclose(out.layers[0].wbar[:, :2], w[:, :2] / 6.0, atol=1e-14)
     np.testing.assert_allclose(out.layers[0].wbar[:, 2], w[:, 2] / 3.0, atol=1e-14)
@@ -190,19 +187,6 @@ def test_dense_forward_equivalence():
     spec_t, params_t = transform_network(MLP3, params, r)
     inputs = [_rand_input(rng, MLP3) for _ in range(32)]
     assert _forward_gap(MLP3, params, spec_t, params_t, r, inputs) <= 1e-10
-
-
-def test_transform_params_dense_rejects_other_kinds():
-    conv_params = init_params(CONV2, 0)
-    with pytest.raises(ShapeMismatch):
-        transform_params_dense(conv_params, random_reparam(CONV2, 0))
-    rnn_params = init_params(RNN4, 0)
-    with pytest.raises(ShapeMismatch):
-        transform_params_dense(rnn_params, random_reparam(RNN4, 0))
-    with pytest.raises(ShapeMismatch):
-        transform_params_conv(rnn_params, random_reparam(RNN4, 0))
-    with pytest.raises(ShapeMismatch):
-        transform_params_rnn(init_params(MLP3, 0), random_reparam(MLP3, 0))
 
 
 def test_reparam_dims_must_match_network():
@@ -256,8 +240,8 @@ def test_trivial_conv_transform_matches_dense():
     r_dense = NetworkReparam(
         [m for m in r_conv.activation_maps], [m for m in r_conv.preactivation_maps]
     )
-    out_conv = transform_params_conv(params, r_conv)
-    out_dense = transform_params_dense(dense_params, r_dense)
+    out_conv = transform_params(params, r_conv)
+    out_dense = transform_params(dense_params, r_dense)
     np.testing.assert_array_equal(out_conv.layers[0].wbar, out_dense.layers[0].wbar)
 
 
