@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Exit codes for check-invariance: 0 when the verdict is pass (or the run is
-damped and therefore only reported), 2 on a fail verdict, 3 when the run hit
-a degenerate metric or a solve met inf/NaN entries, 4 for configuration
-problems. train exits 0, 3 in the same cases, or 4; dump-factors exits 0
-or 4.
+damped and therefore only reported), 2 on a fail verdict (a diverged run
+whose step meets inf/NaN entries in a solve ends as fail), 3 when the run
+hit a degenerate metric, 4 for configuration problems. train exits 0, 3 on
+a degenerate metric or a solve that met inf/NaN entries, or 4;
+dump-factors exits 0 or 4.
 """
 
 import argparse

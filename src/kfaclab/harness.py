@@ -263,9 +263,10 @@ class InvarianceReport:
 
 
 def compare_params_through_reparam(
-    w: nets.ParamSet, w_t: nets.ParamSet, r: reparam.NetworkReparam
+    w: nets.ParamSet, w_t: nets.ParamSet, r_inv: reparam.NetworkReparam
 ) -> float:
-    """Max abs difference after mapping the transformed parameters back.
+    """Max abs difference after mapping the transformed parameters back
+    through r_inv, the inverse of the reparam that made the twin.
 
     Twin parameters that are non-finite, or so large that mapping them back
     overflows, cannot be compared and give NaN, which no tolerance accepts.
@@ -273,7 +274,7 @@ def compare_params_through_reparam(
     if not np.isfinite(w_t.flatten()).all():
         return float("nan")
     try:
-        back = reparam.transform_params(w_t, r.inverse())
+        back = reparam.transform_params(w_t, r_inv)
     except NonFinite:
         return float("nan")
     return float(np.max(np.abs(w.flatten() - back.flatten())))
@@ -335,12 +336,19 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
 
     Verdict is pass/fail only for undamped runs; damped runs always come back
     as "report" since the damped update is not expected to be invariant.
-    A singular factor or Fisher ends the run with a "degenerate" verdict.
+    A singular factor or Fisher ends the run with a "degenerate" verdict; a
+    step that meets inf/NaN entries (a diverged run) ends it with "fail".
     """
-    spec, model, params, data, probes = _setup(config)
+    return _run_invariance(config, _setup(config))
+
+
+def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
+    """run_invariance on an already built _setup(config)."""
+    spec, model, params, data, probes = setup
     r, spec_t, params_t, data_t, model_t, out_back = _transformed_side(
         spec, model, params, data, config
     )
+    r_inv = r.inverse()
     metric = metrics.METRICS[config.metric]
     step_fn = _STEP_FNS[config.optimizer]
     ucfg = UpdateConfig(config.learning_rate, config.damping, config.damping_mode)
@@ -359,7 +367,7 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
                 _forward_gap(spec, p, spec_t, p_t, out_back, probes, probes_t),
                 kfac.objective(spec, p, model, data),
                 kfac.objective(spec_t, p_t, model_t, data_t),
-                compare_params_through_reparam(p, p_t, r),
+                compare_params_through_reparam(p, p_t, r_inv),
             )
         )
 
@@ -374,6 +382,10 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
         report.verdict = "degenerate"
         report.diagnostic = str(exc)
         return report
+    except NonFinite as exc:  # record() maps its own NonFinite to NaN
+        report.verdict = "fail"
+        report.diagnostic = f"step {step} diverged: {exc}"
+        return report
 
     if config.damping > 0:
         report.verdict = "report"
@@ -387,7 +399,8 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
 
 def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
     """Exact-NGD variant with a Fisher nondegeneracy check up front."""
-    spec, model, params, data, probes = _setup(config)
+    setup = _setup(config)
+    spec, model, params, data, _ = setup
     fisher = metrics.exact_fisher(spec, params, model, data.inputs).matrix
     emin = sym_eig_min(fisher)
     emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
@@ -403,7 +416,7 @@ def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
         )
         return report
     cfg = ExperimentConfig(**{**config.to_dict(), "optimizer": "ngd"})
-    return run_invariance(cfg)
+    return _run_invariance(cfg, setup)
 
 
 # ---------------------------------------------------------------------------

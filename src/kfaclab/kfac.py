@@ -17,16 +17,29 @@ the (n+1, N*T) input columns with themselves, G one contraction of the
 kinds go through the same arithmetic, the degenerate reductions (1x1 conv
 grid with radius 0, one-step recurrence) reproduce the dense factors bit
 for bit.
+
+The same pass serves the loss gradient: backward is linear in the
+cotangent, so the gradient is the loss cotangent contracted with the basis
+cotangents, then with Abar. kfac_step and ngd_step each make one forward
+and one backward pass per call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularFactor, SingularMatrix, TooLarge
+from .errors import NonFinite, SingularFactor, SingularMatrix, TooLarge
 from .linalg import kron, solve, unvec, vec
-from .metrics import FisherMetric
-from .nets import LayerParams, ParamSet, backward_batch, forward_batch, unflatten_params
+from .metrics import FisherMetric, fisher_from_basis
+from .nets import (
+    LayerParams,
+    ParamSet,
+    backward_batch,
+    basis_backward,
+    forward_batch,
+    gradient_from_basis,
+    unflatten_params,
+)
 
 ASSEMBLY_CAP = 5000
 
@@ -65,6 +78,33 @@ class UpdateConfig:
 # factor estimation
 
 
+def _basis_pass(spec, params, dataset):
+    """One batched forward pass and one backward pass of the output basis."""
+    if not len(dataset.inputs):
+        raise ValueError("a step or factor estimate needs a nonempty dataset")
+    trace = forward_batch(spec, params, dataset.inputs)
+    return trace, basis_backward(trace)
+
+
+def _factors(trace, dz, model, metric) -> KFacMetric:
+    n, k = trace.output.shape
+    m = metric.matrix(model, trace.output)  # (N, K, K)
+    factors = []
+    for i, (abar, d) in enumerate(zip(trace.abar, dz)):
+        t = abar.shape[-1]
+        cols = abar.swapaxes(0, 1).reshape(abar.shape[1], n * t)
+        m_dz = (m @ d.reshape(n, k, -1)).reshape(d.shape)
+        g = np.tensordot(d, m_dz, axes=([0, 1, 3], [0, 1, 3]))
+        factors.append(KroneckerFactor(i, cols @ cols.T / (n * t), g / (n * t), float(t)))
+    return KFacMetric(factors)
+
+
+def _loss_gradient(trace, dz, model, dataset) -> ParamSet:
+    """Gradient of the empirical risk from the basis pass's dz."""
+    y = np.asarray(dataset.targets)
+    return gradient_from_basis(trace, dz, model.loss_grad(y, trace.output) / len(y))
+
+
 def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
     """Kronecker factors for every layer of the network.
 
@@ -75,22 +115,8 @@ def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
     one batched backward pass of the output basis vectors. With the Fisher
     metric G_i is the exact E_x E_y[Dz Dz^T].
     """
-    if metric is None:
-        metric = FisherMetric()
-    if not len(dataset.inputs):
-        raise ValueError("factor estimation needs a nonempty dataset")
-    trace = forward_batch(spec, params, dataset.inputs)
-    n, k = trace.output.shape
-    back = backward_batch(trace, np.broadcast_to(np.eye(k), (n, k, k)))
-    m = metric.matrix(model, trace.output)  # (N, K, K)
-    factors = []
-    for i, (abar, dz) in enumerate(zip(trace.abar, back.dz)):
-        t = abar.shape[-1]
-        cols = abar.swapaxes(0, 1).reshape(abar.shape[1], n * t)
-        m_dz = (m @ dz.reshape(n, k, -1)).reshape(dz.shape)
-        g = np.tensordot(dz, m_dz, axes=([0, 1, 3], [0, 1, 3]))
-        factors.append(KroneckerFactor(i, cols @ cols.T / (n * t), g / (n * t), float(t)))
-    return KFacMetric(factors)
+    trace, dz = _basis_pass(spec, params, dataset)
+    return _factors(trace, dz, model, FisherMetric() if metric is None else metric)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +164,10 @@ def apply_inverse(metric: KFacMetric, grad: ParamSet, config: UpdateConfig) -> P
     come back as None (callers decide what, if anything, to do with them)."""
     out = []
     for factor, lp in zip(metric.factors, grad.layers):
-        out.append(LayerParams(_factor_solve(factor, lp.wbar, config), None))
+        try:
+            out.append(LayerParams(_factor_solve(factor, lp.wbar, config), None))
+        except NonFinite as exc:
+            raise NonFinite(f"layer {factor.layer_index}: {exc}") from exc
     return ParamSet(out)
 
 
@@ -165,24 +194,26 @@ def objective_and_gradient(spec, params, model, dataset):
 def kfac_step(spec, params, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     """One preconditioned step on the factored parameters.
 
-    Only weights that own Kronecker factors move (every layer's homogenized
-    W); a recurrent layer's input map V has no factors and stays fixed.
+    Factors and gradient come from one basis pass. Only weights that own
+    Kronecker factors move (every layer's homogenized W); a recurrent
+    layer's input map V has no factors and stays fixed.
     """
-    factors = estimate_factors(spec, params, model, dataset, metric)
-    _, grad = objective_and_gradient(spec, params, model, dataset)
-    delta = apply_inverse(factors, grad, config)
+    trace, dz = _basis_pass(spec, params, dataset)
+    delta = apply_inverse(
+        _factors(trace, dz, model, metric), _loss_gradient(trace, dz, model, dataset), config
+    )
     return params.add_scaled(delta, -config.learning_rate)
 
 
 def ngd_step(spec, params, model, dataset, metric, config: UpdateConfig) -> ParamSet:
-    """Exact natural gradient step using the dense Fisher oracle."""
-    from .metrics import exact_fisher  # local import keeps module load order simple
-
+    """Exact natural gradient step: the dense Fisher (metrics.exact_fisher's
+    arithmetic) and the gradient both come from one basis pass."""
     del metric  # the exact step always uses the model's own Fisher
-    fisher = exact_fisher(spec, params, model, dataset.inputs).matrix
+    trace, dz = _basis_pass(spec, params, dataset)
+    fisher = fisher_from_basis(trace, dz, model)
     if config.damping > 0:
         fisher = fisher + config.damping * np.eye(fisher.shape[0])
-    _, grad = objective_and_gradient(spec, params, model, dataset)
+    grad = _loss_gradient(trace, dz, model, dataset)
     step = solve(fisher, grad.flatten())
     return unflatten_params(spec, params.flatten() - config.learning_rate * step)
 

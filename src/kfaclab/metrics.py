@@ -2,9 +2,11 @@
 
 The exact Fisher here is the reference object everything else is judged
 against: F = (1/N) sum_x J(x)^T F_out(f(x)) J(x), with the expectation over
-targets folded into the closed-form F_out. Jacobians come from one backward
-pass per output coordinate, so no sampling noise enters unless explicitly
-requested (mc_fisher).
+targets folded into the closed-form F_out. The Jacobians of all N samples
+come from one batched forward pass and one batched backward pass of the K
+output basis vectors, so no sampling noise enters unless explicitly
+requested (mc_fisher). The per-sample output_jacobian, pullback_metric,
+mc_fisher and kl_quadratic_check stay on the per-sample path as the oracle.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,15 @@ from scipy.special import logsumexp, softmax
 
 from .errors import TooLarge
 from .linalg import inv
-from .nets import ForwardTrace, backward, forward
+from .nets import (
+    BatchTrace,
+    ForwardTrace,
+    backward,
+    basis_backward,
+    basis_jacobians,
+    forward,
+    forward_batch,
+)
 
 PARAM_CAP = 5000  # dense P x P constructions refuse anything bigger
 
@@ -188,19 +198,31 @@ def pullback_metric(spec, params, model, x, metric) -> np.ndarray:
     return jac.T @ g @ jac
 
 
-def exact_fisher(spec, params, model, inputs) -> DenseFisher:
-    """Dense Fisher over the flattened parameters, empirical average over inputs."""
+def _check_dense_size(params) -> int:
     p = params.num_params
     if p > PARAM_CAP:
         raise TooLarge(f"{p} parameters exceeds the dense cap {PARAM_CAP}")
+    return p
+
+
+def fisher_from_basis(trace: BatchTrace, dz: list, model) -> np.ndarray:
+    """sum_n J_n^T F_out(z_n) J_n / N, with the per-sample Jacobians J_n
+    built from the dz of nets.basis_backward, as one contraction."""
+    _check_dense_size(trace.params)
+    jac = basis_jacobians(trace, dz)  # (N, K, P)
+    f_jac = model.fisher(trace.output) @ jac
+    return np.tensordot(jac, f_jac, axes=([0, 1], [0, 1])) / len(jac)
+
+
+def exact_fisher(spec, params, model, inputs) -> DenseFisher:
+    """Dense Fisher over the flattened parameters, empirical average over
+    inputs, from one batched forward and one basis backward pass."""
     if not len(inputs):
         raise ValueError("exact_fisher needs a nonempty dataset")
-    acc = np.zeros((p, p))
-    for x in inputs:
-        trace = forward(spec, params, x)
-        jac = output_jacobian(trace)
-        acc += jac.T @ model.fisher(trace.output) @ jac
-    return DenseFisher(acc / len(inputs), {"kind": "exact_pullback"})
+    trace = forward_batch(spec, params, inputs)
+    return DenseFisher(
+        fisher_from_basis(trace, basis_backward(trace), model), {"kind": "exact_pullback"}
+    )
 
 
 def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> DenseFisher:
@@ -208,9 +230,7 @@ def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> D
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
     rng = np.random.default_rng(rng_seed)
-    p = params.num_params
-    if p > PARAM_CAP:
-        raise TooLarge(f"{p} parameters exceeds the dense cap {PARAM_CAP}")
+    p = _check_dense_size(params)
     acc = np.zeros((p, p))
     for x in inputs:
         trace = forward(spec, params, x)

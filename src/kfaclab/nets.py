@@ -19,13 +19,17 @@ and steps that differ between kinds.
 The batched engine (forward_batch, backward_batch) runs all N samples at
 once: Abar is an (N, n+1, T) tensor per layer, and backward takes an
 (N, K, output_dim) stack of cotangents, all K output coordinates in one
-pass. Training, factor estimation and the invariance harness use it.
+pass. basis_backward runs the K output basis vectors; backward is linear in
+the cotangent, so its dz gives the gradient for any loss cotangent
+(gradient_from_basis) and the per-sample output Jacobians (basis_jacobians)
+without another pass. Training, factor estimation, the dense Fisher and the
+invariance harness use it.
 
 The per-sample path (forward, backward, jvp) evaluates one input and keeps
-a full trace. It is the reference oracle: the dense and Monte-Carlo Fisher
-and the tests are built on it. Activations act along the second-to-last
-axis (columns for vector layers, grids for conv layers), so both paths and
-all layer kinds share them.
+a full trace. It is the reference oracle: the Monte-Carlo Fisher, the
+per-sample output Jacobian and the tests are built on it. Activations act
+along the second-to-last axis (columns for vector layers, grids for conv
+layers), so both paths and all layer kinds share them.
 """
 
 import math
@@ -237,6 +241,10 @@ class Layer:
 
     def input_map_grad(self, dz, x):
         """Gradient of the input map V for one cotangent per sample."""
+        return None
+
+    def input_map_jacobian(self, dz, x):
+        """Per-sample gradients of V, (N, K, *v_shape), for dz (N, K, m, T)."""
         return None
 
     def map_input(self, m, x) -> np.ndarray:
@@ -452,6 +460,9 @@ class RecurrentLayer(Layer):
 
     def input_map_grad(self, dz, x):
         return np.tensordot(dz, x, axes=([0, 2], [0, 1]))
+
+    def input_map_jacobian(self, dz, x):
+        return dz @ x[:, None]
 
     def map_input(self, m, x) -> np.ndarray:
         return np.array(x, copy=True)
@@ -727,19 +738,56 @@ def backward_batch(trace: BatchTrace, cotangents) -> BatchBackward:
             carry = _unflatten_cols(carry, layer.out_space, layer.out_copies)
         dzs[i], carry = layer.pullback(lp, trace.act_in[i], carry, i > 0)
         if k == 1:
-            dz = dzs[i][:, 0]
-            dwbar = np.tensordot(dz, trace.abar[i], axes=([0, 2], [0, 2]))
-            # only a first layer has an input map V, so it reads the input
-            grads[i] = LayerParams(dwbar, layer.input_map_grad(dz, trace.x))
+            grads[i] = _layer_grad(layer, trace.abar[i], dzs[i][:, 0], trace.x)
     return BatchBackward(dzs, ParamSet(grads) if k == 1 else None)
+
+
+def _layer_grad(layer, abar, dz, x) -> LayerParams:
+    """One layer's parameter gradient for one cotangent per sample, dz (N, m, T)."""
+    dwbar = np.tensordot(dz, abar, axes=([0, 2], [0, 2]))
+    # only a first layer has an input map V, so it reads the input
+    return LayerParams(dwbar, layer.input_map_grad(dz, x))
+
+
+def basis_backward(trace: BatchTrace) -> list:
+    """Per-layer dz, (N, K, m, T), of one backward pass of the K output
+    basis vectors: the columns of every sample's output Jacobian."""
+    n, k = trace.output.shape
+    return backward_batch(trace, np.broadcast_to(np.eye(k), (n, k, k))).dz
+
+
+def gradient_from_basis(trace: BatchTrace, dz: list, u) -> ParamSet:
+    """Parameter gradient, summed over the batch, for output cotangents u,
+    (N, K), from the dz of basis_backward. Backward is linear in the
+    cotangent, so u's dz is u contracted with the basis dz."""
+    u = np.asarray(u, dtype=np.float64)[:, None, :]
+    grads = []
+    for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):
+        du = (u @ d.reshape(d.shape[:2] + (-1,))).reshape(d.shape[:1] + d.shape[2:])
+        grads.append(_layer_grad(layer, abar, du, trace.x))
+    return ParamSet(grads)
+
+
+def basis_jacobians(trace: BatchTrace, dz: list) -> np.ndarray:
+    """Per-sample output Jacobians, (N, K, P), columns in ParamSet.flatten
+    order, from the dz of basis_backward: per layer vec(dz abar^T), then
+    vec of V's gradient."""
+    parts = []
+    for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):
+        parts.append(_flatten_cols(d @ abar[:, None].swapaxes(-1, -2)))
+        jv = layer.input_map_jacobian(d, trace.x)
+        if jv is not None:
+            parts.append(_flatten_cols(jv))
+    return np.concatenate(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # per-sample reference path: forward / backward / jvp
 #
-# The batched engine above is what training and factor estimation run. This
-# path evaluates one sample at a time and stays as the oracle that the dense
-# Fisher, the Monte-Carlo Fisher, jvp and the tests compare against.
+# The batched engine above is what training, factor estimation and the dense
+# Fisher run. This path evaluates one sample at a time and stays as the oracle
+# that the per-sample output Jacobian, the Monte-Carlo Fisher, jvp and the
+# tests are built on.
 
 
 @dataclass

@@ -3,23 +3,39 @@
 Random dense, conv and recurrent stacks, and their randomly re-based twins
 (wrapped activations, remapped padding points and initial states, a wrapped
 output model), are generated with hypothesis. On each, the batched factors,
-objective and gradient must match a per-sample loop over forward, backward
-and basis_backpasses to a relative error of 1e-12, and a twin must compute
-the same function as its network.
+objective, gradient and dense Fisher must match a per-sample loop over
+forward, backward, basis_backpasses and output_jacobian to a relative error
+of 1e-12; the one-pass kfac_step and ngd_step must match a two-pass
+reference; and a twin must compute the same function as its network.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfaclab import kfac
+from kfaclab.errors import SingularFactor, SingularMatrix
 from kfaclab.harness import STEP0_TOL, Dataset
-from kfaclab.kfac import estimate_factors, objective, objective_and_gradient
+from kfaclab.kfac import (
+    UpdateConfig,
+    apply_inverse,
+    estimate_factors,
+    kfac_step,
+    ngd_step,
+    objective,
+    objective_and_gradient,
+)
+from kfaclab.linalg import solve
 from kfaclab.metrics import (
     METRICS,
     CategoricalLogits,
     GaussianFixedVar,
     WrappedOutputModel,
     basis_backpasses,
+    exact_fisher,
+    output_jacobian,
 )
 from kfaclab.nets import (
     ConvLayer,
@@ -79,6 +95,16 @@ def oracle_objective_and_gradient(spec, params, model, data):
         grad = grad + backward(trace, model.loss_grad(y, trace.output)).flatten()
     n = len(data.inputs)
     return total / n, grad / n
+
+
+def oracle_fisher(spec, params, model, inputs):
+    """The dense Fisher from a loop of output_jacobian and model.fisher."""
+    f = 0.0
+    for x in inputs:
+        trace = forward(spec, params, x)
+        jac = output_jacobian(trace)
+        f = f + jac.T @ model.fisher(trace.output) @ jac
+    return f / len(inputs)
 
 
 def assert_rel_close(got, want, what):
@@ -194,6 +220,82 @@ def test_batched_backward_matches_basis_backpasses(problem):
         for kk, bt in enumerate(basis_backpasses(one)):
             for i, lb in enumerate(bt.layers):
                 np.testing.assert_allclose(dz[i][s, kk], lb.dz, rtol=1e-11, atol=1e-15)
+
+
+@ENGINE_SETTINGS
+@given(problems())
+def test_batched_exact_fisher_matches_per_sample_loop(problem):
+    spec, params, model, data = problem
+    got = exact_fisher(spec, params, model, data.inputs).matrix
+    assert_rel_close(got, oracle_fisher(spec, params, model, data.inputs), "Fisher")
+
+
+# The one-pass steps are compared with the two-pass reference where the
+# curvature meets the gradient, at the arguments of the inverse application
+# (kfac_step) or of the dense solve (ngd_step). A solve amplifies rounding by
+# the condition number, which on generated nets reaches 1e12, so after it
+# only the exact composition of the step is checked.
+STEP_CONFIGS = (
+    UpdateConfig(0.3),
+    UpdateConfig(0.3, 1.0, "factored"),
+    UpdateConfig(0.3, 1.0, "dense_tikhonov"),
+)
+
+
+def _run_recording(name, step, raises, *args):
+    """(result or None if it raised `raises`, the argument tuples of every
+    call the step made to kfac.<name>)."""
+    calls = []
+    real = getattr(kfac, name)
+
+    def record(*call_args):
+        calls.append(call_args)
+        return real(*call_args)
+
+    with mock.patch.object(kfac, name, record):
+        try:
+            return step(*args), calls
+        except raises:
+            return None, calls
+
+
+@ENGINE_SETTINGS
+@given(problems(), st.sampled_from(sorted(METRICS)), st.sampled_from(STEP_CONFIGS))
+def test_kfac_step_matches_two_pass_reference(problem, metric_name, config):
+    spec, params, model, data = problem
+    metric = METRICS[metric_name]
+    got, calls = _run_recording(
+        "apply_inverse", kfac_step, SingularFactor, spec, params, model, data, metric, config
+    )
+    (factors, grad, _), = calls
+    want_factors = estimate_factors(spec, params, model, data, metric).factors
+    for f, want in zip(factors.factors, want_factors):
+        np.testing.assert_array_equal(f.a, want.a)
+        np.testing.assert_array_equal(f.g, want.g)
+        assert f.scale == want.scale
+    _, want_grad = objective_and_gradient(spec, params, model, data)
+    assert_rel_close(grad.flatten(), want_grad.flatten(), "gradient")
+    if got is not None:
+        want = params.add_scaled(apply_inverse(factors, grad, config), -config.learning_rate)
+        np.testing.assert_array_equal(got.flatten(), want.flatten())
+
+
+@ENGINE_SETTINGS
+@given(problems(), st.sampled_from(STEP_CONFIGS))
+def test_ngd_step_matches_two_pass_reference(problem, config):
+    spec, params, model, data = problem
+    got, calls = _run_recording(
+        "solve", ngd_step, SingularMatrix, spec, params, model, data, None, config
+    )
+    (fisher, rhs), = calls
+    want_fisher = oracle_fisher(spec, params, model, data.inputs)
+    want_fisher = want_fisher + config.damping * np.eye(len(want_fisher))
+    assert_rel_close(fisher, want_fisher, "Fisher")
+    _, want_grad = objective_and_gradient(spec, params, model, data)
+    assert_rel_close(rhs, want_grad.flatten(), "gradient")
+    if got is not None:
+        want = params.flatten() - config.learning_rate * solve(fisher, rhs)
+        np.testing.assert_array_equal(got.flatten(), want)
 
 
 @ENGINE_SETTINGS

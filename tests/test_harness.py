@@ -238,7 +238,7 @@ def test_compare_params_round_trip_is_tiny():
     params = init_params(spec, 0)
     r = random_reparam(spec, 1)
     mapped = transform_params(params, r)
-    assert compare_params_through_reparam(params, mapped, r) <= 1e-12
+    assert compare_params_through_reparam(params, mapped, r.inverse()) <= 1e-12
 
 
 def test_compare_params_detects_unrelated_params():
@@ -246,7 +246,7 @@ def test_compare_params_detects_unrelated_params():
     r = random_reparam(spec, 2)
     a = init_params(spec, 0)
     b = transform_params(init_params(spec, 1), r)
-    assert compare_params_through_reparam(a, b, r) > 1e-3
+    assert compare_params_through_reparam(a, b, r.inverse()) > 1e-3
 
 
 def test_nan_in_twin_params_gives_nan_gaps_and_no_pass(monkeypatch):
@@ -284,7 +284,7 @@ def test_compare_params_after_matching_steps():
     config = UpdateConfig(0.05)
     stepped = kfac_step(spec, params, model, data, FisherMetric(), config)
     stepped_t = kfac_step(spec_t, params_t, model_t, data_t, FisherMetric(), config)
-    assert compare_params_through_reparam(stepped, stepped_t, r) <= 1e-8
+    assert compare_params_through_reparam(stepped, stepped_t, r.inverse()) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +415,29 @@ def test_cli_diverging_run_fails_without_a_traceback(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "fail"
     assert np.isnan(report["records"][1]["param_discrepancy"])
+
+
+def test_cli_diverging_kfac_run_ends_in_a_fail_report(tmp_path, capsys):
+    # the factors at the overflowed step-1 parameters hold inf/NaN entries
+    raw = _mlp_config().to_dict()
+    raw.update(
+        architecture={"type": "mlp", "dims": [4, 5, 3]},
+        output_model={"kind": "categorical", "classes": 3},
+        dataset_spec={"num_samples": 8},
+        reparam_source={"kind": "random", "seed": 1},
+        optimizer="kfac",
+        steps=3,
+        learning_rate=1e308,
+    )
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(raw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["check-invariance", "--config", str(path)]) == cli.EXIT_FAIL
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert report["diagnostic"] == "step 2 diverged: layer 0: solve received non-finite entries"
+    assert [r["step"] for r in report["records"]] == [0, 1]
+    assert np.isnan(report["records"][1]["forward_discrepancy"])
 
 
 def _mis_chained(raw):
