@@ -6,6 +6,11 @@ whose step meets inf/NaN entries in a solve ends as fail), 3 when the run
 hit a degenerate metric, 4 for configuration problems. train exits 0, 3 on
 a degenerate metric or a solve that met inf/NaN entries, or 4;
 dump-factors exits 0 or 4.
+
+The whole config is checked when it is loaded, before any run: field types
+and ranges, the network and output model, and the reparam source (a
+reparam file must exist and its maps must fit the network). Any problem
+there exits 4 with one line on stderr.
 """
 
 import argparse

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+layer sizes, output models and configs share."""
+
+import numbers
 
 
 class KfacLabError(Exception):
@@ -27,3 +30,9 @@ class TooLarge(KfacLabError):
 
 class SingularFactor(KfacLabError):
     """An undamped Kronecker factor could not be inverted."""
+
+
+def check_int(what: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (bools excluded) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")

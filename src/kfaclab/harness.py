@@ -7,12 +7,14 @@ randomness; identical configs produce byte-identical reports.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
-from .errors import NonFinite, SingularFactor, SingularMatrix
+from .errors import NonFinite, SingularFactor, SingularMatrix, check_int
 from .kfac import UpdateConfig
 from .linalg import sym_eig_min
 
@@ -57,7 +59,8 @@ def synthetic_dataset(
     """Inputs i.i.d. normal, targets sampled from a teacher's predictive.
 
     The teacher is a fresh random instance of the same architecture unless
-    one is passed in. Deterministic per (seed, teacher_seed).
+    one is passed in; its outputs come from one batched forward pass. All
+    inputs are drawn before any target. Deterministic per (seed, teacher_seed).
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -68,7 +71,8 @@ def synthetic_dataset(
         )
     rng = np.random.default_rng(seed)
     inputs = [_draw_input(spec, rng, input_scale) for _ in range(num_samples)]
-    targets = [model.sample(nets.forward(spec, teacher, x).output, rng) for x in inputs]
+    outputs = nets.forward_batch(spec, teacher, inputs).output
+    targets = [model.sample(z, rng) for z in outputs]
     return Dataset(inputs, targets)
 
 
@@ -101,16 +105,23 @@ class ExperimentConfig:
             raise ValueError(
                 f"output model dimension {model.dim} != network output {spec.output_dim}"
             )
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
+        _check_real("architecture.weight_scale", _init_scale(self))
+        check_int("steps", self.steps, 0)
+        check_int("seed", self.seed, 0)
+        ds = self.dataset_spec
+        check_int("dataset_spec.num_samples", ds.get("num_samples"), 1)
+        if ds.get("teacher_seed") is not None:
+            check_int("dataset_spec.teacher_seed", ds["teacher_seed"], 0)
+        _check_real("dataset_spec.input_scale", ds.get("input_scale", 1.0))
         if self.optimizer not in _STEP_FNS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.metric not in metrics.METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.dataset_spec.get("num_samples", 0) < 1:
-            raise ValueError("dataset_spec.num_samples must be at least 1")
+        _check_real("learning_rate", self.learning_rate)
+        _check_real("damping", self.damping)
         # delegate the damping consistency rules
         UpdateConfig(self.learning_rate, self.damping, self.damping_mode)
+        _reparam_maker(spec, self.reparam_source)  # checks; builds no random maps
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -190,28 +201,55 @@ def build_output_model(d: dict):
     raise ValueError(f"unknown output model {kind!r}")
 
 
-def build_reparam(
-    spec: nets.NetworkSpec, source: dict, identity_output: bool = False
-) -> reparam.NetworkReparam:
-    kind = (source or {"kind": "identity"}).get("kind", "random")
+def _check_real(what: str, value, least: float = -np.inf) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value >= least)
+    ):
+        bound = "" if least == -np.inf else f" >= {least}"
+        raise ValueError(f"{what} must be a finite number{bound}, got {value!r}")
+
+
+def _reparam_maker(spec: nets.NetworkSpec, source):
+    """Check a reparam_source against the network; return the function of
+    identity_output that builds the reparam. The check reads a file source
+    and fits its maps to the network, but draws no random maps."""
+    if source is None:
+        source = {"kind": "identity"}
+    if not isinstance(source, dict):
+        raise ValueError("reparam_source must be a JSON object or null")
+    kind = source.get("kind", "random")
     if kind == "identity":
-        return reparam.identity_reparam(spec)
+        return lambda identity_output: reparam.identity_reparam(spec)
     if kind == "random":
-        return reparam.random_reparam(
-            spec,
-            rng_seed=source.get("seed", 0),
-            conditioning_cap=source.get("conditioning_cap", 100.0),
-            identity_output=identity_output,
+        seed = source.get("seed", 0)
+        cap = source.get("conditioning_cap", 100.0)
+        check_int("reparam_source.seed", seed, 0)
+        _check_real("reparam_source.conditioning_cap", cap, 1.0)
+        return lambda identity_output: reparam.random_reparam(
+            spec, rng_seed=seed, conditioning_cap=cap, identity_output=identity_output
         )
     if kind == "preset":
         name = source.get("name")
         if name not in reparam.PRESETS:
             raise ValueError(f"unknown reparam preset {name!r}")
-        return reparam.PRESETS[name](spec)
+        return lambda identity_output: reparam.PRESETS[name](spec)
     if kind == "file":
-        with open(source["path"]) as fh:
-            return reparam.reparam_from_dict(json.load(fh))
+        path = source.get("path")
+        if not isinstance(path, str):
+            raise ValueError(f"reparam_source.path must be a file path, got {path!r}")
+        with open(path) as fh:
+            r = reparam.reparam_from_dict(json.load(fh))
+        reparam.check_dims(spec, r)
+        return lambda identity_output: r
     raise ValueError(f"unknown reparam source {kind!r}")
+
+
+def build_reparam(
+    spec: nets.NetworkSpec, source: dict, identity_output: bool = False
+) -> reparam.NetworkReparam:
+    return _reparam_maker(spec, source)(identity_output)
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +301,20 @@ class InvarianceReport:
 
 
 def compare_params_through_reparam(
-    w: nets.ParamSet, w_t: nets.ParamSet, r_inv: reparam.NetworkReparam
+    w: nets.ParamSet, w_t: nets.ParamSet, r: reparam.NetworkReparam
 ) -> float:
     """Max abs difference after mapping the transformed parameters back
-    through r_inv, the inverse of the reparam that made the twin.
+    through r, the reparam that made the twin (reparam.untransform_params).
 
     Twin parameters that are non-finite, or so large that mapping them back
     overflows, cannot be compared and give NaN, which no tolerance accepts.
     """
     if not np.isfinite(w_t.flatten()).all():
         return float("nan")
-    try:
-        back = reparam.transform_params(w_t, r_inv)
-    except NonFinite:
+    back = reparam.untransform_params(w_t, r).flatten()
+    if not np.isfinite(back).all():
         return float("nan")
-    return float(np.max(np.abs(w.flatten() - back.flatten())))
+    return float(np.max(np.abs(w.flatten() - back)))
 
 
 def _forward_gap(spec, p, spec_t, p_t, out_back, probes, probes_t) -> float:
@@ -348,7 +385,6 @@ def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
     r, spec_t, params_t, data_t, model_t, out_back = _transformed_side(
         spec, model, params, data, config
     )
-    r_inv = r.inverse()
     metric = metrics.METRICS[config.metric]
     step_fn = _STEP_FNS[config.optimizer]
     ucfg = UpdateConfig(config.learning_rate, config.damping, config.damping_mode)
@@ -367,7 +403,7 @@ def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
                 _forward_gap(spec, p, spec_t, p_t, out_back, probes, probes_t),
                 kfac.objective(spec, p, model, data),
                 kfac.objective(spec_t, p_t, model_t, data_t),
-                compare_params_through_reparam(p, p_t, r_inv),
+                compare_params_through_reparam(p, p_t, r),
             )
         )
 
@@ -382,7 +418,7 @@ def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
         report.verdict = "degenerate"
         report.diagnostic = str(exc)
         return report
-    except NonFinite as exc:  # record() maps its own NonFinite to NaN
+    except NonFinite as exc:
         report.verdict = "fail"
         report.diagnostic = f"step {step} diverged: {exc}"
         return report

@@ -6,7 +6,7 @@ dense LAPACK routines are the honest reference implementation.
 """
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NonFinite, NotSymmetric, SingularMatrix
 
@@ -46,8 +46,11 @@ def solve(a, rhs) -> np.ndarray:
     """Solve a @ x = rhs by LU with partial pivoting.
 
     rhs may be a vector or a matrix of stacked right-hand sides; the result
-    has the same shape. Raises SingularMatrix when any pivot falls below
-    SINGULARITY_RTOL times the largest entry of a.
+    has the same shape. Raises NonFinite on inf/NaN input, and
+    SingularMatrix when a is zero, when any pivot falls below
+    SINGULARITY_RTOL times the largest entry of a, or when the result is
+    not finite. Calls LAPACK getrf/getrs directly, the routines behind
+    scipy's lu_factor/lu_solve.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -61,14 +64,14 @@ def solve(a, rhs) -> np.ndarray:
     scale = np.abs(a).max() if a.size else 0.0
     if scale == 0.0:
         raise SingularMatrix("matrix is identically zero")
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    lu, piv, _ = dgetrf(a)  # an exactly zero pivot fails the check below
     pivots = np.abs(np.diag(lu))
     if pivots.min() < SINGULARITY_RTOL * scale:
         raise SingularMatrix(
             f"pivot {pivots.min():.3e} below threshold "
             f"{SINGULARITY_RTOL * scale:.3e}"
         )
-    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    x, _ = dgetrs(lu, piv, rhs)
     if not np.isfinite(x).all():
         raise SingularMatrix("solve produced non-finite entries")
     return x

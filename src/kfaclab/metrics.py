@@ -9,12 +9,13 @@ requested (mc_fisher). The per-sample output_jacobian, pullback_metric,
 mc_fisher and kl_quadratic_check stay on the per-sample path as the oracle.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from .errors import TooLarge
+from .errors import TooLarge, check_int
 from .linalg import inv
 from .nets import (
     BatchTrace,
@@ -47,6 +48,9 @@ class CategoricalLogits:
     """Softmax-categorical distribution over num_classes, natural parameters."""
 
     num_classes: int
+
+    def __post_init__(self):
+        check_int("classes", self.num_classes, 1)
 
     @property
     def dim(self) -> int:
@@ -81,6 +85,12 @@ class GaussianFixedVar:
 
     dim: int
     variance: float = 1.0
+
+    def __post_init__(self):
+        check_int("dim", self.dim, 1)
+        v = self.variance
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < np.inf:
+            raise ValueError(f"variance must be a positive finite number, got {v!r}")
 
     def loss(self, y, z):
         r = np.asarray(y) - z

@@ -14,7 +14,11 @@ Every layer kind is the same homogenized map Wbar @ Abar applied at T
 locations: T is 1 for dense layers, the grid size for conv layers (Abar
 holds im2col patch columns) and the step count for recurrent layers. Each
 kind is one class (DenseLayer, ConvLayer, RecurrentLayer) holding the facts
-and steps that differ between kinds.
+and steps that differ between kinds. The conv patch columns come from
+extract_patches, one gather from the padded grid through a cached flat
+index; its adjoint fold_patches adds the shifted offsets back with the
+batch axes innermost. Neither loops over rows of the grid, and both give
+the same bits as a per-offset loop.
 
 The batched engine (forward_batch, backward_batch) runs all N samples at
 once: Abar is an (N, n+1, T) tensor per layer, and backward takes an
@@ -32,14 +36,14 @@ along the second-to-last axis (columns for vector layers, grids for conv
 layers), so both paths and all layer kinds share them.
 """
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.special
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, check_int
 from .linalg import unvec, vec
 
 
@@ -286,6 +290,10 @@ class DenseLayer(Layer):
 
     kind = "dense"
 
+    def __post_init__(self):
+        check_int("in_dim", self.in_dim, 1)
+        check_int("out_dim", self.out_dim, 1)
+
     @property
     def in_shape(self) -> tuple:
         return (self.in_dim,)
@@ -335,7 +343,14 @@ class ConvLayer(Layer):
     kind = "conv2d"
 
     def __post_init__(self):
+        check_int("in_channels", self.in_channels, 1)
+        check_int("out_channels", self.out_channels, 1)
+        check_int("kernel_radius", self.kernel_radius, 0)
         self.grid = tuple(self.grid)
+        if len(self.grid) != 2:
+            raise ShapeMismatch(f"grid must be (height, width), got {self.grid!r}")
+        for size in self.grid:
+            check_int("grid size", size, 1)
         if self.padding_value is None:
             self.padding_value = np.zeros(self.in_channels)
         else:
@@ -402,8 +417,9 @@ class RecurrentLayer(Layer):
     fixed_input_basis = True
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ShapeMismatch("recurrent layer needs steps >= 1")
+        check_int("input_dim", self.input_dim, 1)
+        check_int("hidden_dim", self.hidden_dim, 1)
+        check_int("steps", self.steps, 1)
         if self.initial_state is None:
             self.initial_state = np.zeros(self.hidden_dim)
         else:
@@ -606,6 +622,21 @@ def zero_tangent(params: ParamSet) -> ParamSet:
 # patches
 
 
+@functools.lru_cache(maxsize=32)
+def _patch_index(radius: int, grid_hw: tuple, channels: int) -> np.ndarray:
+    """Flat positions in a padded (J, H+2R, W+2R) block of the patch entries,
+    shaped (J*(2R+1)^2, H*W) in extract_patches' row order; read-only."""
+    h, w = grid_hw
+    k = 2 * radius + 1
+    hp, wp = h + 2 * radius, w + 2 * radius
+    dy, dx = np.divmod(np.arange(k * k), k)
+    y, x = np.divmod(np.arange(h * w), w)
+    rows = (dy * wp + dx)[:, None] + np.arange(channels) * (hp * wp)  # (offset, channel)
+    index = rows.reshape(-1, 1) + (y * wp + x)
+    index.setflags(write=False)
+    return index
+
+
 def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np.ndarray:
     """Expand a channels-by-locations grid into patch columns (im2col).
 
@@ -614,25 +645,31 @@ def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np
     index d, offsets scanned row-major over the (2R+1)x(2R+1) window.
     Beyond the border patches read padding_value (zeros when omitted).
     Leading axes are batch axes: (..., J, H*W) -> (..., J*(2R+1)^2, H*W).
+
+    The grid is padded once; every patch entry is then gathered by one take
+    through a cached flat index into the padded (J, H+2R, W+2R) block.
     """
     grid = np.asarray(grid, dtype=np.float64)
     h, w = grid_hw
     if grid.ndim < 2 or grid.shape[-1] != h * w:
         raise ShapeMismatch(f"grid shape {grid.shape} != (..., J, {h * w})")
     lead, j = grid.shape[:-2], grid.shape[-2]
-    k = 2 * radius + 1
     padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
     if padding_value is not None and np.any(padding_value):
         padded += np.asarray(padding_value, dtype=np.float64)[:, None, None]
     padded[..., radius : radius + h, radius : radius + w] = grid.reshape(lead + (j, h, w))
-    windows = sliding_window_view(padded, (k, k), axis=(-2, -1))  # (..., J, H, W, k, k)
-    return np.moveaxis(windows, (-2, -1), (-5, -4)).reshape(lead + (k * k * j, h * w))
+    flat = padded.reshape(lead + (j * (h + 2 * radius) * (w + 2 * radius),))
+    return flat.take(_patch_index(radius, (h, w), j), axis=-1)
 
 
 def fold_patches(patches, radius: int, grid_hw: tuple) -> np.ndarray:
     """Adjoint of extract_patches: scatter-add patch columns back to the grid.
 
-    Leading axes are batch axes, as in extract_patches.
+    Leading axes are batch axes, as in extract_patches. The buffer holds
+    them innermost, behind the channels, so each of the (2R+1)^2 shifted
+    adds writes contiguous runs of W x J x (batch size) values instead of
+    rows of W. The offsets go in order into a zero buffer, so every grid
+    cell sums them in offset order.
     """
     patches = np.asarray(patches, dtype=np.float64)
     h, w = grid_hw
@@ -640,12 +677,16 @@ def fold_patches(patches, radius: int, grid_hw: tuple) -> np.ndarray:
     if patches.ndim < 2 or patches.shape[-2] % (k * k) or patches.shape[-1] != h * w:
         raise ShapeMismatch(f"patch matrix shape {patches.shape} unexpected")
     lead, j = patches.shape[:-2], patches.shape[-2] // (k * k)
-    blocks = patches.reshape(lead + (k * k, j, h, w))
-    padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
+    size = math.prod(lead)
+    # (offset, row, column, channel, batch) view of the patches
+    blocks = patches.reshape(size, k * k, j, h, w).transpose(1, 3, 4, 2, 0)
+    padded = np.zeros((h + 2 * radius, w + 2 * radius, j, size))
     for d in range(k * k):
         dy, dx = divmod(d, k)
-        padded[..., dy : dy + h, dx : dx + w] += blocks[..., d, :, :, :]
-    return padded[..., radius : radius + h, radius : radius + w].reshape(lead + (j, h * w))
+        window = padded[dy : dy + h, dx : dx + w]  # a view: += adds in place
+        window += blocks[d]
+    grid = padded[radius : radius + h, radius : radius + w].transpose(3, 2, 0, 1)
+    return np.ascontiguousarray(grid).reshape(lead + (j, h * w))
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def space_dims(spec: NetworkSpec) -> tuple:
     return [spec.layers[0].in_space] + pre, pre
 
 
-def _check_dims(spec: NetworkSpec, r: NetworkReparam) -> None:
+def check_dims(spec: NetworkSpec, r: NetworkReparam) -> None:
     act, pre = space_dims(spec)
     got_act = [m.dim for m in r.activation_maps]
     got_pre = [m.dim for m in r.preactivation_maps]
@@ -150,30 +150,41 @@ def _check_dims(spec: NetworkSpec, r: NetworkReparam) -> None:
 # parameter transforms
 
 
-def _transform_wbar(wbar, in_map: AffineMap, pre_map: AffineMap) -> np.ndarray:
-    """[W']_H = [Phi]_H^-1 [W]_H [Omega]_H^-1, returned without the last row."""
+def _homogeneous_rows(wbar) -> np.ndarray:
+    """[W]_H: wbar with the row (0 ... 0 1) appended."""
     n_out, n_in1 = wbar.shape
     wh = np.zeros((n_out + 1, n_in1))
     wh[:n_out] = wbar
     wh[n_out, n_in1 - 1] = 1.0
-    rhs = wh @ in_map.inverse().homogeneous()
+    return wh
+
+
+def _transform_wbar(wbar, in_map: AffineMap, pre_map: AffineMap) -> np.ndarray:
+    """[W']_H = [Phi]_H^-1 [W]_H [Omega]_H^-1, returned without the last row."""
+    rhs = _homogeneous_rows(wbar) @ in_map.inverse().homogeneous()
     # C-contiguous so downstream matmuls hit the same BLAS path as untouched
     # parameters; the identity transform is then bitwise inert end to end.
-    return np.ascontiguousarray(solve(pre_map.homogeneous(), rhs)[:n_out])
+    return np.ascontiguousarray(solve(pre_map.homogeneous(), rhs)[: wbar.shape[0]])
 
 
-def _layer_in_map(r: NetworkReparam, i: int, wbar) -> AffineMap:
-    """Effective map on the layer's stacked input coordinates.
+def _layer_in_map(r: NetworkReparam, i: int, lp: LayerParams) -> AffineMap:
+    """Effective map on the stacked input coordinates of layer i.
 
-    Conv layers and dense layers fed by a flattened grid see several copies
-    of the local activation space; the stored per-space map lifts over the
-    copies. The copy count falls out of the weight shape.
+    A recurrent layer (the one with an input map V) reads the hidden space
+    it writes. Conv layers and dense layers fed by a flattened grid see
+    several copies of the local activation space; the stored per-space map
+    lifts over the copies, whose count falls out of the weight shape.
     """
+    width = lp.wbar.shape[1] - 1
+    if lp.v is not None:
+        if r.out_map(i).dim != width:
+            raise ShapeMismatch("hidden-space map does not fit recurrent layer")
+        return r.out_map(i)
     local = r.in_map(i)
-    copies, rem = divmod(wbar.shape[1] - 1, local.dim)
+    copies, rem = divmod(width, local.dim)
     if rem:
         raise ShapeMismatch(
-            f"layer {i} input width {wbar.shape[1] - 1} is not a multiple of "
+            f"layer {i} input width {width} is not a multiple of "
             f"the space dimension {local.dim}"
         )
     return local.lift(copies)
@@ -185,18 +196,28 @@ def transform_params(params: ParamSet, r: NetworkReparam) -> ParamSet:
         raise ShapeMismatch("reparam layer count does not match params")
     out = []
     for i, lp in enumerate(params.layers):
-        if lp.v is not None:
-            in_map = r.out_map(i)  # recurrent: input space is the hidden space
-            if in_map.dim != lp.wbar.shape[1] - 1:
-                raise ShapeMismatch("hidden-space map does not fit recurrent layer")
-            wbar = _transform_wbar(lp.wbar, in_map, r.pre_map(i))
-            v = np.ascontiguousarray(solve(r.pre_map(i).b, lp.v))
-            out.append(LayerParams(wbar, v))
-        else:
-            in_map = _layer_in_map(r, i, lp.wbar)
-            out.append(
-                LayerParams(_transform_wbar(lp.wbar, in_map, r.pre_map(i)))
-            )
+        pre = r.pre_map(i)
+        wbar = _transform_wbar(lp.wbar, _layer_in_map(r, i, lp), pre)
+        v = None if lp.v is None else np.ascontiguousarray(solve(pre.b, lp.v))
+        out.append(LayerParams(wbar, v))
+    return ParamSet(out)
+
+
+def untransform_params(params_t: ParamSet, r: NetworkReparam) -> ParamSet:
+    """Inverse of transform_params(., r), by multiplication only:
+    [W]_H = [Phi]_H [W']_H [Omega]_H and V = Phi V'.
+
+    Nothing is inverted or solved, so finite but huge twin parameters come
+    back as inf or NaN instead of raising.
+    """
+    if len(params_t.layers) != r.num_layers:
+        raise ShapeMismatch("reparam layer count does not match params")
+    out = []
+    for i, lp in enumerate(params_t.layers):
+        pre = r.pre_map(i)
+        wh = pre.homogeneous() @ _homogeneous_rows(lp.wbar)
+        wbar = (wh @ _layer_in_map(r, i, lp).homogeneous())[: lp.wbar.shape[0]]
+        out.append(LayerParams(wbar, None if lp.v is None else pre.b @ lp.v))
     return ParamSet(out)
 
 
@@ -225,7 +246,7 @@ def transform_network(spec: NetworkSpec, params: ParamSet, r: NetworkReparam):
     Activations get wrapped, conv padding points and recurrent initial
     states get remapped, parameters transform per layer.
     """
-    _check_dims(spec, r)
+    check_dims(spec, r)
     new_layers = [
         layer.rebased(
             transform_activation(layer.activation, r.out_map(i), r.pre_map(i)),

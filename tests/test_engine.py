@@ -14,6 +14,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from kfaclab import kfac
 from kfaclab.errors import SingularFactor, SingularMatrix
@@ -334,3 +335,63 @@ def test_patches_with_batch_axes_match_one_grid_at_a_time():
                 patches[idx], extract_patches(grids[idx], radius, grid_hw, pad)
             )
             np.testing.assert_array_equal(folded[idx], fold_patches(u[idx], radius, grid_hw))
+
+
+# Reference im2col and fold: a sliding-window view of the padded grid, and
+# one shifted add per offset into a padded buffer.
+
+
+def _extract_patches_reference(grid, radius, grid_hw, padding_value=None):
+    h, w = grid_hw
+    lead, j = grid.shape[:-2], grid.shape[-2]
+    k = 2 * radius + 1
+    padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
+    if padding_value is not None and np.any(padding_value):
+        padded += np.asarray(padding_value, dtype=np.float64)[:, None, None]
+    padded[..., radius : radius + h, radius : radius + w] = grid.reshape(lead + (j, h, w))
+    windows = sliding_window_view(padded, (k, k), axis=(-2, -1))  # (..., J, H, W, k, k)
+    return np.moveaxis(windows, (-2, -1), (-5, -4)).reshape(lead + (k * k * j, h * w))
+
+
+def _fold_patches_reference(patches, radius, grid_hw):
+    h, w = grid_hw
+    k = 2 * radius + 1
+    lead, j = patches.shape[:-2], patches.shape[-2] // (k * k)
+    blocks = patches.reshape(lead + (k * k, j, h, w))
+    padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
+    for d in range(k * k):
+        dy, dx = divmod(d, k)
+        padded[..., dy : dy + h, dx : dx + w] += blocks[..., d, :, :, :]
+    return padded[..., radius : radius + h, radius : radius + w].reshape(lead + (j, h * w))
+
+
+@ENGINE_SETTINGS
+@given(
+    radius=st.integers(0, 2),
+    grid_hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    channels=st.integers(1, 3),
+    lead=st.sampled_from([(), (3,), (2, 4)]),
+    padded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_patch_helpers_equal_the_reference_bit_for_bit(
+    radius, grid_hw, channels, lead, padded, seed
+):
+    rng = np.random.default_rng(seed)
+    h, w = grid_hw
+    grid = rng.standard_normal(lead + (channels, h * w))
+    grid[..., ::3] = -0.0  # signed zeros must come through unchanged
+    pad = rng.standard_normal(channels) if padded else None
+    got = extract_patches(grid, radius, grid_hw, pad)
+    want = _extract_patches_reference(grid, radius, grid_hw, pad)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want, strict=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    u = rng.standard_normal(want.shape)
+    u[..., ::2, ::2] = -0.0
+    got = fold_patches(u, radius, grid_hw)
+    want = _fold_patches_reference(u, radius, grid_hw)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want, strict=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,11 +1,16 @@
 """Experiment runner: invariance protocol, training loops, CLI plumbing."""
 
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kfaclab import cli, harness
+from kfaclab import cli, harness, metrics, nets
 from kfaclab.harness import (
     POST_UPDATE_TOL,
     STEP0_TOL,
@@ -31,8 +36,11 @@ from kfaclab.nets import (
     init_params,
 )
 from kfaclab.reparam import (
+    AffineMap,
+    identity_reparam,
     output_space_map,
     random_reparam,
+    reparam_to_dict,
     transform_input,
     transform_network,
     transform_params,
@@ -238,7 +246,7 @@ def test_compare_params_round_trip_is_tiny():
     params = init_params(spec, 0)
     r = random_reparam(spec, 1)
     mapped = transform_params(params, r)
-    assert compare_params_through_reparam(params, mapped, r.inverse()) <= 1e-12
+    assert compare_params_through_reparam(params, mapped, r) <= 1e-12
 
 
 def test_compare_params_detects_unrelated_params():
@@ -246,7 +254,20 @@ def test_compare_params_detects_unrelated_params():
     r = random_reparam(spec, 2)
     a = init_params(spec, 0)
     b = transform_params(init_params(spec, 1), r)
-    assert compare_params_through_reparam(a, b, r.inverse()) > 1e-3
+    assert compare_params_through_reparam(a, b, r) > 1e-3
+
+
+def test_compare_params_gives_nan_when_mapping_back_overflows():
+    # finite twin parameters whose back-map overflows to inf, not NaN
+    spec = NetworkSpec([DenseLayer(3, 2, Identity())])
+    params = init_params(spec, 0)
+    r = identity_reparam(spec)
+    r.activation_maps[0] = AffineMap(10.0 * np.eye(3), np.zeros(3))
+    twin = params.copy()
+    twin.layers[0].wbar[0, 0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(compare_params_through_reparam(params, twin, r))
+    assert compare_params_through_reparam(params, params, identity_reparam(spec)) == 0.0
 
 
 def test_nan_in_twin_params_gives_nan_gaps_and_no_pass(monkeypatch):
@@ -284,7 +305,7 @@ def test_compare_params_after_matching_steps():
     config = UpdateConfig(0.05)
     stepped = kfac_step(spec, params, model, data, FisherMetric(), config)
     stepped_t = kfac_step(spec_t, params_t, model_t, data_t, FisherMetric(), config)
-    assert compare_params_through_reparam(stepped, stepped_t, r.inverse()) <= 1e-8
+    assert compare_params_through_reparam(stepped, stepped_t, r) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +490,157 @@ def test_cli_unbuildable_config_exits_with_config_error(tmp_path, capsys, edit, 
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def _file_reparam(tmp_path, spec):
+    path = tmp_path / "reparam.json"
+    path.write_text(json.dumps(reparam_to_dict(random_reparam(spec, 3))))
+    return {"kind": "file", "path": str(path)}
+
+
+CONV_ARCHITECTURE = {
+    "type": "conv", "channels": [2, 3], "kernel_radius": 1, "grid": [3, 3], "head_dim": 6,
+}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw, tmp: raw["reparam_source"].update(conditioning_cap=0.5),
+         "reparam_source.conditioning_cap must be a finite number >= 1.0, got 0.5"),
+        (lambda raw, tmp: raw.update(reparam_source={"kind": "preset", "name": "relu"}),
+         "unknown reparam preset 'relu'"),
+        (lambda raw, tmp: raw.update(reparam_source={"kind": "learned"}),
+         "unknown reparam source 'learned'"),
+        (lambda raw, tmp: raw.update(reparam_source={"kind": "file", "path": str(tmp / "no.json")}),
+         "No such file or directory"),
+        (lambda raw, tmp: raw.update(steps=2.5), "steps must be an integer >= 0, got 2.5"),
+        (lambda raw, tmp: raw["dataset_spec"].update(num_samples=2.5),
+         "dataset_spec.num_samples must be an integer >= 1, got 2.5"),
+        (lambda raw, tmp: raw.update(seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda raw, tmp: raw["dataset_spec"].update(input_scale="1.0"),
+         "dataset_spec.input_scale must be a finite number, got '1.0'"),
+        (lambda raw, tmp: raw["dataset_spec"].update(teacher_seed="3"),
+         "dataset_spec.teacher_seed must be an integer >= 0, got '3'"),
+        (lambda raw, tmp: raw.update(output_model={"kind": "gaussian", "dim": 6, "variance": 0}),
+         "variance must be a positive finite number, got 0"),
+        (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "kernel_radius": -1}),
+         "kernel_radius must be an integer >= 0, got -1"),
+        (lambda raw, tmp: raw.update(architecture={"type": "mlp", "dims": [4, 5, 0]},
+                                     output_model={"kind": "categorical", "classes": 0}),
+         "out_dim must be an integer >= 1, got 0"),
+        (lambda raw, tmp: raw.update(reparam_source=_file_reparam(
+            tmp, NetworkSpec([DenseLayer(3, 4, Logistic())]))),
+         "reparam dims [3, 4]/[4] do not match network"),
+    ],
+    ids=[
+        "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
+        "missing-reparam-file", "fractional-steps", "fractional-num-samples",
+        "negative-seed", "string-input-scale", "string-teacher-seed",
+        "zero-variance", "negative-kernel-radius", "zero-width-output",
+        "reparam-file-of-another-network",
+    ],
+)
+def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):
+    raw = _mlp_config().to_dict()
+    edit(raw, tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["check-invariance"], ["train", "--out", "-"], ["dump-factors"]):
+        assert cli.main(argv + ["--config", str(path)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_reparam_file_that_fits_is_read(tmp_path):
+    config = _mlp_config(reparam_source=_file_reparam(tmp_path, build_network(
+        _mlp_config().architecture)))
+    assert run_invariance(config).verdict == "pass"
+
+
+# One valid config per architecture kind; the corruption strategies below
+# produce only values that no field accepts.
+_VALID_RAW = {
+    "mlp": _mlp_config().to_dict(),
+    "gaussian": _ngd_config().to_dict(),
+    "conv": {**_mlp_config().to_dict(), "architecture": CONV_ARCHITECTURE},
+    "rnn": {**_mlp_config().to_dict(), "architecture": {
+        "type": "rnn", "input_dim": 3, "hidden_dim": 4, "steps": 2, "head_dim": 6}},
+}
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4), st.none(), st.booleans(), st.lists(st.integers(), max_size=2)
+)
+
+
+def _bad_int(least, allow_none=False):
+    bad = st.one_of(st.integers(max_value=least - 1), st.floats(), _NOT_A_NUMBER)
+    return bad.filter(lambda v: v is not None) if allow_none else bad
+
+
+def _bad_real(least=-math.inf, inclusive=True):
+    below = st.floats(max_value=least).filter(lambda v: v < least or not inclusive)
+    return st.one_of(below, st.sampled_from([math.nan, math.inf, -math.inf]), _NOT_A_NUMBER)
+
+
+def _bad_name(valid):
+    return st.one_of(st.text(max_size=8), st.none(), st.integers()).filter(
+        lambda v: v not in valid
+    )
+
+
+_CORRUPTIONS = [
+    ("mlp", ("steps",), _bad_int(0)),
+    ("mlp", ("seed",), _bad_int(0)),
+    ("mlp", ("learning_rate",), _bad_real(0.0)),
+    ("mlp", ("damping",), _bad_real(0.0)),
+    ("mlp", ("damping_mode",), _bad_name({"none", "dense_tikhonov", "factored"})),
+    ("mlp", ("optimizer",), _bad_name(set(harness._STEP_FNS))),
+    ("mlp", ("metric",), _bad_name(set(metrics.METRICS))),
+    ("mlp", ("dataset_spec", "num_samples"), _bad_int(1)),
+    ("mlp", ("dataset_spec", "teacher_seed"), _bad_int(0, allow_none=True)),
+    ("mlp", ("dataset_spec", "input_scale"), _bad_real()),
+    ("mlp", ("architecture", "weight_scale"), _bad_real()),
+    ("mlp", ("architecture", "type"), _bad_name({"mlp", "conv", "rnn", "layers"})),
+    ("mlp", ("architecture", "activation"), _bad_name(set(nets._BY_NAME))),
+    ("mlp", ("architecture", "dims", 1), _bad_int(1)),
+    ("mlp", ("output_model", "kind"), _bad_name({"categorical", "gaussian"})),
+    ("mlp", ("output_model", "classes"), _bad_int(1)),
+    ("mlp", ("reparam_source", "kind"), _bad_name({"identity", "random", "preset", "file"})),
+    ("mlp", ("reparam_source", "seed"), _bad_int(0)),
+    ("mlp", ("reparam_source", "conditioning_cap"), _bad_real(1.0)),
+    ("gaussian", ("output_model", "variance"), _bad_real(0.0, inclusive=False)),
+    ("conv", ("architecture", "kernel_radius"), _bad_int(0)),
+    ("conv", ("architecture", "grid", 0), _bad_int(1)),
+    ("conv", ("architecture", "channels", 1), _bad_int(1)),
+    ("rnn", ("architecture", "hidden_dim"), _bad_int(1)),
+    ("rnn", ("architecture", "steps"), _bad_int(1)),
+]
+
+
+@st.composite
+def corrupted_configs(draw):
+    base, where, values = draw(st.sampled_from(_CORRUPTIONS))
+    raw = json.loads(json.dumps(_VALID_RAW[base]))
+    node = raw
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = draw(values)
+    return raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corrupted_configs())
+def test_any_corrupted_field_exits_with_config_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "corrupted-config.json"
+    path.write_text(json.dumps(raw))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check-invariance", "--config", str(path)])
+    assert code == cli.EXIT_CONFIG, err.getvalue()
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
 
 
 def test_cli_train_writes_csv(tmp_path, capsys):

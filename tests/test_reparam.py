@@ -36,6 +36,7 @@ from kfaclab.reparam import (
     transform_input,
     transform_network,
     transform_params,
+    untransform_params,
 )
 
 MLP3 = NetworkSpec(
@@ -345,6 +346,23 @@ def test_inverse_transform_round_trips():
             if lp.v is not None:
                 assert np.abs(lp_b.v - lp.v).max() <= 1e-10
 
+
+
+def test_untransform_params_inverts_transform_params():
+    for spec, seed in ((MLP3, 14), (CONV2, 15), (RNN4, 16)):
+        params = init_params(spec, seed)
+        r = random_reparam(spec, 10 * seed)
+        mapped = transform_params(params, r)
+        back = untransform_params(mapped, r)
+        via_inverse = transform_params(mapped, r.inverse())
+        for lp_b, lp_i, lp in zip(back.layers, via_inverse.layers, params.layers):
+            assert np.abs(lp_b.wbar - lp.wbar).max() <= 1e-10
+            assert np.abs(lp_b.wbar - lp_i.wbar).max() <= 1e-10
+            if lp.v is not None:
+                assert np.abs(lp_b.v - lp.v).max() <= 1e-10
+        # the identity maps back exactly
+        same = untransform_params(params, identity_reparam(spec))
+        np.testing.assert_array_equal(same.flatten(), params.flatten())
 
 # ---------------------------------------------------------------------------
 # random_reparam
