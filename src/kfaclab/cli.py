@@ -9,8 +9,9 @@ dump-factors exits 0 or 4.
 
 The whole config is checked when it is loaded, before any run: field types
 and ranges, the network and output model, and the reparam source (a
-reparam file must exist and its maps must fit the network). Any problem
-there exits 4 with one line on stderr.
+reparam file must exist, its maps must fit the network, and each map must
+be finite and pass linalg.solve's pivot rule). Any problem there exits 4
+with one line on stderr.
 """
 
 import argparse
@@ -36,13 +37,7 @@ def _load_config(path: str) -> harness.ExperimentConfig:
 
 
 def _cmd_check_invariance(args) -> int:
-    config = _load_config(args.config)
-    runner = (
-        harness.run_ngd_invariance
-        if config.optimizer == "ngd"
-        else harness.run_invariance
-    )
-    report = runner(config)
+    report = harness.run_invariance(_load_config(args.config))
     print(report.to_json())
     if report.verdict == "fail":
         return EXIT_FAIL

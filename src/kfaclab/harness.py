@@ -9,14 +9,14 @@ randomness; identical configs produce byte-identical reports.
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
 from .errors import NonFinite, SingularFactor, SingularMatrix, check_int
 from .kfac import UpdateConfig
-from .linalg import sym_eig_min
+from .linalg import inv, sym_eig_min
 
 STEP0_TOL = 1e-10  # pure reparam correctness, no solves involved
 POST_UPDATE_TOL = 1e-8  # headroom over inverse-factor solve error
@@ -26,10 +26,15 @@ FISHER_DEGENERACY_RTOL = 1e-12
 
 @dataclass
 class Dataset:
-    inputs: list
-    targets: list
+    """N samples as two stacked arrays: inputs, float64 (N, *in_shape), and
+    targets, (N,) class indices or (N, dim) vectors. Lists are stacked."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
+        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.targets = np.asarray(self.targets)
         if len(self.inputs) != len(self.targets):
             raise ValueError("inputs and targets differ in length")
 
@@ -37,13 +42,14 @@ class Dataset:
         return len(self.inputs)
 
 
-def _draw_input(spec: nets.NetworkSpec, rng, scale: float):
-    return scale * rng.standard_normal(spec.layers[0].in_shape)
+def _draw_inputs(spec: nets.NetworkSpec, rng, count: int, scale: float) -> np.ndarray:
+    """count i.i.d. normal inputs in one draw, the same numbers as count
+    draws of one input each."""
+    return scale * rng.standard_normal((count,) + spec.layers[0].in_shape)
 
 
 def probe_inputs(spec: nets.NetworkSpec, seed: int, count: int = NUM_PROBES, scale: float = 1.0):
-    rng = np.random.default_rng(seed)
-    return [_draw_input(spec, rng, scale) for _ in range(count)]
+    return _draw_inputs(spec, np.random.default_rng(seed), count, scale)
 
 
 def synthetic_dataset(
@@ -59,8 +65,9 @@ def synthetic_dataset(
     """Inputs i.i.d. normal, targets sampled from a teacher's predictive.
 
     The teacher is a fresh random instance of the same architecture unless
-    one is passed in; its outputs come from one batched forward pass. All
-    inputs are drawn before any target. Deterministic per (seed, teacher_seed).
+    one is passed in. All inputs come from one draw, the teacher's outputs
+    from one batched forward pass and the targets from one model.sample
+    call, after the inputs. Deterministic per (seed, teacher_seed).
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -70,10 +77,8 @@ def synthetic_dataset(
             weight_scale=weight_scale,
         )
     rng = np.random.default_rng(seed)
-    inputs = [_draw_input(spec, rng, input_scale) for _ in range(num_samples)]
-    outputs = nets.forward_batch(spec, teacher, inputs).output
-    targets = [model.sample(z, rng) for z in outputs]
-    return Dataset(inputs, targets)
+    inputs = _draw_inputs(spec, rng, num_samples, input_scale)
+    return Dataset(inputs, model.sample(nets.forward_batch(spec, teacher, inputs).output, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +142,7 @@ class ExperimentConfig:
         return cls(**known)
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "output_model": self.output_model,
-            "dataset_spec": self.dataset_spec,
-            "reparam_source": self.reparam_source,
-            "metric": self.metric,
-            "optimizer": self.optimizer,
-            "steps": self.steps,
-            "learning_rate": self.learning_rate,
-            "damping": self.damping,
-            "damping_mode": self.damping_mode,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def build_network(arch: dict) -> nets.NetworkSpec:
@@ -242,8 +235,24 @@ def _reparam_maker(spec: nets.NetworkSpec, source):
         with open(path) as fh:
             r = reparam.reparam_from_dict(json.load(fh))
         reparam.check_dims(spec, r)
+        for i, m in enumerate(r.activation_maps):
+            _check_file_map(f"activation map {i}", m.b, m.c)
+        for i, m in enumerate(r.preactivation_maps):
+            _check_file_map(f"preactivation map {i}", m.homogeneous(), m.c)
         return lambda identity_output: r
     raise ValueError(f"unknown reparam source {kind!r}")
+
+
+def _check_file_map(what: str, matrix, offset) -> None:
+    """A map read from a file must be finite, and the matrix a run solves
+    with must pass linalg.solve's pivot rule: B for an activation map, the
+    homogeneous [[B, c], [0, 1]] for a pre-activation map."""
+    try:
+        if not np.isfinite(offset).all():
+            raise NonFinite("offset has non-finite entries")
+        inv(matrix)
+    except (NonFinite, SingularMatrix) as exc:
+        raise ValueError(f"reparam file {what}: {exc}") from exc
 
 
 def build_reparam(
@@ -264,15 +273,6 @@ class StepRecord:
     objective_transformed: float
     param_discrepancy: float
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "forward_discrepancy": self.forward_discrepancy,
-            "objective": self.objective,
-            "objective_transformed": self.objective_transformed,
-            "param_discrepancy": self.param_discrepancy,
-        }
-
 
 @dataclass
 class InvarianceReport:
@@ -283,13 +283,7 @@ class InvarianceReport:
     diagnostic: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "tolerances": self.tolerances,
-            "records": [r.to_dict() for r in self.records],
-            "verdict": self.verdict,
-            "diagnostic": self.diagnostic,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -355,9 +349,7 @@ def _transformed_side(spec, model, params, data, config: ExperimentConfig):
         spec, config.reparam_source, identity_output=config.metric != "fisher"
     )
     spec_t, params_t = reparam.transform_network(spec, params, r)
-    data_t = Dataset(
-        [reparam.transform_input(spec, r, x) for x in data.inputs], data.targets
-    )
+    data_t = Dataset(reparam.transform_input(spec, r, data.inputs), data.targets)
     omap = reparam.output_space_map(spec, r)
     model_t = model if omap.is_identity() else metrics.WrappedOutputModel(
         model, omap.b, omap.c
@@ -373,28 +365,47 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
 
     Verdict is pass/fail only for undamped runs; damped runs always come back
     as "report" since the damped update is not expected to be invariant.
-    A singular factor or Fisher ends the run with a "degenerate" verdict; a
-    step that meets inf/NaN entries (a diverged run) ends it with "fail".
+    A singular factor or Fisher ends the run with a "degenerate" verdict; an
+    exact-NGD run checks its Fisher at the initial parameters first. A step
+    that meets inf/NaN entries (a diverged run) ends the run with "fail".
     """
     return _run_invariance(config, _setup(config))
+
+
+def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
+    """run_invariance under its former exact-NGD name."""
+    return run_invariance(config)
+
+
+def _fisher_degeneracy(spec, params, model, data) -> str:
+    """Why the exact Fisher at params is singular, or "" if it is not."""
+    fisher = metrics.exact_fisher(spec, params, model, data.inputs)
+    emin = sym_eig_min(fisher)
+    emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
+    if emin > FISHER_DEGENERACY_RTOL * emax:
+        return ""
+    return f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})"
 
 
 def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
     """run_invariance on an already built _setup(config)."""
     spec, model, params, data, probes = setup
+    report = InvarianceReport(
+        config=config.to_dict(),
+        tolerances={"step0": STEP0_TOL, "post_update": POST_UPDATE_TOL},
+    )
+    if config.optimizer == "ngd":
+        report.diagnostic = _fisher_degeneracy(spec, params, model, data)
+        if report.diagnostic:
+            report.verdict = "degenerate"
+            return report
     r, spec_t, params_t, data_t, model_t, out_back = _transformed_side(
         spec, model, params, data, config
     )
     metric = metrics.METRICS[config.metric]
     step_fn = _STEP_FNS[config.optimizer]
     ucfg = UpdateConfig(config.learning_rate, config.damping, config.damping_mode)
-
-    report = InvarianceReport(
-        config=config.to_dict(),
-        tolerances={"step0": STEP0_TOL, "post_update": POST_UPDATE_TOL},
-    )
-
-    probes_t = [reparam.transform_input(spec, r, x) for x in probes]
+    probes_t = reparam.transform_input(spec, r, probes)
 
     def record(step, p, p_t):
         report.records.append(
@@ -431,28 +442,6 @@ def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
         )
         report.verdict = "pass" if ok else "fail"
     return report
-
-
-def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
-    """Exact-NGD variant with a Fisher nondegeneracy check up front."""
-    setup = _setup(config)
-    spec, model, params, data, _ = setup
-    fisher = metrics.exact_fisher(spec, params, model, data.inputs).matrix
-    emin = sym_eig_min(fisher)
-    emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
-    if emin <= FISHER_DEGENERACY_RTOL * emax:
-        report = InvarianceReport(
-            config=config.to_dict(),
-            tolerances={"step0": STEP0_TOL, "post_update": POST_UPDATE_TOL},
-        )
-        report.verdict = "degenerate"
-        report.diagnostic = (
-            f"exact Fisher is singular: smallest eigenvalue {emin:.6e} "
-            f"(largest {emax:.6e})"
-        )
-        return report
-    cfg = ExperimentConfig(**{**config.to_dict(), "optimizer": "ngd"})
-    return _run_invariance(cfg, setup)
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,8 @@ def _factors(trace, dz, model, metric) -> KFacMetric:
 
 def _loss_gradient(trace, dz, model, dataset) -> ParamSet:
     """Gradient of the empirical risk from the basis pass's dz."""
-    y = np.asarray(dataset.targets)
-    return gradient_from_basis(trace, dz, model.loss_grad(y, trace.output) / len(y))
+    u = model.loss_grad(dataset.targets, trace.output) / len(dataset)
+    return gradient_from_basis(trace, dz, u)
 
 
 def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
@@ -178,14 +178,14 @@ def apply_inverse(metric: KFacMetric, grad: ParamSet, config: UpdateConfig) -> P
 def objective(spec, params, model, dataset) -> float:
     """Empirical risk (mean loss), from one batched forward pass."""
     output = forward_batch(spec, params, dataset.inputs).output
-    return float(np.mean(model.loss(np.asarray(dataset.targets), output)))
+    return float(np.mean(model.loss(dataset.targets, output)))
 
 
 def objective_and_gradient(spec, params, model, dataset):
     """Empirical risk (mean loss) and its gradient as a ParamSet, from one
     batched forward and one batched backward pass."""
     trace = forward_batch(spec, params, dataset.inputs)
-    y = np.asarray(dataset.targets)
+    y = dataset.targets
     h = float(np.mean(model.loss(y, trace.output)))
     u = model.loss_grad(y, trace.output) / len(y)
     return h, backward_batch(trace, u[:, None, :]).grad

@@ -33,8 +33,8 @@ PARAM_CAP = 5000  # dense P x P constructions refuse anything bigger
 # ---------------------------------------------------------------------------
 # output models
 #
-# loss, loss_grad and fisher act along the last axis of z (and y), so one
-# call serves a single output vector or a whole (N, dim) batch of them.
+# loss, loss_grad, fisher and sample act along the last axis of z (and y),
+# so one call serves a single output vector or a whole (N, dim) batch of them.
 
 
 def _eye_like(z, scale=1.0) -> np.ndarray:
@@ -69,9 +69,18 @@ class CategoricalLogits:
         p = softmax(z, axis=-1)
         return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
 
-    def sample(self, z, rng) -> int:
-        p = softmax(z)
-        return int(rng.choice(self.num_classes, p=p / p.sum()))
+    def sample(self, z, rng) -> np.ndarray:
+        """One class index per output vector, by Generator.choice's
+        arithmetic with one uniform u each: normalise p, cumsum, divide by
+        the last entry, count the entries <= u. A batch draws what one
+        choice call per row would, and like choice it refuses NaN."""
+        p = softmax(z, axis=-1)
+        if np.isnan(p).any():
+            raise ValueError("probabilities contain NaN")
+        cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+        cdf /= cdf[..., -1:]
+        u = rng.random(np.shape(z)[:-1])
+        return np.sum(cdf <= u[..., None], axis=-1)
 
     def kl(self, z1, z2) -> float:
         lp1 = z1 - logsumexp(z1)
@@ -104,7 +113,7 @@ class GaussianFixedVar:
         return _eye_like(z, 1.0 / self.variance)
 
     def sample(self, z, rng) -> np.ndarray:
-        return z + np.sqrt(self.variance) * rng.standard_normal(self.dim)
+        return z + np.sqrt(self.variance) * rng.standard_normal(np.shape(z))
 
     def kl(self, z1, z2) -> float:
         d = z2 - z1
@@ -194,12 +203,6 @@ def output_jacobian(trace: ForwardTrace) -> np.ndarray:
     return np.stack([bt.flatten() for bt in basis_backpasses(trace)])
 
 
-@dataclass
-class DenseFisher:
-    matrix: np.ndarray
-    construction: dict
-
-
 def pullback_metric(spec, params, model, x, metric) -> np.ndarray:
     """J^T G_out J at a single input; G_out comes from the chosen metric."""
     trace = forward(spec, params, x)
@@ -224,18 +227,16 @@ def fisher_from_basis(trace: BatchTrace, dz: list, model) -> np.ndarray:
     return np.tensordot(jac, f_jac, axes=([0, 1], [0, 1])) / len(jac)
 
 
-def exact_fisher(spec, params, model, inputs) -> DenseFisher:
+def exact_fisher(spec, params, model, inputs) -> np.ndarray:
     """Dense Fisher over the flattened parameters, empirical average over
     inputs, from one batched forward and one basis backward pass."""
     if not len(inputs):
         raise ValueError("exact_fisher needs a nonempty dataset")
     trace = forward_batch(spec, params, inputs)
-    return DenseFisher(
-        fisher_from_basis(trace, basis_backward(trace), model), {"kind": "exact_pullback"}
-    )
+    return fisher_from_basis(trace, basis_backward(trace), model)
 
 
-def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> DenseFisher:
+def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> np.ndarray:
     """Monte Carlo Fisher: sampled targets, averaged gradient outer products."""
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
@@ -248,10 +249,7 @@ def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> D
             y = model.sample(trace.output, rng)
             dw = backward(trace, model.loss_grad(y, trace.output)).flatten()
             acc += np.outer(dw, dw)
-    return DenseFisher(
-        acc / (len(inputs) * num_samples),
-        {"kind": "monte_carlo", "num_samples": num_samples},
-    )
+    return acc / (len(inputs) * num_samples)
 
 
 def kl_quadratic_check(spec, params, model, inputs, delta) -> tuple:
@@ -263,7 +261,7 @@ def kl_quadratic_check(spec, params, model, inputs, delta) -> tuple:
         z1 = forward(spec, shifted, x).output
         lhs += model.kl(z0, z1)
     lhs /= len(inputs)
-    f = exact_fisher(spec, params, model, inputs).matrix
+    f = exact_fisher(spec, params, model, inputs)
     d = delta.flatten()
     rhs = 0.5 * float(d @ f @ d)
     return lhs, rhs

@@ -252,7 +252,8 @@ class Layer:
         return None
 
     def map_input(self, m, x) -> np.ndarray:
-        """A network input x expressed through the input-space map m."""
+        """Network inputs x, one or a stack, expressed through the
+        input-space map m."""
         return m.apply(x)
 
     def rebased(self, activation, in_map, out_map):
@@ -733,9 +734,9 @@ def _unflatten_cols(flat, rows: int, cols: int) -> np.ndarray:
 def forward_batch(spec: NetworkSpec, params: ParamSet, xs) -> BatchTrace:
     """Evaluate the network on a batch; every layer is one Wbar @ Abar.
 
-    xs stacks inputs of the shapes forward takes along a new leading axis.
-    A grid that meets a layer reading vectors flattens column-wise, as in
-    forward.
+    xs stacks the inputs, (N, *in_shape) of the first layer, as a Dataset
+    holds them (a list of inputs is stacked here). A grid that meets a
+    layer reading vectors flattens column-wise, as in forward.
     """
     x = np.asarray(xs, dtype=np.float64)
     abars, act_ins = [], []

@@ -50,7 +50,9 @@ class AffineMap:
         return np.array_equal(self.b, np.eye(self.dim)) and not self.c.any()
 
     def apply(self, x) -> np.ndarray:
-        return self.b @ np.asarray(x, dtype=np.float64) + self.c
+        """The map on the last axis of x, so x may stack vectors; each gets
+        the bits of a lone b @ x + c (x @ b.T would not)."""
+        return (self.b @ np.asarray(x, dtype=np.float64)[..., None])[..., 0] + self.c
 
     def apply_cols(self, x) -> np.ndarray:
         return self.b @ np.asarray(x, dtype=np.float64) + self.c[:, None]
@@ -259,7 +261,8 @@ def transform_network(spec: NetworkSpec, params: ParamSet, r: NetworkReparam):
 
 
 def transform_input(spec: NetworkSpec, r: NetworkReparam, x) -> np.ndarray:
-    """The network input expressed in the new input-space basis."""
+    """Network inputs expressed in the new input-space basis: one input, or
+    a stack of them, (N, *in_shape), in one call."""
     return spec.layers[0].map_input(r.activation_maps[0], x)
 
 

@@ -227,7 +227,7 @@ def test_batched_backward_matches_basis_backpasses(problem):
 @given(problems())
 def test_batched_exact_fisher_matches_per_sample_loop(problem):
     spec, params, model, data = problem
-    got = exact_fisher(spec, params, model, data.inputs).matrix
+    got = exact_fisher(spec, params, model, data.inputs)
     assert_rel_close(got, oracle_fisher(spec, params, model, data.inputs), "Fisher")
 
 

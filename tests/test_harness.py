@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kfaclab import cli, harness, metrics, nets
 from kfaclab.harness import (
@@ -27,12 +29,18 @@ from kfaclab.harness import (
     training_csv,
 )
 from kfaclab.kfac import UpdateConfig, kfac_step
-from kfaclab.metrics import FisherMetric, GaussianFixedVar, WrappedOutputModel
+from kfaclab.metrics import (
+    CategoricalLogits,
+    FisherMetric,
+    GaussianFixedVar,
+    WrappedOutputModel,
+)
 from kfaclab.nets import (
     DenseLayer,
     Identity,
     Logistic,
     NetworkSpec,
+    forward_batch,
     init_params,
 )
 from kfaclab.reparam import (
@@ -164,6 +172,125 @@ def test_probe_inputs_shapes():
 def test_dataset_length_mismatch():
     with pytest.raises(ValueError):
         Dataset([np.zeros(2)], [])
+
+
+# ---------------------------------------------------------------------------
+# the stacked data path against the per-sample loops it replaced, bit for bit
+
+
+def _choice_sample(z, rng):
+    """Former CategoricalLogits.sample: one Generator.choice per vector."""
+    p = scipy.special.softmax(z)
+    return int(rng.choice(len(z), p=p / p.sum()))
+
+
+def _gaussian_sample(model, z, rng):
+    """Former GaussianFixedVar.sample: one standard_normal(dim) per vector."""
+    return z + np.sqrt(model.variance) * rng.standard_normal(model.dim)
+
+
+def _per_sample(model, z, rng):
+    if isinstance(model, CategoricalLogits):
+        return _choice_sample(z, rng)
+    return _gaussian_sample(model, z, rng)
+
+
+def _same_draws(got, want, rng_got, rng_want):
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(got, want)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+_LOGITS = st.integers(1, 12).flatmap(
+    lambda k: hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 16), st.just(k)),
+        elements=st.floats(-50.0, 50.0),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_LOGITS, st.integers(0, 2**32 - 1))
+def test_batched_categorical_sample_equals_choice_per_row(z, seed):
+    model = CategoricalLogits(z.shape[1])
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    _same_draws(model.sample(z, rng), [_choice_sample(row, ref) for row in z], rng, ref)
+    # a single vector, as mc_fisher passes it
+    _same_draws(model.sample(z[0], rng), _choice_sample(z[0], ref), rng, ref)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_LOGITS, st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
+def test_batched_gaussian_sample_draws_one_noise_vector_per_row(z, variance, seed):
+    model = GaussianFixedVar(z.shape[1], variance)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = np.stack([_gaussian_sample(model, row, ref) for row in z])
+    _same_draws(model.sample(z, rng), want, rng, ref)
+    _same_draws(model.sample(z[0], rng), _gaussian_sample(model, z[0], ref), rng, ref)
+
+
+def test_categorical_sample_refuses_nan_probabilities_like_choice():
+    z = np.array([[0.0, 1.0, 2.0], [0.0, np.inf, 1.0]])  # softmax of the second row is NaN
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="contain NaN"):
+            _choice_sample(z[1], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="contain NaN"):
+            CategoricalLogits(3).sample(z, np.random.default_rng(0))
+
+
+_FIRST_LAYER_KINDS = {
+    "dense": {"type": "mlp", "dims": [3, 4, 5], "weight_scale": 3.0},
+    "conv2d": {"type": "conv", "channels": [2, 3], "kernel_radius": 1, "grid": [3, 2],
+               "head_dim": 5, "weight_scale": 3.0},
+    "recurrent": {"type": "rnn", "input_dim": 2, "hidden_dim": 3, "steps": 4, "head_dim": 5,
+                  "weight_scale": 3.0},
+}
+
+
+@pytest.mark.parametrize("model", [CategoricalLogits(5), GaussianFixedVar(5, 0.3)],
+                         ids=["categorical", "gaussian"])
+@pytest.mark.parametrize("kind", sorted(_FIRST_LAYER_KINDS))
+def test_stacked_data_equals_the_per_sample_loop(kind, model):
+    arch = _FIRST_LAYER_KINDS[kind]
+    spec = build_network(arch)
+    assert spec.layers[0].kind == kind
+    shape = spec.layers[0].in_shape
+    data = synthetic_dataset(spec, model, 9, seed=4, input_scale=1.7,
+                             weight_scale=arch["weight_scale"])
+    # the former loop: one input draw per sample, then one target draw each
+    rng = np.random.default_rng(4)
+    inputs = [1.7 * rng.standard_normal(shape) for _ in range(9)]
+    teacher = init_params(spec, seed=5, weight_scale=arch["weight_scale"])
+    targets = [_per_sample(model, z, rng) for z in forward_batch(spec, teacher, inputs).output]
+    assert data.inputs.dtype == np.float64 and data.inputs.shape == (9,) + shape
+    np.testing.assert_array_equal(data.inputs, inputs)
+    np.testing.assert_array_equal(data.targets, targets)
+
+    rng = np.random.default_rng(6)
+    want = [0.4 * rng.standard_normal(shape) for _ in range(5)]
+    np.testing.assert_array_equal(probe_inputs(spec, 6, count=5, scale=0.4), want)
+
+
+def _per_sample_input_map(layer, m, x):
+    """The input maps as they acted on one sample before inputs were stacked."""
+    if layer.kind == "dense":
+        return m.b @ x + m.c
+    if layer.kind == "conv2d":
+        return m.b @ x + m.c[:, None]
+    return x.copy()  # a sequence input keeps its coordinates
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_FIRST_LAYER_KINDS)), st.integers(1, 40),
+       st.integers(0, 2**31 - 1))
+def test_stacked_transform_input_equals_the_per_sample_map(kind, n, seed):
+    spec = build_network(_FIRST_LAYER_KINDS[kind])
+    r = random_reparam(spec, seed)
+    xs = np.random.default_rng(seed).standard_normal((n,) + spec.layers[0].in_shape)
+    want = [_per_sample_input_map(spec.layers[0], r.activation_maps[0], x) for x in xs]
+    np.testing.assert_array_equal(transform_input(spec, r, xs), want)
+    np.testing.assert_array_equal(transform_input(spec, r, xs[0]), want[0])
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +625,37 @@ def _file_reparam(tmp_path, spec):
     return {"kind": "file", "path": str(path)}
 
 
+def _broken_file_reparam(raw, tmp_path, edit):
+    """Point raw at a reparam file for its own network with one map broken
+    by edit, a function of the file's dict."""
+    d = reparam_to_dict(random_reparam(build_network(raw["architecture"]), 3))
+    edit(d)
+    path = tmp_path / "broken-reparam.json"
+    path.write_text(json.dumps(d))  # writes NaN as the bare token json.load reads
+    raw["reparam_source"] = {"kind": "file", "path": str(path)}
+
+
+def _zero_b(raw, tmp_path):
+    _broken_file_reparam(
+        raw, tmp_path, lambda d: d["activation_maps"][1].update(B=np.zeros((12, 12)).tolist())
+    )
+
+
+def _nan_offset(raw, tmp_path):
+    def edit(d):
+        d["preactivation_maps"][0]["c"][0] = math.nan
+
+    _broken_file_reparam(raw, tmp_path, edit)
+
+
+def _tiny_pivot(raw, tmp_path):
+    raw["architecture"] = {"type": "mlp", "dims": [8, 3, 6], "activation": "logistic"}
+    _broken_file_reparam(
+        raw, tmp_path,
+        lambda d: d["preactivation_maps"][0].update(B=np.diag([1e-300, 1.0, 1.0]).tolist()),
+    )
+
+
 CONV_ARCHITECTURE = {
     "type": "conv", "channels": [2, 3], "kernel_radius": 1, "grid": [3, 3], "head_dim": 6,
 }
@@ -532,13 +690,17 @@ CONV_ARCHITECTURE = {
         (lambda raw, tmp: raw.update(reparam_source=_file_reparam(
             tmp, NetworkSpec([DenseLayer(3, 4, Logistic())]))),
          "reparam dims [3, 4]/[4] do not match network"),
+        (_zero_b, "reparam file activation map 1: matrix is identically zero"),
+        (_nan_offset, "reparam file preactivation map 0: offset has non-finite entries"),
+        (_tiny_pivot, "reparam file preactivation map 0: pivot 1.000e-300 below threshold"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
         "missing-reparam-file", "fractional-steps", "fractional-num-samples",
         "negative-seed", "string-input-scale", "string-teacher-seed",
         "zero-variance", "negative-kernel-radius", "zero-width-output",
-        "reparam-file-of-another-network",
+        "reparam-file-of-another-network", "reparam-file-zero-matrix",
+        "reparam-file-nan-offset", "reparam-file-pivot-below-threshold",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):

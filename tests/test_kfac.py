@@ -85,7 +85,7 @@ def test_linear_gaussian_g_is_identity_and_block_is_exact():
     f = metric.factors[0]
     np.testing.assert_array_equal(f.g, np.eye(2))
     assert f.scale == 1.0
-    fisher = exact_fisher(spec, params, model, data.inputs).matrix
+    fisher = exact_fisher(spec, params, model, data.inputs)
     np.testing.assert_allclose(kron(f.a, f.g), fisher, atol=1e-12)
 
 
@@ -553,7 +553,7 @@ def test_single_sample_kfac_step_equals_ngd_step():
     ngd = ngd_step(spec, params, model, data, FisherMetric(), config)
     assert np.abs(kfac.flatten() - ngd.flatten()).max() <= 1e-8
 
-    fisher = exact_fisher(spec, params, model, data.inputs).matrix
+    fisher = exact_fisher(spec, params, model, data.inputs)
     metric = estimate_factors(spec, params, model, data)
     block = assemble_dense(metric)
     np.testing.assert_allclose(block, fisher, atol=1e-12)
@@ -591,7 +591,7 @@ def test_objective_and_gradient_mean_convention():
     ]
     np.testing.assert_allclose(h, np.mean(losses), rtol=1e-14)
     # doubling the dataset leaves the mean gradient unchanged
-    doubled = Dataset(data.inputs * 2, data.targets * 2)
+    doubled = Dataset(np.concatenate([data.inputs] * 2), np.concatenate([data.targets] * 2))
     _, grad2 = objective_and_gradient(spec, params, model, doubled)
     np.testing.assert_allclose(grad.flatten(), grad2.flatten(), rtol=1e-12, atol=1e-15)
 

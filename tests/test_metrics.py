@@ -195,7 +195,7 @@ def test_exact_fisher_linear_gaussian_is_gauss_newton():
     params = init_params(spec, seed=4)
     model = GaussianFixedVar(2, variance=1.0)
     x = np.array([1.0, -0.5, 0.25])
-    f = exact_fisher(spec, params, model, [x]).matrix
+    f = exact_fisher(spec, params, model, [x])
     trace = forward(spec, params, x)
     j = output_jacobian(trace)
     np.testing.assert_allclose(f, j.T @ j, atol=1e-12)
@@ -206,7 +206,7 @@ def test_exact_fisher_symmetric_psd():
     params = init_params(spec, seed=5)
     model = CategoricalLogits(3)
     rng = np.random.default_rng(8)
-    f = exact_fisher(spec, params, model, [rng.standard_normal(4) for _ in range(8)]).matrix
+    f = exact_fisher(spec, params, model, [rng.standard_normal(4) for _ in range(8)])
     np.testing.assert_allclose(f, f.T, atol=1e-12)
     assert sym_eig_min(f) >= -1e-10
 
@@ -223,10 +223,10 @@ def test_mc_fisher_deterministic_per_seed():
     params = init_params(spec, seed=7)
     model = CategoricalLogits(2)
     inputs = [np.array([0.5, -1.0])]
-    a = mc_fisher(spec, params, model, inputs, num_samples=11, rng_seed=3).matrix
-    b = mc_fisher(spec, params, model, inputs, num_samples=11, rng_seed=3).matrix
+    a = mc_fisher(spec, params, model, inputs, num_samples=11, rng_seed=3)
+    b = mc_fisher(spec, params, model, inputs, num_samples=11, rng_seed=3)
     assert np.array_equal(a, b)
-    c = mc_fisher(spec, params, model, inputs, num_samples=11, rng_seed=4).matrix
+    c = mc_fisher(spec, params, model, inputs, num_samples=11, rng_seed=4)
     assert not np.array_equal(a, c)
 
 
@@ -235,8 +235,8 @@ def test_mc_fisher_converges_to_exact():
     params = init_params(spec, seed=8)
     model = CategoricalLogits(2)
     inputs = [np.array([0.8, -0.3])]
-    exact = exact_fisher(spec, params, model, inputs).matrix
-    mc = mc_fisher(spec, params, model, inputs, num_samples=50000, rng_seed=0).matrix
+    exact = exact_fisher(spec, params, model, inputs)
+    mc = mc_fisher(spec, params, model, inputs, num_samples=50000, rng_seed=0)
     rel = np.linalg.norm(mc - exact) / np.linalg.norm(exact)
     assert rel <= 0.02
 
@@ -246,12 +246,12 @@ def test_mc_fisher_error_shrinks_with_samples():
     params = init_params(spec, seed=9)
     model = CategoricalLogits(2)
     inputs = [np.array([0.2, 0.9])]
-    exact = exact_fisher(spec, params, model, inputs).matrix
+    exact = exact_fisher(spec, params, model, inputs)
 
     def mean_err(n):
         errs = []
         for seed in range(100):
-            mc = mc_fisher(spec, params, model, inputs, num_samples=n, rng_seed=seed).matrix
+            mc = mc_fisher(spec, params, model, inputs, num_samples=n, rng_seed=seed)
             errs.append(np.linalg.norm(mc - exact) / np.linalg.norm(exact))
         return np.mean(errs)
 
@@ -263,7 +263,7 @@ def test_mc_fisher_null_direction():
     params = init_params(spec, seed=10)
     params.layers[0].wbar[1] = params.layers[0].wbar[0]
     inputs = [np.random.default_rng(9).standard_normal(3)]
-    f = mc_fisher(spec, params, CategoricalLogits(2), inputs, 25, rng_seed=1).matrix
+    f = mc_fisher(spec, params, CategoricalLogits(2), inputs, 25, rng_seed=1)
     v = zero_tangent(params)
     v.layers[1].wbar[:, 0] = 1.0
     v.layers[1].wbar[:, 1] = -1.0
@@ -353,8 +353,8 @@ def test_exact_fisher_transforms_tensorially():
     omap = reparam.output_space_map(spec, r)
     model_t = WrappedOutputModel(model, omap.b, omap.c)
 
-    f = exact_fisher(spec, params, model, inputs).matrix
-    f_t = exact_fisher(spec_t, params_t, model_t, inputs_t).matrix
+    f = exact_fisher(spec, params, model, inputs)
+    f_t = exact_fisher(spec_t, params_t, model_t, inputs_t)
 
     # columns of the new->old affine parameter map give Jw
     from kfaclab.nets import unflatten_params
