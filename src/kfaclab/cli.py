@@ -3,20 +3,24 @@
 Exit codes for check-invariance: 0 when the verdict is pass (or the run is
 damped and therefore only reported), 2 on a fail verdict (a diverged run
 whose step meets inf/NaN entries in a solve ends as fail), 3 when the run
-hit a degenerate metric, 4 for configuration problems. train exits 0, 3 on
-a degenerate metric or a solve that met inf/NaN entries, or 4;
-dump-factors exits 0 or 4.
+hit a degenerate metric or non-finite teacher outputs, 4 for configuration
+problems. train exits 0, 3 (as above, or a solve that met inf/NaN entries)
+or 4; dump-factors exits 0, 3 (non-finite teacher outputs) or 4.
 
 The whole config is checked when it is loaded, before any run: field types
 and ranges, the network and output model, and the reparam source (a
 reparam file must exist, its maps must fit the network, and each map must
-be finite and pass linalg.solve's pivot rule). Any problem there exits 4
-with one line on stderr.
+be finite and pass linalg.solve's pivot rule; runs use the maps read then).
+Any problem there, or a dataset too large to allocate, exits 4 with one
+line on stderr. numpy's floating-point warnings are silenced: a diverged
+run reports its NaN itself.
 """
 
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from . import harness
 from .errors import KfacLabError, ShapeMismatch
@@ -93,12 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
             return EXIT_CONFIG
         raise
+    except MemoryError as exc:  # the config asks for arrays too large to allocate
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except KfacLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -28,10 +28,6 @@ class TooLarge(KfacLabError):
     """A dense construction was requested above the supported size cap."""
 
 
-class SingularFactor(KfacLabError):
-    """An undamped Kronecker factor could not be inverted."""
-
-
 def check_int(what: str, value, least: int) -> None:
     """Raise ValueError unless value is an integer (bools excluded) >= least."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
-from .errors import NonFinite, SingularFactor, SingularMatrix, check_int
+from .errors import NonFinite, SingularMatrix, check_int
 from .kfac import UpdateConfig
 from .linalg import inv, sym_eig_min
 
@@ -68,6 +68,7 @@ def synthetic_dataset(
     one is passed in. All inputs come from one draw, the teacher's outputs
     from one batched forward pass and the targets from one model.sample
     call, after the inputs. Deterministic per (seed, teacher_seed).
+    Raises NonFinite when a teacher output overflows.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -78,7 +79,10 @@ def synthetic_dataset(
         )
     rng = np.random.default_rng(seed)
     inputs = _draw_inputs(spec, rng, num_samples, input_scale)
-    return Dataset(inputs, model.sample(nets.forward_batch(spec, teacher, inputs).output, rng))
+    outputs = nets.forward_batch(spec, teacher, inputs).output
+    if not np.isfinite(outputs).all():
+        raise NonFinite("teacher outputs are not finite")
+    return Dataset(inputs, model.sample(outputs, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +106,13 @@ class ExperimentConfig:
         for name in ("architecture", "output_model", "dataset_spec"):
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a JSON object")
-        # Build once so a config that names an unknown kind or does not chain
-        # is rejected here, as a config error, rather than mid-run.
-        spec = build_network(self.architecture)
-        model = build_output_model(self.output_model)
+        # The network, output model, update config and reparam maker are built
+        # here, once, so a config that names an unknown kind or does not chain
+        # is rejected as a config error rather than mid-run, and every run
+        # uses what was checked. They are attributes, not fields, so to_dict
+        # and the reports do not carry them.
+        self.spec = spec = build_network(self.architecture)
+        self.model = model = build_output_model(self.output_model)
         if model.dim != spec.output_dim:
             raise ValueError(
                 f"output model dimension {model.dim} != network output {spec.output_dim}"
@@ -125,8 +132,8 @@ class ExperimentConfig:
         _check_real("learning_rate", self.learning_rate)
         _check_real("damping", self.damping)
         # delegate the damping consistency rules
-        UpdateConfig(self.learning_rate, self.damping, self.damping_mode)
-        _reparam_maker(spec, self.reparam_source)  # checks; builds no random maps
+        self.update = UpdateConfig(self.learning_rate, self.damping, self.damping_mode)
+        self.make_reparam = _reparam_maker(spec, self.reparam_source)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -255,12 +262,6 @@ def _check_file_map(what: str, matrix, offset) -> None:
         raise ValueError(f"reparam file {what}: {exc}") from exc
 
 
-def build_reparam(
-    spec: nets.NetworkSpec, source: dict, identity_output: bool = False
-) -> reparam.NetworkReparam:
-    return _reparam_maker(spec, source)(identity_output)
-
-
 # ---------------------------------------------------------------------------
 # invariance protocol
 
@@ -324,8 +325,7 @@ def _init_scale(config: ExperimentConfig) -> float:
 
 
 def _setup(config: ExperimentConfig):
-    spec = build_network(config.architecture)
-    model = build_output_model(config.output_model)
+    spec, model = config.spec, config.model
     wscale = _init_scale(config)
     params = nets.init_params(spec, seed=config.seed, weight_scale=wscale)
     ds_spec = config.dataset_spec
@@ -345,15 +345,11 @@ def _setup(config: ExperimentConfig):
 
 
 def _transformed_side(spec, model, params, data, config: ExperimentConfig):
-    r = build_reparam(
-        spec, config.reparam_source, identity_output=config.metric != "fisher"
-    )
+    r = config.make_reparam(config.metric != "fisher")
     spec_t, params_t = reparam.transform_network(spec, params, r)
     data_t = Dataset(reparam.transform_input(spec, r, data.inputs), data.targets)
     omap = reparam.output_space_map(spec, r)
-    model_t = model if omap.is_identity() else metrics.WrappedOutputModel(
-        model, omap.b, omap.c
-    )
+    model_t = model if omap.is_identity() else metrics.WrappedOutputModel(model, omap)
     return r, spec_t, params_t, data_t, model_t, omap.inverse()
 
 
@@ -404,7 +400,6 @@ def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
     )
     metric = metrics.METRICS[config.metric]
     step_fn = _STEP_FNS[config.optimizer]
-    ucfg = UpdateConfig(config.learning_rate, config.damping, config.damping_mode)
     probes_t = reparam.transform_input(spec, r, probes)
 
     def record(step, p, p_t):
@@ -422,10 +417,10 @@ def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
     record(0, p, p_t)
     try:
         for step in range(1, config.steps + 1):
-            p = step_fn(spec, p, model, data, metric, ucfg)
-            p_t = step_fn(spec_t, p_t, model_t, data_t, metric, ucfg)
+            p = step_fn(spec, p, model, data, metric, config.update)
+            p_t = step_fn(spec_t, p_t, model_t, data_t, metric, config.update)
             record(step, p, p_t)
-    except (SingularFactor, SingularMatrix) as exc:
+    except SingularMatrix as exc:
         report.verdict = "degenerate"
         report.diagnostic = str(exc)
         return report
@@ -453,12 +448,11 @@ def run_training(config: ExperimentConfig):
     spec, model, params, data, _ = _setup(config)
     metric = metrics.METRICS[config.metric]
     step_fn = _STEP_FNS[config.optimizer]
-    ucfg = UpdateConfig(config.learning_rate, config.damping, config.damping_mode)
     rows = []
     p = params
     rows.append((0, kfac.objective(spec, p, model, data)))
     for step in range(1, config.steps + 1):
-        p = step_fn(spec, p, model, data, metric, ucfg)
+        p = step_fn(spec, p, model, data, metric, config.update)
         rows.append((step, kfac.objective(spec, p, model, data)))
     return rows
 

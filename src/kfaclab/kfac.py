@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, SingularFactor, SingularMatrix, TooLarge
+from .errors import NonFinite, SingularMatrix, TooLarge
 from .linalg import kron, solve, unvec, vec
 from .metrics import FisherMetric, fisher_from_basis
 from .nets import (
@@ -149,14 +149,7 @@ def _factor_solve(factor: KroneckerFactor, grad_wbar, config: UpdateConfig):
         g = factor.g + np.sqrt(lam) * np.eye(factor.g.shape[0])
     else:
         a, g = factor.a, factor.g
-    try:
-        left = solve(g, grad_wbar)
-        right = solve(a, left.T).T
-    except SingularMatrix as exc:
-        raise SingularFactor(
-            f"layer {factor.layer_index} factor is singular: {exc}"
-        ) from exc
-    return right / factor.scale
+    return solve(a, solve(g, grad_wbar).T).T / factor.scale
 
 
 def apply_inverse(metric: KFacMetric, grad: ParamSet, config: UpdateConfig) -> ParamSet:
@@ -168,6 +161,8 @@ def apply_inverse(metric: KFacMetric, grad: ParamSet, config: UpdateConfig) -> P
             out.append(LayerParams(_factor_solve(factor, lp.wbar, config), None))
         except NonFinite as exc:
             raise NonFinite(f"layer {factor.layer_index}: {exc}") from exc
+        except SingularMatrix as exc:
+            raise SingularMatrix(f"layer {factor.layer_index} factor is singular: {exc}") from exc
     return ParamSet(out)
 
 
@@ -188,7 +183,8 @@ def objective_and_gradient(spec, params, model, dataset):
     y = dataset.targets
     h = float(np.mean(model.loss(y, trace.output)))
     u = model.loss_grad(y, trace.output) / len(y)
-    return h, backward_batch(trace, u[:, None, :]).grad
+    dz = backward_batch(trace, u[:, None, :])
+    return h, gradient_from_basis(trace, dz, np.ones((len(y), 1)))
 
 
 def kfac_step(spec, params, model, dataset, metric, config: UpdateConfig) -> ParamSet:

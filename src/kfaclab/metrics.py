@@ -122,7 +122,8 @@ class GaussianFixedVar:
 
 @dataclass
 class WrappedOutputModel:
-    """A base model observed through new output coordinates z' = omega z + gamma.
+    """A base model observed through new output coordinates z' = omega z + gamma,
+    out_map an invertible affine map with matrix b = omega and offset c = gamma.
 
     Losses, gradients, Fisher, KL, and sampling all agree with the base model
     expressed in the old coordinates; in particular the Fisher transforms as
@@ -130,20 +131,17 @@ class WrappedOutputModel:
     """
 
     base: object
-    omega: np.ndarray
-    gamma: np.ndarray
+    out_map: object
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        self._omega_inv = inv(self.omega)
+        self._omega_inv = inv(self.out_map.b)
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def _unmap(self, z):
-        return (np.asarray(z) - self.gamma) @ self._omega_inv.T
+        return (np.asarray(z) - self.out_map.c) @ self._omega_inv.T
 
     def loss(self, y, z):
         return self.base.loss(y, self._unmap(z))

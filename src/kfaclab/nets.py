@@ -128,38 +128,29 @@ class Softplus(_Elementwise):
 
 @dataclass
 class AffineWrapped(Activation):
-    """phi'(z) = omega @ base(phi @ z + tau) + gamma, columnwise (the maps act
-    along the second-to-last axis, so leading batch axes pass through).
+    """phi'(z) = outer(base(inner(z))), columnwise: outer is the
+    activation-space map Omega, inner the pre-activation map Phi, each an
+    invertible affine map with a matrix b and apply_cols (the maps act along
+    the second-to-last axis, so leading batch axes pass through).
 
-    omega and phi must be invertible; this is how a change of basis of the
-    activation and pre-activation spaces shows up inside the nonlinearity.
+    This is how a change of basis of the activation and pre-activation
+    spaces shows up inside the nonlinearity.
     """
 
     base: Activation
-    omega: np.ndarray
-    gamma: np.ndarray
-    phi: np.ndarray
-    tau: np.ndarray
+    outer: object
+    inner: object
 
     name = "affine_wrapped"
 
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        self.tau = np.asarray(self.tau, dtype=np.float64)
-
-    def _inner(self, z):
-        return self.phi @ z + self.tau[:, None]
-
     def value(self, z):
-        return self.omega @ self.base.value(self._inner(z)) + self.gamma[:, None]
+        return self.outer.apply_cols(self.base.value(self.inner.apply_cols(z)))
 
     def jvp(self, z, dz):
-        return self.omega @ self.base.jvp(self._inner(z), self.phi @ dz)
+        return self.outer.b @ self.base.jvp(self.inner.apply_cols(z), self.inner.b @ dz)
 
     def vjp(self, z, da):
-        return self.phi.T @ self.base.vjp(self._inner(z), self.omega.T @ da)
+        return self.inner.b.T @ self.base.vjp(self.inner.apply_cols(z), self.outer.b.T @ da)
 
 
 _BY_NAME = {
@@ -711,12 +702,6 @@ class BatchTrace:
     output: np.ndarray  # (N, output_dim)
 
 
-@dataclass
-class BatchBackward:
-    dz: list  # per layer, cotangents of act_in: (N, K, m, T)
-    grad: ParamSet  # summed over the batch; None unless K == 1
-
-
 def _homogenize_batch(cols) -> np.ndarray:
     ones = np.ones(cols.shape[:-2] + (1, cols.shape[-1]))
     return np.concatenate([cols, ones], axis=-2)
@@ -755,13 +740,14 @@ def forward_batch(spec: NetworkSpec, params: ParamSet, xs) -> BatchTrace:
     return BatchTrace(spec, params, x, abars, act_ins, output)
 
 
-def backward_batch(trace: BatchTrace, cotangents) -> BatchBackward:
-    """Reverse pass for a stack of output cotangents, (N, K, output_dim).
+def backward_batch(trace: BatchTrace, cotangents) -> list:
+    """Reverse pass for a stack of output cotangents, (N, K, output_dim):
+    the per-layer dz, (N, K, m, T).
 
     dz is linear in the cotangents, so K basis vectors give every column of
-    the output Jacobian in one pass. The parameter gradient is only defined
-    for one cotangent per sample (K == 1). Nothing is pulled back past
-    layer 0: no caller reads the input cotangent.
+    the output Jacobian in one pass, and gradient_from_basis turns dz into
+    a parameter gradient. Nothing is pulled back past layer 0: no caller
+    reads the input cotangent.
     """
     u = np.asarray(cotangents, dtype=np.float64)
     n = trace.output.shape[0]
@@ -769,44 +755,36 @@ def backward_batch(trace: BatchTrace, cotangents) -> BatchBackward:
         raise ShapeMismatch(
             f"cotangent stack {u.shape} does not fit output {trace.output.shape}"
         )
-    k = u.shape[1]
     spec, params = trace.spec, trace.params
     dzs = [None] * len(spec.layers)
-    grads = [None] * len(spec.layers)
     carry = u
     for i in reversed(range(len(spec.layers))):
         layer, lp = spec.layers[i], params.layers[i]
         if carry.ndim == 3:
             carry = _unflatten_cols(carry, layer.out_space, layer.out_copies)
         dzs[i], carry = layer.pullback(lp, trace.act_in[i], carry, i > 0)
-        if k == 1:
-            grads[i] = _layer_grad(layer, trace.abar[i], dzs[i][:, 0], trace.x)
-    return BatchBackward(dzs, ParamSet(grads) if k == 1 else None)
-
-
-def _layer_grad(layer, abar, dz, x) -> LayerParams:
-    """One layer's parameter gradient for one cotangent per sample, dz (N, m, T)."""
-    dwbar = np.tensordot(dz, abar, axes=([0, 2], [0, 2]))
-    # only a first layer has an input map V, so it reads the input
-    return LayerParams(dwbar, layer.input_map_grad(dz, x))
+    return dzs
 
 
 def basis_backward(trace: BatchTrace) -> list:
     """Per-layer dz, (N, K, m, T), of one backward pass of the K output
     basis vectors: the columns of every sample's output Jacobian."""
     n, k = trace.output.shape
-    return backward_batch(trace, np.broadcast_to(np.eye(k), (n, k, k))).dz
+    return backward_batch(trace, np.broadcast_to(np.eye(k), (n, k, k)))
 
 
 def gradient_from_basis(trace: BatchTrace, dz: list, u) -> ParamSet:
     """Parameter gradient, summed over the batch, for output cotangents u,
     (N, K), from the dz of basis_backward. Backward is linear in the
-    cotangent, so u's dz is u contracted with the basis dz."""
+    cotangent, so u's dz is u contracted with the basis dz. On the dz of a
+    one-cotangent pass, u = 1 gives that cotangent's gradient."""
     u = np.asarray(u, dtype=np.float64)[:, None, :]
     grads = []
     for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):
         du = (u @ d.reshape(d.shape[:2] + (-1,))).reshape(d.shape[:1] + d.shape[2:])
-        grads.append(_layer_grad(layer, abar, du, trace.x))
+        dwbar = np.tensordot(du, abar, axes=([0, 2], [0, 2]))
+        # only a first layer has an input map V, so it reads the input
+        grads.append(LayerParams(dwbar, layer.input_map_grad(du, trace.x)))
     return ParamSet(grads)
 
 

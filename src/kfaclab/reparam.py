@@ -232,14 +232,8 @@ def transform_activation(act, omega: AffineMap, phi: AffineMap):
     if omega.is_identity() and phi.is_identity():
         return act
     if isinstance(act, AffineWrapped):
-        inner_omega = AffineMap(act.omega, act.gamma)
-        inner_phi = AffineMap(act.phi, act.tau)
-        new_omega = omega.after(inner_omega)
-        new_phi = inner_phi.after(phi)
-        return AffineWrapped(
-            act.base, new_omega.b, new_omega.c, new_phi.b, new_phi.c
-        )
-    return AffineWrapped(act, omega.b, omega.c, phi.b, phi.c)
+        return AffineWrapped(act.base, omega.after(act.outer), act.inner.after(phi))
+    return AffineWrapped(act, omega, phi)
 
 
 def transform_network(spec: NetworkSpec, params: ParamSet, r: NetworkReparam):

@@ -427,7 +427,7 @@ def test_compare_params_after_matching_steps():
     r = random_reparam(spec, 5)
     spec_t, params_t = transform_network(spec, params, r)
     omap = output_space_map(spec, r)
-    model_t = WrappedOutputModel(model, omap.b, omap.c)
+    model_t = WrappedOutputModel(model, omap)
     data_t = Dataset([transform_input(spec, r, x) for x in data.inputs], data.targets)
     config = UpdateConfig(0.05)
     stepped = kfac_step(spec, params, model, data, FisherMetric(), config)
@@ -544,6 +544,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_diverging_run_fails_without_a_traceback(tmp_path, capsys):
     # the twin's parameters stay finite but overflow when mapped back
     raw = _mlp_config().to_dict()
@@ -558,13 +559,15 @@ def test_cli_diverging_run_fails_without_a_traceback(tmp_path, capsys):
     )
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps(raw))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["check-invariance", "--config", str(path)]) == cli.EXIT_FAIL
-    report = json.loads(capsys.readouterr().out)
+    assert cli.main(["check-invariance", "--config", str(path)]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
     assert report["verdict"] == "fail"
     assert np.isnan(report["records"][1]["param_discrepancy"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_diverging_kfac_run_ends_in_a_fail_report(tmp_path, capsys):
     # the factors at the overflowed step-1 parameters hold inf/NaN entries
     raw = _mlp_config().to_dict()
@@ -579,13 +582,72 @@ def test_cli_diverging_kfac_run_ends_in_a_fail_report(tmp_path, capsys):
     )
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps(raw))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["check-invariance", "--config", str(path)]) == cli.EXIT_FAIL
-    report = json.loads(capsys.readouterr().out)
+    assert cli.main(["check-invariance", "--config", str(path)]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
     assert report["verdict"] == "fail"
     assert report["diagnostic"] == "step 2 diverged: layer 0: solve received non-finite entries"
     assert [r["step"] for r in report["records"]] == [0, 1]
     assert np.isnan(report["records"][1]["forward_discrepancy"])
+
+
+def _run_all_commands(path):
+    """(exit code, stdout, stderr) of each CLI command on one config file."""
+    out = []
+    for argv in (["check-invariance"], ["train", "--out", "-"], ["dump-factors"]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv + ["--config", str(path)])
+        out.append((code, stdout.getvalue(), stderr.getvalue()))
+    return out
+
+
+@pytest.mark.parametrize("output_model", [
+    {"kind": "categorical", "classes": 3},
+    {"kind": "gaussian", "dim": 3},
+])
+def test_cli_overflowing_teacher_exits_without_a_traceback(tmp_path, output_model):
+    raw = _mlp_config().to_dict()
+    raw.update(
+        architecture={"type": "mlp", "dims": [4, 5, 3], "activation": "identity",
+                      "weight_scale": 1e200},
+        output_model=output_model,
+        dataset_spec={"num_samples": 8},
+    )
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    for result in _run_all_commands(path):
+        assert result == (cli.EXIT_DEGENERATE, "", "error: teacher outputs are not finite\n")
+
+
+def test_cli_unallocatable_dataset_exits_with_config_error(tmp_path):
+    # 1e17 samples of 4 floats need 2.8 EiB, more than any address space, so
+    # the allocation fails when it is requested
+    raw = _mlp_config().to_dict()
+    raw.update(
+        architecture={"type": "mlp", "dims": [4, 5, 3]},
+        output_model={"kind": "categorical", "classes": 3},
+        dataset_spec={"num_samples": 10**17},
+    )
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    for code, out, err in _run_all_commands(path):
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+        assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+
+
+def test_file_reparam_is_read_once_when_the_config_is_built(tmp_path):
+    # a run uses the maps that were checked when the config was built
+    raw = _mlp_config().to_dict()
+    raw["reparam_source"] = _file_reparam(tmp_path, build_network(raw["architecture"]))
+    want = run_invariance(ExperimentConfig.from_dict(raw)).to_json()
+    config = ExperimentConfig.from_dict(raw)
+    path = tmp_path / "reparam.json"
+    d = json.loads(path.read_text())
+    d["activation_maps"][1]["B"] = np.zeros((12, 12)).tolist()
+    path.write_text(json.dumps(d))
+    assert run_invariance(config).to_json() == want
 
 
 def _mis_chained(raw):

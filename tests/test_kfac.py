@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from kfaclab.errors import SingularFactor, TooLarge
+from kfaclab.errors import SingularMatrix, TooLarge
 from kfaclab.harness import Dataset
 from kfaclab.kfac import (
     KFacMetric,
@@ -451,7 +451,7 @@ def test_apply_inverse_singular_factor_reports_layer():
     a[2, 2] = 1.0
     metric = KFacMetric([KroneckerFactor(0, a, np.eye(2), 1.0)])
     grad = ParamSet([LayerParams(np.ones((2, 3)))])
-    with pytest.raises(SingularFactor, match="layer 0"):
+    with pytest.raises(SingularMatrix, match="layer 0 factor is singular"):
         apply_inverse(metric, grad, UpdateConfig(1.0))
 
 

@@ -113,7 +113,7 @@ def test_wrapped_output_model_delegates_in_old_coordinates():
     base = CategoricalLogits(3)
     omega = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
     gamma = rng.standard_normal(3)
-    wrapped = WrappedOutputModel(base, omega, gamma)
+    wrapped = WrappedOutputModel(base, reparam.AffineMap(omega, gamma))
     z = rng.standard_normal(3)
     z_new = omega @ z + gamma
     assert wrapped.loss(1, z_new) == pytest.approx(base.loss(1, z), abs=1e-10)
@@ -351,7 +351,7 @@ def test_exact_fisher_transforms_tensorially():
     spec_t, params_t = reparam.transform_network(spec, params, r)
     inputs_t = [reparam.transform_input(spec, r, x) for x in inputs]
     omap = reparam.output_space_map(spec, r)
-    model_t = WrappedOutputModel(model, omap.b, omap.c)
+    model_t = WrappedOutputModel(model, omap)
 
     f = exact_fisher(spec, params, model, inputs)
     f_t = exact_fisher(spec_t, params_t, model_t, inputs_t)

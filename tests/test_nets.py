@@ -28,6 +28,7 @@ from kfaclab.nets import (
     unflatten_params,
     zero_tangent,
 )
+from kfaclab.reparam import AffineMap
 
 
 def mlp(dims, act):
@@ -71,7 +72,7 @@ def test_affine_wrapped_matches_composed_steps():
     gamma = rng.standard_normal(n)
     phi = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
     tau = rng.standard_normal(n)
-    wrapped = AffineWrapped(Tanh(), omega, gamma, phi, tau)
+    wrapped = AffineWrapped(Tanh(), AffineMap(omega, gamma), AffineMap(phi, tau))
     z = rng.standard_normal((n, 6))
     expected = omega @ np.tanh(phi @ z + tau[:, None]) + gamma[:, None]
     np.testing.assert_allclose(wrapped.value(z), expected, atol=1e-12)
@@ -87,7 +88,7 @@ def test_affine_wrapped_matches_composed_steps():
 def test_affine_wrapped_identity_maps_equal_base():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((3, 5))
-    wrapped = AffineWrapped(Logistic(), np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
+    wrapped = AffineWrapped(Logistic(), AffineMap.identity(3), AffineMap.identity(3))
     np.testing.assert_array_equal(wrapped.value(z), Logistic().value(z))
 
 
