@@ -7,8 +7,8 @@ hit a degenerate metric or non-finite teacher outputs, 4 for configuration
 problems. train exits 0, 3 (as above, or a solve that met inf/NaN entries)
 or 4; dump-factors exits 0, 3 (non-finite teacher outputs) or 4.
 
-The whole config is checked when it is loaded, before any run: field types
-and ranges, the network and output model, and the reparam source (a
+The whole config is checked when it is loaded, before any run: field names,
+types and ranges, the network and output model, and the reparam source (a
 reparam file must exist, its maps must fit the network, and each map must
 be finite and pass linalg.solve's pivot rule; runs use the maps read then).
 Any problem there, or a dataset too large to allocate, exits 4 with one

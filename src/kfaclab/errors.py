@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-layer sizes, output models and configs share."""
+"""Exception types shared across the package, and the integer and key
+checks that layer sizes, output models and configs share."""
 
 import numbers
 
@@ -32,3 +32,9 @@ def check_int(what: str, value, least: int) -> None:
     """Raise ValueError unless value is an integer (bools excluded) >= least."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def check_keys(what: str, d: dict, known) -> None:
+    """Raise ValueError naming every key of d that is not in known."""
+    if set(d) - set(known):
+        raise ValueError(f"unknown {what} fields: {sorted(set(d) - set(known))}")

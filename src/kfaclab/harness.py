@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
-from .errors import NonFinite, SingularMatrix, check_int
+from .errors import NonFinite, SingularMatrix, check_int, check_keys
 from .kfac import UpdateConfig
 from .linalg import inv, sym_eig_min
 
@@ -22,6 +22,7 @@ STEP0_TOL = 1e-10  # pure reparam correctness, no solves involved
 POST_UPDATE_TOL = 1e-8  # headroom over inverse-factor solve error
 NUM_PROBES = 32
 FISHER_DEGENERACY_RTOL = 1e-12
+_ARCH_KEYS = ("type", "activation", "weight_scale", "final_activation")  # read by mlp, conv, rnn
 
 
 @dataclass
@@ -45,7 +46,10 @@ class Dataset:
 def _draw_inputs(spec: nets.NetworkSpec, rng, count: int, scale: float) -> np.ndarray:
     """count i.i.d. normal inputs in one draw, the same numbers as count
     draws of one input each."""
-    return scale * rng.standard_normal((count,) + spec.layers[0].in_shape)
+    try:
+        return scale * rng.standard_normal((count,) + spec.layers[0].in_shape)
+    except ValueError as exc:  # numpy refuses a size it cannot address
+        raise MemoryError(str(exc)) from exc
 
 
 def probe_inputs(spec: nets.NetworkSpec, seed: int, count: int = NUM_PROBES, scale: float = 1.0):
@@ -106,7 +110,7 @@ class ExperimentConfig:
         for name in ("architecture", "output_model", "dataset_spec"):
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a JSON object")
-        # The network, output model, update config and reparam maker are built
+        # The network, output model, update config and reparam are built
         # here, once, so a config that names an unknown kind or does not chain
         # is rejected as a config error rather than mid-run, and every run
         # uses what was checked. They are attributes, not fields, so to_dict
@@ -121,6 +125,7 @@ class ExperimentConfig:
         check_int("steps", self.steps, 0)
         check_int("seed", self.seed, 0)
         ds = self.dataset_spec
+        check_keys("dataset_spec", ds, ("num_samples", "teacher_seed", "input_scale"))
         check_int("dataset_spec.num_samples", ds.get("num_samples"), 1)
         if ds.get("teacher_seed") is not None:
             check_int("dataset_spec.teacher_seed", ds["teacher_seed"], 0)
@@ -133,20 +138,18 @@ class ExperimentConfig:
         _check_real("damping", self.damping)
         # delegate the damping consistency rules
         self.update = UpdateConfig(self.learning_rate, self.damping, self.damping_mode)
-        self.make_reparam = _reparam_maker(spec, self.reparam_source)
+        # a metric other than the Fisher needs the output basis left alone
+        self.reparam = _build_reparam(spec, self.reparam_source, self.metric != "fisher")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        extra = set(d) - set(known)
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
+        check_keys("config", d, cls.__dataclass_fields__)
         missing = [
             f for f in ("architecture", "output_model", "dataset_spec") if f not in d
         ]
         if missing:
             raise ValueError(f"missing config fields: {missing}")
-        return cls(**known)
+        return cls(**d)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -156,6 +159,7 @@ def build_network(arch: dict) -> nets.NetworkSpec:
     kind = arch.get("type")
     act = nets.activation_by_name(arch.get("activation", "logistic"))
     if kind == "mlp":
+        check_keys("architecture", arch, _ARCH_KEYS + ("dims",))
         dims = arch["dims"]
         final = arch.get("final_activation")
         layers = []
@@ -166,6 +170,8 @@ def build_network(arch: dict) -> nets.NetworkSpec:
             layers.append(nets.DenseLayer(dims[i], dims[i + 1], a))
         return nets.NetworkSpec(layers)
     if kind == "conv":
+        check_keys("architecture", arch,
+                   _ARCH_KEYS + ("grid", "kernel_radius", "channels", "head_dim"))
         grid = tuple(arch["grid"])
         radius = arch.get("kernel_radius", 1)
         channels = arch["channels"]  # in-channel count first
@@ -179,6 +185,8 @@ def build_network(arch: dict) -> nets.NetworkSpec:
             layers.append(nets.DenseLayer(flat, head, final))
         return nets.NetworkSpec(layers)
     if kind == "rnn":
+        check_keys("architecture", arch,
+                   _ARCH_KEYS + ("input_dim", "hidden_dim", "steps", "head_dim"))
         layers = [
             nets.RecurrentLayer(arch["input_dim"], arch["hidden_dim"], arch["steps"], act)
         ]
@@ -188,6 +196,7 @@ def build_network(arch: dict) -> nets.NetworkSpec:
             layers.append(nets.DenseLayer(arch["hidden_dim"], head, final))
         return nets.NetworkSpec(layers)
     if kind == "layers":
+        check_keys("architecture", arch, ("type", "layers", "weight_scale"))
         return nets.spec_from_dict(arch)
     raise ValueError(f"unknown architecture type {kind!r}")
 
@@ -195,8 +204,10 @@ def build_network(arch: dict) -> nets.NetworkSpec:
 def build_output_model(d: dict):
     kind = d.get("kind")
     if kind == "categorical":
+        check_keys("output_model", d, ("kind", "classes"))
         return metrics.CategoricalLogits(d["classes"])
     if kind == "gaussian":
+        check_keys("output_model", d, ("kind", "dim", "variance"))
         return metrics.GaussianFixedVar(d["dim"], d.get("variance", 1.0))
     raise ValueError(f"unknown output model {kind!r}")
 
@@ -211,31 +222,34 @@ def _check_real(what: str, value, least: float = -np.inf) -> None:
         raise ValueError(f"{what} must be a finite number{bound}, got {value!r}")
 
 
-def _reparam_maker(spec: nets.NetworkSpec, source):
-    """Check a reparam_source against the network; return the function of
-    identity_output that builds the reparam. The check reads a file source
-    and fits its maps to the network, but draws no random maps."""
+def _build_reparam(spec: nets.NetworkSpec, source, identity_output: bool):
+    """The reparam that source names, checked against the network;
+    identity_output pins a random reparam's output map to the identity."""
     if source is None:
         source = {"kind": "identity"}
     if not isinstance(source, dict):
         raise ValueError("reparam_source must be a JSON object or null")
     kind = source.get("kind", "random")
     if kind == "identity":
-        return lambda identity_output: reparam.identity_reparam(spec)
+        check_keys("reparam_source", source, ("kind",))
+        return reparam.identity_reparam(spec)
     if kind == "random":
+        check_keys("reparam_source", source, ("kind", "seed", "conditioning_cap"))
         seed = source.get("seed", 0)
         cap = source.get("conditioning_cap", 100.0)
         check_int("reparam_source.seed", seed, 0)
         _check_real("reparam_source.conditioning_cap", cap, 1.0)
-        return lambda identity_output: reparam.random_reparam(
+        return reparam.random_reparam(
             spec, rng_seed=seed, conditioning_cap=cap, identity_output=identity_output
         )
     if kind == "preset":
+        check_keys("reparam_source", source, ("kind", "name"))
         name = source.get("name")
         if name not in reparam.PRESETS:
             raise ValueError(f"unknown reparam preset {name!r}")
-        return lambda identity_output: reparam.PRESETS[name](spec)
+        return reparam.PRESETS[name](spec)
     if kind == "file":
+        check_keys("reparam_source", source, ("kind", "path"))
         path = source.get("path")
         if not isinstance(path, str):
             raise ValueError(f"reparam_source.path must be a file path, got {path!r}")
@@ -246,7 +260,7 @@ def _reparam_maker(spec: nets.NetworkSpec, source):
             _check_file_map(f"activation map {i}", m.b, m.c)
         for i, m in enumerate(r.preactivation_maps):
             _check_file_map(f"preactivation map {i}", m.homogeneous(), m.c)
-        return lambda identity_output: r
+        return r
     raise ValueError(f"unknown reparam source {kind!r}")
 
 
@@ -345,15 +359,28 @@ def _setup(config: ExperimentConfig):
 
 
 def _transformed_side(spec, model, params, data, config: ExperimentConfig):
-    r = config.make_reparam(config.metric != "fisher")
+    r = config.reparam
     spec_t, params_t = reparam.transform_network(spec, params, r)
     data_t = Dataset(reparam.transform_input(spec, r, data.inputs), data.targets)
     omap = reparam.output_space_map(spec, r)
     model_t = model if omap.is_identity() else metrics.WrappedOutputModel(model, omap)
-    return r, spec_t, params_t, data_t, model_t, omap.inverse()
+    out_back = omap.inverse() if model_t is model else model_t.out_back
+    return r, spec_t, params_t, data_t, model_t, out_back
 
 
 _STEP_FNS = {"kfac": kfac.kfac_step, "ngd": kfac.ngd_step, "sgd": kfac.sgd_step}
+
+
+def _trajectory(config: ExperimentConfig, spec, params, model, data):
+    """The forward pass over data at params, then again after each of the
+    configured steps; each step reads the pass before it."""
+    metric = metrics.METRICS[config.metric]
+    trace = nets.forward_batch(spec, params, data.inputs)
+    yield trace
+    for _ in range(config.steps):
+        params = _STEP_FNS[config.optimizer](trace, model, data, metric, config.update)
+        trace = nets.forward_batch(spec, params, data.inputs)
+        yield trace
 
 
 def run_invariance(config: ExperimentConfig) -> InvarianceReport:
@@ -365,7 +392,52 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     exact-NGD run checks its Fisher at the initial parameters first. A step
     that meets inf/NaN entries (a diverged run) ends the run with "fail".
     """
-    return _run_invariance(config, _setup(config))
+    spec, model, params, data, probes = _setup(config)
+    report = InvarianceReport(
+        config=config.to_dict(),
+        tolerances={"step0": STEP0_TOL, "post_update": POST_UPDATE_TOL},
+    )
+    if config.optimizer == "ngd":
+        report.diagnostic = _fisher_degeneracy(spec, params, model, data)
+        if report.diagnostic:
+            report.verdict = "degenerate"
+            return report
+    r, spec_t, params_t, data_t, model_t, out_back = _transformed_side(
+        spec, model, params, data, config
+    )
+    probes_t = reparam.transform_input(spec, r, probes)
+    twins = zip(_trajectory(config, spec, params, model, data),
+                _trajectory(config, spec_t, params_t, model_t, data_t))
+    try:
+        # each record is appended before the next step is taken
+        for tr, tr_t in twins:
+            report.records.append(
+                StepRecord(
+                    len(report.records),
+                    _forward_gap(spec, tr.params, spec_t, tr_t.params, out_back, probes, probes_t),
+                    kfac.objective(tr, model, data),
+                    kfac.objective(tr_t, model_t, data_t),
+                    compare_params_through_reparam(tr.params, tr_t.params, r),
+                )
+            )
+            del tr, tr_t  # free these traces before the next steps run
+    except SingularMatrix as exc:
+        report.verdict = "degenerate"
+        report.diagnostic = str(exc)
+        return report
+    except NonFinite as exc:
+        report.verdict = "fail"
+        report.diagnostic = f"step {len(report.records)} diverged: {exc}"
+        return report
+
+    if config.damping > 0:
+        report.verdict = "report"
+    else:
+        ok = report.records[0].forward_discrepancy <= STEP0_TOL and all(
+            rec.forward_discrepancy <= POST_UPDATE_TOL for rec in report.records[1:]
+        )
+        report.verdict = "pass" if ok else "fail"
+    return report
 
 
 def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
@@ -383,62 +455,6 @@ def _fisher_degeneracy(spec, params, model, data) -> str:
     return f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})"
 
 
-def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
-    """run_invariance on an already built _setup(config)."""
-    spec, model, params, data, probes = setup
-    report = InvarianceReport(
-        config=config.to_dict(),
-        tolerances={"step0": STEP0_TOL, "post_update": POST_UPDATE_TOL},
-    )
-    if config.optimizer == "ngd":
-        report.diagnostic = _fisher_degeneracy(spec, params, model, data)
-        if report.diagnostic:
-            report.verdict = "degenerate"
-            return report
-    r, spec_t, params_t, data_t, model_t, out_back = _transformed_side(
-        spec, model, params, data, config
-    )
-    metric = metrics.METRICS[config.metric]
-    step_fn = _STEP_FNS[config.optimizer]
-    probes_t = reparam.transform_input(spec, r, probes)
-
-    def record(step, p, p_t):
-        report.records.append(
-            StepRecord(
-                step,
-                _forward_gap(spec, p, spec_t, p_t, out_back, probes, probes_t),
-                kfac.objective(spec, p, model, data),
-                kfac.objective(spec_t, p_t, model_t, data_t),
-                compare_params_through_reparam(p, p_t, r),
-            )
-        )
-
-    p, p_t = params, params_t
-    record(0, p, p_t)
-    try:
-        for step in range(1, config.steps + 1):
-            p = step_fn(spec, p, model, data, metric, config.update)
-            p_t = step_fn(spec_t, p_t, model_t, data_t, metric, config.update)
-            record(step, p, p_t)
-    except SingularMatrix as exc:
-        report.verdict = "degenerate"
-        report.diagnostic = str(exc)
-        return report
-    except NonFinite as exc:
-        report.verdict = "fail"
-        report.diagnostic = f"step {step} diverged: {exc}"
-        return report
-
-    if config.damping > 0:
-        report.verdict = "report"
-    else:
-        ok = report.records[0].forward_discrepancy <= STEP0_TOL and all(
-            rec.forward_discrepancy <= POST_UPDATE_TOL for rec in report.records[1:]
-        )
-        report.verdict = "pass" if ok else "fail"
-    return report
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -446,15 +462,10 @@ def _run_invariance(config: ExperimentConfig, setup) -> InvarianceReport:
 def run_training(config: ExperimentConfig):
     """Objective trajectory [(step, h(w))], step 0 included."""
     spec, model, params, data, _ = _setup(config)
-    metric = metrics.METRICS[config.metric]
-    step_fn = _STEP_FNS[config.optimizer]
-    rows = []
-    p = params
-    rows.append((0, kfac.objective(spec, p, model, data)))
-    for step in range(1, config.steps + 1):
-        p = step_fn(spec, p, model, data, metric, config.update)
-        rows.append((step, kfac.objective(spec, p, model, data)))
-    return rows
+    return [
+        (step, kfac.objective(trace, model, data))
+        for step, trace in enumerate(_trajectory(config, spec, params, model, data))
+    ]
 
 
 def training_csv(rows) -> str:

@@ -20,8 +20,8 @@ for bit.
 
 The same pass serves the loss gradient: backward is linear in the
 cotangent, so the gradient is the loss cotangent contracted with the basis
-cotangents, then with Abar. kfac_step and ngd_step each make one forward
-and one backward pass per call.
+cotangents, then with Abar. The update rules take the run loop's forward
+pass at the current parameters, so each step makes only a backward pass.
 """
 
 from dataclasses import dataclass
@@ -78,14 +78,6 @@ class UpdateConfig:
 # factor estimation
 
 
-def _basis_pass(spec, params, dataset):
-    """One batched forward pass and one backward pass of the output basis."""
-    if not len(dataset.inputs):
-        raise ValueError("a step or factor estimate needs a nonempty dataset")
-    trace = forward_batch(spec, params, dataset.inputs)
-    return trace, basis_backward(trace)
-
-
 def _factors(trace, dz, model, metric) -> KFacMetric:
     n, k = trace.output.shape
     m = metric.matrix(model, trace.output)  # (N, K, K)
@@ -115,8 +107,11 @@ def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
     one batched backward pass of the output basis vectors. With the Fisher
     metric G_i is the exact E_x E_y[Dz Dz^T].
     """
-    trace, dz = _basis_pass(spec, params, dataset)
-    return _factors(trace, dz, model, FisherMetric() if metric is None else metric)
+    if not len(dataset):
+        raise ValueError("a factor estimate needs a nonempty dataset")
+    trace = forward_batch(spec, params, dataset.inputs)
+    metric = FisherMetric() if metric is None else metric
+    return _factors(trace, basis_backward(trace), model, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -170,55 +165,56 @@ def apply_inverse(metric: KFacMetric, grad: ParamSet, config: UpdateConfig) -> P
 # objective and update rules
 
 
-def objective(spec, params, model, dataset) -> float:
-    """Empirical risk (mean loss), from one batched forward pass."""
-    output = forward_batch(spec, params, dataset.inputs).output
-    return float(np.mean(model.loss(dataset.targets, output)))
+def objective(trace, model, dataset) -> float:
+    """Empirical risk (mean loss) at the forward pass trace over dataset."""
+    return float(np.mean(model.loss(dataset.targets, trace.output)))
+
+
+def _gradient(trace, model, dataset) -> ParamSet:
+    """Empirical-risk gradient from one backward pass of the loss cotangent."""
+    u = model.loss_grad(dataset.targets, trace.output) / len(dataset)
+    dz = backward_batch(trace, u[:, None, :])
+    return gradient_from_basis(trace, dz, np.ones((len(dataset), 1)))
 
 
 def objective_and_gradient(spec, params, model, dataset):
     """Empirical risk (mean loss) and its gradient as a ParamSet, from one
     batched forward and one batched backward pass."""
     trace = forward_batch(spec, params, dataset.inputs)
-    y = dataset.targets
-    h = float(np.mean(model.loss(y, trace.output)))
-    u = model.loss_grad(y, trace.output) / len(y)
-    dz = backward_batch(trace, u[:, None, :])
-    return h, gradient_from_basis(trace, dz, np.ones((len(y), 1)))
+    return objective(trace, model, dataset), _gradient(trace, model, dataset)
 
 
-def kfac_step(spec, params, model, dataset, metric, config: UpdateConfig) -> ParamSet:
+def kfac_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     """One preconditioned step on the factored parameters.
 
     Factors and gradient come from one basis pass. Only weights that own
     Kronecker factors move (every layer's homogenized W); a recurrent
     layer's input map V has no factors and stays fixed.
     """
-    trace, dz = _basis_pass(spec, params, dataset)
+    dz = basis_backward(trace)
     delta = apply_inverse(
         _factors(trace, dz, model, metric), _loss_gradient(trace, dz, model, dataset), config
     )
-    return params.add_scaled(delta, -config.learning_rate)
+    return trace.params.add_scaled(delta, -config.learning_rate)
 
 
-def ngd_step(spec, params, model, dataset, metric, config: UpdateConfig) -> ParamSet:
+def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     """Exact natural gradient step: the dense Fisher (metrics.exact_fisher's
     arithmetic) and the gradient both come from one basis pass."""
     del metric  # the exact step always uses the model's own Fisher
-    trace, dz = _basis_pass(spec, params, dataset)
+    dz = basis_backward(trace)
     fisher = fisher_from_basis(trace, dz, model)
     if config.damping > 0:
         fisher = fisher + config.damping * np.eye(fisher.shape[0])
     grad = _loss_gradient(trace, dz, model, dataset)
     step = solve(fisher, grad.flatten())
-    return unflatten_params(spec, params.flatten() - config.learning_rate * step)
+    return unflatten_params(trace.spec, trace.params.flatten() - config.learning_rate * step)
 
 
-def sgd_step(spec, params, model, dataset, metric, config: UpdateConfig) -> ParamSet:
+def sgd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     """Plain gradient descent; the non-invariant control."""
     del metric
-    _, grad = objective_and_gradient(spec, params, model, dataset)
-    return params.add_scaled(grad, -config.learning_rate)
+    return trace.params.add_scaled(_gradient(trace, model, dataset), -config.learning_rate)
 
 
 # ---------------------------------------------------------------------------

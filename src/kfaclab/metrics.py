@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from .errors import TooLarge, check_int
-from .linalg import inv
 from .nets import (
     BatchTrace,
     ForwardTrace,
@@ -127,31 +126,31 @@ class WrappedOutputModel:
 
     Losses, gradients, Fisher, KL, and sampling all agree with the base model
     expressed in the old coordinates; in particular the Fisher transforms as
-    omega^-T F omega^-1.
+    omega^-T F omega^-1. out_back is out_map's inverse, computed once.
     """
 
     base: object
     out_map: object
 
     def __post_init__(self):
-        self._omega_inv = inv(self.out_map.b)
+        self.out_back = self.out_map.inverse()
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def _unmap(self, z):
-        return (np.asarray(z) - self.out_map.c) @ self._omega_inv.T
+        return (np.asarray(z) - self.out_map.c) @ self.out_back.b.T
 
     def loss(self, y, z):
         return self.base.loss(y, self._unmap(z))
 
     def loss_grad(self, y, z) -> np.ndarray:
-        return self.base.loss_grad(y, self._unmap(z)) @ self._omega_inv
+        return self.base.loss_grad(y, self._unmap(z)) @ self.out_back.b
 
     def fisher(self, z) -> np.ndarray:
         f = self.base.fisher(self._unmap(z))
-        return self._omega_inv.T @ f @ self._omega_inv
+        return self.out_back.b.T @ f @ self.out_back.b
 
     def sample(self, z, rng):
         return self.base.sample(self._unmap(z), rng)

@@ -43,7 +43,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 import scipy.special
 
-from .errors import ShapeMismatch, check_int
+from .errors import ShapeMismatch, check_int, check_keys
 from .linalg import unvec, vec
 
 
@@ -269,6 +269,7 @@ class Layer:
 
     @classmethod
     def from_dict(cls, d: dict):
+        check_keys(f"{cls.kind} layer", d, ["kind"] + [f.name for f in fields(cls)])
         kw = {f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
         kw["activation"] = activation_by_name(d["activation"])
         return cls(**kw)

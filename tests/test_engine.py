@@ -205,7 +205,7 @@ def test_batched_objective_and_gradient_match_per_sample_loop(problem):
     want_h, want_grad = oracle_objective_and_gradient(spec, params, model, data)
     assert_rel_close(h, want_h, "objective")
     assert_rel_close(grad.flatten(), want_grad, "gradient")
-    assert objective(spec, params, model, data) == h
+    assert objective(forward_batch(spec, params, data.inputs), model, data) == h
 
 
 @ENGINE_SETTINGS
@@ -265,8 +265,9 @@ def _run_recording(name, step, raises, *args):
 def test_kfac_step_matches_two_pass_reference(problem, metric_name, config):
     spec, params, model, data = problem
     metric = METRICS[metric_name]
+    trace = forward_batch(spec, params, data.inputs)
     got, calls = _run_recording(
-        "apply_inverse", kfac_step, SingularMatrix, spec, params, model, data, metric, config
+        "apply_inverse", kfac_step, SingularMatrix, trace, model, data, metric, config
     )
     (factors, grad, _), = calls
     want_factors = estimate_factors(spec, params, model, data, metric).factors
@@ -285,8 +286,9 @@ def test_kfac_step_matches_two_pass_reference(problem, metric_name, config):
 @given(problems(), st.sampled_from(STEP_CONFIGS))
 def test_ngd_step_matches_two_pass_reference(problem, config):
     spec, params, model, data = problem
+    trace = forward_batch(spec, params, data.inputs)
     got, calls = _run_recording(
-        "solve", ngd_step, SingularMatrix, spec, params, model, data, None, config
+        "solve", ngd_step, SingularMatrix, trace, model, data, None, config
     )
     (fisher, rhs), = calls
     want_fisher = oracle_fisher(spec, params, model, data.inputs)

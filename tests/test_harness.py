@@ -430,8 +430,10 @@ def test_compare_params_after_matching_steps():
     model_t = WrappedOutputModel(model, omap)
     data_t = Dataset([transform_input(spec, r, x) for x in data.inputs], data.targets)
     config = UpdateConfig(0.05)
-    stepped = kfac_step(spec, params, model, data, FisherMetric(), config)
-    stepped_t = kfac_step(spec_t, params_t, model_t, data_t, FisherMetric(), config)
+    trace = forward_batch(spec, params, data.inputs)
+    trace_t = forward_batch(spec_t, params_t, data_t.inputs)
+    stepped = kfac_step(trace, model, data, FisherMetric(), config)
+    stepped_t = kfac_step(trace_t, model_t, data_t, FisherMetric(), config)
     assert compare_params_through_reparam(stepped, stepped_t, r) <= 1e-8
 
 
@@ -495,6 +497,44 @@ def test_training_csv_format():
     assert len(lines) == 3
     step, value = lines[1].split(",")
     assert step == "0" and float(value) == rows[0][1]
+
+
+def _forward_passes(monkeypatch, run, config):
+    """(passes over the dataset, passes over the probes) that run(config)
+    makes, told apart by batch size."""
+    sizes = []
+
+    def counted(spec, params, xs):
+        sizes.append(len(xs))
+        return forward_batch(spec, params, xs)
+
+    for module in (nets, harness.kfac, metrics):
+        monkeypatch.setattr(module, "forward_batch", counted)
+    run(config)
+    return sizes.count(config.dataset_spec["num_samples"]), sizes.count(harness.NUM_PROBES)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_one_pass_over_the_data_per_step(monkeypatch, steps):
+    # Each twin passes over the data at the start and after each step, and
+    # the step and the record both read that pass; the teacher adds one.
+    config = _mlp_config(steps=steps, dataset_spec={"num_samples": 24})
+    assert config.dataset_spec["num_samples"] != harness.NUM_PROBES
+    twins = 2 * (steps + 1)
+    assert _forward_passes(monkeypatch, run_invariance, config) == (twins + 1, twins)
+    assert _forward_passes(monkeypatch, run_training, config) == (steps + 2, 0)
+
+
+@pytest.mark.parametrize("optimizer", ["kfac", "ngd", "sgd"])
+def test_train_objectives_equal_the_invariance_report_objectives(tmp_path, capsys, optimizer):
+    config = _ngd_config() if optimizer == "ngd" else _mlp_config(optimizer=optimizer)
+    path = _write_config(tmp_path, "run.json", config)
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_PASS
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    cli.main(["check-invariance", "--config", path])
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert len(records) == config.steps + 1
+    assert [float(row.split(",")[1]) for row in rows] == [rec["objective"] for rec in records]
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +677,22 @@ def test_cli_unallocatable_dataset_exits_with_config_error(tmp_path):
         assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
 
 
+def test_cli_unaddressable_dataset_exits_with_config_error(tmp_path):
+    # 1e18 samples of 4 floats exceed numpy's largest array size, so numpy
+    # refuses the shape before it allocates anything
+    raw = _mlp_config().to_dict()
+    raw.update(
+        architecture={"type": "mlp", "dims": [4, 5, 3]},
+        output_model={"kind": "categorical", "classes": 3},
+        dataset_spec={"num_samples": 10**18},
+    )
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    for code, out, err in _run_all_commands(path):
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+        assert err.startswith("config error: array is too big") and err.count("\n") == 1
+
+
 def test_file_reparam_is_read_once_when_the_config_is_built(tmp_path):
     # a run uses the maps that were checked when the config was built
     raw = _mlp_config().to_dict()
@@ -755,6 +811,24 @@ CONV_ARCHITECTURE = {
         (_zero_b, "reparam file activation map 1: matrix is identically zero"),
         (_nan_offset, "reparam file preactivation map 0: offset has non-finite entries"),
         (_tiny_pivot, "reparam file preactivation map 0: pivot 1.000e-300 below threshold"),
+        (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "kernel_raduis": 2}),
+         "unknown architecture fields: ['kernel_raduis']"),
+        (lambda raw, tmp: raw.update(architecture={
+            "type": "layers", "activation": "tanh", "layers": [
+                {"kind": "dense", "in_dim": 8, "out_dim": 6, "activation": "logistic"}]}),
+         "unknown architecture fields: ['activation']"),
+        (lambda raw, tmp: raw.update(architecture={"type": "layers", "layers": [
+            {"kind": "dense", "in_dim": 8, "out_dim": 6, "activation": "logistic",
+             "out_dims": 6}]}),
+         "unknown dense layer fields: ['out_dims']"),
+        (lambda raw, tmp: raw["output_model"].update(clases=3),
+         "unknown output_model fields: ['clases']"),
+        (lambda raw, tmp: raw["dataset_spec"].update(num_sample=9),
+         "unknown dataset_spec fields: ['num_sample']"),
+        (lambda raw, tmp: raw["reparam_source"].update(conditoning_cap=1e6),
+         "unknown reparam_source fields: ['conditoning_cap']"),
+        (lambda raw, tmp: raw.update(reparam_source={"kind": "identity", "seed": 3}),
+         "unknown reparam_source fields: ['seed']"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
@@ -763,6 +837,9 @@ CONV_ARCHITECTURE = {
         "zero-variance", "negative-kernel-radius", "zero-width-output",
         "reparam-file-of-another-network", "reparam-file-zero-matrix",
         "reparam-file-nan-offset", "reparam-file-pivot-below-threshold",
+        "unknown-architecture-key", "unknown-layers-architecture-key", "unknown-layer-key",
+        "unknown-output-model-key", "unknown-dataset-spec-key", "unknown-reparam-source-key",
+        "unknown-identity-reparam-source-key",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):

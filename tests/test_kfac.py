@@ -40,6 +40,7 @@ from kfaclab.nets import (
     ParamSet,
     RecurrentLayer,
     forward,
+    forward_batch,
     init_params,
 )
 
@@ -485,7 +486,8 @@ def test_zero_learning_rate_steps_are_identity():
     ]
     for step, spec, data in cases:
         params = init_params(spec, 16)
-        new = step(spec, params, model, data, FisherMetric(), config)
+        trace = forward_batch(spec, params, data.inputs)
+        new = step(trace, model, data, FisherMetric(), config)
         for lp_new, lp_old in zip(new.layers, params.layers):
             np.testing.assert_array_equal(lp_new.wbar, lp_old.wbar)
             if lp_old.v is not None:
@@ -506,8 +508,9 @@ def test_identity_factors_reduce_kfac_to_sgd():
     np.testing.assert_array_equal(metric.factors[0].a, np.eye(3))
     np.testing.assert_array_equal(metric.factors[0].g, np.eye(2))
     config = UpdateConfig(0.5)
-    kfac = kfac_step(spec, params, model, data, FisherMetric(), config)
-    sgd = sgd_step(spec, params, model, data, FisherMetric(), config)
+    trace = forward_batch(spec, params, data.inputs)
+    kfac = kfac_step(trace, model, data, FisherMetric(), config)
+    sgd = sgd_step(trace, model, data, FisherMetric(), config)
     np.testing.assert_array_equal(kfac.layers[0].wbar, sgd.layers[0].wbar)
 
 
@@ -526,7 +529,8 @@ def test_kfac_full_step_solves_linear_gaussian():
     params = init_params(spec, 18)
     model = GaussianFixedVar(2, variance=2.0)
     data = _dense_dataset(rng, 12, 3, 2)
-    new = kfac_step(spec, params, model, data, FisherMetric(), UpdateConfig(1.0))
+    trace = forward_batch(spec, params, data.inputs)
+    new = kfac_step(trace, model, data, FisherMetric(), UpdateConfig(1.0))
     np.testing.assert_allclose(new.layers[0].wbar, _least_squares_optimum(spec, data), atol=1e-8)
 
 
@@ -536,7 +540,8 @@ def test_ngd_full_step_solves_linear_gaussian():
     params = init_params(spec, 19)
     model = GaussianFixedVar(2)
     data = _dense_dataset(rng, 12, 3, 2)
-    new = ngd_step(spec, params, model, data, FisherMetric(), UpdateConfig(1.0))
+    trace = forward_batch(spec, params, data.inputs)
+    new = ngd_step(trace, model, data, FisherMetric(), UpdateConfig(1.0))
     np.testing.assert_allclose(new.layers[0].wbar, _least_squares_optimum(spec, data), atol=1e-8)
 
 
@@ -549,8 +554,9 @@ def test_single_sample_kfac_step_equals_ngd_step():
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=3)], [rng.normal(size=2)])
     config = UpdateConfig(0.7, 0.5, "dense_tikhonov")
-    kfac = kfac_step(spec, params, model, data, FisherMetric(), config)
-    ngd = ngd_step(spec, params, model, data, FisherMetric(), config)
+    trace = forward_batch(spec, params, data.inputs)
+    kfac = kfac_step(trace, model, data, FisherMetric(), config)
+    ngd = ngd_step(trace, model, data, FisherMetric(), config)
     assert np.abs(kfac.flatten() - ngd.flatten()).max() <= 1e-8
 
     fisher = exact_fisher(spec, params, model, data.inputs)
@@ -570,11 +576,12 @@ def test_kfac_step_freezes_recurrent_input_map():
     params = init_params(spec, 21, weight_scale=2.0)
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=(3, 2)) for _ in range(6)], _gaussian_targets(rng, 6, 2))
-    new = kfac_step(spec, params, model, data, FisherMetric(), UpdateConfig(0.1))
+    trace = forward_batch(spec, params, data.inputs)
+    new = kfac_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
     np.testing.assert_array_equal(new.layers[0].v, params.layers[0].v)
     assert np.abs(new.layers[0].wbar - params.layers[0].wbar).max() > 0
 
-    moved = sgd_step(spec, params, model, data, FisherMetric(), UpdateConfig(0.1))
+    moved = sgd_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
     assert np.abs(moved.layers[0].v - params.layers[0].v).max() > 0
 
 

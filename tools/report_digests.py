@@ -93,6 +93,10 @@ VARIANTS = {
     "identity": {**MLP, "reparam_source": {"kind": "identity"}},
     "diverging-kfac": {**MLP, **SMALL_MLP, "optimizer": "kfac"},
     "diverging-sgd": {**MLP, **SMALL_MLP, "optimizer": "sgd"},
+    "kfac-singular-factor": {**MLP, "architecture": {**MLP["architecture"],
+                                                     "final_activation": "identity"}},
+    "diverging-ngd": {**MLP, **SMALL_MLP, "dataset_spec": {"num_samples": 32},
+                      "optimizer": "ngd"},
 }
 
 
