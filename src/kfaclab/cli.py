@@ -11,12 +11,14 @@ The whole config is checked when it is loaded, before any run: field names,
 types and ranges, the network and output model, and the reparam source (a
 reparam file must exist, its maps must fit the network, and each map must
 be finite and pass linalg.solve's pivot rule; runs use the maps read then).
-Any problem there, or a dataset too large to allocate, exits 4 with one
-line on stderr. numpy's floating-point warnings are silenced: a diverged
+Any problem there, a train --out path that cannot be opened for writing
+(checked before the run), or a dataset too large to allocate, exits 4 with
+one line on stderr. numpy's floating-point warnings are silenced: a diverged
 run reports its NaN itself.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -52,13 +54,12 @@ def _cmd_check_invariance(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args.config)
-    rows = harness.run_training(config)
-    csv = harness.training_csv(rows)
-    if args.out == "-":
-        sys.stdout.write(csv)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+    try:  # opened before the run, so an unwritable path fails before any work
+        out = contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w")
+    except OSError as exc:
+        raise SystemExit(f"config error: {exc}") from exc
+    with out as fh:
+        fh.write(harness.training_csv(harness.run_training(config)))
     return EXIT_PASS
 
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer and key
-checks that layer sizes, output models and configs share."""
+"""Exception types shared across the package, and the integer, number and
+key checks that layer sizes, output models and configs share."""
 
+import math
 import numbers
 
 
@@ -32,6 +33,18 @@ def check_int(what: str, value, least: int) -> None:
     """Raise ValueError unless value is an integer (bools excluded) >= least."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def check_real(what: str, value, least: float = -math.inf) -> None:
+    """Raise ValueError unless value is a finite real number (bools
+    excluded) >= least."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value >= least)
+    ):
+        bound = "" if least == -math.inf else f" >= {least}"
+        raise ValueError(f"{what} must be a finite number{bound}, got {value!r}")
 
 
 def check_keys(what: str, d: dict, known) -> None:

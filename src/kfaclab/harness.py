@@ -7,14 +7,12 @@ randomness; identical configs produce byte-identical reports.
 """
 
 import json
-import math
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
-from .errors import NonFinite, SingularMatrix, check_int, check_keys
+from .errors import NonFinite, SingularMatrix, check_int, check_keys, check_real
 from .kfac import UpdateConfig
 from .linalg import inv, sym_eig_min
 
@@ -22,7 +20,6 @@ STEP0_TOL = 1e-10  # pure reparam correctness, no solves involved
 POST_UPDATE_TOL = 1e-8  # headroom over inverse-factor solve error
 NUM_PROBES = 32
 FISHER_DEGENERACY_RTOL = 1e-12
-_ARCH_KEYS = ("type", "activation", "weight_scale", "final_activation")  # read by mlp, conv, rnn
 
 
 @dataclass
@@ -121,22 +118,24 @@ class ExperimentConfig:
             raise ValueError(
                 f"output model dimension {model.dim} != network output {spec.output_dim}"
             )
-        _check_real("architecture.weight_scale", _init_scale(self))
+        self.weight_scale = self.architecture.get("weight_scale", 1.0)
+        check_real("architecture.weight_scale", self.weight_scale)
         check_int("steps", self.steps, 0)
         check_int("seed", self.seed, 0)
         ds = self.dataset_spec
         check_keys("dataset_spec", ds, ("num_samples", "teacher_seed", "input_scale"))
-        check_int("dataset_spec.num_samples", ds.get("num_samples"), 1)
-        if ds.get("teacher_seed") is not None:
-            check_int("dataset_spec.teacher_seed", ds["teacher_seed"], 0)
-        _check_real("dataset_spec.input_scale", ds.get("input_scale", 1.0))
+        self.num_samples = ds.get("num_samples")
+        check_int("dataset_spec.num_samples", self.num_samples, 1)
+        self.teacher_seed = ds.get("teacher_seed")
+        if self.teacher_seed is not None:
+            check_int("dataset_spec.teacher_seed", self.teacher_seed, 0)
+        self.input_scale = ds.get("input_scale", 1.0)
+        check_real("dataset_spec.input_scale", self.input_scale)
         if self.optimizer not in _STEP_FNS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.metric not in metrics.METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        _check_real("learning_rate", self.learning_rate)
-        _check_real("damping", self.damping)
-        # delegate the damping consistency rules
+        # checks learning_rate, damping and their consistency with damping_mode
         self.update = UpdateConfig(self.learning_rate, self.damping, self.damping_mode)
         # a metric other than the Fisher needs the output basis left alone
         self.reparam = _build_reparam(spec, self.reparam_source, self.metric != "fisher")
@@ -155,50 +154,45 @@ class ExperimentConfig:
         return asdict(self)
 
 
+# the keys each shorthand reads besides type, activation, final_activation
+# and weight_scale
+_SHORTHAND_KEYS = {
+    "mlp": ("dims",),
+    "conv": ("channels", "grid", "kernel_radius", "head_dim"),
+    "rnn": ("input_dim", "hidden_dim", "steps", "head_dim"),
+}
+
+
 def build_network(arch: dict) -> nets.NetworkSpec:
+    """The network an architecture names: an explicit layer list, or a
+    shorthand's layer stack, then its optional dense head, with
+    final_activation (when given) on whichever layer comes last."""
     kind = arch.get("type")
     act = nets.activation_by_name(arch.get("activation", "logistic"))
-    if kind == "mlp":
-        check_keys("architecture", arch, _ARCH_KEYS + ("dims",))
-        dims = arch["dims"]
-        final = arch.get("final_activation")
-        layers = []
-        for i in range(len(dims) - 1):
-            a = act
-            if final is not None and i == len(dims) - 2:
-                a = nets.activation_by_name(final)
-            layers.append(nets.DenseLayer(dims[i], dims[i + 1], a))
-        return nets.NetworkSpec(layers)
-    if kind == "conv":
-        check_keys("architecture", arch,
-                   _ARCH_KEYS + ("grid", "kernel_radius", "channels", "head_dim"))
-        grid = tuple(arch["grid"])
-        radius = arch.get("kernel_radius", 1)
-        channels = arch["channels"]  # in-channel count first
-        layers = []
-        for cin, cout in zip(channels, channels[1:]):
-            layers.append(nets.ConvLayer(cin, cout, radius, grid, act))
-        head = arch.get("head_dim")
-        if head is not None:
-            flat = channels[-1] * grid[0] * grid[1]
-            final = nets.activation_by_name(arch.get("final_activation", arch.get("activation", "logistic")))
-            layers.append(nets.DenseLayer(flat, head, final))
-        return nets.NetworkSpec(layers)
-    if kind == "rnn":
-        check_keys("architecture", arch,
-                   _ARCH_KEYS + ("input_dim", "hidden_dim", "steps", "head_dim"))
-        layers = [
-            nets.RecurrentLayer(arch["input_dim"], arch["hidden_dim"], arch["steps"], act)
-        ]
-        head = arch.get("head_dim")
-        if head is not None:
-            final = nets.activation_by_name(arch.get("final_activation", arch.get("activation", "logistic")))
-            layers.append(nets.DenseLayer(arch["hidden_dim"], head, final))
-        return nets.NetworkSpec(layers)
     if kind == "layers":
         check_keys("architecture", arch, ("type", "layers", "weight_scale"))
         return nets.spec_from_dict(arch)
-    raise ValueError(f"unknown architecture type {kind!r}")
+    if kind not in _SHORTHAND_KEYS:
+        raise ValueError(f"unknown architecture type {kind!r}")
+    check_keys("architecture", arch, _SHORTHAND_KEYS[kind]
+               + ("type", "activation", "final_activation", "weight_scale"))
+    if kind == "mlp":
+        dims = arch["dims"]
+        layers = [nets.DenseLayer(i, o, act) for i, o in zip(dims, dims[1:])]
+    elif kind == "conv":
+        grid, radius = arch["grid"], arch.get("kernel_radius", 1)
+        channels = arch["channels"]  # in-channel count first
+        layers = [nets.ConvLayer(i, o, radius, grid, act) for i, o in zip(channels, channels[1:])]
+    else:
+        layers = [nets.RecurrentLayer(arch["input_dim"], arch["hidden_dim"], arch["steps"], act)]
+    if not layers:
+        raise ValueError("network needs at least one layer")
+    if arch.get("head_dim") is not None:
+        layers.append(nets.DenseLayer(layers[-1].output_dim, arch["head_dim"], act))
+    if arch.get("final_activation") is not None:
+        final = nets.activation_by_name(arch["final_activation"])
+        layers[-1] = replace(layers[-1], activation=final)
+    return nets.NetworkSpec(layers)
 
 
 def build_output_model(d: dict):
@@ -210,16 +204,6 @@ def build_output_model(d: dict):
         check_keys("output_model", d, ("kind", "dim", "variance"))
         return metrics.GaussianFixedVar(d["dim"], d.get("variance", 1.0))
     raise ValueError(f"unknown output model {kind!r}")
-
-
-def _check_real(what: str, value, least: float = -np.inf) -> None:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not (math.isfinite(value) and value >= least)
-    ):
-        bound = "" if least == -np.inf else f" >= {least}"
-        raise ValueError(f"{what} must be a finite number{bound}, got {value!r}")
 
 
 def _build_reparam(spec: nets.NetworkSpec, source, identity_output: bool):
@@ -238,7 +222,7 @@ def _build_reparam(spec: nets.NetworkSpec, source, identity_output: bool):
         seed = source.get("seed", 0)
         cap = source.get("conditioning_cap", 100.0)
         check_int("reparam_source.seed", seed, 0)
-        _check_real("reparam_source.conditioning_cap", cap, 1.0)
+        check_real("reparam_source.conditioning_cap", cap, 1.0)
         return reparam.random_reparam(
             spec, rng_seed=seed, conditioning_cap=cap, identity_output=identity_output
         )
@@ -334,27 +318,19 @@ def _forward_gap(spec, p, spec_t, p_t, out_back, probes, probes_t) -> float:
     return float(np.max(np.abs(out_back.apply_cols(o_t.T).T - o)))
 
 
-def _init_scale(config: ExperimentConfig) -> float:
-    return config.architecture.get("weight_scale", 1.0)
-
-
 def _setup(config: ExperimentConfig):
     spec, model = config.spec, config.model
-    wscale = _init_scale(config)
-    params = nets.init_params(spec, seed=config.seed, weight_scale=wscale)
-    ds_spec = config.dataset_spec
+    params = nets.init_params(spec, seed=config.seed, weight_scale=config.weight_scale)
     data = synthetic_dataset(
         spec,
         model,
-        ds_spec["num_samples"],
+        config.num_samples,
         seed=config.seed + 1,
-        teacher_seed=ds_spec.get("teacher_seed"),
-        input_scale=ds_spec.get("input_scale", 1.0),
-        weight_scale=wscale,
+        teacher_seed=config.teacher_seed,
+        input_scale=config.input_scale,
+        weight_scale=config.weight_scale,
     )
-    probes = probe_inputs(
-        spec, seed=config.seed + 3, scale=ds_spec.get("input_scale", 1.0)
-    )
+    probes = probe_inputs(spec, seed=config.seed + 3, scale=config.input_scale)
     return spec, model, params, data, probes
 
 

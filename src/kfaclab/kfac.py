@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, SingularMatrix, TooLarge
+from .errors import NonFinite, SingularMatrix, TooLarge, check_real
 from .linalg import kron, solve, unvec, vec
 from .metrics import FisherMetric, fisher_from_basis
 from .nets import (
@@ -64,10 +64,8 @@ class UpdateConfig:
     damping_mode: str = "none"
 
     def __post_init__(self):
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError("learning_rate must be finite and non-negative")
-        if self.damping < 0:
-            raise ValueError("damping must be non-negative")
+        check_real("learning_rate", self.learning_rate, 0)
+        check_real("damping", self.damping, 0)
         if self.damping_mode not in ("none", "dense_tikhonov", "factored"):
             raise ValueError(f"unknown damping_mode {self.damping_mode!r}")
         if self.damping > 0 and self.damping_mode == "none":

@@ -169,6 +169,23 @@ def test_probe_inputs_shapes():
     assert len(probe_inputs(mlp, 0, count=7)) == 7
 
 
+@pytest.mark.parametrize(
+    "arch",
+    [
+        {"type": "mlp", "dims": [3, 4, 2]},
+        {"type": "conv", "channels": [2, 3, 2], "grid": [3, 3]},
+        {"type": "conv", "channels": [2, 3], "grid": [3, 3], "head_dim": 2},
+        {"type": "rnn", "input_dim": 3, "hidden_dim": 4, "steps": 2},
+        {"type": "rnn", "input_dim": 3, "hidden_dim": 4, "steps": 2, "head_dim": 2},
+    ],
+    ids=["mlp", "conv", "conv-head", "rnn", "rnn-head"],
+)
+def test_final_activation_sets_the_last_layer(arch):
+    spec = build_network({**arch, "activation": "tanh", "final_activation": "identity"})
+    names = [layer.activation.name for layer in spec.layers]
+    assert names == ["tanh"] * (len(names) - 1) + ["identity"]
+
+
 def test_dataset_length_mismatch():
     with pytest.raises(ValueError):
         Dataset([np.zeros(2)], [])
@@ -829,6 +846,10 @@ CONV_ARCHITECTURE = {
          "unknown reparam_source fields: ['conditoning_cap']"),
         (lambda raw, tmp: raw.update(reparam_source={"kind": "identity", "seed": 3}),
          "unknown reparam_source fields: ['seed']"),
+        (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "channels": []}),
+         "network needs at least one layer"),
+        (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "channels": [2]}),
+         "network needs at least one layer"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
@@ -839,7 +860,8 @@ CONV_ARCHITECTURE = {
         "reparam-file-nan-offset", "reparam-file-pivot-below-threshold",
         "unknown-architecture-key", "unknown-layers-architecture-key", "unknown-layer-key",
         "unknown-output-model-key", "unknown-dataset-spec-key", "unknown-reparam-source-key",
-        "unknown-identity-reparam-source-key",
+        "unknown-identity-reparam-source-key", "conv-without-channels",
+        "conv-with-one-channel-count",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):
@@ -915,6 +937,7 @@ _CORRUPTIONS = [
     ("conv", ("architecture", "kernel_radius"), _bad_int(0)),
     ("conv", ("architecture", "grid", 0), _bad_int(1)),
     ("conv", ("architecture", "channels", 1), _bad_int(1)),
+    ("conv", ("architecture", "channels"), st.lists(st.integers(), max_size=1)),
     ("rnn", ("architecture", "hidden_dim"), _bad_int(1)),
     ("rnn", ("architecture", "steps"), _bad_int(1)),
 ]
@@ -951,6 +974,19 @@ def test_cli_train_writes_csv(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "step,objective" and len(lines) == 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", ["missing-dir/series.csv", "."], ids=["missing-dir", "dir"])
+def test_cli_train_unwritable_out_exits_with_config_error_before_the_run(
+    tmp_path, capsys, monkeypatch, target
+):
+    path = _write_config(tmp_path, "train.json", _train_config())
+    monkeypatch.setattr(harness, "run_training", pytest.fail)
+    out = str(tmp_path / target)
+    assert cli.main(["train", "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_dump_factors(tmp_path, capsys):

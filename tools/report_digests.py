@@ -70,6 +70,10 @@ RNN_LAYERS = {
         {"kind": "dense", "in_dim": 4, "out_dim": 4, "activation": "logistic"},
     ],
 }
+CONV_NO_HEAD = {"type": "conv", "channels": [2, 3, 1], "grid": [3, 3],
+                "activation": "logistic", "final_activation": "tanh", "weight_scale": 4.0}
+RNN_NO_HEAD = {"type": "rnn", "input_dim": 3, "hidden_dim": 6, "steps": 5,
+               "activation": "logistic", "final_activation": "tanh", "weight_scale": 4.0}
 CATEGORICAL_4 = {"kind": "categorical", "classes": 4}
 GAUSSIAN_6 = {"kind": "gaussian", "dim": 6, "variance": 0.5}
 
@@ -97,6 +101,11 @@ VARIANTS = {
                                                      "final_activation": "identity"}},
     "diverging-ngd": {**MLP, **SMALL_MLP, "dataset_spec": {"num_samples": 32},
                       "optimizer": "ngd"},
+    "conv-final-no-head": {**CONV, "architecture": CONV_NO_HEAD,
+                           "output_model": {"kind": "categorical", "classes": 9}},
+    "rnn-final-no-head": {**RNN, "architecture": RNN_NO_HEAD},
+    "conv-one-channel-head": {**CONV, "architecture": {**CONV["architecture"],
+                                                       "channels": [2]}},
 }
 
 
