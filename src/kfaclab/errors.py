@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer, number and
-key checks that layer sizes, output models and configs share."""
+"""Exception types shared across the package, and the integer, number,
+name, array and key checks that layer sizes, output models and configs
+share."""
 
 import math
 import numbers
@@ -47,7 +48,22 @@ def check_real(what: str, value, least: float = -math.inf) -> None:
         raise ValueError(f"{what} must be a finite number{bound}, got {value!r}")
 
 
+def check_name(what: str, value, known) -> None:
+    """Raise ValueError unless value is a string that names one of known."""
+    if not isinstance(value, str) or value not in known:
+        raise ValueError(f"unknown {what} {value!r}")
+
+
+def check_list(what: str, value) -> None:
+    """Raise ValueError unless value is a list (a JSON array)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+
+
 def check_keys(what: str, d: dict, known) -> None:
-    """Raise ValueError naming every key of d that is not in known."""
+    """Raise ValueError unless d is a dict (a JSON object) whose keys are
+    all in known, naming every key that is not."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
     if set(d) - set(known):
         raise ValueError(f"unknown {what} fields: {sorted(set(d) - set(known))}")

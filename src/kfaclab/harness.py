@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
-from .errors import NonFinite, SingularMatrix, check_int, check_keys, check_real
+from .errors import (NonFinite, SingularMatrix, check_int, check_keys, check_list, check_name,
+                     check_real)
 from .kfac import UpdateConfig
 from .linalg import inv, sym_eig_min
 
@@ -131,10 +132,8 @@ class ExperimentConfig:
             check_int("dataset_spec.teacher_seed", self.teacher_seed, 0)
         self.input_scale = ds.get("input_scale", 1.0)
         check_real("dataset_spec.input_scale", self.input_scale)
-        if self.optimizer not in _STEP_FNS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.metric not in metrics.METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
+        check_name("optimizer", self.optimizer, _STEP_FNS)
+        check_name("metric", self.metric, metrics.METRICS)
         # checks learning_rate, damping and their consistency with damping_mode
         self.update = UpdateConfig(self.learning_rate, self.damping, self.damping_mode)
         # a metric other than the Fisher needs the output basis left alone
@@ -169,19 +168,20 @@ def build_network(arch: dict) -> nets.NetworkSpec:
     final_activation (when given) on whichever layer comes last."""
     kind = arch.get("type")
     act = nets.activation_by_name(arch.get("activation", "logistic"))
+    check_name("architecture type", kind, ("layers",) + tuple(_SHORTHAND_KEYS))
     if kind == "layers":
         check_keys("architecture", arch, ("type", "layers", "weight_scale"))
         return nets.spec_from_dict(arch)
-    if kind not in _SHORTHAND_KEYS:
-        raise ValueError(f"unknown architecture type {kind!r}")
     check_keys("architecture", arch, _SHORTHAND_KEYS[kind]
                + ("type", "activation", "final_activation", "weight_scale"))
     if kind == "mlp":
-        dims = arch["dims"]
+        dims = arch.get("dims")
+        check_list("architecture.dims", dims)
         layers = [nets.DenseLayer(i, o, act) for i, o in zip(dims, dims[1:])]
     elif kind == "conv":
-        grid, radius = arch["grid"], arch.get("kernel_radius", 1)
-        channels = arch["channels"]  # in-channel count first
+        grid, radius = arch.get("grid"), arch.get("kernel_radius", 1)
+        channels = arch.get("channels")  # in-channel count first
+        check_list("architecture.channels", channels)
         layers = [nets.ConvLayer(i, o, radius, grid, act) for i, o in zip(channels, channels[1:])]
     else:
         layers = [nets.RecurrentLayer(arch["input_dim"], arch["hidden_dim"], arch["steps"], act)]
@@ -229,8 +229,7 @@ def _build_reparam(spec: nets.NetworkSpec, source, identity_output: bool):
     if kind == "preset":
         check_keys("reparam_source", source, ("kind", "name"))
         name = source.get("name")
-        if name not in reparam.PRESETS:
-            raise ValueError(f"unknown reparam preset {name!r}")
+        check_name("reparam preset", name, reparam.PRESETS)
         return reparam.PRESETS[name](spec)
     if kind == "file":
         check_keys("reparam_source", source, ("kind", "path"))
@@ -294,27 +293,25 @@ class InvarianceReport:
 
 
 def compare_params_through_reparam(
-    w: nets.ParamSet, w_t: nets.ParamSet, r: reparam.NetworkReparam
+    w: nets.ParamSet, w_t: nets.ParamSet, back: reparam.Untransform
 ) -> float:
     """Max abs difference after mapping the transformed parameters back
-    through r, the reparam that made the twin (reparam.untransform_params).
+    through back, the inverse of the reparam that made the twin.
 
     Twin parameters that are non-finite, or so large that mapping them back
     overflows, cannot be compared and give NaN, which no tolerance accepts.
     """
     if not np.isfinite(w_t.flatten()).all():
         return float("nan")
-    back = reparam.untransform_params(w_t, r).flatten()
-    if not np.isfinite(back).all():
+    restored = back.apply(w_t).flatten()
+    if not np.isfinite(restored).all():
         return float("nan")
-    return float(np.max(np.abs(w.flatten() - back)))
+    return float(np.max(np.abs(w.flatten() - restored)))
 
 
-def _forward_gap(spec, p, spec_t, p_t, out_back, probes, probes_t) -> float:
-    """Max abs gap over the probes between the outputs of the two twins,
+def _forward_gap(o, o_t, out_back) -> float:
+    """Max abs gap between the two twins' outputs o and o_t over the probes,
     the twin's mapped back to the original output basis. NaN propagates."""
-    o = nets.forward_batch(spec, p, probes).output
-    o_t = nets.forward_batch(spec_t, p_t, probes_t).output
     return float(np.max(np.abs(out_back.apply_cols(o_t.T).T - o)))
 
 
@@ -347,16 +344,21 @@ def _transformed_side(spec, model, params, data, config: ExperimentConfig):
 _STEP_FNS = {"kfac": kfac.kfac_step, "ngd": kfac.ngd_step, "sgd": kfac.sgd_step}
 
 
-def _trajectory(config: ExperimentConfig, spec, params, model, data):
-    """The forward pass over data at params, then again after each of the
-    configured steps; each step reads the pass before it."""
+def _trajectory(config: ExperimentConfig, spec, params, model, data, probes=None):
+    """The forward pass at params, then again after each of the configured
+    steps, each over data's inputs stacked with the probes when given. Each
+    pass yields (the trace of the data rows, the outputs of the probe rows);
+    the step and the objective read the data rows, the forward gap the
+    probe rows, and each step reads the pass before it."""
     metric = metrics.METRICS[config.metric]
-    trace = nets.forward_batch(spec, params, data.inputs)
-    yield trace
-    for _ in range(config.steps):
-        params = _STEP_FNS[config.optimizer](trace, model, data, metric, config.update)
-        trace = nets.forward_batch(spec, params, data.inputs)
-        yield trace
+    xs = data.inputs if probes is None else np.concatenate([data.inputs, probes])
+    n = len(data)
+    for step in range(config.steps + 1):
+        if step:
+            params = _STEP_FNS[config.optimizer](trace, model, data, metric, config.update)
+        full = nets.forward_batch(spec, params, xs)
+        trace = full.head(n)
+        yield trace, full.output[n:]
 
 
 def run_invariance(config: ExperimentConfig) -> InvarianceReport:
@@ -382,21 +384,22 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
         spec, model, params, data, config
     )
     probes_t = reparam.transform_input(spec, r, probes)
-    twins = zip(_trajectory(config, spec, params, model, data),
-                _trajectory(config, spec_t, params_t, model_t, data_t))
+    back = reparam.Untransform(r, params)
+    twins = zip(_trajectory(config, spec, params, model, data, probes),
+                _trajectory(config, spec_t, params_t, model_t, data_t, probes_t))
     try:
         # each record is appended before the next step is taken
-        for tr, tr_t in twins:
+        for (tr, o), (tr_t, o_t) in twins:
             report.records.append(
                 StepRecord(
                     len(report.records),
-                    _forward_gap(spec, tr.params, spec_t, tr_t.params, out_back, probes, probes_t),
+                    _forward_gap(o, o_t, out_back),
                     kfac.objective(tr, model, data),
                     kfac.objective(tr_t, model_t, data_t),
-                    compare_params_through_reparam(tr.params, tr_t.params, r),
+                    compare_params_through_reparam(tr.params, tr_t.params, back),
                 )
             )
-            del tr, tr_t  # free these traces before the next steps run
+            del tr, tr_t, o, o_t  # free these traces before the next steps run
     except SingularMatrix as exc:
         report.verdict = "degenerate"
         report.diagnostic = str(exc)
@@ -440,7 +443,7 @@ def run_training(config: ExperimentConfig):
     spec, model, params, data, _ = _setup(config)
     return [
         (step, kfac.objective(trace, model, data))
-        for step, trace in enumerate(_trajectory(config, spec, params, model, data))
+        for step, (trace, _) in enumerate(_trajectory(config, spec, params, model, data))
     ]
 
 

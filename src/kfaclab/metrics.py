@@ -13,7 +13,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .errors import TooLarge, check_int
 from .nets import (
@@ -42,6 +41,43 @@ def _eye_like(z, scale=1.0) -> np.ndarray:
     return np.broadcast_to(scale * np.eye(k), np.shape(z) + (k,))
 
 
+def _logsumexp(z) -> np.ndarray:
+    """scipy.special.logsumexp(z, axis=-1) for real z, bit for bit, without
+    its array-API dispatch: take out the row maximum, sum the exponentials
+    of the other entries, divide by the count of maxima, then log1p. A row
+    whose result is not finite (all -inf, an inf or a NaN) falls back to
+    log(sum(exp(z))), as scipy's does."""
+    z = np.asarray(z, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z_max = _row_max(z)
+        is_max = z == z_max
+        count = np.add.reduce(is_max, axis=-1, keepdims=True, dtype=np.float64)
+        rest = _row_sum(np.exp(np.where(is_max, -np.inf, z) - z_max))
+        out = np.log1p(rest / count) + np.log(count) + z_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(_row_sum(np.exp(z))))
+    out = out[..., 0]
+    return out[()] if out.ndim == 0 else out
+
+
+def _softmax(z) -> np.ndarray:
+    """scipy.special.softmax(z, axis=-1), bit for bit."""
+    z = np.asarray(z)
+    e = np.exp(z - _row_max(z))
+    return e / _row_sum(e)
+
+
+# np.max and np.sum reduce through these same ufuncs, after a Python-level
+# dispatch that costs more than the reduction on a (64, 6) batch.
+def _row_max(z) -> np.ndarray:
+    return np.maximum.reduce(z, axis=-1, keepdims=True)
+
+
+def _row_sum(z) -> np.ndarray:
+    return np.add.reduce(z, axis=-1, keepdims=True)
+
+
 @dataclass
 class CategoricalLogits:
     """Softmax-categorical distribution over num_classes, natural parameters."""
@@ -58,14 +94,14 @@ class CategoricalLogits:
     def loss(self, y, z):
         z = np.asarray(z, dtype=np.float64)
         picked = np.take_along_axis(z, np.asarray(y)[..., None], axis=-1)[..., 0]
-        return logsumexp(z, axis=-1) - picked
+        return _logsumexp(z) - picked
 
     def loss_grad(self, y, z) -> np.ndarray:
-        return softmax(z, axis=-1) - np.eye(self.num_classes)[y]
+        return _softmax(z) - np.eye(self.num_classes)[y]
 
     def fisher(self, z) -> np.ndarray:
         """diag(p) - p p^T with p = softmax(z)."""
-        p = softmax(z, axis=-1)
+        p = _softmax(z)
         return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
 
     def sample(self, z, rng) -> np.ndarray:
@@ -73,7 +109,7 @@ class CategoricalLogits:
         arithmetic with one uniform u each: normalise p, cumsum, divide by
         the last entry, count the entries <= u. A batch draws what one
         choice call per row would, and like choice it refuses NaN."""
-        p = softmax(z, axis=-1)
+        p = _softmax(z)
         if np.isnan(p).any():
             raise ValueError("probabilities contain NaN")
         cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
@@ -82,8 +118,8 @@ class CategoricalLogits:
         return np.sum(cdf <= u[..., None], axis=-1)
 
     def kl(self, z1, z2) -> float:
-        lp1 = z1 - logsumexp(z1)
-        lp2 = z2 - logsumexp(z2)
+        lp1 = z1 - _logsumexp(z1)
+        lp2 = z2 - _logsumexp(z2)
         return float(np.exp(lp1) @ (lp1 - lp2))
 
 

@@ -43,7 +43,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 import scipy.special
 
-from .errors import ShapeMismatch, check_int, check_keys
+from .errors import ShapeMismatch, check_int, check_keys, check_list, check_name
 from .linalg import unvec, vec
 
 
@@ -162,10 +162,8 @@ _BY_NAME = {
 
 
 def activation_by_name(name: str) -> Activation:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}") from None
+    check_name("activation", name, _BY_NAME)
+    return _BY_NAME[name]
 
 
 def activation_name(act: Activation) -> str:
@@ -275,6 +273,20 @@ class Layer:
         return cls(**kw)
 
 
+def _stored_point(what: str, value, size_name: str, size: int) -> np.ndarray:
+    """A point a layer stores, as a float64 vector of length size; zeros
+    when value is None."""
+    if value is None:
+        return np.zeros(size)
+    try:
+        point = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}") from None
+    if point.shape != (size,):
+        raise ShapeMismatch(f"{what} length != {size_name}")
+    return point
+
+
 @dataclass
 class DenseLayer(Layer):
     in_dim: int
@@ -339,17 +351,13 @@ class ConvLayer(Layer):
         check_int("in_channels", self.in_channels, 1)
         check_int("out_channels", self.out_channels, 1)
         check_int("kernel_radius", self.kernel_radius, 0)
-        self.grid = tuple(self.grid)
-        if len(self.grid) != 2:
+        if not isinstance(self.grid, (list, tuple)) or len(self.grid) != 2:
             raise ShapeMismatch(f"grid must be (height, width), got {self.grid!r}")
+        self.grid = tuple(self.grid)
         for size in self.grid:
             check_int("grid size", size, 1)
-        if self.padding_value is None:
-            self.padding_value = np.zeros(self.in_channels)
-        else:
-            self.padding_value = np.asarray(self.padding_value, dtype=np.float64)
-            if self.padding_value.shape != (self.in_channels,):
-                raise ShapeMismatch("padding_value length != in_channels")
+        self.padding_value = _stored_point("padding_value", self.padding_value,
+                                           "in_channels", self.in_channels)
 
     @property
     def num_locations(self) -> int:
@@ -413,12 +421,8 @@ class RecurrentLayer(Layer):
         check_int("input_dim", self.input_dim, 1)
         check_int("hidden_dim", self.hidden_dim, 1)
         check_int("steps", self.steps, 1)
-        if self.initial_state is None:
-            self.initial_state = np.zeros(self.hidden_dim)
-        else:
-            self.initial_state = np.asarray(self.initial_state, dtype=np.float64)
-            if self.initial_state.shape != (self.hidden_dim,):
-                raise ShapeMismatch("initial_state length != hidden_dim")
+        self.initial_state = _stored_point("initial_state", self.initial_state,
+                                           "hidden_dim", self.hidden_dim)
 
     @property
     def in_shape(self) -> tuple:
@@ -701,6 +705,13 @@ class BatchTrace:
     abar: list
     act_in: list
     output: np.ndarray  # (N, output_dim)
+
+    def head(self, n: int) -> "BatchTrace":
+        """The trace of the first n samples, as leading-row views of every
+        array. forward_batch treats each sample on its own, so this is, bit
+        for bit, the trace of a pass over those n samples alone."""
+        return BatchTrace(self.spec, self.params, self.x[:n], [a[:n] for a in self.abar],
+                          [z[:n] for z in self.act_in], self.output[:n])
 
 
 def _homogenize_batch(cols) -> np.ndarray:
@@ -1005,10 +1016,10 @@ def jvp(trace: ForwardTrace, param_tangent: ParamSet) -> np.ndarray:
 
 
 def layer_from_dict(d: dict):
-    kind = d["kind"]
-    if kind not in LAYER_KINDS:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    return LAYER_KINDS[kind].from_dict(d)
+    if not isinstance(d, dict):
+        raise ValueError(f"a layer must be a JSON object, got {d!r}")
+    check_name("layer kind", d.get("kind"), LAYER_KINDS)
+    return LAYER_KINDS[d["kind"]].from_dict(d)
 
 
 def spec_to_dict(spec: NetworkSpec) -> dict:
@@ -1016,4 +1027,5 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> NetworkSpec:
+    check_list("layers", d.get("layers"))
     return NetworkSpec([layer_from_dict(ld) for ld in d["layers"]])

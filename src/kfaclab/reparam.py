@@ -205,22 +205,30 @@ def transform_params(params: ParamSet, r: NetworkReparam) -> ParamSet:
     return ParamSet(out)
 
 
-def untransform_params(params_t: ParamSet, r: NetworkReparam) -> ParamSet:
-    """Inverse of transform_params(., r), by multiplication only:
-    [W]_H = [Phi]_H [W']_H [Omega]_H and V = Phi V'.
+class Untransform:
+    """The inverse of transform_params(., r) on parameters shaped like
+    params, by multiplication only: [W]_H = [Phi]_H [W']_H [Omega]_H and
+    V = Phi V'. The homogeneous maps depend on r and the shapes alone, so
+    they are built here once and reused for every parameter set mapped back.
 
     Nothing is inverted or solved, so finite but huge twin parameters come
     back as inf or NaN instead of raising.
     """
-    if len(params_t.layers) != r.num_layers:
-        raise ShapeMismatch("reparam layer count does not match params")
-    out = []
-    for i, lp in enumerate(params_t.layers):
-        pre = r.pre_map(i)
-        wh = pre.homogeneous() @ _homogeneous_rows(lp.wbar)
-        wbar = (wh @ _layer_in_map(r, i, lp).homogeneous())[: lp.wbar.shape[0]]
-        out.append(LayerParams(wbar, None if lp.v is None else pre.b @ lp.v))
-    return ParamSet(out)
+
+    def __init__(self, r: NetworkReparam, params: ParamSet):
+        if len(params.layers) != r.num_layers:
+            raise ShapeMismatch("reparam layer count does not match params")
+        self.maps = [
+            (r.pre_map(i).homogeneous(), r.pre_map(i).b, _layer_in_map(r, i, lp).homogeneous())
+            for i, lp in enumerate(params.layers)
+        ]
+
+    def apply(self, params_t: ParamSet) -> ParamSet:
+        out = []
+        for (pre_h, pre_b, in_h), lp in zip(self.maps, params_t.layers, strict=True):
+            wbar = (pre_h @ _homogeneous_rows(lp.wbar) @ in_h)[: lp.wbar.shape[0]]
+            out.append(LayerParams(wbar, None if lp.v is None else pre_b @ lp.v))
+        return ParamSet(out)
 
 
 def transform_activation(act, omega: AffineMap, phi: AffineMap):

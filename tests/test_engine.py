@@ -315,6 +315,31 @@ def test_rebased_twin_computes_the_same_function(net, cap):
     assert np.max(np.abs(back - out)) <= STEP0_TOL
 
 
+@ENGINE_SETTINGS
+@given(networks(), st.integers(1, 8), st.integers(1, 40), st.booleans())
+def test_forward_over_a_stack_is_the_forward_over_each_part(net, n_a, n_b, rebase):
+    # The run loop makes one pass over the data stacked with the probes and
+    # reads each part from its rows, so the rows must hold the bits of a pass
+    # over that part alone, and head() must keep the memory layout.
+    spec, params, shape, rng = net
+    if rebase:  # wrapped activations, remapped padding and initial states
+        r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
+        spec, params = transform_network(spec, params, r)
+    a = rng.standard_normal((n_a,) + shape)
+    b = rng.standard_normal((n_b,) + shape)
+    whole = forward_batch(spec, params, np.concatenate([a, b]))
+
+    def arrays(trace):
+        return [trace.x, trace.output] + trace.abar + trace.act_in
+
+    for g, w in zip(arrays(whole.head(n_a)), arrays(forward_batch(spec, params, a)), strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert g.flags.c_contiguous == w.flags.c_contiguous
+    tail = [x[n_a:] for x in arrays(whole)]
+    for g, w in zip(tail, arrays(forward_batch(spec, params, b)), strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_patches_with_batch_axes_match_one_grid_at_a_time():
     rng = np.random.default_rng(3)
     grid_hw = (3, 4)

@@ -45,6 +45,7 @@ from kfaclab.nets import (
 )
 from kfaclab.reparam import (
     AffineMap,
+    Untransform,
     identity_reparam,
     output_space_map,
     random_reparam,
@@ -390,7 +391,7 @@ def test_compare_params_round_trip_is_tiny():
     params = init_params(spec, 0)
     r = random_reparam(spec, 1)
     mapped = transform_params(params, r)
-    assert compare_params_through_reparam(params, mapped, r) <= 1e-12
+    assert compare_params_through_reparam(params, mapped, Untransform(r, params)) <= 1e-12
 
 
 def test_compare_params_detects_unrelated_params():
@@ -398,7 +399,7 @@ def test_compare_params_detects_unrelated_params():
     r = random_reparam(spec, 2)
     a = init_params(spec, 0)
     b = transform_params(init_params(spec, 1), r)
-    assert compare_params_through_reparam(a, b, r) > 1e-3
+    assert compare_params_through_reparam(a, b, Untransform(r, a)) > 1e-3
 
 
 def test_compare_params_gives_nan_when_mapping_back_overflows():
@@ -410,8 +411,9 @@ def test_compare_params_gives_nan_when_mapping_back_overflows():
     twin = params.copy()
     twin.layers[0].wbar[0, 0] = 1e308
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(compare_params_through_reparam(params, twin, r))
-    assert compare_params_through_reparam(params, params, identity_reparam(spec)) == 0.0
+        assert np.isnan(compare_params_through_reparam(params, twin, Untransform(r, params)))
+    assert compare_params_through_reparam(
+        params, params, Untransform(identity_reparam(spec), params)) == 0.0
 
 
 def test_nan_in_twin_params_gives_nan_gaps_and_no_pass(monkeypatch):
@@ -451,7 +453,7 @@ def test_compare_params_after_matching_steps():
     trace_t = forward_batch(spec_t, params_t, data_t.inputs)
     stepped = kfac_step(trace, model, data, FisherMetric(), config)
     stepped_t = kfac_step(trace_t, model_t, data_t, FisherMetric(), config)
-    assert compare_params_through_reparam(stepped, stepped_t, r) <= 1e-8
+    assert compare_params_through_reparam(stepped, stepped_t, Untransform(r, params)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +519,9 @@ def test_training_csv_format():
 
 
 def _forward_passes(monkeypatch, run, config):
-    """(passes over the dataset, passes over the probes) that run(config)
-    makes, told apart by batch size."""
+    """(passes over the data alone, passes over the probes alone, passes
+    over the data stacked with the probes) that run(config) makes, told
+    apart by batch size."""
     sizes = []
 
     def counted(spec, params, xs):
@@ -528,18 +531,21 @@ def _forward_passes(monkeypatch, run, config):
     for module in (nets, harness.kfac, metrics):
         monkeypatch.setattr(module, "forward_batch", counted)
     run(config)
-    return sizes.count(config.dataset_spec["num_samples"]), sizes.count(harness.NUM_PROBES)
+    n = config.dataset_spec["num_samples"]
+    return tuple(sizes.count(size) for size in (n, harness.NUM_PROBES, n + harness.NUM_PROBES))
 
 
 @pytest.mark.parametrize("steps", [0, 3])
 def test_one_pass_over_the_data_per_step(monkeypatch, steps):
-    # Each twin passes over the data at the start and after each step, and
-    # the step and the record both read that pass; the teacher adds one.
+    # Each twin passes over the data stacked with the probes at the start
+    # and after each step; the step, the objective and the forward gap all
+    # read that pass, so no pass covers the probes alone. The teacher adds
+    # one pass over the data; train has no probes.
     config = _mlp_config(steps=steps, dataset_spec={"num_samples": 24})
     assert config.dataset_spec["num_samples"] != harness.NUM_PROBES
     twins = 2 * (steps + 1)
-    assert _forward_passes(monkeypatch, run_invariance, config) == (twins + 1, twins)
-    assert _forward_passes(monkeypatch, run_training, config) == (steps + 2, 0)
+    assert _forward_passes(monkeypatch, run_invariance, config) == (1, 0, twins)
+    assert _forward_passes(monkeypatch, run_training, config) == (steps + 2, 0, 0)
 
 
 @pytest.mark.parametrize("optimizer", ["kfac", "ngd", "sgd"])
@@ -850,6 +856,14 @@ CONV_ARCHITECTURE = {
          "network needs at least one layer"),
         (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "channels": [2]}),
          "network needs at least one layer"),
+        (lambda raw, tmp: raw["architecture"].update(dims=5),
+         "architecture.dims must be a JSON array, got 5"),
+        (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "grid": 5}),
+         "grid must be (height, width), got 5"),
+        (lambda raw, tmp: raw.update(architecture={"type": "layers", "layers": 5}),
+         "layers must be a JSON array, got 5"),
+        (lambda raw, tmp: raw["architecture"].update(activation=[1]),
+         "unknown activation [1]"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
@@ -861,7 +875,8 @@ CONV_ARCHITECTURE = {
         "unknown-architecture-key", "unknown-layers-architecture-key", "unknown-layer-key",
         "unknown-output-model-key", "unknown-dataset-spec-key", "unknown-reparam-source-key",
         "unknown-identity-reparam-source-key", "conv-without-channels",
-        "conv-with-one-channel-count",
+        "conv-with-one-channel-count", "dims-not-an-array", "grid-not-an-array",
+        "layers-not-an-array", "activation-not-a-name",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kfaclab import nets, reparam
 from kfaclab.errors import TooLarge
@@ -11,6 +14,8 @@ from kfaclab.metrics import (
     EuclideanMetric,
     GaussianFixedVar,
     WrappedOutputModel,
+    _logsumexp,
+    _softmax,
     exact_fisher,
     kl_quadratic_check,
     mc_fisher,
@@ -37,6 +42,63 @@ def mlp(dims, act):
 
 # ---------------------------------------------------------------------------
 # output models
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _assert_equal_to_scipy(z):
+    with np.errstate(all="ignore"):
+        _assert_same_bits(_logsumexp(z), scipy.special.logsumexp(z, axis=-1))
+        _assert_same_bits(_softmax(z), scipy.special.softmax(z, axis=-1))
+
+
+_SPECIAL_ROWS = [
+    [1.0, 1.0, 1.0],  # every entry a maximum
+    [2.0, 2.0, -1.0],
+    [np.inf, 1.0, 0.0],
+    [np.inf, np.inf, 1.0],
+    [-np.inf, -np.inf, -np.inf],
+    [-np.inf, 0.0, -np.inf],
+    [np.nan, 1.0, 2.0],
+    [np.nan, np.inf, -np.inf],
+    [1e308, 1e308, -1e308],
+    [-1e308, -1e308, 5e-324],
+]
+
+
+@pytest.mark.parametrize("row", _SPECIAL_ROWS)
+def test_logsumexp_and_softmax_equal_scipy_on_special_rows(row):
+    _assert_equal_to_scipy(np.array(row))  # a single vector
+    batch = np.array([row, [0.5, -0.25, 3.0], row[::-1]])
+    _assert_equal_to_scipy(batch)  # an (N, K) batch
+
+
+def test_logsumexp_and_softmax_equal_scipy_on_random_logits():
+    rng = np.random.default_rng(4)
+    for scale in (1.0, 30.0):
+        z = scale * rng.standard_normal((256, 6))
+        _assert_equal_to_scipy(z)
+        for row in z[:16]:
+            _assert_equal_to_scipy(row)
+
+
+_LOGITS = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 700.0, np.inf, -np.inf, np.nan, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=7),
+                  elements=_LOGITS))
+def test_logsumexp_and_softmax_equal_scipy_bit_for_bit(z):
+    # scipy's own arithmetic is the reference: ties, +-inf and NaN included
+    _assert_equal_to_scipy(z)
 
 
 def test_categorical_fisher_binary_uniform():

@@ -24,6 +24,7 @@ from kfaclab.reparam import (
     PRESETS,
     AffineMap,
     NetworkReparam,
+    Untransform,
     compose,
     identity_reparam,
     logistic_to_tanh,
@@ -36,7 +37,6 @@ from kfaclab.reparam import (
     transform_input,
     transform_network,
     transform_params,
-    untransform_params,
 )
 
 MLP3 = NetworkSpec(
@@ -353,7 +353,7 @@ def test_untransform_params_inverts_transform_params():
         params = init_params(spec, seed)
         r = random_reparam(spec, 10 * seed)
         mapped = transform_params(params, r)
-        back = untransform_params(mapped, r)
+        back = Untransform(r, mapped).apply(mapped)
         via_inverse = transform_params(mapped, r.inverse())
         for lp_b, lp_i, lp in zip(back.layers, via_inverse.layers, params.layers):
             assert np.abs(lp_b.wbar - lp.wbar).max() <= 1e-10
@@ -361,7 +361,7 @@ def test_untransform_params_inverts_transform_params():
             if lp.v is not None:
                 assert np.abs(lp_b.v - lp.v).max() <= 1e-10
         # the identity maps back exactly
-        same = untransform_params(params, identity_reparam(spec))
+        same = Untransform(identity_reparam(spec), params).apply(params)
         np.testing.assert_array_equal(same.flatten(), params.flatten())
 
 # ---------------------------------------------------------------------------

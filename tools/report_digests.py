@@ -106,6 +106,10 @@ VARIANTS = {
     "rnn-final-no-head": {**RNN, "architecture": RNN_NO_HEAD},
     "conv-one-channel-head": {**CONV, "architecture": {**CONV["architecture"],
                                                        "channels": [2]}},
+    "diverging-conv-kfac": {**CONV, "optimizer": "kfac", "learning_rate": 1e308},
+    "diverging-conv-sgd": {**CONV, "optimizer": "sgd", "learning_rate": 1e308},
+    "diverging-rnn-kfac": {**RNN, "optimizer": "kfac", "learning_rate": 1e308},
+    "diverging-rnn-sgd": {**RNN, "optimizer": "sgd", "learning_rate": 1e308},
 }
 
 
