@@ -60,10 +60,14 @@ def check_list(what: str, value) -> None:
         raise ValueError(f"{what} must be a JSON array, got {value!r}")
 
 
-def check_keys(what: str, d: dict, known) -> None:
+def check_keys(what: str, d: dict, known, required=()) -> None:
     """Raise ValueError unless d is a dict (a JSON object) whose keys are
-    all in known, naming every key that is not."""
+    all in known (any key when known is None) and include every key in
+    required, naming every key that is unknown or missing."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    if set(d) - set(known):
+    if known is not None and set(d) - set(known):
         raise ValueError(f"unknown {what} fields: {sorted(set(d) - set(known))}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"missing {what} fields: {missing}")

@@ -141,24 +141,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        check_keys("config", d, cls.__dataclass_fields__)
-        missing = [
-            f for f in ("architecture", "output_model", "dataset_spec") if f not in d
-        ]
-        if missing:
-            raise ValueError(f"missing config fields: {missing}")
+        check_keys("config", d, cls.__dataclass_fields__,
+                   ("architecture", "output_model", "dataset_spec"))
         return cls(**d)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-# the keys each shorthand reads besides type, activation, final_activation
-# and weight_scale
+# the keys each shorthand requires, and those it may read, besides type,
+# activation, final_activation and weight_scale
 _SHORTHAND_KEYS = {
-    "mlp": ("dims",),
-    "conv": ("channels", "grid", "kernel_radius", "head_dim"),
-    "rnn": ("input_dim", "hidden_dim", "steps", "head_dim"),
+    "mlp": (("dims",), ()),
+    "conv": (("channels", "grid"), ("kernel_radius", "head_dim")),
+    "rnn": (("input_dim", "hidden_dim", "steps"), ("head_dim",)),
 }
 
 
@@ -172,15 +168,16 @@ def build_network(arch: dict) -> nets.NetworkSpec:
     if kind == "layers":
         check_keys("architecture", arch, ("type", "layers", "weight_scale"))
         return nets.spec_from_dict(arch)
-    check_keys("architecture", arch, _SHORTHAND_KEYS[kind]
-               + ("type", "activation", "final_activation", "weight_scale"))
+    required, optional = _SHORTHAND_KEYS[kind]
+    check_keys("architecture", arch, required + optional
+               + ("type", "activation", "final_activation", "weight_scale"), required)
     if kind == "mlp":
-        dims = arch.get("dims")
+        dims = arch["dims"]
         check_list("architecture.dims", dims)
         layers = [nets.DenseLayer(i, o, act) for i, o in zip(dims, dims[1:])]
     elif kind == "conv":
-        grid, radius = arch.get("grid"), arch.get("kernel_radius", 1)
-        channels = arch.get("channels")  # in-channel count first
+        grid, radius = arch["grid"], arch.get("kernel_radius", 1)
+        channels = arch["channels"]  # in-channel count first
         check_list("architecture.channels", channels)
         layers = [nets.ConvLayer(i, o, radius, grid, act) for i, o in zip(channels, channels[1:])]
     else:
@@ -198,10 +195,10 @@ def build_network(arch: dict) -> nets.NetworkSpec:
 def build_output_model(d: dict):
     kind = d.get("kind")
     if kind == "categorical":
-        check_keys("output_model", d, ("kind", "classes"))
+        check_keys("output_model", d, ("kind", "classes"), ("classes",))
         return metrics.CategoricalLogits(d["classes"])
     if kind == "gaussian":
-        check_keys("output_model", d, ("kind", "dim", "variance"))
+        check_keys("output_model", d, ("kind", "dim", "variance"), ("dim",))
         return metrics.GaussianFixedVar(d["dim"], d.get("variance", 1.0))
     raise ValueError(f"unknown output model {kind!r}")
 

@@ -2,12 +2,14 @@
 
 Everything here is plain float64 numpy, dense, and pure. Matrices are 2-d
 ndarrays, vectors 1-d. Sizes stay at desk scale (a few hundred at most), so
-dense LAPACK routines are the honest reference implementation.
+dense LAPACK routines are the honest reference implementation. solve calls
+scipy's LAPACK getrf/getrs as kfaclab._scipy loads them, without scipy's
+package set-up.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
+from ._scipy import dgetrf, dgetrs
 from .errors import NonFinite, NotSymmetric, SingularMatrix
 
 # Pivot threshold for solve, relative to the largest entry of the matrix.
@@ -49,8 +51,10 @@ def solve(a, rhs) -> np.ndarray:
     has the same shape. Raises NonFinite on inf/NaN input, and
     SingularMatrix when a is zero, when any pivot falls below
     SINGULARITY_RTOL times the largest entry of a, or when the result is
-    not finite. Calls LAPACK getrf/getrs directly, the routines behind
-    scipy's lu_factor/lu_solve.
+    not finite. Calls LAPACK dgetrf/dgetrs directly, the routines behind
+    scipy's lu_factor/lu_solve, from scipy's own _flapack extension (see
+    kfaclab._scipy), so its results are those of scipy.linalg.lapack bit for
+    bit.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:

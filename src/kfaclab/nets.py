@@ -41,8 +41,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
-import scipy.special
 
+from ._scipy import expit
 from .errors import ShapeMismatch, check_int, check_keys, check_list, check_name
 from .linalg import unvec, vec
 
@@ -93,13 +93,16 @@ class Identity(_Elementwise):
 
 
 class Logistic(_Elementwise):
+    """scipy.special.expit, the same compiled ufunc, loaded by kfaclab._scipy
+    without scipy's package set-up."""
+
     name = "logistic"
 
     def _f(self, z):
-        return scipy.special.expit(z)
+        return expit(z)
 
     def _df(self, z):
-        s = scipy.special.expit(z)
+        s = expit(z)
         return s * (1.0 - s)
 
 
@@ -267,8 +270,9 @@ class Layer:
 
     @classmethod
     def from_dict(cls, d: dict):
-        check_keys(f"{cls.kind} layer", d, ["kind"] + [f.name for f in fields(cls)])
-        kw = {f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        check_keys(f"{cls.kind} layer", d, ["kind"] + [f.name for f in fields(cls)], required)
+        kw = {f.name: d[f.name] for f in fields(cls) if f.name in d}
         kw["activation"] = activation_by_name(d["activation"])
         return cls(**kw)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, check_keys
 from .linalg import kron, solve
 from .nets import AffineWrapped, LayerParams, NetworkSpec, ParamSet
 
@@ -342,7 +342,8 @@ def _map_to_dict(m: AffineMap) -> dict:
     return {"B": m.b.tolist(), "c": m.c.tolist()}
 
 
-def _map_from_dict(d: dict) -> AffineMap:
+def _map_from_dict(what: str, d: dict) -> AffineMap:
+    check_keys(what, d, None, ("B", "c"))
     return AffineMap(np.asarray(d["B"]), np.asarray(d["c"]))
 
 
@@ -354,7 +355,10 @@ def reparam_to_dict(r: NetworkReparam) -> dict:
 
 
 def reparam_from_dict(d: dict) -> NetworkReparam:
+    check_keys("reparam file", d, None, ("activation_maps", "preactivation_maps"))
     return NetworkReparam(
-        [_map_from_dict(m) for m in d["activation_maps"]],
-        [_map_from_dict(m) for m in d["preactivation_maps"]],
+        [_map_from_dict(f"reparam file activation map {i}", m)
+         for i, m in enumerate(d["activation_maps"])],
+        [_map_from_dict(f"reparam file preactivation map {i}", m)
+         for i, m in enumerate(d["preactivation_maps"])],
     )

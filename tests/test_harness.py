@@ -864,6 +864,27 @@ CONV_ARCHITECTURE = {
          "layers must be a JSON array, got 5"),
         (lambda raw, tmp: raw["architecture"].update(activation=[1]),
          "unknown activation [1]"),
+        (lambda raw, tmp: raw.update(output_model={"kind": "categorical"}),
+         "missing output_model fields: ['classes']"),
+        (lambda raw, tmp: raw.update(output_model={"kind": "gaussian", "variance": 0.5}),
+         "missing output_model fields: ['dim']"),
+        (lambda raw, tmp: raw.update(architecture={
+            "type": "rnn", "input_dim": 3, "steps": 2, "head_dim": 6}),
+         "missing architecture fields: ['hidden_dim']"),
+        (lambda raw, tmp: raw.update(architecture={"type": "layers", "layers": [
+            {"kind": "dense", "out_dim": 6, "activation": "logistic"}]}),
+         "missing dense layer fields: ['in_dim']"),
+        (lambda raw, tmp: raw.update(architecture={"type": "layers", "layers": [
+            {"kind": "dense", "in_dim": 8, "out_dim": 6}]}),
+         "missing dense layer fields: ['activation']"),
+        (lambda raw, tmp: raw.update(architecture={"type": "layers", "layers": [
+            {"kind": "recurrent", "input_dim": 8, "hidden_dim": 6, "activation": "tanh"}]}),
+         "missing recurrent layer fields: ['steps']"),
+        (lambda raw, tmp: _broken_file_reparam(raw, tmp, lambda d: d.pop("activation_maps")),
+         "missing reparam file fields: ['activation_maps']"),
+        (lambda raw, tmp: _broken_file_reparam(
+            raw, tmp, lambda d: d["preactivation_maps"][1].pop("c")),
+         "missing reparam file preactivation map 1 fields: ['c']"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
@@ -876,7 +897,10 @@ CONV_ARCHITECTURE = {
         "unknown-output-model-key", "unknown-dataset-spec-key", "unknown-reparam-source-key",
         "unknown-identity-reparam-source-key", "conv-without-channels",
         "conv-with-one-channel-count", "dims-not-an-array", "grid-not-an-array",
-        "layers-not-an-array", "activation-not-a-name",
+        "layers-not-an-array", "activation-not-a-name", "categorical-without-classes",
+        "gaussian-without-dim", "rnn-without-hidden-dim", "layer-without-in-dim",
+        "layer-without-activation", "recurrent-layer-without-steps",
+        "reparam-file-without-activation-maps", "reparam-file-map-without-offset",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):

@@ -43,7 +43,7 @@ def test_activation_values_and_derivatives():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((4, 3))
     np.testing.assert_array_equal(Identity().value(z), z)
-    np.testing.assert_allclose(Logistic().value(z), scipy.special.expit(z))
+    assert Logistic().value(z).tobytes() == scipy.special.expit(z).tobytes()
     np.testing.assert_allclose(Tanh().value(z), np.tanh(z))
     np.testing.assert_allclose(Softplus().value(z), np.log1p(np.exp(z)))
 

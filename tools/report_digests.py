@@ -110,6 +110,12 @@ VARIANTS = {
     "diverging-conv-sgd": {**CONV, "optimizer": "sgd", "learning_rate": 1e308},
     "diverging-rnn-kfac": {**RNN, "optimizer": "kfac", "learning_rate": 1e308},
     "diverging-rnn-sgd": {**RNN, "optimizer": "sgd", "learning_rate": 1e308},
+    "categorical-without-classes": {**MLP, "output_model": {"kind": "categorical"}},
+    "gaussian-without-dim": {**NGD, "output_model": {"kind": "gaussian", "variance": 0.5}},
+    "rnn-without-hidden-dim": {**RNN, "architecture": {
+        k: v for k, v in RNN["architecture"].items() if k != "hidden_dim"}},
+    "layer-without-activation": {**MLP, "architecture": {
+        "type": "layers", "layers": [{"kind": "dense", "in_dim": 8, "out_dim": 6}]}},
 }
 
 
