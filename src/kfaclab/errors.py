@@ -60,6 +60,21 @@ def check_list(what: str, value) -> None:
         raise ValueError(f"{what} must be a JSON array, got {value!r}")
 
 
+def check_numbers(what: str, value, ndim: int) -> None:
+    """Raise ValueError unless value is a JSON array of numbers (bools
+    excluded) nested ndim deep, its rows all of one length: a vector for
+    ndim 1, a matrix for ndim 2."""
+
+    def numbers_in(v, depth):
+        if depth == 0:
+            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+        return isinstance(v, list) and all(numbers_in(x, depth - 1) for x in v)
+
+    if not numbers_in(value, ndim) or (ndim == 2 and len({len(row) for row in value}) > 1):
+        shape = "list of numbers" if ndim == 1 else "list of equal-length lists of numbers"
+        raise ValueError(f"{what} must be a {shape}, got {value!r}")
+
+
 def check_keys(what: str, d: dict, known, required=()) -> None:
     """Raise ValueError unless d is a dict (a JSON object) whose keys are
     all in known (any key when known is None) and include every key in

@@ -6,6 +6,7 @@ updates are closed-form means over the dataset, so the two runs share no
 randomness; identical configs produce byte-identical reports.
 """
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, replace
 
@@ -372,8 +373,11 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
         config=config.to_dict(),
         tolerances={"step0": STEP0_TOL, "post_update": POST_UPDATE_TOL},
     )
+    ref = _trajectory(config, spec, params, model, data, probes)
+    first = next(ref)
     if config.optimizer == "ngd":
-        report.diagnostic = _fisher_degeneracy(spec, params, model, data)
+        # the check reads the Fisher the first step will use
+        report.diagnostic = _fisher_degeneracy(kfac.ngd_curvature(first[0], model)[1])
         if report.diagnostic:
             report.verdict = "degenerate"
             return report
@@ -382,8 +386,11 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     )
     probes_t = reparam.transform_input(spec, r, probes)
     back = reparam.Untransform(r, params)
-    twins = zip(_trajectory(config, spec, params, model, data, probes),
+    # chain keeps its arguments for the whole run: an iterator over the
+    # first pass drops the pass once it is read, a list would keep it
+    twins = zip(itertools.chain(iter([first]), ref),
                 _trajectory(config, spec_t, params_t, model_t, data_t, probes_t))
+    del first
     try:
         # each record is appended before the next step is taken
         for (tr, o), (tr_t, o_t) in twins:
@@ -421,9 +428,8 @@ def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
     return run_invariance(config)
 
 
-def _fisher_degeneracy(spec, params, model, data) -> str:
-    """Why the exact Fisher at params is singular, or "" if it is not."""
-    fisher = metrics.exact_fisher(spec, params, model, data.inputs)
+def _fisher_degeneracy(fisher) -> str:
+    """Why the exact Fisher is singular, or "" if it is not."""
     emin = sym_eig_min(fisher)
     emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
     if emin > FISHER_DEGENERACY_RTOL * emax:

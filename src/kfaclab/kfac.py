@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonFinite, SingularMatrix, TooLarge, check_real
 from .linalg import kron, solve, unvec, vec
-from .metrics import FisherMetric, fisher_from_basis
+from .metrics import FisherMetric, exact_fisher
 from .nets import (
     LayerParams,
     ParamSet,
@@ -196,12 +196,23 @@ def kfac_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     return trace.params.add_scaled(delta, -config.learning_rate)
 
 
+def ngd_curvature(trace, model) -> tuple:
+    """(dz of the basis pass at trace, the dense Fisher built from it).
+    Both are kept on the trace, so the run loop's degeneracy check and the
+    first step, which read the same pass, build them once."""
+    held = trace.memo.get("ngd")
+    if held is None or held[0] is not model:
+        dz = basis_backward(trace)
+        fisher = exact_fisher(trace.spec, trace.params, model, trace.x, (trace, dz))
+        held = trace.memo["ngd"] = (model, dz, fisher)
+    return held[1:]
+
+
 def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
-    """Exact natural gradient step: the dense Fisher (metrics.exact_fisher's
-    arithmetic) and the gradient both come from one basis pass."""
+    """Exact natural gradient step: the dense Fisher and the gradient both
+    come from one basis pass (ngd_curvature)."""
     del metric  # the exact step always uses the model's own Fisher
-    dz = basis_backward(trace)
-    fisher = fisher_from_basis(trace, dz, model)
+    dz, fisher = ngd_curvature(trace, model)
     if config.damping > 0:
         fisher = fisher + config.damping * np.eye(fisher.shape[0])
     grad = _loss_gradient(trace, dz, model, dataset)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import TooLarge, check_int
 from .nets import (
-    BatchTrace,
     ForwardTrace,
     backward,
     basis_backward,
@@ -251,22 +250,22 @@ def _check_dense_size(params) -> int:
     return p
 
 
-def fisher_from_basis(trace: BatchTrace, dz: list, model) -> np.ndarray:
-    """sum_n J_n^T F_out(z_n) J_n / N, with the per-sample Jacobians J_n
-    built from the dz of nets.basis_backward, as one contraction."""
-    _check_dense_size(trace.params)
+def exact_fisher(spec, params, model, inputs, basis=None) -> np.ndarray:
+    """Dense Fisher over the flattened parameters, sum_n J_n^T F_out(z_n) J_n
+    / N over inputs, as one contraction of the per-sample Jacobians J_n of
+    one batched forward and one basis backward pass. basis, when given, is
+    (that forward pass, a BatchTrace at params over inputs, the dz of its
+    basis pass), which the caller already holds; no pass is then made."""
+    if not len(inputs):
+        raise ValueError("exact_fisher needs a nonempty dataset")
+    _check_dense_size(params)
+    if basis is None:
+        trace = forward_batch(spec, params, inputs)
+        basis = trace, basis_backward(trace)
+    trace, dz = basis
     jac = basis_jacobians(trace, dz)  # (N, K, P)
     f_jac = model.fisher(trace.output) @ jac
     return np.tensordot(jac, f_jac, axes=([0, 1], [0, 1])) / len(jac)
-
-
-def exact_fisher(spec, params, model, inputs) -> np.ndarray:
-    """Dense Fisher over the flattened parameters, empirical average over
-    inputs, from one batched forward and one basis backward pass."""
-    if not len(inputs):
-        raise ValueError("exact_fisher needs a nonempty dataset")
-    trace = forward_batch(spec, params, inputs)
-    return fisher_from_basis(trace, basis_backward(trace), model)
 
 
 def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> np.ndarray:

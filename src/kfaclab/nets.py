@@ -29,6 +29,16 @@ the cotangent, so its dz gives the gradient for any loss cotangent
 without another pass. Training, factor estimation, the dense Fisher and the
 invariance harness use it.
 
+In the backward pass every product with a matrix the whole batch shares
+(W^T dz, and the Omega^T, Phi^T and Phi z + tau of a wrapped activation)
+goes through _lmul: with T = 1 the (N, K, m, 1) stack is one (N*K, m)
+matrix and the product one GEMM, where a numpy stacked matmul would make
+one BLAS call per (sample, cotangent). The forward pass stays one product
+per sample: numpy hands a one-row product to gemv, so a GEMM row's bits
+would depend on how many rows share the call, and the run loop reads the
+data rows of a pass over the data stacked with the probes as the bits of
+a pass over the data alone (BatchTrace.head).
+
 The per-sample path (forward, backward, jvp) evaluates one input and keeps
 a full trace. It is the reference oracle: the Monte-Carlo Fisher, the
 per-sample output Jacobian and the tests are built on it. Activations act
@@ -153,7 +163,19 @@ class AffineWrapped(Activation):
         return self.outer.b @ self.base.jvp(self.inner.apply_cols(z), self.inner.b @ dz)
 
     def vjp(self, z, da):
-        return self.inner.b.T @ self.base.vjp(self.inner.apply_cols(z), self.outer.b.T @ da)
+        inner, outer = self.inner, self.outer
+        point = _lmul(inner.b, z) + inner.c[:, None]
+        return _lmul(inner.b.T, self.base.vjp(point, _lmul(outer.b.T, da)))
+
+
+def _lmul(b, x) -> np.ndarray:
+    """b @ x over the second-to-last axis of x, (..., m, T): with T = 1 one
+    GEMM over all the stacked columns (x reshaped, a view where its layout
+    allows), otherwise numpy's stacked matmul. Only the backward pass uses
+    it (see the module docstring)."""
+    if x.shape[-1] != 1:
+        return b @ x
+    return (x.reshape(-1, x.shape[-2]) @ b.T).reshape(x.shape[:-2] + (b.shape[0], 1))
 
 
 _BY_NAME = {
@@ -233,7 +255,7 @@ class Layer:
         """dz, (N, K, m, T), for activation cotangents da, and the cotangent
         of the layer input when to_input is set (None otherwise)."""
         dz = self.activation.vjp(act_in[:, None], da)
-        return dz, self.fold(lp.wbar[:, :-1].T @ dz) if to_input else None
+        return dz, self.fold(_lmul(lp.wbar[:, :-1].T, dz)) if to_input else None
 
     def input_map_grad(self, dz, x):
         """Gradient of the input map V for one cotangent per sample."""
@@ -472,7 +494,7 @@ class RecurrentLayer(Layer):
         for t in reversed(range(self.steps)):
             dzp = self.activation.vjp(act_in[:, None, :, t : t + 1], da)
             dz[:, :, :, t] = dzp[:, :, :, 0]
-            da = w.T @ dzp
+            da = _lmul(w.T, dzp)
         return dz, None
 
     def input_map_grad(self, dz, x):
@@ -709,6 +731,9 @@ class BatchTrace:
     abar: list
     act_in: list
     output: np.ndarray  # (N, output_dim)
+    # what is derived from this pass and kept for its later readers, by name
+    # (kfac.ngd_curvature keeps the basis pass and the Fisher here)
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def head(self, n: int) -> "BatchTrace":
         """The trace of the first n samples, as leading-row views of every

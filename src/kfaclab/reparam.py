@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, check_keys
+from .errors import ShapeMismatch, check_keys, check_list, check_numbers
 from .linalg import kron, solve
 from .nets import AffineWrapped, LayerParams, NetworkSpec, ParamSet
 
@@ -344,7 +344,9 @@ def _map_to_dict(m: AffineMap) -> dict:
 
 def _map_from_dict(what: str, d: dict) -> AffineMap:
     check_keys(what, d, None, ("B", "c"))
-    return AffineMap(np.asarray(d["B"]), np.asarray(d["c"]))
+    check_numbers(f"{what} B", d["B"], 2)
+    check_numbers(f"{what} c", d["c"], 1)
+    return AffineMap(d["B"], d["c"])
 
 
 def reparam_to_dict(r: NetworkReparam) -> dict:
@@ -356,6 +358,8 @@ def reparam_to_dict(r: NetworkReparam) -> dict:
 
 def reparam_from_dict(d: dict) -> NetworkReparam:
     check_keys("reparam file", d, None, ("activation_maps", "preactivation_maps"))
+    check_list("reparam file activation_maps", d["activation_maps"])
+    check_list("reparam file preactivation_maps", d["preactivation_maps"])
     return NetworkReparam(
         [_map_from_dict(f"reparam file activation map {i}", m)
          for i, m in enumerate(d["activation_maps"])],

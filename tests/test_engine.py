@@ -39,6 +39,7 @@ from kfaclab.metrics import (
     output_jacobian,
 )
 from kfaclab.nets import (
+    AffineWrapped,
     ConvLayer,
     DenseLayer,
     Identity,
@@ -49,6 +50,7 @@ from kfaclab.nets import (
     Tanh,
     backward,
     backward_batch,
+    basis_backward,
     extract_patches,
     fold_patches,
     forward,
@@ -337,6 +339,71 @@ def test_forward_over_a_stack_is_the_forward_over_each_part(net, n_a, n_b, rebas
         assert g.flags.c_contiguous == w.flags.c_contiguous
     tail = [x[n_a:] for x in arrays(whole)]
     for g, w in zip(tail, arrays(forward_batch(spec, params, b)), strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# Reference backward: every product with a matrix the batch shares (W^T dz,
+# and the Omega^T, Phi^T and Phi z + tau of a wrapped activation) as a numpy
+# stacked matmul, one matrix-vector product per (sample, cotangent).
+
+
+def _vjp_reference(act, z, da):
+    if isinstance(act, AffineWrapped):
+        inner, outer = act.inner, act.outer
+        return inner.b.T @ act.base.vjp(inner.b @ z + inner.c[:, None], outer.b.T @ da)
+    return act.vjp(z, da)
+
+
+def _backward_batch_reference(trace, cotangents):
+    layers, dzs = trace.spec.layers, [None] * len(trace.spec.layers)
+    carry = cotangents
+    for i in reversed(range(len(layers))):
+        layer, w, act_in = layers[i], trace.params.layers[i].wbar[:, :-1], trace.act_in[i]
+        if carry.ndim == 3:  # flat, column-major, as the layer emits it
+            carry = carry.reshape(carry.shape[:2] + (layer.out_copies, layer.out_space))
+            carry = carry.swapaxes(-1, -2)
+        if layer.kind == "recurrent":
+            dzs[i] = np.empty(carry.shape[:2] + act_in.shape[1:])
+            for t in reversed(range(layer.steps)):
+                dzp = _vjp_reference(layer.activation, act_in[:, None, :, t : t + 1], carry)
+                dzs[i][:, :, :, t] = dzp[:, :, :, 0]
+                carry = w.T @ dzp
+        else:
+            dzs[i] = _vjp_reference(layer.activation, act_in[:, None], carry)
+            carry = layer.fold(w.T @ dzs[i]) if i else None
+    return dzs
+
+
+@ENGINE_SETTINGS
+@given(networks(), st.integers(1, 6), st.integers(1, 4), st.booleans())
+def test_batched_backward_matches_the_stacked_product_reference(net, n, k, rebase):
+    spec, params, shape, rng = net
+    if rebase:  # wrapped activations, remapped padding and initial states
+        r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=100.0)
+        spec, params = transform_network(spec, params, r)
+    trace = forward_batch(spec, params, rng.standard_normal((n,) + shape))
+    u = rng.standard_normal((n, k, spec.output_dim))
+    got = backward_batch(trace, u)
+    want = _backward_batch_reference(trace, u)
+    for i, (g, w) in enumerate(zip(got, want, strict=True)):
+        assert_rel_close(g, w, f"layer {i} dz")
+
+
+@ENGINE_SETTINGS
+@given(networks(), st.integers(1, 8), st.integers(1, 40), st.booleans())
+def test_basis_pass_over_a_head_is_the_pass_over_those_rows(net, n_a, n_b, rebase):
+    # Exact NGD checks its Fisher on the data rows of the run loop's first
+    # stacked pass and its first step reuses it, so the basis pass over
+    # head(n) must hold the bits of a basis pass over those rows alone.
+    spec, params, shape, rng = net
+    if rebase:
+        r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
+        spec, params = transform_network(spec, params, r)
+    a = rng.standard_normal((n_a,) + shape)
+    whole = forward_batch(spec, params, np.concatenate([a, rng.standard_normal((n_b,) + shape)]))
+    got = basis_backward(whole.head(n_a))
+    want = basis_backward(forward_batch(spec, params, a))
+    for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 

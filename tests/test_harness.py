@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -540,12 +541,46 @@ def test_one_pass_over_the_data_per_step(monkeypatch, steps):
     # Each twin passes over the data stacked with the probes at the start
     # and after each step; the step, the objective and the forward gap all
     # read that pass, so no pass covers the probes alone. The teacher adds
-    # one pass over the data; train has no probes.
-    config = _mlp_config(steps=steps, dataset_spec={"num_samples": 24})
-    assert config.dataset_spec["num_samples"] != harness.NUM_PROBES
+    # one pass over the data; train has no probes. Exact NGD checks the
+    # Fisher that its first step uses, read off the first stacked pass, so
+    # the check adds no pass and no Fisher of its own.
     twins = 2 * (steps + 1)
-    assert _forward_passes(monkeypatch, run_invariance, config) == (1, 0, twins)
-    assert _forward_passes(monkeypatch, run_training, config) == (steps + 2, 0, 0)
+    ngd = _ngd_config(steps=steps, dataset_spec={"num_samples": 24})
+    for config in (_mlp_config(steps=steps, dataset_spec={"num_samples": 24}), ngd):
+        assert config.dataset_spec["num_samples"] != harness.NUM_PROBES
+        assert _forward_passes(monkeypatch, run_invariance, config) == (1, 0, twins)
+        assert _forward_passes(monkeypatch, run_training, config) == (steps + 2, 0, 0)
+    builds = []
+    real = harness.kfac.exact_fisher
+    monkeypatch.setattr(harness.kfac, "exact_fisher", lambda *a: builds.append(1) or real(*a))
+    assert run_invariance(ngd).verdict == "pass"
+    assert len(builds) == (2 * steps or 1)  # one per step of either twin, the check's first
+
+
+def test_a_run_keeps_only_the_passes_its_next_steps_read(monkeypatch):
+    # When a twin makes a pass, it still holds its last one, which its step
+    # read, and the other twin holds its own: two data traces are alive at
+    # most. A trace kept longer (the first pass, read by exact NGD's
+    # degeneracy check) would stay in memory for the whole run.
+    heads, alive = [], []
+    real_head = nets.BatchTrace.head
+
+    def head(self, n):
+        trace = real_head(self, n)
+        heads.append(weakref.ref(trace))
+        return trace
+
+    def counted(spec, params, xs):
+        alive.append(sum(ref() is not None for ref in heads))
+        return forward_batch(spec, params, xs)
+
+    monkeypatch.setattr(nets.BatchTrace, "head", head)
+    monkeypatch.setattr(nets, "forward_batch", counted)
+    for config in (_mlp_config(steps=3), _ngd_config(steps=3)):
+        heads.clear()
+        alive.clear()
+        assert run_invariance(config).verdict == "pass"
+        assert len(alive) == 1 + 2 * 4 and max(alive) == 2, alive
 
 
 @pytest.mark.parametrize("optimizer", ["kfac", "ngd", "sgd"])
@@ -885,6 +920,12 @@ CONV_ARCHITECTURE = {
         (lambda raw, tmp: _broken_file_reparam(
             raw, tmp, lambda d: d["preactivation_maps"][1].pop("c")),
          "missing reparam file preactivation map 1 fields: ['c']"),
+        (lambda raw, tmp: _broken_file_reparam(raw, tmp, lambda d: d.update(activation_maps=5)),
+         "reparam file activation_maps must be a JSON array, got 5"),
+        (lambda raw, tmp: _broken_file_reparam(
+            raw, tmp, lambda d: d["activation_maps"][1].update(B="x")),
+         "reparam file activation map 1 B must be a list of equal-length lists of numbers, "
+         "got 'x'"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
@@ -901,6 +942,7 @@ CONV_ARCHITECTURE = {
         "gaussian-without-dim", "rnn-without-hidden-dim", "layer-without-in-dim",
         "layer-without-activation", "recurrent-layer-without-steps",
         "reparam-file-without-activation-maps", "reparam-file-map-without-offset",
+        "reparam-file-maps-not-an-array", "reparam-file-matrix-not-numbers",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):

@@ -442,6 +442,29 @@ def test_reparam_serialization_round_trip():
         np.testing.assert_array_equal(ma.c, mb.c)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(preactivation_maps={"B": [[1.0]]}),
+         "reparam file preactivation_maps must be a JSON array"),
+        (lambda d: d["activation_maps"][0].update(B=[[1.0, 0.0], [True, 1.0]]),
+         "reparam file activation map 0 B must be a list of equal-length lists of numbers"),
+        (lambda d: d["activation_maps"][1].update(B=[[1.0, 0.0], [1.0]]),
+         "reparam file activation map 1 B must be a list of equal-length lists of numbers"),
+        (lambda d: d["preactivation_maps"][0].update(c=["0.5"] * 2),
+         "reparam file preactivation map 0 c must be a list of numbers"),
+        (lambda d: d["preactivation_maps"][0].update(c=0.5),
+         "reparam file preactivation map 0 c must be a list of numbers"),
+    ],
+    ids=["maps-not-an-array", "bool-entry", "ragged-rows", "string-entries", "scalar-offset"],
+)
+def test_reparam_file_of_the_wrong_json_types_names_the_field(edit, message):
+    d = reparam_to_dict(random_reparam(NetworkSpec([DenseLayer(2, 2, Tanh())]), 24))
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        reparam_from_dict(d)
+
+
 def test_space_dims_by_kind():
     act, pre = space_dims(MLP3)
     assert act == [3, 5, 4, 2] and pre == [5, 4, 2]

@@ -19,6 +19,9 @@ the parent commit and once on the change, and diff the two outputs:
     python3 tools/report_digests.py /tmp/parent > parent.txt
     python3 tools/report_digests.py > change.txt
     diff parent.txt change.txt
+
+A change that moves the last bits of the arithmetic changes many digests;
+tools/report_drift.py then shows what moved in the reports.
 """
 
 import hashlib
@@ -74,6 +77,14 @@ CONV_NO_HEAD = {"type": "conv", "channels": [2, 3, 1], "grid": [3, 3],
                 "activation": "logistic", "final_activation": "tanh", "weight_scale": 4.0}
 RNN_NO_HEAD = {"type": "rnn", "input_dim": 3, "hidden_dim": 6, "steps": 5,
                "activation": "logistic", "final_activation": "tanh", "weight_scale": 4.0}
+# Reparam files, written next to the configs; a variant names one by its
+# file name under REPARAM_DIR.
+REPARAM_DIR = "<reparam files>"
+REPARAM_FILES = {
+    "maps-not-an-array.json": {"activation_maps": 5, "preactivation_maps": []},
+    "matrix-not-numbers.json": {"activation_maps": [{"B": "x", "c": [0.0]}],
+                                "preactivation_maps": []},
+}
 CATEGORICAL_4 = {"kind": "categorical", "classes": 4}
 GAUSSIAN_6 = {"kind": "gaussian", "dim": 6, "variance": 0.5}
 
@@ -116,6 +127,10 @@ VARIANTS = {
         k: v for k, v in RNN["architecture"].items() if k != "hidden_dim"}},
     "layer-without-activation": {**MLP, "architecture": {
         "type": "layers", "layers": [{"kind": "dense", "in_dim": 8, "out_dim": 6}]}},
+    "reparam-file-maps-not-an-array": {**MLP, "reparam_source": {
+        "kind": "file", "path": f"{REPARAM_DIR}/maps-not-an-array.json"}},
+    "reparam-file-matrix-not-numbers": {**MLP, "reparam_source": {
+        "kind": "file", "path": f"{REPARAM_DIR}/matrix-not-numbers.json"}},
 }
 
 
@@ -129,26 +144,48 @@ def configs() -> dict:
     return out
 
 
+def write_configs(tmp: str) -> dict:
+    """Write every config, and the reparam files they read, into the
+    directory tmp; {config name: path of its JSON file}."""
+    for name, content in REPARAM_FILES.items():
+        with open(os.path.join(tmp, name), "w") as fh:
+            json.dump(content, fh)
+    paths = {}
+    for name, config in configs().items():
+        source = config.get("reparam_source") or {}
+        if source.get("kind") == "file":
+            path = source["path"].replace(REPARAM_DIR, tmp)
+            config = {**config, "reparam_source": {**source, "path": path}}
+        paths[name] = os.path.join(tmp, name + ".json")
+        with open(paths[name], "w") as fh:
+            json.dump(config, fh)
+    return paths
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(root: Path, path: str, command: tuple) -> str:
+def run_cli(root: Path, path: str, command: tuple) -> subprocess.CompletedProcess:
+    """One CLI call on the config at path, in a fresh process running
+    ROOT/src, with ROOT's path replaced by "<root>" in stderr."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     argv = [sys.executable, "-m", "kfaclab.cli", command[0], "--config", path, *command[1:]]
     done = subprocess.run(argv, capture_output=True, env=env, cwd=root)
-    err = done.stderr.replace(str(root).encode(), b"<root>")
-    return f"{_sha(done.stdout)} {_sha(err)} {done.returncode}"
+    done.stderr = done.stderr.replace(str(root).encode(), b"<root>")
+    return done
+
+
+def digest(root: Path, path: str, command: tuple) -> str:
+    done = run_cli(root, path, command)
+    return f"{_sha(done.stdout)} {_sha(done.stderr)} {done.returncode}"
 
 
 def main(argv) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else HERE
     with tempfile.TemporaryDirectory() as tmp:
         jobs = []
-        for name, config in configs().items():
-            path = os.path.join(tmp, name + ".json")
-            with open(path, "w") as fh:
-                json.dump(config, fh)
+        for name, path in write_configs(tmp).items():
             jobs += [(name, path, command) for command in COMMANDS]
         with ThreadPoolExecutor(max_workers=2) as pool:
             lines = pool.map(lambda job: digest(root, job[1], job[2]), jobs)
