@@ -12,11 +12,11 @@ Every layer kind is the same homogenized map Wbar @ Abar applied at T
 locations (1 for dense, the grid size for conv, the step count for
 recurrent layers). Factors come from one batched forward pass and one
 batched backward pass of all K output basis cotangents: A is one matmul of
-the (n+1, N*T) input columns with themselves, G one contraction of the
-(N, K, m, T) cotangents against the per-sample output metric. Since all
-kinds go through the same arithmetic, the degenerate reductions (1x1 conv
-grid with radius 0, one-step recurrence) reproduce the dense factors bit
-for bit.
+the (n+1, N*T) input columns with themselves, and G one GEMM of the
+(m, N*K*T) cotangent columns with the same columns after the per-sample
+output metric has acted on them. Since all kinds go through the same
+arithmetic, the degenerate reductions (1x1 conv grid with radius 0,
+one-step recurrence) reproduce the dense factors bit for bit.
 
 The same pass serves the loss gradient: backward is linear in the
 cotangent, so the gradient is the loss cotangent contracted with the basis
@@ -84,9 +84,15 @@ def _factors(trace, dz, model, metric) -> KFacMetric:
         t = abar.shape[-1]
         cols = abar.swapaxes(0, 1).reshape(abar.shape[1], n * t)
         m_dz = (m @ d.reshape(n, k, -1)).reshape(d.shape)
-        g = np.tensordot(d, m_dz, axes=([0, 1, 3], [0, 1, 3]))
+        g = _cols(d) @ _cols(m_dz).T
         factors.append(KroneckerFactor(i, cols @ cols.T / (n * t), g / (n * t), float(t)))
     return KFacMetric(factors)
+
+
+def _cols(d) -> np.ndarray:
+    """(N, K, m, T) -> (m, N*K*T): the columns of d in (sample, cotangent,
+    location) order."""
+    return d.transpose(2, 0, 1, 3).reshape(d.shape[2], -1)
 
 
 def _loss_gradient(trace, dz, model, dataset) -> ParamSet:
@@ -216,7 +222,10 @@ def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     if config.damping > 0:
         fisher = fisher + config.damping * np.eye(fisher.shape[0])
     grad = _loss_gradient(trace, dz, model, dataset)
-    step = solve(fisher, grad.flatten())
+    try:
+        step = solve(fisher, grad.flatten())
+    except SingularMatrix as exc:
+        raise SingularMatrix(f"natural-gradient step: exact Fisher is singular: {exc}") from exc
     return unflatten_params(trace.spec, trace.params.flatten() - config.learning_rate * step)
 
 

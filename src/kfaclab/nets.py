@@ -33,7 +33,8 @@ In the backward pass every product with a matrix the whole batch shares
 (W^T dz, and the Omega^T, Phi^T and Phi z + tau of a wrapped activation)
 goes through _lmul: with T = 1 the (N, K, m, 1) stack is one (N*K, m)
 matrix and the product one GEMM, where a numpy stacked matmul would make
-one BLAS call per (sample, cotangent). The forward pass stays one product
+one BLAS call per (sample, cotangent). The conv layer's W^T dz is one
+GEMM for any T (ConvLayer.pullback). The forward pass stays one product
 per sample: numpy hands a one-row product to gemv, so a GEMM row's bits
 would depend on how many rows share the call, and the run loop reads the
 data rows of a pass over the data stacked with the probes as the bits of
@@ -416,6 +417,17 @@ class ConvLayer(Layer):
     def fold(self, cols):
         return fold_patches(cols, self.kernel_radius, self.grid)
 
+    def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
+        """As Layer.pullback, but W^T dz is one GEMM over the (I, T*N*K)
+        columns of dz; the (N, K, J(2R+1)^2, T) view of its result hands
+        fold_patches the batch axes innermost in memory."""
+        dz = self.activation.vjp(act_in[:, None], da)
+        if not to_input:
+            return dz, None
+        n, k, m, t = dz.shape
+        cols = lp.wbar[:, :-1].T @ dz.transpose(2, 3, 0, 1).reshape(m, -1)
+        return dz, self.fold(cols.reshape(-1, t, n, k).transpose(2, 3, 0, 1))
+
     def map_input(self, m, x) -> np.ndarray:
         return m.apply_cols(x)
 
@@ -691,8 +703,9 @@ def fold_patches(patches, radius: int, grid_hw: tuple) -> np.ndarray:
     Leading axes are batch axes, as in extract_patches. The buffer holds
     them innermost, behind the channels, so each of the (2R+1)^2 shifted
     adds writes contiguous runs of W x J x (batch size) values instead of
-    rows of W. The offsets go in order into a zero buffer, so every grid
-    cell sums them in offset order.
+    rows of W, and read them too when the batch axes of patches are
+    innermost in memory. The offsets go in order into a zero buffer, so
+    every grid cell sums them in offset order.
     """
     patches = np.asarray(patches, dtype=np.float64)
     h, w = grid_hw

@@ -458,10 +458,11 @@ def _fold_patches_reference(patches, radius, grid_hw):
     channels=st.integers(1, 3),
     lead=st.sampled_from([(), (3,), (2, 4)]),
     padded=st.booleans(),
+    batch_innermost=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_patch_helpers_equal_the_reference_bit_for_bit(
-    radius, grid_hw, channels, lead, padded, seed
+    radius, grid_hw, channels, lead, padded, batch_innermost, seed
 ):
     rng = np.random.default_rng(seed)
     h, w = grid_hw
@@ -476,8 +477,39 @@ def test_patch_helpers_equal_the_reference_bit_for_bit(
 
     u = rng.standard_normal(want.shape)
     u[..., ::2, ::2] = -0.0
+    if batch_innermost:  # the layout ConvLayer.pullback hands over: (rows, T, batch)
+        u = np.moveaxis(np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1))), (0, 1), (-2, -1))
     got = fold_patches(u, radius, grid_hw)
     want = _fold_patches_reference(u, radius, grid_hw)
     assert got.flags.c_contiguous
     np.testing.assert_array_equal(got, want, strict=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == fold_patches(np.ascontiguousarray(u), radius, grid_hw).tobytes()
+
+
+@ENGINE_SETTINGS
+@given(
+    radius=st.integers(0, 2),
+    grid_hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    in_channels=st.integers(1, 3),
+    out_channels=st.integers(1, 6),
+    n=st.integers(1, 6),
+    k=st.integers(1, 6),
+    act=st.sampled_from(ACTIVATIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_input_cotangent_is_the_fold_of_w_transpose_dz(
+    radius, grid_hw, in_channels, out_channels, n, k, act, seed
+):
+    # One GEMM over every column and numpy's stacked matmul may round the
+    # (I-term) sums of W^T dz differently, so the match is to 1e-15 of the
+    # largest entry, not bitwise.
+    rng = np.random.default_rng(seed)
+    layer = ConvLayer(in_channels, out_channels, radius, grid_hw, act)
+    lp = init_params(NetworkSpec([layer]), int(rng.integers(2**31))).layers[0]
+    t = layer.num_locations
+    act_in = rng.standard_normal((n, out_channels, t))
+    dz, got = layer.pullback(lp, act_in, rng.standard_normal((n, k, out_channels, t)), True)
+    want = _fold_patches_reference(lp.wbar[:, :-1].T @ dz, radius, grid_hw)
+    assert got.shape == want.shape == (n, k, in_channels, t)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -633,6 +633,18 @@ def test_cli_degenerate_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_train_on_a_singular_fisher_names_the_fisher_and_the_step(tmp_path, capsys):
+    # train makes no degeneracy check: the first step's solve meets the pivot
+    config = _ngd_config(dataset_spec={"num_samples": 2})
+    path = _write_config(tmp_path, "degen.json", config)
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: natural-gradient step: exact Fisher is singular: pivot ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"architecture": {"type": "mlp", "dims": [2, 2]}}))

@@ -117,6 +117,9 @@ VARIANTS = {
     "rnn-final-no-head": {**RNN, "architecture": RNN_NO_HEAD},
     "conv-one-channel-head": {**CONV, "architecture": {**CONV["architecture"],
                                                        "channels": [2]}},
+    "conv-one-in-channel": {**CONV, "architecture": {**CONV["architecture"],
+                                                     "channels": [1, 1, 4], "kernel_radius": 2,
+                                                     "grid": [3, 4]}},
     "diverging-conv-kfac": {**CONV, "optimizer": "kfac", "learning_rate": 1e308},
     "diverging-conv-sgd": {**CONV, "optimizer": "sgd", "learning_rate": 1e308},
     "diverging-rnn-kfac": {**RNN, "optimizer": "kfac", "learning_rate": 1e308},
