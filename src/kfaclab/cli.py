@@ -2,7 +2,8 @@
 
 Exit codes for check-invariance: 0 when the verdict is pass (or the run is
 damped and therefore only reported), 2 on a fail verdict (a diverged run
-whose step meets inf/NaN entries in a solve ends as fail), 3 when the run
+whose step meets inf/NaN entries in a solve, or whose exact Fisher is not
+finite at the initial parameters, ends as fail), 3 when the run
 hit a degenerate metric or non-finite teacher outputs, 4 for configuration
 problems. train exits 0, 3 (as above, or a solve that met inf/NaN entries)
 or 4; dump-factors exits 0, 3 (non-finite teacher outputs) or 4.

@@ -8,7 +8,7 @@ randomness; identical configs produce byte-identical reports.
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,6 +91,27 @@ def synthetic_dataset(
 # ---------------------------------------------------------------------------
 # configuration
 
+_JSON_SCALARS = (float, int, str, bool, type(None))
+
+
+def _plain(x):
+    """dataclasses.asdict without its deep copy: dataclass instances become
+    dicts of their fields, and dicts, lists and tuples are copied level by
+    level, so editing the result leaves x alone. Other values, the numbers
+    and strings of a config or report, are shared, not copied."""
+    if type(x) in _JSON_SCALARS:  # most values; checked first for speed
+        return x
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_plain(v) for v in x]
+    if isinstance(x, tuple):
+        return tuple(_plain(v) for v in x)
+    if hasattr(type(x), "__dataclass_fields__"):
+        return {name: _plain(getattr(x, name)) for name in x.__dataclass_fields__}
+    return x
+
+
 @dataclass
 class ExperimentConfig:
     architecture: dict
@@ -147,7 +168,7 @@ class ExperimentConfig:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
 
 # the keys each shorthand requires, and those it may read, besides type,
@@ -279,7 +300,7 @@ class InvarianceReport:
     diagnostic: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -366,7 +387,8 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     as "report" since the damped update is not expected to be invariant.
     A singular factor or Fisher ends the run with a "degenerate" verdict; an
     exact-NGD run checks its Fisher at the initial parameters first. A step
-    that meets inf/NaN entries (a diverged run) ends the run with "fail".
+    that meets inf/NaN entries (a diverged run), or an exact-NGD Fisher that
+    already overflows at the initial parameters, ends the run with "fail".
     """
     spec, model, params, data, probes = _setup(config)
     report = InvarianceReport(
@@ -377,7 +399,10 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     first = next(ref)
     if config.optimizer == "ngd":
         # the check reads the Fisher the first step will use
-        report.diagnostic = _fisher_degeneracy(kfac.ngd_curvature(first[0], model)[1])
+        try:
+            report.diagnostic = _fisher_degeneracy(kfac.ngd_curvature(first[0], model)[1])
+        except NonFinite as exc:  # a Fisher that overflows at the initial parameters
+            return _diverged(report, f"exact Fisher: {exc}")
         if report.diagnostic:
             report.verdict = "degenerate"
             return report
@@ -409,9 +434,7 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
         report.diagnostic = str(exc)
         return report
     except NonFinite as exc:
-        report.verdict = "fail"
-        report.diagnostic = f"step {len(report.records)} diverged: {exc}"
-        return report
+        return _diverged(report, exc)
 
     if config.damping > 0:
         report.verdict = "report"
@@ -420,6 +443,13 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
             rec.forward_discrepancy <= POST_UPDATE_TOL for rec in report.records[1:]
         )
         report.verdict = "pass" if ok else "fail"
+    return report
+
+
+def _diverged(report: InvarianceReport, why) -> InvarianceReport:
+    """report, ended with a fail at the step it has reached: a diverged run."""
+    report.verdict = "fail"
+    report.diagnostic = f"step {len(report.records)} diverged: {why}"
     return report
 
 

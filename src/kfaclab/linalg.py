@@ -7,6 +7,8 @@ scipy's LAPACK getrf/getrs as kfaclab._scipy loads them, without scipy's
 package set-up.
 """
 
+import math
+
 import numpy as np
 
 from ._scipy import dgetrf, dgetrs
@@ -44,6 +46,12 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
+def _all_finite(x) -> bool:
+    """Whether every entry of x is finite, as one reduction (ndarray.all
+    adds a Python layer that costs as much as the check on small arrays)."""
+    return bool(np.logical_and.reduce(np.isfinite(x), axis=None))
+
+
 def solve(a, rhs) -> np.ndarray:
     """Solve a @ x = rhs by LU with partial pivoting.
 
@@ -62,21 +70,21 @@ def solve(a, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs leading dim {rhs.shape[0]} != {a.shape[0]}")
-    if not np.isfinite(a).all() or not np.isfinite(rhs).all():
-        raise NonFinite("solve received non-finite entries")
-
+    # NaN and inf propagate through the max, so scale checks a's entries too
     scale = np.abs(a).max() if a.size else 0.0
+    if not (math.isfinite(scale) and _all_finite(rhs)):
+        raise NonFinite("solve received non-finite entries")
     if scale == 0.0:
         raise SingularMatrix("matrix is identically zero")
     lu, piv, _ = dgetrf(a)  # an exactly zero pivot fails the check below
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < SINGULARITY_RTOL * scale:
+    pivot = np.abs(lu.diagonal()).min()
+    if pivot < SINGULARITY_RTOL * scale:
         raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below threshold "
+            f"pivot {pivot:.3e} below threshold "
             f"{SINGULARITY_RTOL * scale:.3e}"
         )
     x, _ = dgetrs(lu, piv, rhs)
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise SingularMatrix("solve produced non-finite entries")
     return x
 
@@ -90,13 +98,18 @@ def inv(a) -> np.ndarray:
 def sym_eig_min(a) -> float:
     """Smallest eigenvalue of a symmetric matrix.
 
+    Raises NonFinite on inf/NaN input (their asymmetry would be NaN, which
+    no tolerance refuses, and the symmetric solver then fails to converge).
     Refuses input whose asymmetry exceeds SYMMETRY_RTOL relative to its
     scale; symmetrizes the remainder before calling the symmetric solver.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"sym_eig_min needs a square matrix, got {a.shape}")
-    scale = max(np.abs(a).max(), 1.0)
+    top = np.abs(a).max()  # NaN and inf propagate through the max
+    if not math.isfinite(top):
+        raise NonFinite("sym_eig_min received non-finite entries")
+    scale = max(top, 1.0)
     asym = np.abs(a - a.T).max()
     if asym > SYMMETRY_RTOL * scale:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL * scale:.3e}")

@@ -277,11 +277,6 @@ def output_space_map(spec: NetworkSpec, r: NetworkReparam) -> AffineMap:
 # generators and presets
 
 
-def _random_orthogonal(n: int, rng) -> np.ndarray:
-    q, rr = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(rr))
-
-
 def random_reparam(
     spec: NetworkSpec,
     rng_seed: int,
@@ -294,20 +289,32 @@ def random_reparam(
     [cap^-1/2, cap^1/2], so cap = 1 gives orthogonal maps. Deterministic per
     seed. identity_output pins the last activation-space map to the identity
     (needed whenever the output metric is not a Fisher pullback).
+
+    Each map draws, in turn, the normals of Q1 and Q2, then s, then its
+    offset, activation maps first; a pinned map draws too. The QRs and
+    products then run once per distinct size over the stacked draws, with
+    the bits of one QR and one product per matrix.
     """
     if conditioning_cap < 1.0:
         raise ValueError("conditioning_cap must be at least 1")
     rng = np.random.default_rng(rng_seed)
     act_dims, pre_dims = space_dims(spec)
-
-    def rand_map(n):
-        q1 = _random_orthogonal(n, rng)
-        q2 = _random_orthogonal(n, rng)
-        s = rng.uniform(conditioning_cap**-0.5, conditioning_cap**0.5, n)
-        return AffineMap(q1 @ np.diag(s) @ q2.T, 0.5 * rng.standard_normal(n))
-
-    act_maps = [rand_map(n) for n in act_dims]
-    pre_maps = [rand_map(n) for n in pre_dims]
+    dims = act_dims + pre_dims
+    lo, hi = conditioning_cap**-0.5, conditioning_cap**0.5
+    draws = [
+        (rng.standard_normal((2, n, n)), rng.uniform(lo, hi, n), 0.5 * rng.standard_normal(n))
+        for n in dims
+    ]
+    b = [None] * len(dims)
+    for n in set(dims):
+        which = [i for i, d in enumerate(dims) if d == n]
+        q, upper = np.linalg.qr(np.stack([draws[i][0] for i in which]))
+        q *= np.sign(np.diagonal(upper, axis1=-2, axis2=-1))[..., None, :]
+        diag_s = np.stack([draws[i][1] for i in which])[:, :, None] * np.eye(n)
+        for i, m in zip(which, q[:, 0] @ diag_s @ q[:, 1].swapaxes(1, 2)):
+            b[i] = m
+    maps = [AffineMap(m, c) for m, (_, _, c) in zip(b, draws)]
+    act_maps, pre_maps = maps[: len(act_dims)], maps[len(act_dims):]
     if spec.layers[0].fixed_input_basis:
         act_maps[0] = AffineMap.identity(act_dims[0])
     if identity_output:

@@ -1,6 +1,7 @@
 """Experiment runner: invariance protocol, training loops, CLI plumbing."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -125,6 +126,24 @@ def test_config_dict_round_trip():
         ExperimentConfig.from_dict({**config.to_dict(), "momentum": 0.9})
     with pytest.raises(ValueError, match="missing config fields"):
         ExperimentConfig.from_dict({"output_model": {"kind": "gaussian", "dim": 2}})
+
+
+_CONV_WITH_TUPLES = {"type": "conv", "channels": [2, 3], "grid": (3, 3), "head_dim": 2}
+
+
+@pytest.mark.parametrize("config", [
+    _mlp_config(),
+    _ngd_config(),
+    _mlp_config(architecture=_CONV_WITH_TUPLES, output_model={"kind": "gaussian", "dim": 2},
+                damping=0.1, damping_mode="factored"),
+], ids=["mlp", "ngd", "conv-tuple-grid"])
+def test_config_dict_equals_asdict_and_is_a_copy(config):
+    d = config.to_dict()
+    assert d == dataclasses.asdict(config)  # a tuple stays a tuple, as in asdict
+    before = dataclasses.asdict(config)
+    d["architecture"]["dims" if "dims" in d["architecture"] else "channels"].append(99)
+    d["dataset_spec"]["num_samples"] = 1
+    assert dataclasses.asdict(config) == before
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +339,41 @@ def test_reports_are_deterministic():
     a = run_invariance(_mlp_config())
     b = run_invariance(_mlp_config())
     assert a.to_json() == b.to_json()
+
+
+def _diverging_kfac_config():
+    raw = _mlp_config().to_dict()
+    raw.update(architecture={"type": "mlp", "dims": [4, 5, 3]},
+               output_model={"kind": "categorical", "classes": 3},
+               dataset_spec={"num_samples": 8}, reparam_source={"kind": "random", "seed": 1},
+               steps=3, learning_rate=1e308)
+    return ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("make, verdict", [
+    (lambda: _mlp_config(steps=1), "pass"),
+    (_diverging_kfac_config, "fail"),
+    (lambda: _ngd_config(dataset_spec={"num_samples": 2}), "degenerate"),
+    (lambda: _mlp_config(steps=1, damping=0.1, damping_mode="dense_tikhonov"), "report"),
+], ids=["pass", "fail-nan-gap", "degenerate", "report"])
+def test_report_dict_and_json_equal_asdict_and_the_dict_is_a_copy(make, verdict):
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_invariance(make())
+    assert report.verdict == verdict
+    if verdict == "fail":
+        assert np.isnan(report.records[-1].forward_discrepancy)
+    if verdict == "degenerate":
+        assert report.records == []
+    d = report.to_dict()
+    assert d == dataclasses.asdict(report)
+    assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
+    before = report.to_json()
+    d["config"]["architecture"]["dims"].append(99)
+    d["tolerances"]["step0"] = 1.0
+    for rec in d["records"]:
+        rec["step"] = -1
+    d["records"].append({})
+    assert report.to_json() == before
 
 
 def test_identity_reparam_gives_exact_zero_discrepancy():
@@ -680,19 +734,8 @@ def test_cli_diverging_run_fails_without_a_traceback(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_diverging_kfac_run_ends_in_a_fail_report(tmp_path, capsys):
     # the factors at the overflowed step-1 parameters hold inf/NaN entries
-    raw = _mlp_config().to_dict()
-    raw.update(
-        architecture={"type": "mlp", "dims": [4, 5, 3]},
-        output_model={"kind": "categorical", "classes": 3},
-        dataset_spec={"num_samples": 8},
-        reparam_source={"kind": "random", "seed": 1},
-        optimizer="kfac",
-        steps=3,
-        learning_rate=1e308,
-    )
-    path = tmp_path / "diverge.json"
-    path.write_text(json.dumps(raw))
-    assert cli.main(["check-invariance", "--config", str(path)]) == cli.EXIT_FAIL
+    path = _write_config(tmp_path, "diverge.json", _diverging_kfac_config())
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
@@ -700,6 +743,26 @@ def test_cli_diverging_kfac_run_ends_in_a_fail_report(tmp_path, capsys):
     assert report["diagnostic"] == "step 2 diverged: layer 0: solve received non-finite entries"
     assert [r["step"] for r in report["records"]] == [0, 1]
     assert np.isnan(report["records"][1]["forward_discrepancy"])
+
+
+def test_cli_ngd_fisher_that_overflows_at_step_0_ends_in_a_fail_report(tmp_path, capsys):
+    # inf - inf makes the Fisher's asymmetry NaN, which no tolerance refuses;
+    # the symmetric solver then failed to converge, a traceback
+    config = _ngd_config(
+        architecture={"type": "mlp", "dims": [2, 2, 2, 2], "activation": "identity",
+                      "weight_scale": 1e90},
+        output_model={"kind": "gaussian", "dim": 2},
+        dataset_spec={"num_samples": 8},
+    )
+    path = _write_config(tmp_path, "overflow.json", config)
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["verdict"] == "fail"
+    assert report["diagnostic"] == (
+        "step 0 diverged: exact Fisher: sym_eig_min received non-finite entries")
+    assert report["records"] == []
 
 
 def _run_all_commands(path):

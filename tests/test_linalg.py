@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from kfaclab.errors import NotSymmetric, SingularMatrix
+from kfaclab.errors import KfacLabError, NonFinite, NotSymmetric, SingularMatrix
 from kfaclab.linalg import (
     inv,
     kron,
@@ -164,6 +166,46 @@ def test_solve_rejects_nonfinite():
     a[0, 0] = np.nan
     with pytest.raises(ValueError):
         solve(a, np.ones(2))
+
+
+def _with(entry, value, a=None):
+    a = np.eye(3) if a is None else a.copy()
+    a[entry] = value
+    return a
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a, rhs, error, message", [
+    (_with((1, 2), np.nan), np.ones(3), NonFinite, "solve received non-finite entries"),
+    (_with((0, 0), -np.inf), np.ones(3), NonFinite, "solve received non-finite entries"),
+    (np.zeros((3, 3)), _with((1, 0), np.nan, np.ones((3, 2))), NonFinite,
+     "solve received non-finite entries"),
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([np.inf, 1.0]), NonFinite,
+     "solve received non-finite entries"),
+    (np.zeros((3, 3)), np.ones(3), SingularMatrix, "matrix is identically zero"),
+    (np.diag([1.0, 1e-13]), np.ones(2), SingularMatrix,
+     "pivot 1.000e-13 below threshold 1.000e-12"),
+    (np.diag([4.0, -8.0, 4e-12]), np.ones((3, 2)), SingularMatrix,
+     "pivot 4.000e-12 below threshold 8.000e-12"),
+    (1e-200 * np.eye(2), np.array([1e200, 1.0]), SingularMatrix,
+     "solve produced non-finite entries"),
+], ids=["nan-in-a", "inf-in-a", "nan-rhs-zero-a", "inf-rhs-singular-a", "zero-matrix",
+        "pivot-below-threshold", "pivot-below-scaled-threshold", "non-finite-result"])
+def test_solve_errors_keep_their_type_and_message(a, rhs, error, message):
+    with pytest.raises(KfacLabError) as caught:
+        solve(a, rhs)
+    assert type(caught.value) is error
+    assert re.fullmatch(re.escape(message), str(caught.value))
+
+
+@pytest.mark.parametrize("a", [
+    _with((0, 1), np.nan),
+    _with((2, 2), np.inf),
+    np.full((2, 2), np.inf),  # inf - inf: the asymmetry alone would be NaN
+], ids=["nan", "inf", "all-inf"])
+def test_sym_eig_min_rejects_nonfinite(a):
+    with pytest.raises(NonFinite, match="^sym_eig_min received non-finite entries$"):
+        sym_eig_min(a)
 
 
 def test_inv_multiplies_to_identity():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfaclab.errors import ShapeMismatch, SingularMatrix
 from kfaclab.nets import (
@@ -38,6 +40,7 @@ from kfaclab.reparam import (
     transform_network,
     transform_params,
 )
+from test_engine import networks
 
 MLP3 = NetworkSpec(
     [
@@ -411,6 +414,42 @@ def test_random_reparam_maps_round_trip():
         x = rng.normal(size=m.dim)
         back = m.inverse().apply(m.apply(x))
         assert np.abs(x - back).max() <= 1e-10 * (1.0 + np.abs(x).max())
+
+
+def _per_map_random_reparam(spec, rng_seed, conditioning_cap, identity_output):
+    """random_reparam as one draw, two QRs and two products per map, in turn."""
+    rng = np.random.default_rng(rng_seed)
+    act_dims, pre_dims = space_dims(spec)
+
+    def orthogonal(n):
+        q, rr = np.linalg.qr(rng.standard_normal((n, n)))
+        return q * np.sign(np.diag(rr))
+
+    def rand_map(n):
+        q1 = orthogonal(n)
+        q2 = orthogonal(n)
+        s = rng.uniform(conditioning_cap**-0.5, conditioning_cap**0.5, n)
+        return AffineMap(q1 @ np.diag(s) @ q2.T, 0.5 * rng.standard_normal(n))
+
+    act_maps = [rand_map(n) for n in act_dims]
+    pre_maps = [rand_map(n) for n in pre_dims]
+    if spec.layers[0].fixed_input_basis:
+        act_maps[0] = AffineMap.identity(act_dims[0])
+    if identity_output:
+        act_maps[-1] = AffineMap.identity(act_dims[-1])
+    return NetworkReparam(act_maps, pre_maps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(networks(), st.integers(0, 10**6), st.sampled_from((1.0, 100.0, 1e4)), st.booleans())
+def test_stacked_draw_equals_the_per_map_loop_bit_for_bit(net, seed, cap, identity_output):
+    spec = net[0]
+    got = random_reparam(spec, seed, cap, identity_output)
+    want = _per_map_random_reparam(spec, seed, cap, identity_output)
+    for g, w in zip(got.activation_maps + got.preactivation_maps,
+                    want.activation_maps + want.preactivation_maps, strict=True):
+        assert g.b.tobytes() == w.b.tobytes()
+        assert g.c.tobytes() == w.c.tobytes()
 
 
 # ---------------------------------------------------------------------------

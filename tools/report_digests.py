@@ -112,6 +112,11 @@ VARIANTS = {
                                                      "final_activation": "identity"}},
     "diverging-ngd": {**MLP, **SMALL_MLP, "dataset_spec": {"num_samples": 32},
                       "optimizer": "ngd"},
+    "ngd-fisher-overflow": {**NGD, "architecture": {"type": "mlp", "dims": [2, 2, 2, 2],
+                                                    "activation": "identity",
+                                                    "weight_scale": 1e90},
+                            "output_model": {"kind": "gaussian", "dim": 2},
+                            "dataset_spec": {"num_samples": 8}},
     "conv-final-no-head": {**CONV, "architecture": CONV_NO_HEAD,
                            "output_model": {"kind": "categorical", "classes": 9}},
     "rnn-final-no-head": {**RNN, "architecture": RNN_NO_HEAD},
