@@ -13,9 +13,10 @@ types and ranges, the network and output model, and the reparam source (a
 reparam file must exist, its maps must fit the network, and each map must
 be finite and pass linalg.solve's pivot rule; runs use the maps read then).
 Any problem there, a train --out path that cannot be opened for writing
-(checked before the run), or a dataset too large to allocate, exits 4 with
-one line on stderr. numpy's floating-point warnings are silenced: a diverged
-run reports its NaN itself.
+(checked before the run), a dataset too large to allocate, or a random
+reparam map that fails the pivot rule when check-invariance builds the twin
+(errors.ConfigError), exits 4 with one line on stderr. numpy's
+floating-point warnings are silenced: a diverged run reports its NaN itself.
 """
 
 import argparse
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .errors import KfacLabError, ShapeMismatch
+from .errors import ConfigError, KfacLabError, ShapeMismatch
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -106,7 +107,9 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_CONFIG
         raise
-    except MemoryError as exc:  # the config asks for arrays too large to allocate
+    # the config asks for arrays too large to allocate, or a run finds it
+    # names something unusable
+    except (MemoryError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KfacLabError as exc:

@@ -30,6 +30,19 @@ class TooLarge(KfacLabError):
     """A dense construction was requested above the supported size cap."""
 
 
+class ConfigError(KfacLabError, ValueError):
+    """A config that loaded but names something a run cannot use."""
+
+
+def naming(what: str, fn, *args):
+    """fn(*args); a SingularMatrix it raises is raised again with what, the
+    matrix whose solve failed, in front of its message."""
+    try:
+        return fn(*args)
+    except SingularMatrix as exc:
+        raise SingularMatrix(f"{what}: {exc}") from exc
+
+
 def check_int(what: str, value, least: int) -> None:
     """Raise ValueError unless value is an integer (bools excluded) >= least."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
-from .errors import (NonFinite, SingularMatrix, check_int, check_keys, check_list, check_name,
-                     check_real)
+from .errors import (ConfigError, NonFinite, SingularMatrix, check_int, check_keys, check_list,
+                     check_name, check_real, naming)
 from .kfac import UpdateConfig
 from .linalg import inv, sym_eig_min
 
@@ -351,11 +351,19 @@ def _setup(config: ExperimentConfig):
 
 
 def _transformed_side(spec, model, params, data, config: ExperimentConfig):
+    """The twin. A reparam map whose solve fails linalg.solve's pivot rule
+    raises ConfigError naming the map, as a reparam file's map does when the
+    config is built; a random reparam's maps are first solved here, so a run
+    whose maps pass makes no extra solve."""
     r = config.reparam
-    spec_t, params_t = reparam.transform_network(spec, params, r)
+    try:
+        spec_t, params_t = reparam.transform_network(spec, params, r)
+        omap = reparam.output_space_map(spec, r)
+        model_t = model if omap.is_identity() else naming(
+            f"activation map {r.num_layers}", metrics.WrappedOutputModel, model, omap)
+    except SingularMatrix as exc:
+        raise ConfigError(f"reparam_source {exc}") from exc
     data_t = Dataset(reparam.transform_input(spec, r, data.inputs), data.targets)
-    omap = reparam.output_space_map(spec, r)
-    model_t = model if omap.is_identity() else metrics.WrappedOutputModel(model, omap)
     out_back = omap.inverse() if model_t is model else model_t.out_back
     return r, spec_t, params_t, data_t, model_t, out_back
 
@@ -383,12 +391,14 @@ def _trajectory(config: ExperimentConfig, spec, params, model, data, probes=None
 def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     """Run the configured update rule on a network and its transformed twin.
 
-    Verdict is pass/fail only for undamped runs; damped runs always come back
-    as "report" since the damped update is not expected to be invariant.
+    Verdict is pass/fail only for undamped runs; damped runs that do not
+    diverge come back as "report" since the damped update is not expected to
+    be invariant.
     A singular factor or Fisher ends the run with a "degenerate" verdict; an
-    exact-NGD run checks its Fisher at the initial parameters first. A step
-    that meets inf/NaN entries (a diverged run), or an exact-NGD Fisher that
-    already overflows at the initial parameters, ends the run with "fail".
+    undamped exact-NGD run checks its Fisher at the initial parameters first
+    (F + damping I is invertible for damping > 0). A step that meets inf/NaN
+    entries (a diverged run), or an exact-NGD Fisher that already overflows
+    at the initial parameters, ends the run with "fail".
     """
     spec, model, params, data, probes = _setup(config)
     report = InvarianceReport(
@@ -400,7 +410,8 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     if config.optimizer == "ngd":
         # the check reads the Fisher the first step will use
         try:
-            report.diagnostic = _fisher_degeneracy(kfac.ngd_curvature(first[0], model)[1])
+            fisher = kfac.ngd_curvature(first[0], model)[1]
+            report.diagnostic = _fisher_degeneracy(fisher, config.damping)
         except NonFinite as exc:  # a Fisher that overflows at the initial parameters
             return _diverged(report, f"exact Fisher: {exc}")
         if report.diagnostic:
@@ -458,8 +469,14 @@ def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
     return run_invariance(config)
 
 
-def _fisher_degeneracy(fisher) -> str:
-    """Why the exact Fisher is singular, or "" if it is not."""
+def _fisher_degeneracy(fisher, damping: float) -> str:
+    """Why the exact Fisher is singular, or "" if it is not; raises NonFinite
+    on inf/NaN entries. The step solves with F + damping I, which is
+    invertible for damping > 0, so a damped run only checks F is finite."""
+    if damping > 0:
+        if not np.isfinite(fisher).all():
+            raise NonFinite("non-finite entries")
+        return ""
     emin = sym_eig_min(fisher)
     emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
     if emin > FISHER_DEGENERACY_RTOL * emax:

@@ -171,7 +171,8 @@ def apply_inverse(metric: KFacMetric, grad: ParamSet, config: UpdateConfig) -> P
 
 def objective(trace, model, dataset) -> float:
     """Empirical risk (mean loss) at the forward pass trace over dataset."""
-    return float(np.mean(model.loss(dataset.targets, trace.output)))
+    loss = model.loss(dataset.targets, trace.output)
+    return float(np.add.reduce(loss) / len(loss))  # np.mean's arithmetic
 
 
 def _gradient(trace, model, dataset) -> ParamSet:
@@ -226,6 +227,9 @@ def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
         step = solve(fisher, grad.flatten())
     except SingularMatrix as exc:
         raise SingularMatrix(f"natural-gradient step: exact Fisher is singular: {exc}") from exc
+    except NonFinite as exc:
+        what = "gradient" if np.isfinite(fisher).all() else "exact Fisher"
+        raise NonFinite(f"natural-gradient step: {what} has non-finite entries") from exc
     return unflatten_params(trace.spec, trace.params.flatten() - config.learning_rate * step)
 
 

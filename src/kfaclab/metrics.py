@@ -91,8 +91,9 @@ class CategoricalLogits:
         return self.num_classes
 
     def loss(self, y, z):
-        z = np.asarray(z, dtype=np.float64)
-        picked = np.take_along_axis(z, np.asarray(y)[..., None], axis=-1)[..., 0]
+        z, y = np.asarray(z, dtype=np.float64), np.asarray(y)
+        # for a batch, one fancy index picks what take_along_axis would
+        picked = z[y] if y.ndim == 0 else z[np.arange(len(y)), y]
         return _logsumexp(z) - picked
 
     def loss_grad(self, y, z) -> np.ndarray:

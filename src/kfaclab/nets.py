@@ -29,16 +29,28 @@ the cotangent, so its dz gives the gradient for any loss cotangent
 without another pass. Training, factor estimation, the dense Fisher and the
 invariance harness use it.
 
+Each layer builds its Abar once, C-contiguous, in the array the trace
+keeps (Layer.expand): a dense layer fills one buffer with its input and
+the row of ones (_homogenize_batch); a conv layer's one gather returns it,
+the row of ones read from a cell past the padded grid (extract_patches
+with ones_row); and the recurrent cell sets the row of ones once and
+writes each state into its column, which the next step's product reads
+as a strided view, with the bits of a product on a contiguous copy.
+
 In the backward pass every product with a matrix the whole batch shares
 (W^T dz, and the Omega^T, Phi^T and Phi z + tau of a wrapped activation)
 goes through _lmul: with T = 1 the (N, K, m, 1) stack is one (N*K, m)
 matrix and the product one GEMM, where a numpy stacked matmul would make
 one BLAS call per (sample, cotangent). The conv layer's W^T dz is one
 GEMM for any T (ConvLayer.pullback). The forward pass stays one product
-per sample: numpy hands a one-row product to gemv, so a GEMM row's bits
-would depend on how many rows share the call, and the run loop reads the
-data rows of a pass over the data stacked with the probes as the bits of
-a pass over the data alone (BatchTrace.head).
+per sample: the bits of an OpenBLAS GEMM row depend on how many rows or
+columns share the call (they differed in 287 of 1287 shape-and-count cases
+tried), and the run loop reads the data rows of a pass over the data
+stacked with the probes as the bits of a pass over the data alone
+(BatchTrace.head). The gradient contractions (gradient_from_basis,
+RecurrentLayer.input_map_grad) call np.dot on the C-contiguous operands
+np.tensordot would build; a transposed view in place of such a copy
+changes the GEMM's bits.
 
 The per-sample path (forward, backward, jvp) evaluates one input and keeps
 a full trace. It is the reference oracle: the Monte-Carlo Fisher, the
@@ -235,11 +247,12 @@ class Layer:
         return self.output_dim // self.out_space
 
     def expand(self, x):
-        """Input columns of Abar for a batch x, without the row of ones."""
+        """Abar for a batch x: its input columns, then the row of ones."""
         raise NotImplementedError
 
     def fold(self, cols):
-        """Adjoint of expand: a cotangent of the input columns to the input."""
+        """Adjoint of expand's input columns: a cotangent of those columns
+        (Abar without the row of ones) to the input."""
         raise NotImplementedError
 
     def emit(self, a):
@@ -248,7 +261,7 @@ class Layer:
 
     def apply(self, lp, x) -> tuple:
         """(abar, act_in, output) for a batch x of shape (N, *in_shape)."""
-        abar = _homogenize_batch(self.expand(x))
+        abar = self.expand(x)
         z = lp.wbar @ abar
         return abar, z, self.emit(self.activation.value(z))
 
@@ -343,7 +356,7 @@ class DenseLayer(Layer):
         return (self.out_dim, self.in_dim + 1)
 
     def expand(self, x):
-        return x[:, :, None]
+        return _homogenize_batch(x[:, :, None])
 
     def fold(self, cols):
         return cols[:, :, :, 0]
@@ -412,7 +425,8 @@ class ConvLayer(Layer):
         return (self.out_channels, self.in_channels * self.num_offsets + 1)
 
     def expand(self, x):
-        return extract_patches(x, self.kernel_radius, self.grid, self.padding_value)
+        return extract_patches(x, self.kernel_radius, self.grid, self.padding_value,
+                               ones_row=True)
 
     def fold(self, cols):
         return fold_patches(cols, self.kernel_radius, self.grid)
@@ -484,18 +498,22 @@ class RecurrentLayer(Layer):
 
     def apply(self, lp, x) -> tuple:
         """The steps run over the whole batch at once; Abar holds the
-        homogenized previous state at each step and act_in holds z'_t."""
-        n = x.shape[0]
+        homogenized previous state at each step and act_in holds z'_t. Each
+        state is written into its column of Abar, which the next step's
+        product reads as a strided view."""
+        n, h, steps = x.shape[0], self.hidden_dim, self.steps
         vx = lp.v @ x.swapaxes(1, 2)
-        abar = np.empty((n, self.hidden_dim + 1, self.steps))
-        z = np.empty((n, self.hidden_dim, self.steps))
-        a = np.broadcast_to(self.initial_state, (n, self.hidden_dim))
-        for t in range(self.steps):
-            abar_t = _homogenize_batch(a[:, :, None])
-            zp_t = lp.wbar @ abar_t + vx[:, :, t : t + 1]
+        abar = np.empty((n, h + 1, steps))
+        abar[:, h] = 1.0
+        abar[:, :h, 0] = self.initial_state
+        z = np.empty((n, h, steps))
+        for t in range(steps):
+            zp_t = lp.wbar @ abar[:, :, t : t + 1]
+            zp_t += vx[:, :, t : t + 1]
             a = self.activation.value(zp_t)[:, :, 0]
-            abar[:, :, t] = abar_t[:, :, 0]
             z[:, :, t] = zp_t[:, :, 0]
+            if t + 1 < steps:
+                abar[:, :h, t + 1] = a
         return abar, z, a
 
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
@@ -510,7 +528,10 @@ class RecurrentLayer(Layer):
         return dz, None
 
     def input_map_grad(self, dz, x):
-        return np.tensordot(dz, x, axes=([0, 2], [0, 1]))
+        # np.tensordot(dz, x, axes=([0, 2], [0, 1])): the same C-contiguous
+        # operands and the same np.dot, without tensordot's argument handling
+        return np.dot(dz.transpose(1, 0, 2).reshape(dz.shape[1], -1),
+                      x.reshape(-1, x.shape[2]))
 
     def input_map_jacobian(self, dz, x):
         return dz @ x[:, None]
@@ -658,9 +679,10 @@ def zero_tangent(params: ParamSet) -> ParamSet:
 
 
 @functools.lru_cache(maxsize=32)
-def _patch_index(radius: int, grid_hw: tuple, channels: int) -> np.ndarray:
+def _patch_index(radius: int, grid_hw: tuple, channels: int, ones_row: bool) -> np.ndarray:
     """Flat positions in a padded (J, H+2R, W+2R) block of the patch entries,
-    shaped (J*(2R+1)^2, H*W) in extract_patches' row order; read-only."""
+    shaped (J*(2R+1)^2, H*W) in extract_patches' row order, then, with
+    ones_row, a row pointing at the cell just past the block; read-only."""
     h, w = grid_hw
     k = 2 * radius + 1
     hp, wp = h + 2 * radius, w + 2 * radius
@@ -668,11 +690,14 @@ def _patch_index(radius: int, grid_hw: tuple, channels: int) -> np.ndarray:
     y, x = np.divmod(np.arange(h * w), w)
     rows = (dy * wp + dx)[:, None] + np.arange(channels) * (hp * wp)  # (offset, channel)
     index = rows.reshape(-1, 1) + (y * wp + x)
+    if ones_row:
+        index = np.vstack([index, np.full((1, h * w), channels * hp * wp)])
     index.setflags(write=False)
     return index
 
 
-def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np.ndarray:
+def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None,
+                    ones_row: bool = False) -> np.ndarray:
     """Expand a channels-by-locations grid into patch columns (im2col).
 
     Column t holds the radius-R neighbourhood of location t, ordered
@@ -680,21 +705,26 @@ def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np
     index d, offsets scanned row-major over the (2R+1)x(2R+1) window.
     Beyond the border patches read padding_value (zeros when omitted).
     Leading axes are batch axes: (..., J, H*W) -> (..., J*(2R+1)^2, H*W).
+    With ones_row a last row of ones follows: the columns are then Abar,
+    (..., J*(2R+1)^2 + 1, H*W).
 
-    The grid is padded once; every patch entry is then gathered by one take
-    through a cached flat index into the padded (J, H+2R, W+2R) block.
+    The grid is padded once, into a buffer one cell longer that holds 1.0
+    there; every patch entry, and the row of ones, is then gathered by one
+    take through a cached flat index into that buffer.
     """
     grid = np.asarray(grid, dtype=np.float64)
     h, w = grid_hw
     if grid.ndim < 2 or grid.shape[-1] != h * w:
         raise ShapeMismatch(f"grid shape {grid.shape} != (..., J, {h * w})")
     lead, j = grid.shape[:-2], grid.shape[-2]
-    padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
+    hp, wp = h + 2 * radius, w + 2 * radius
+    flat = np.zeros(lead + (j * hp * wp + 1,))
+    flat[..., -1] = 1.0
+    padded = flat[..., :-1].reshape(lead + (j, hp, wp))
     if padding_value is not None and np.any(padding_value):
         padded += np.asarray(padding_value, dtype=np.float64)[:, None, None]
     padded[..., radius : radius + h, radius : radius + w] = grid.reshape(lead + (j, h, w))
-    flat = padded.reshape(lead + (j * (h + 2 * radius) * (w + 2 * radius),))
-    return flat.take(_patch_index(radius, (h, w), j), axis=-1)
+    return flat.take(_patch_index(radius, (h, w), j, ones_row), axis=-1)
 
 
 def fold_patches(patches, radius: int, grid_hw: tuple) -> np.ndarray:
@@ -757,8 +787,12 @@ class BatchTrace:
 
 
 def _homogenize_batch(cols) -> np.ndarray:
-    ones = np.ones(cols.shape[:-2] + (1, cols.shape[-1]))
-    return np.concatenate([cols, ones], axis=-2)
+    """cols, (..., n, T), with a row of ones after it: (..., n+1, T), filled
+    into one buffer."""
+    out = np.empty(cols.shape[:-2] + (cols.shape[-2] + 1, cols.shape[-1]))
+    out[..., :-1, :] = cols
+    out[..., -1, :] = 1.0
+    return out
 
 
 def _flatten_cols(grid) -> np.ndarray:
@@ -836,7 +870,10 @@ def gradient_from_basis(trace: BatchTrace, dz: list, u) -> ParamSet:
     grads = []
     for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):
         du = (u @ d.reshape(d.shape[:2] + (-1,))).reshape(d.shape[:1] + d.shape[2:])
-        dwbar = np.tensordot(du, abar, axes=([0, 2], [0, 2]))
+        # np.tensordot(du, abar, axes=([0, 2], [0, 2])): the same C-contiguous
+        # operands and the same np.dot, without tensordot's argument handling
+        dwbar = np.dot(du.transpose(1, 0, 2).reshape(du.shape[1], -1),
+                       abar.transpose(0, 2, 1).reshape(-1, abar.shape[1]))
         # only a first layer has an input map V, so it reads the input
         grads.append(LayerParams(dwbar, layer.input_map_grad(du, trace.x)))
     return ParamSet(grads)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, check_keys, check_list, check_numbers
+from .errors import ShapeMismatch, check_keys, check_list, check_numbers, naming
 from .linalg import kron, solve
 from .nets import AffineWrapped, LayerParams, NetworkSpec, ParamSet
 
@@ -161,9 +161,10 @@ def _homogeneous_rows(wbar) -> np.ndarray:
     return wh
 
 
-def _transform_wbar(wbar, in_map: AffineMap, pre_map: AffineMap) -> np.ndarray:
-    """[W']_H = [Phi]_H^-1 [W]_H [Omega]_H^-1, returned without the last row."""
-    rhs = _homogeneous_rows(wbar) @ in_map.inverse().homogeneous()
+def _transform_wbar(wbar, in_back: AffineMap, pre_map: AffineMap) -> np.ndarray:
+    """[W']_H = [Phi]_H^-1 [W]_H [Omega]_H^-1, returned without the last row;
+    in_back is Omega^-1."""
+    rhs = _homogeneous_rows(wbar) @ in_back.homogeneous()
     # C-contiguous so downstream matmuls hit the same BLAS path as untouched
     # parameters; the identity transform is then bitwise inert end to end.
     return np.ascontiguousarray(solve(pre_map.homogeneous(), rhs)[: wbar.shape[0]])
@@ -193,14 +194,18 @@ def _layer_in_map(r: NetworkReparam, i: int, lp: LayerParams) -> AffineMap:
 
 
 def transform_params(params: ParamSet, r: NetworkReparam) -> ParamSet:
-    """Parameters of the equivalent network in the new bases."""
+    """Parameters of the equivalent network in the new bases. A solve that
+    fails linalg.solve's pivot rule raises SingularMatrix naming its map."""
     if len(params.layers) != r.num_layers:
         raise ShapeMismatch("reparam layer count does not match params")
     out = []
     for i, lp in enumerate(params.layers):
-        pre = r.pre_map(i)
-        wbar = _transform_wbar(lp.wbar, _layer_in_map(r, i, lp), pre)
-        v = None if lp.v is None else np.ascontiguousarray(solve(pre.b, lp.v))
+        pre, pre_name = r.pre_map(i), f"preactivation map {i}"
+        # a recurrent layer reads the hidden space it writes (_layer_in_map)
+        in_name = f"activation map {i + 1 if lp.v is not None else i}"
+        in_back = naming(in_name, _layer_in_map(r, i, lp).inverse)
+        wbar = naming(pre_name, _transform_wbar, lp.wbar, in_back, pre)
+        v = None if lp.v is None else np.ascontiguousarray(naming(pre_name, solve, pre.b, lp.v))
         out.append(LayerParams(wbar, v))
     return ParamSet(out)
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from kfaclab import kfac
+from kfaclab import kfac, nets
 from kfaclab.errors import SingularMatrix
 from kfaclab.harness import STEP0_TOL, Dataset
 from kfaclab.kfac import (
@@ -55,6 +55,7 @@ from kfaclab.nets import (
     fold_patches,
     forward,
     forward_batch,
+    gradient_from_basis,
     init_params,
 )
 from kfaclab.reparam import (
@@ -427,6 +428,11 @@ def test_patches_with_batch_axes_match_one_grid_at_a_time():
 # one shifted add per offset into a padded buffer.
 
 
+def _ones_below(cols):
+    """cols, (..., n, T), with a row of ones concatenated after it."""
+    return np.concatenate([cols, np.ones(cols.shape[:-2] + (1, cols.shape[-1]))], axis=-2)
+
+
 def _extract_patches_reference(grid, radius, grid_hw, padding_value=None):
     h, w = grid_hw
     lead, j = grid.shape[:-2], grid.shape[-2]
@@ -474,6 +480,12 @@ def test_patch_helpers_equal_the_reference_bit_for_bit(
     assert got.shape == want.shape and got.flags.c_contiguous
     np.testing.assert_array_equal(got, want, strict=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    # with the row of ones the gather returns Abar, as the homogenized patches
+    abar = extract_patches(grid, radius, grid_hw, pad, ones_row=True)
+    want_abar = _ones_below(want)
+    assert abar.shape == want_abar.shape and abar.flags.c_contiguous
+    assert abar.tobytes() == want_abar.tobytes()
+    assert nets._homogenize_batch(got).tobytes() == want_abar.tobytes()
 
     u = rng.standard_normal(want.shape)
     u[..., ::2, ::2] = -0.0
@@ -485,6 +497,82 @@ def test_patch_helpers_equal_the_reference_bit_for_bit(
     np.testing.assert_array_equal(got, want, strict=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert got.tobytes() == fold_patches(np.ascontiguousarray(u), radius, grid_hw).tobytes()
+
+
+# Reference forward: each layer's Abar concatenated from its input columns
+# and a ones array, and the recurrent cell's per step, its previous state
+# copied into Abar after the product read a contiguous column.
+
+
+def _apply_reference(layer, lp, x):
+    if layer.kind == "recurrent":
+        n = x.shape[0]
+        vx = lp.v @ x.swapaxes(1, 2)
+        abar = np.empty((n, layer.hidden_dim + 1, layer.steps))
+        z = np.empty((n, layer.hidden_dim, layer.steps))
+        a = np.broadcast_to(layer.initial_state, (n, layer.hidden_dim))
+        for t in range(layer.steps):
+            abar_t = _ones_below(a[:, :, None])
+            zp_t = lp.wbar @ abar_t + vx[:, :, t : t + 1]
+            a = layer.activation.value(zp_t)[:, :, 0]
+            abar[:, :, t] = abar_t[:, :, 0]
+            z[:, :, t] = zp_t[:, :, 0]
+        return abar, z, a
+    if layer.kind == "conv2d":  # in C order, as a gather returns the patches
+        cols = np.ascontiguousarray(
+            _extract_patches_reference(x, layer.kernel_radius, layer.grid, layer.padding_value))
+    else:
+        cols = x[:, :, None]
+    abar = _ones_below(cols)
+    z = lp.wbar @ abar
+    out = layer.activation.value(z)
+    return abar, z, out if layer.kind == "conv2d" else out[:, :, 0]
+
+
+@ENGINE_SETTINGS
+@given(networks(), st.integers(1, 40), st.booleans())
+def test_forward_builds_abar_in_place_with_the_bits_of_the_concatenated_reference(
+    net, n, rebase
+):
+    spec, params, shape, rng = net
+    if rebase:  # wrapped activations, remapped padding and initial states
+        r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
+        spec, params = transform_network(spec, params, r)
+    x = rng.standard_normal((n,) + shape)
+    trace = forward_batch(spec, params, x)
+    carry = x
+    for i, (layer, lp) in enumerate(zip(spec.layers, params.layers)):
+        if carry.ndim == 3 and layer.kind == "dense":  # a grid flattens column-wise
+            carry = carry.swapaxes(1, 2).reshape(n, -1)
+        abar, z, carry = _apply_reference(layer, lp, carry)
+        for got, want in ((trace.abar[i], abar), (trace.act_in[i], z)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+    want = carry.swapaxes(1, 2).reshape(n, -1) if carry.ndim == 3 else carry
+    assert trace.output.shape == want.shape and trace.output.tobytes() == want.tobytes()
+
+
+@ENGINE_SETTINGS
+@given(networks(), st.integers(1, 40), st.integers(1, 4), st.booleans())
+def test_gradient_contractions_equal_tensordot_bit_for_bit(net, n, k, rebase):
+    # the contractions call np.dot on the operands np.tensordot would build
+    spec, params, shape, rng = net
+    if rebase:
+        r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
+        spec, params = transform_network(spec, params, r)
+    trace = forward_batch(spec, params, rng.standard_normal((n,) + shape))
+    dz = backward_batch(trace, rng.standard_normal((n, k, spec.output_dim)))
+    u = rng.standard_normal((n, k))
+    got = gradient_from_basis(trace, dz, u)
+    for layer, abar, d, g in zip(spec.layers, trace.abar, dz, got.layers, strict=True):
+        du = (u[:, None, :] @ d.reshape(d.shape[:2] + (-1,))).reshape(d.shape[:1] + d.shape[2:])
+        want = np.tensordot(du, abar, axes=([0, 2], [0, 2]))
+        assert g.wbar.shape == want.shape and g.wbar.tobytes() == want.tobytes()
+        if layer.kind == "recurrent":
+            want = np.tensordot(du, trace.x, axes=([0, 2], [0, 1]))
+            assert g.v.shape == want.shape and g.v.tobytes() == want.tobytes()
+        else:
+            assert g.v is None
 
 
 @ENGINE_SETTINGS

@@ -30,7 +30,8 @@ from kfaclab.harness import (
     synthetic_dataset,
     training_csv,
 )
-from kfaclab.kfac import UpdateConfig, kfac_step
+from kfaclab.errors import ConfigError, NonFinite, SingularMatrix
+from kfaclab.kfac import UpdateConfig, kfac_step, ngd_step
 from kfaclab.metrics import (
     CategoricalLogits,
     FisherMetric,
@@ -745,16 +746,20 @@ def test_cli_diverging_kfac_run_ends_in_a_fail_report(tmp_path, capsys):
     assert np.isnan(report["records"][1]["forward_discrepancy"])
 
 
-def test_cli_ngd_fisher_that_overflows_at_step_0_ends_in_a_fail_report(tmp_path, capsys):
-    # inf - inf makes the Fisher's asymmetry NaN, which no tolerance refuses;
-    # the symmetric solver then failed to converge, a traceback
-    config = _ngd_config(
+def _ngd_fisher_overflow_config(**overrides):
+    return _ngd_config(
         architecture={"type": "mlp", "dims": [2, 2, 2, 2], "activation": "identity",
                       "weight_scale": 1e90},
         output_model={"kind": "gaussian", "dim": 2},
         dataset_spec={"num_samples": 8},
+        **overrides,
     )
-    path = _write_config(tmp_path, "overflow.json", config)
+
+
+def test_cli_ngd_fisher_that_overflows_at_step_0_ends_in_a_fail_report(tmp_path, capsys):
+    # inf - inf makes the Fisher's asymmetry NaN, which no tolerance refuses;
+    # the symmetric solver then failed to converge, a traceback
+    path = _write_config(tmp_path, "overflow.json", _ngd_fisher_overflow_config())
     assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -763,6 +768,110 @@ def test_cli_ngd_fisher_that_overflows_at_step_0_ends_in_a_fail_report(tmp_path,
     assert report["diagnostic"] == (
         "step 0 diverged: exact Fisher: sym_eig_min received non-finite entries")
     assert report["records"] == []
+
+
+def _diverging_ngd_config():
+    raw = _diverging_kfac_config().to_dict()
+    raw.update(dataset_spec={"num_samples": 32}, optimizer="ngd")
+    return ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("make", [_diverging_ngd_config, _ngd_fisher_overflow_config],
+                         ids=["diverging-ngd", "ngd-fisher-overflow"])
+def test_cli_train_on_a_non_finite_fisher_names_the_fisher_and_the_step(
+        tmp_path, capsys, make):
+    path = _write_config(tmp_path, "ngd.json", make())
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: natural-gradient step: exact Fisher has non-finite entries\n"
+
+
+def test_cli_diverging_ngd_run_names_the_fisher_and_the_step(tmp_path, capsys):
+    path = _write_config(tmp_path, "ngd.json", _diverging_ngd_config())
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["diagnostic"] == (
+        "step 2 diverged: natural-gradient step: exact Fisher has non-finite entries")
+
+
+def test_ngd_step_names_a_non_finite_gradient():
+    config = _ngd_config(steps=1)
+    spec, model, params, data, _ = harness._setup(config)
+    trace = forward_batch(spec, params, data.inputs)
+    data = Dataset(data.inputs, np.full_like(data.targets, np.inf))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NonFinite, match="^natural-gradient step: gradient has non-finite entries$"):
+        ngd_step(trace, model, data, FisherMetric(), config.update)
+
+
+def test_damped_ngd_on_a_singular_fisher_only_reports(tmp_path, capsys):
+    # F + damping I is invertible, so the run goes on where the undamped one
+    # ends degenerate
+    config = _ngd_config(dataset_spec={"num_samples": 2}, damping=0.1,
+                         damping_mode="dense_tikhonov")
+    path = _write_config(tmp_path, "damped.json", config)
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["diagnostic"]) == ("report", "")
+    assert len(report["records"]) == config.steps + 1
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_PASS
+    capsys.readouterr()
+
+
+def test_damped_ngd_still_ends_a_run_whose_fisher_overflows_at_step_0():
+    config = _ngd_fisher_overflow_config(damping=0.1, damping_mode="dense_tikhonov")
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_invariance(config)
+    assert report.verdict == "fail"
+    assert report.diagnostic == "step 0 diverged: exact Fisher: non-finite entries"
+    assert report.records == []
+
+
+def test_cli_random_reparam_that_fails_the_pivot_rule_is_a_config_error(tmp_path, capsys):
+    # with a cap of 1e26 the homogeneous [[B, c], [0, 1]] of a pre-activation
+    # map fails linalg.solve's pivot rule, as it would in a reparam file
+    source = {"kind": "random", "seed": 1000, "conditioning_cap": 1e26}
+    path = _write_config(tmp_path, "cap.json", _mlp_config(reparam_source=source))
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: reparam_source preactivation map 0: pivot ")
+    assert captured.err.count("\n") == 1
+    # train builds no twin, so it never solves with the maps
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_PASS
+    capsys.readouterr()
+
+
+def _fails_pivot_rule(m):
+    """m with its matrix made diag(1, ..., 1, 1e-13): a pivot below the rule."""
+    return AffineMap(np.diag(np.r_[np.ones(m.dim - 1), 1e-13]), m.c)
+
+
+@pytest.mark.parametrize("which, index", [
+    ("activation_maps", 1), ("preactivation_maps", 0), ("preactivation_maps", 1)])
+def test_transform_params_names_the_map_whose_solve_fails(which, index):
+    # the recurrent cell (layer 0) and the dense head both read activation
+    # map 1, the hidden space
+    spec = build_network({"type": "rnn", "input_dim": 2, "hidden_dim": 3, "steps": 2,
+                          "head_dim": 2})
+    r = random_reparam(spec, rng_seed=0)
+    maps = getattr(r, which)
+    maps[index] = _fails_pivot_rule(maps[index])
+    name = f"{which[:-5]} map {index}"
+    with pytest.raises(SingularMatrix, match=f"^{name}: pivot "):
+        transform_params(init_params(spec, 0), r)
+
+
+def test_an_output_map_that_fails_the_pivot_rule_is_a_config_error():
+    config = _mlp_config()
+    config.reparam.activation_maps[-1] = _fails_pivot_rule(config.reparam.activation_maps[-1])
+    spec, model, params, data, _ = harness._setup(config)
+    with pytest.raises(ConfigError, match="^reparam_source activation map 3: pivot "):
+        harness._transformed_side(spec, model, params, data, config)
 
 
 def _run_all_commands(path):

@@ -18,6 +18,7 @@ from kfaclab.kfac import (
     factors_to_json,
     kfac_step,
     ngd_step,
+    objective,
     objective_and_gradient,
     sgd_step,
 )
@@ -601,6 +602,21 @@ def test_objective_and_gradient_mean_convention():
     doubled = Dataset(np.concatenate([data.inputs] * 2), np.concatenate([data.targets] * 2))
     _, grad2 = objective_and_gradient(spec, params, model, doubled)
     np.testing.assert_allclose(grad.flatten(), grad2.flatten(), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 64, 96, 127, 128, 129, 300])
+def test_objective_is_np_mean_of_the_losses_bit_for_bit(n):
+    # np.add.reduce then one division by the count: np.mean's arithmetic,
+    # pairwise summation past 8 entries included
+    rng = np.random.default_rng(n)
+    spec = NetworkSpec([DenseLayer(3, 4, Logistic())])
+    params = init_params(spec, n)
+    for model, ys in ((GaussianFixedVar(4, 0.3), rng.normal(size=(n, 4)) * 5.0),
+                      (CategoricalLogits(4), rng.integers(4, size=n))):
+        data = Dataset(rng.normal(size=(n, 3)), ys)
+        trace = forward_batch(spec, params, data.inputs)
+        want = float(np.mean(model.loss(data.targets, trace.output)))
+        assert np.float64(objective(trace, model, data)).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,25 @@ def test_categorical_loss_and_grad():
         np.testing.assert_allclose(model.loss_grad(y, z), p - np.eye(4)[y], atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (np.inf, 0.0), (np.nan, 0.0), (1e308, 0.0)]))
+def test_categorical_loss_on_a_batch_equals_the_take_along_axis_pick(k, n, seed, special):
+    # the batch pick is one fancy index; take_along_axis is the reference
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, k)) * 10.0
+    z[rng.random((n, k)) < 0.2] = special[0]
+    y = rng.integers(k, size=n)
+    model = CategoricalLogits(k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = model.loss(y, z)
+        want = _logsumexp(z) - np.take_along_axis(z, y[:, None], axis=-1)[:, 0]
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+    for i in range(n):  # one target at a time, a scalar
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.float64(model.loss(int(y[i]), z[i])).tobytes() == want[i].tobytes()
+
+
 def test_gaussian_loss_is_full_negative_log_density():
     model = GaussianFixedVar(2, variance=0.5)
     y = np.array([1.0, -1.0])

@@ -11,7 +11,10 @@ workload of bench/workloads.py (all four, or the one named by --workload) it
 2. then, for S seconds (default 10), takes one invariance run on each side
    per panel config in turn, the side that goes first alternating from pair
    to pair, and prints each side's median wall time per run, the median of
-   the paired ratios this/other, and the number of pairs this side won.
+   the paired ratios this/other, the number of pairs this side won, and
+   each side's median count of minor page faults per run (the process's
+   ru_minflt before and after it): memory that a run takes from the system
+   and touches for the first time.
 
 A run is what the benchmark times: build the config from its dict, run the
 invariance protocol, serialize the report. Both sides share one interpreter,
@@ -31,6 +34,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -64,10 +68,13 @@ def run(harness, config: dict) -> str:
     return harness.run_invariance(harness.ExperimentConfig.from_dict(config)).to_json()
 
 
-def timed(harness, config: dict) -> float:
+def timed(harness, config: dict) -> tuple:
+    """(wall time, minor page faults) of one run."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     run(harness, config)
-    return time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def compare(name: str, other_harness, seconds: float) -> None:
@@ -75,22 +82,25 @@ def compare(name: str, other_harness, seconds: float) -> None:
     differ = sum(run(this_harness, c) != run(other_harness, c) for c in configs)
     print(f"{name}: report text differs on {differ} of {len(configs)} panel configs")
 
-    this_s, other_s = [], []
+    this, other = [], []  # (wall time, minor faults) per run
     end = time.perf_counter() + seconds
     while time.perf_counter() < end:
         for config in configs:
-            if len(this_s) % 2:
-                other_s.append(timed(other_harness, config))
-                this_s.append(timed(this_harness, config))
+            if len(this) % 2:
+                other.append(timed(other_harness, config))
+                this.append(timed(this_harness, config))
             else:
-                this_s.append(timed(this_harness, config))
-                other_s.append(timed(other_harness, config))
+                this.append(timed(this_harness, config))
+                other.append(timed(other_harness, config))
+    this_s, this_faults = zip(*this)
+    other_s, other_faults = zip(*other)
     ratios = [a / b for a, b in zip(this_s, other_s)]
     won = sum(a < b for a, b in zip(this_s, other_s))
     print(f"{name}: {len(ratios)} pairs; median run this {statistics.median(this_s):.5f} s, "
           f"other {statistics.median(other_s):.5f} s; median ratio this/other "
-          f"{statistics.median(ratios):.4f}; this faster in {won} of {len(ratios)} pairs",
-          flush=True)
+          f"{statistics.median(ratios):.4f}; this faster in {won} of {len(ratios)} pairs; "
+          f"median minor page faults per run this {statistics.median(this_faults):g}, "
+          f"other {statistics.median(other_faults):g}", flush=True)
 
 
 def main(argv=None) -> int:

@@ -98,6 +98,8 @@ VARIANTS = {
     "gauss-newton-rnn": {**RNN, "metric": "gauss-newton"},
     "ngd-seed-7": {**NGD, "reparam_source": {**NGD["reparam_source"], "seed": 7}},
     "ngd-degenerate": {**NGD, "dataset_spec": {"num_samples": 2}},
+    "ngd-degenerate-damped": {**NGD, "dataset_spec": {"num_samples": 2}, "damping": 0.1,
+                              "damping_mode": "dense_tikhonov"},
     "gaussian-conv": {**CONV, "output_model": GAUSSIAN_6},
     "gaussian-rnn": {**RNN, "output_model": GAUSSIAN_6},
     "layers-conv": {**MLP, "architecture": CONV_LAYERS, "output_model": CATEGORICAL_4},
@@ -135,6 +137,8 @@ VARIANTS = {
         k: v for k, v in RNN["architecture"].items() if k != "hidden_dim"}},
     "layer-without-activation": {**MLP, "architecture": {
         "type": "layers", "layers": [{"kind": "dense", "in_dim": 8, "out_dim": 6}]}},
+    "reparam-random-fails-pivot-rule": {**MLP, "reparam_source": {
+        "kind": "random", "seed": 1000, "conditioning_cap": 1e26}},
     "reparam-file-maps-not-an-array": {**MLP, "reparam_source": {
         "kind": "file", "path": f"{REPARAM_DIR}/maps-not-an-array.json"}},
     "reparam-file-matrix-not-numbers": {**MLP, "reparam_source": {
