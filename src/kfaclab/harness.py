@@ -16,12 +16,22 @@ from . import kfac, metrics, nets, reparam
 from .errors import (ConfigError, NonFinite, SingularMatrix, check_int, check_keys, check_list,
                      check_name, check_real, naming)
 from .kfac import UpdateConfig
-from .linalg import inv, sym_eig_min
+from .linalg import inv, sym_eig_min, symmetrized
 
 STEP0_TOL = 1e-10  # pure reparam correctness, no solves involved
 POST_UPDATE_TOL = 1e-8  # headroom over inverse-factor solve error
 NUM_PROBES = 32
 FISHER_DEGENERACY_RTOL = 1e-12
+# The Cholesky certificate's shift, in units of FISHER_DEGENERACY_RTOL times
+# the Fisher's infinity norm (its largest absolute row sum, which bounds
+# |eigenvalue| from above). Cholesky and eigvalsh are backward stable: each
+# answers for a matrix within about n*u*||F|| of F, at most about
+# 6e-13*||F|| at PARAM_CAP = 5000 parameters. A factorization of F - delta*I
+# with delta = 1e-10*||F||_inf far above that puts every eigenvalue of F
+# above the degeneracy rule's 1e-12*|eigenvalue|_max, with room for both
+# errors; a Fisher whose ratio lies between 1e-12 and about 1e-10 fails the
+# certificate and takes the two eigendecompositions.
+CERTIFICATE_MARGIN = 100.0
 
 
 @dataclass
@@ -471,12 +481,26 @@ def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
 
 def _fisher_degeneracy(fisher, damping: float) -> str:
     """Why the exact Fisher is singular, or "" if it is not; raises NonFinite
-    on inf/NaN entries. The step solves with F + damping I, which is
-    invertible for damping > 0, so a damped run only checks F is finite."""
+    on inf/NaN entries. F is singular when its smallest eigenvalue is at
+    most FISHER_DEGENERACY_RTOL times its largest absolute one. A Cholesky
+    factorization of F shifted down by CERTIFICATE_MARGIN times that bound
+    (see there) certifies the common case; a Fisher that fails it gets both
+    eigenvalues from eigendecompositions, so the verdict and the printed
+    eigenvalues are those of the eigendecompositions alone. The step solves
+    with F + damping I, which is invertible for damping > 0, so a damped run
+    only checks F is finite."""
     if damping > 0:
         if not np.isfinite(fisher).all():
             raise NonFinite("non-finite entries")
         return ""
+    shifted = symmetrized(fisher)
+    delta = CERTIFICATE_MARGIN * FISHER_DEGENERACY_RTOL * np.abs(shifted).sum(axis=1).max()
+    shifted.flat[:: len(shifted) + 1] -= delta
+    try:
+        np.linalg.cholesky(shifted)
+        return ""  # certified: every eigenvalue of F is above delta
+    except np.linalg.LinAlgError:
+        pass  # not certified: decide by the eigenvalues
     emin = sym_eig_min(fisher)
     emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
     if emin > FISHER_DEGENERACY_RTOL * emax:

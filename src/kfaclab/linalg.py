@@ -95,13 +95,14 @@ def inv(a) -> np.ndarray:
     return solve(a, np.eye(a.shape[0]))
 
 
-def sym_eig_min(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix.
+def symmetrized(a) -> np.ndarray:
+    """The symmetric part (a + a.T) / 2 of a square matrix, after the
+    refusals of sym_eig_min, whose messages name it.
 
     Raises NonFinite on inf/NaN input (their asymmetry would be NaN, which
-    no tolerance refuses, and the symmetric solver then fails to converge).
-    Refuses input whose asymmetry exceeds SYMMETRY_RTOL relative to its
-    scale; symmetrizes the remainder before calling the symmetric solver.
+    no tolerance refuses, and a symmetric solver then fails to converge),
+    and NotSymmetric when the asymmetry exceeds SYMMETRY_RTOL relative to
+    the scale of a.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -113,5 +114,10 @@ def sym_eig_min(a) -> float:
     asym = np.abs(a - a.T).max()
     if asym > SYMMETRY_RTOL * scale:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL * scale:.3e}")
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    return float(w[0])
+    return 0.5 * (a + a.T)
+
+
+def sym_eig_min(a) -> float:
+    """Smallest eigenvalue of a symmetric matrix: eigvalsh of symmetrized(a),
+    whose refusals it shares."""
+    return float(np.linalg.eigvalsh(symmetrized(a))[0])

@@ -266,7 +266,9 @@ def exact_fisher(spec, params, model, inputs, basis=None) -> np.ndarray:
     trace, dz = basis
     jac = basis_jacobians(trace, dz)  # (N, K, P)
     f_jac = model.fisher(trace.output) @ jac
-    return np.tensordot(jac, f_jac, axes=([0, 1], [0, 1])) / len(jac)
+    # np.dot on the operands np.tensordot(jac, f_jac, ([0, 1], [0, 1])) builds
+    p = jac.shape[2]
+    return np.dot(jac.transpose(2, 0, 1).reshape(p, -1), f_jac.reshape(-1, p)) / len(jac)
 
 
 def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> np.ndarray:

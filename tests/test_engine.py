@@ -51,6 +51,7 @@ from kfaclab.nets import (
     backward,
     backward_batch,
     basis_backward,
+    basis_jacobians,
     extract_patches,
     fold_patches,
     forward,
@@ -573,6 +574,25 @@ def test_gradient_contractions_equal_tensordot_bit_for_bit(net, n, k, rebase):
             assert g.v.shape == want.shape and g.v.tobytes() == want.tobytes()
         else:
             assert g.v is None
+
+
+@ENGINE_SETTINGS
+@given(networks(), st.integers(1, 40), st.sampled_from(("categorical", "gaussian")),
+       st.booleans())
+def test_exact_fisher_equals_tensordot_bit_for_bit(net, n, kind, wrapped):
+    # exact_fisher calls np.dot on the operands np.tensordot would build
+    spec, params, shape, rng = net
+    k = spec.output_dim
+    model = CategoricalLogits(k) if kind == "categorical" else GaussianFixedVar(k, 0.3)
+    if wrapped:
+        r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
+        model = WrappedOutputModel(model, output_space_map(spec, r))
+    x = rng.standard_normal((n,) + shape)
+    got = exact_fisher(spec, params, model, x)
+    trace = forward_batch(spec, params, x)
+    jac = basis_jacobians(trace, basis_backward(trace))
+    want = np.tensordot(jac, model.fisher(trace.output) @ jac, axes=([0, 1], [0, 1])) / n
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @ENGINE_SETTINGS

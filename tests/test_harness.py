@@ -6,6 +6,7 @@ import io
 import json
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kfaclab import cli, harness, metrics, nets
+from kfaclab import cli, harness, kfac, metrics, nets
 from kfaclab.harness import (
     POST_UPDATE_TOL,
     STEP0_TOL,
@@ -30,8 +31,9 @@ from kfaclab.harness import (
     synthetic_dataset,
     training_csv,
 )
-from kfaclab.errors import ConfigError, NonFinite, SingularMatrix
+from kfaclab.errors import ConfigError, NonFinite, NotSymmetric, SingularMatrix
 from kfaclab.kfac import UpdateConfig, kfac_step, ngd_step
+from kfaclab.linalg import SYMMETRY_RTOL, sym_eig_min
 from kfaclab.metrics import (
     CategoricalLogits,
     FisherMetric,
@@ -436,6 +438,164 @@ def test_ngd_degenerate_fisher_is_reported():
     assert report.verdict == "degenerate"
     assert "exact Fisher is singular" in report.diagnostic
     assert report.records == []
+
+
+# Exact NGD beyond the dense mlp: a conv and a recurrent net whose Fishers are
+# well above rank (N*K far above P), gaussian output, tanh -> identity.
+NGD_CONV = {"type": "conv", "channels": [2, 3, 2], "grid": [4, 4], "kernel_radius": 1,
+            "head_dim": 4, "activation": "tanh", "final_activation": "identity"}
+NGD_RNN = {"type": "rnn", "input_dim": 3, "hidden_dim": 3, "steps": 3, "activation": "tanh",
+           "final_activation": "identity"}
+NGD_NETS = {
+    "conv": {"architecture": NGD_CONV, "output_model": {"kind": "gaussian", "dim": 4},
+             "dataset_spec": {"num_samples": 122}},  # P = 245
+    "rnn": {"architecture": NGD_RNN, "output_model": {"kind": "gaussian", "dim": 3},
+            "dataset_spec": {"num_samples": 11}},  # P = 21
+}
+
+
+@pytest.mark.parametrize("net", sorted(NGD_NETS))
+def test_ngd_invariance_on_conv_and_recurrent_nets(net):
+    # criterion 4's bound, on each of the ledger's ten reparam seeds
+    for seed in range(1000, 1010):
+        source = {"kind": "random", "seed": seed, "conditioning_cap": 100.0}
+        report = run_invariance(_ngd_config(reparam_source=source, **NGD_NETS[net]))
+        assert report.verdict == "pass", (seed, report.diagnostic)
+        assert report.max_forward_discrepancy <= 1e-7, seed
+
+
+# ---------------------------------------------------------------------------
+# the exact-NGD degeneracy check
+
+
+def _two_eigendecompositions(fisher, damping):
+    """harness._fisher_degeneracy as it was before its Cholesky certificate,
+    with linalg.sym_eig_min's checks copied in: the reference that every
+    verdict, message and exception must match."""
+    if damping > 0:
+        if not np.isfinite(fisher).all():
+            raise NonFinite("non-finite entries")
+        return ""
+    a = np.asarray(fisher, dtype=np.float64)
+    top = np.abs(a).max()
+    if not math.isfinite(top):
+        raise NonFinite("sym_eig_min received non-finite entries")
+    scale = max(top, 1.0)
+    asym = np.abs(a - a.T).max()
+    if asym > SYMMETRY_RTOL * scale:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL * scale:.3e}")
+    emin = float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
+    emax = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    if emin > 1e-12 * emax:
+        return ""
+    return f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})"
+
+
+def _outcome(check, fisher, damping=0.0):
+    try:
+        return check(fisher, damping)
+    except (NonFinite, NotSymmetric) as exc:
+        return type(exc), str(exc)
+
+
+def _check_as_reference(fisher, damping=0.0) -> bool:
+    """Assert that the check matches the reference on fisher; whether it
+    took the eigendecompositions (the certificate failed)."""
+    with mock.patch.object(harness, "sym_eig_min", wraps=sym_eig_min) as exact:
+        got = _outcome(harness._fisher_degeneracy, fisher, damping)
+    assert got == _outcome(_two_eigendecompositions, fisher, damping)
+    return exact.called
+
+
+def _run_fishers(monkeypatch, config):
+    """Every exact Fisher that an invariance run of config builds."""
+    fishers = []
+
+    def kept(*args, **kwargs):
+        fishers.append(exact_fisher(*args, **kwargs))
+        return fishers[-1]
+
+    exact_fisher = kfac.exact_fisher
+    monkeypatch.setattr(kfac, "exact_fisher", kept)
+    run_invariance(config)
+    monkeypatch.undo()
+    return fishers
+
+
+def test_degeneracy_check_matches_the_eigendecompositions_on_run_fishers(monkeypatch):
+    sources = [{"kind": "random", "seed": s, "conditioning_cap": 100.0} for s in range(1000, 1010)]
+    certified = [_ngd_config(reparam_source=s) for s in sources]  # the mlp-ngd panel
+    certified += [_ngd_config(**NGD_NETS[net]) for net in sorted(NGD_NETS)]
+    for config in certified:
+        fishers = _run_fishers(monkeypatch, config)
+        assert len(fishers) == 2 * config.steps  # both twins, one per step
+        for fisher in fishers:
+            assert not _check_as_reference(fisher)  # decided by the certificate
+    # ngd-degenerate: two samples for 49 parameters
+    fishers = _run_fishers(monkeypatch, _ngd_config(dataset_spec={"num_samples": 2}))
+    assert len(fishers) == 1 and _check_as_reference(fishers[0])
+    assert _two_eigendecompositions(fishers[0], 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 60),
+    log_ratio=st.floats(-13.0, -6.0),
+    negative=st.booleans(),
+    log_scale=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_degeneracy_check_matches_the_eigendecompositions_on_spectra(
+    n, log_ratio, negative, log_scale, seed
+):
+    # Q diag(lam) Q^T with lam_min / lam_max = +-10^log_ratio, across both the
+    # 1e-12 rule and the certificate's 1e-10 margin
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.logspace(0.0, log_ratio, n) if n > 1 else np.ones(1)
+    if negative:
+        lam[-1] = -lam[-1]
+    _check_as_reference((q * (10.0**log_scale * lam)) @ q.T)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(2, 60), rank=st.integers(1, 59), seed=st.integers(0, 2**32 - 1))
+def test_degeneracy_check_matches_the_eigendecompositions_on_rank_deficient_gram(n, rank, seed):
+    # J^T J with fewer rows than columns is exactly singular
+    jac = np.random.default_rng(seed).standard_normal((min(rank, n - 1), n))
+    assert _check_as_reference(jac.T @ jac)
+
+
+def test_degeneracy_check_boundaries_and_refusals():
+    assert _check_as_reference(np.diag([1.0, 5e-13]))  # under the 1e-12 rule
+    assert _two_eigendecompositions(np.diag([1.0, 5e-13]), 0.0)
+    assert _check_as_reference(np.diag([1.0, 5e-11]))  # inside the margin: not singular
+    assert not _two_eigendecompositions(np.diag([1.0, 5e-11]), 0.0)
+    assert not _check_as_reference(np.diag([1.0, 1e-9]))
+    # The margin scales with the infinity norm, not the largest entry: the
+    # all-ones direction of 11^T / n has entries 1/n but eigenvalue 1.
+    n = 400
+    spread = np.full((n, n), 1.0 / n) + 5e-13 * np.eye(n)
+    assert _check_as_reference(spread)
+    assert _two_eigendecompositions(spread, 0.0)
+    # refusals come first, with sym_eig_min's messages
+    for bad in (np.inf, -np.inf, np.nan):
+        fisher = np.eye(3)
+        fisher[1, 2] = bad
+        with pytest.raises(NonFinite):
+            harness._fisher_degeneracy(fisher, 0.0)
+        _check_as_reference(fisher)
+    over = np.eye(3)
+    over[0, 1] += 1.01 * SYMMETRY_RTOL  # just over the asymmetry limit
+    with pytest.raises(NotSymmetric):
+        harness._fisher_degeneracy(over, 0.0)
+    _check_as_reference(over)
+    under = np.eye(3)
+    under[0, 1] += 0.99 * SYMMETRY_RTOL
+    assert not _check_as_reference(under)
+    # a damped run only checks that F is finite
+    for fisher in (np.zeros((2, 2)), np.diag([1.0, -1.0]), over, np.full((2, 2), np.nan)):
+        assert not _check_as_reference(fisher, damping=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Alternating A/B timing of two kfaclab trees in one process.
+"""Alternating A/B timing of two kfaclab trees, in one process or in fresh ones.
 
-    python3 tools/ab_runs.py OTHER_ROOT [--workload W] [--seconds S]
+    python3 tools/ab_runs.py OTHER_ROOT [--workload W] [--seconds S] [--fresh ROUNDS]
 
 imports OTHER_ROOT/src/kfaclab a second time, as the package `kfaclab_other`,
 next to the kfaclab of the checkout holding this script ("this"). For each
@@ -24,6 +24,21 @@ changed tree against a copy of the parent commit:
 
     git archive --prefix=parent/ PARENT_COMMIT | tar -x -C /tmp
     python3 tools/ab_runs.py /tmp/parent --workload mlp-ngd --seconds 30
+
+Sharing a process also shares one glibc heap, whose thresholds follow what
+the run has allocated and freed so far, so a change in how a run allocates
+can look faster or slower there than it does in a process of its own.
+`--fresh ROUNDS` times the sides in separate processes instead: each round
+starts one child process per side, the side that goes first alternating
+from round to round. A child runs every panel config once to warm up, then
+runs the panel for S seconds (at least once through), each run timed the
+way bench/run.py times it: its wall time at the reference speed of
+bench/measure.py (`reference_s`, `Timings`). It reports its median run time
+and its median minor page faults per run. The tool prints these for each
+round with the ratio this/other, then the median ratio and the rounds this
+side won. A child that outlives its timeout is killed.
+
+    python3 tools/ab_runs.py /tmp/parent --workload mlp-ngd --fresh 10 --seconds 10
 """
 
 import os
@@ -32,22 +47,18 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 HERE = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(HERE / "src"))
-sys.path.insert(0, str(HERE / "bench"))
-
-from workloads import WORKLOADS  # noqa: E402
-
-from kfaclab import harness as this_harness  # noqa: E402
-
 OTHER = "kfaclab_other"
 
 
@@ -77,8 +88,9 @@ def timed(harness, config: dict) -> tuple:
     return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
-def compare(name: str, other_harness, seconds: float) -> None:
-    configs = WORKLOADS[name].configs(seed=1)
+def compare(workload, this_harness, other_harness, seconds: float) -> None:
+    name = workload.name
+    configs = workload.configs(seed=1)
     differ = sum(run(this_harness, c) != run(other_harness, c) for c in configs)
     print(f"{name}: report text differs on {differ} of {len(configs)} panel configs")
 
@@ -103,19 +115,98 @@ def compare(name: str, other_harness, seconds: float) -> None:
           f"other {statistics.median(other_faults):g}", flush=True)
 
 
+def child(workload, seconds: float) -> dict:
+    """One side of a --fresh round, in its own process: the panel once to
+    warm up, then timed runs for `seconds`, at least once through."""
+    import measure
+
+    from kfaclab import harness
+
+    configs = workload.configs(seed=1)
+    texts = "\n".join(run(harness, c) for c in configs)
+    timings, faults = measure.Timings(), []
+    end = time.perf_counter() + seconds
+    ref = measure.reference_s()
+    while len(faults) < len(configs) or time.perf_counter() < end:
+        wall, fault = timed(harness, configs[len(faults) % len(configs)])
+        faults.append(fault)
+        after = measure.reference_s()
+        timings.add(wall, ref, after)
+        ref = after
+    return {"run_s": statistics.median(timings.scaled), "faults": statistics.median(faults),
+            "runs": len(faults), "reports": hashlib.sha256(texts.encode()).hexdigest()}
+
+
+def fresh_child(root: Path, name: str, seconds: float) -> dict:
+    """child() for the kfaclab under root, in a new process, killed if it
+    runs past its timeout."""
+    argv = [sys.executable, __file__, "--child", str(root), "--workload", name,
+            "--seconds", str(seconds)]
+    try:
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=120 + 4 * seconds)
+    except subprocess.TimeoutExpired:
+        sys.exit(f"ab_runs: the {name} child for {root} timed out and was killed")
+    if done.returncode:
+        sys.exit(f"ab_runs: the {name} child for {root} exited {done.returncode}: "
+                 f"{done.stderr[-500:]}")
+    return json.loads(done.stdout)
+
+
+def compare_fresh(name: str, other_root: Path, rounds: int, seconds: float) -> None:
+    ratios = []
+    for i in range(rounds):
+        sides = [("this", HERE), ("other", other_root)]
+        got = {side: fresh_child(root, name, seconds)
+               for side, root in (sides if i % 2 == 0 else sides[::-1])}
+        this, other = got["this"], got["other"]
+        ratios.append(this["run_s"] / other["run_s"])
+        differ = "" if this["reports"] == other["reports"] else "; report texts differ"
+        print(f"{name} round {i + 1} ({'this' if i % 2 == 0 else 'other'} first): "
+              f"median run at reference speed this {this['run_s']:.6f} s ({this['runs']} runs), "
+              f"other {other['run_s']:.6f} s ({other['runs']} runs); ratio {ratios[-1]:.4f}; "
+              f"median minor page faults per run this {this['faults']:g}, "
+              f"other {other['faults']:g}{differ}", flush=True)
+    print(f"{name}: median ratio this/other {statistics.median(ratios):.4f}; this faster in "
+          f"{sum(r < 1 for r in ratios)} of {rounds} rounds", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("other_root", type=Path, help="a checkout with src/kfaclab")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS))
+    parser.add_argument("other_root", type=Path, nargs="?", help="a checkout with src/kfaclab")
+    parser.add_argument("--workload", help="one workload of bench/workloads.py (default all)")
     parser.add_argument("--seconds", type=float, default=10.0,
-                        help="timed seconds per workload (default 10)")
+                        help="timed seconds per workload, or per child with --fresh "
+                             "(default 10)")
+    parser.add_argument("--fresh", type=int, metavar="ROUNDS",
+                        help="time each side in its own processes, ROUNDS rounds")
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    # this checkout's kfaclab, or in a timing child the kfaclab of its side
+    sys.path[:0] = [str((args.child or HERE).resolve() / "src"), str(HERE / "bench")]
+    from workloads import WORKLOADS
+
+    if args.workload not in (None, *WORKLOADS):
+        parser.error(f"unknown workload {args.workload!r}; one of {sorted(WORKLOADS)}")
+    if args.child:
+        print(json.dumps(child(WORKLOADS[args.workload], args.seconds)))
+        return 0
+    if args.other_root is None:
+        parser.error("OTHER_ROOT is required")
     root = args.other_root.resolve()
     if not (root / "src" / "kfaclab" / "__init__.py").is_file():
         parser.error(f"no kfaclab sources under {root / 'src'}")
+    if args.fresh is not None and args.fresh < 1:
+        parser.error("--fresh needs at least one round")
+    names = [args.workload] if args.workload else list(WORKLOADS)
+    if args.fresh:
+        for name in names:
+            compare_fresh(name, root, args.fresh, args.seconds)
+        return 0
+    from kfaclab import harness
+
     other_harness = load_other(root)
-    for name in [args.workload] if args.workload else WORKLOADS:
-        compare(name, other_harness, args.seconds)
+    for name in names:
+        compare(WORKLOADS[name], harness, other_harness, args.seconds)
     return 0
 
 

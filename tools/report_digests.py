@@ -85,6 +85,16 @@ REPARAM_FILES = {
     "matrix-not-numbers.json": {"activation_maps": [{"B": "x", "c": [0.0]}],
                                 "preactivation_maps": []},
 }
+# exact NGD on a conv and a recurrent net (tests/test_harness.py's NGD_NETS)
+NGD_CONV = {**NGD, "architecture": {"type": "conv", "channels": [2, 3, 2], "grid": [4, 4],
+                                    "kernel_radius": 1, "head_dim": 4, "activation": "tanh",
+                                    "final_activation": "identity"},
+            "output_model": {"kind": "gaussian", "dim": 4}, "dataset_spec": {"num_samples": 122},
+            "reparam_source": {**NGD["reparam_source"], "seed": 1000}}
+NGD_RNN = {**NGD, "architecture": {"type": "rnn", "input_dim": 3, "hidden_dim": 3, "steps": 3,
+                                   "activation": "tanh", "final_activation": "identity"},
+           "output_model": {"kind": "gaussian", "dim": 3}, "dataset_spec": {"num_samples": 11},
+           "reparam_source": {**NGD["reparam_source"], "seed": 1000}}
 CATEGORICAL_4 = {"kind": "categorical", "classes": 4}
 GAUSSIAN_6 = {"kind": "gaussian", "dim": 6, "variance": 0.5}
 
@@ -100,6 +110,12 @@ VARIANTS = {
     "ngd-degenerate": {**NGD, "dataset_spec": {"num_samples": 2}},
     "ngd-degenerate-damped": {**NGD, "dataset_spec": {"num_samples": 2}, "damping": 0.1,
                               "damping_mode": "dense_tikhonov"},
+    "ngd-conv": NGD_CONV,
+    "ngd-rnn": NGD_RNN,
+    # N*K = 260 just above P = 245: a reparam seed whose run fails, with BLAS
+    # on one thread or two
+    "ngd-conv-near-rank": {**NGD_CONV, "dataset_spec": {"num_samples": 65},
+                           "reparam_source": {**NGD["reparam_source"], "seed": 1002}},
     "gaussian-conv": {**CONV, "output_model": GAUSSIAN_6},
     "gaussian-rnn": {**RNN, "output_model": GAUSSIAN_6},
     "layers-conv": {**MLP, "architecture": CONV_LAYERS, "output_model": CATEGORICAL_4},
