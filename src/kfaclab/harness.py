@@ -22,15 +22,24 @@ STEP0_TOL = 1e-10  # pure reparam correctness, no solves involved
 POST_UPDATE_TOL = 1e-8  # headroom over inverse-factor solve error
 NUM_PROBES = 32
 FISHER_DEGENERACY_RTOL = 1e-12
-# The Cholesky certificate's shift, in units of FISHER_DEGENERACY_RTOL times
-# the Fisher's infinity norm (its largest absolute row sum, which bounds
-# |eigenvalue| from above). Cholesky and eigvalsh are backward stable: each
-# answers for a matrix within about n*u*||F|| of F, at most about
-# 6e-13*||F|| at PARAM_CAP = 5000 parameters. A factorization of F - delta*I
-# with delta = 1e-10*||F||_inf far above that puts every eigenvalue of F
-# above the degeneracy rule's 1e-12*|eigenvalue|_max, with room for both
-# errors; a Fisher whose ratio lies between 1e-12 and about 1e-10 fails the
-# certificate and takes the two eigendecompositions.
+# The Cholesky certificate factors A = F - delta*I, with
+# delta = (CERTIFICATE_MARGIN * FISHER_DEGENERACY_RTOL + n*(n+1)*eps) * ||F||_inf
+# for an n x n Fisher; ||F||_inf, the largest absolute row sum, bounds
+# |eigenvalue| from above. A Cholesky factorization that runs to completion
+# gives R^T R = A + dA with |dA_ij| <= about gamma_{n+1} * sqrt(a_ii a_jj), so
+# ||dA||_2 <= about (n+1)*u*trace(A) <= (n+1)*n*u*||F||_inf (u = eps/2;
+# Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3). R^T R
+# is positive definite, so every eigenvalue of F exceeds delta - ||dA||_2.
+# The n*(n+1)*eps term is twice that error bound: one share for the
+# Cholesky error and one for eigvalsh's, whose Householder reduction has a
+# worst-case backward error of the same n^2*u order. What is left,
+# CERTIFICATE_MARGIN times the degeneracy rule's 1e-12, keeps a certified
+# Fisher's smallest eigenvalue, as eigvalsh computes it, above the rule's
+# 1e-12*|eigenvalue|_max. Actual rounding errors sit far below these
+# bounds. The rounding term is 5.4e-13*||F||_inf at mlp-ngd's 49 parameters
+# and 5.6e-9*||F||_inf at PARAM_CAP = 5000; a Fisher whose ratio lies
+# between 1e-12 and delta / ||F||_inf fails the certificate and takes the
+# two eigendecompositions.
 CERTIFICATE_MARGIN = 100.0
 
 
@@ -483,22 +492,25 @@ def _fisher_degeneracy(fisher, damping: float) -> str:
     """Why the exact Fisher is singular, or "" if it is not; raises NonFinite
     on inf/NaN entries. F is singular when its smallest eigenvalue is at
     most FISHER_DEGENERACY_RTOL times its largest absolute one. A Cholesky
-    factorization of F shifted down by CERTIFICATE_MARGIN times that bound
-    (see there) certifies the common case; a Fisher that fails it gets both
-    eigenvalues from eigendecompositions, so the verdict and the printed
-    eigenvalues are those of the eigendecompositions alone. The step solves
-    with F + damping I, which is invertible for damping > 0, so a damped run
-    only checks F is finite."""
+    factorization of F shifted down by a margin above that bound and above
+    the rounding errors of both methods (see CERTIFICATE_MARGIN) certifies
+    the common case; a Fisher that fails it gets both eigenvalues from
+    eigendecompositions, so the verdict and the printed eigenvalues are
+    those of the eigendecompositions alone. The step solves with
+    F + damping I, which is invertible for damping > 0, so a damped run only
+    checks F is finite."""
     if damping > 0:
         if not np.isfinite(fisher).all():
             raise NonFinite("non-finite entries")
         return ""
     shifted = symmetrized(fisher)
-    delta = CERTIFICATE_MARGIN * FISHER_DEGENERACY_RTOL * np.abs(shifted).sum(axis=1).max()
-    shifted.flat[:: len(shifted) + 1] -= delta
+    n = len(shifted)
+    rtol = CERTIFICATE_MARGIN * FISHER_DEGENERACY_RTOL + n * (n + 1) * np.finfo(np.float64).eps
+    delta = rtol * np.abs(shifted).sum(axis=1).max()
+    shifted.flat[:: n + 1] -= delta
     try:
         np.linalg.cholesky(shifted)
-        return ""  # certified: every eigenvalue of F is above delta
+        return ""  # certified: F's smallest eigenvalue clears the rule
     except np.linalg.LinAlgError:
         pass  # not certified: decide by the eigenvalues
     emin = sym_eig_min(fisher)

@@ -566,6 +566,30 @@ def test_degeneracy_check_matches_the_eigendecompositions_on_rank_deficient_gram
     assert _check_as_reference(jac.T @ jac)
 
 
+def test_degeneracy_check_matches_the_eigendecompositions_on_a_large_fisher():
+    # At n = 1000 the certificate's rounding term, n*(n+1)*eps = 2.2e-10, is
+    # twice its 1e-10 margin, and a ratio of 1e-9 fails the certificate.
+    # Four Householder reflections of diag(lam) give a dense matrix with a
+    # known spectrum.
+    n = 1000
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for ratio, certified in ((5e-13, False), (2e-12, False), (1e-9, False), (1e-7, True)):
+        fisher = np.diag(np.logspace(0.0, np.log10(ratio), n))
+        for _ in range(4):
+            v = rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+            w = fisher @ v
+            fisher -= 2.0 * (np.outer(v, w) + np.outer(w, v)) - 4.0 * (v @ w) * np.outer(v, v)
+        fisher = 0.5 * (fisher + fisher.T)
+        with mock.patch.object(harness, "sym_eig_min", wraps=sym_eig_min) as exact:
+            got = harness._fisher_degeneracy(fisher, 0.0)
+        assert got == _two_eigendecompositions(fisher, 0.0)
+        assert exact.called != certified, ratio
+        verdicts.append(bool(got))
+    assert verdicts == [True, False, False, False]
+
+
 def test_degeneracy_check_boundaries_and_refusals():
     assert _check_as_reference(np.diag([1.0, 5e-13]))  # under the 1e-12 rule
     assert _two_eigendecompositions(np.diag([1.0, 5e-13]), 0.0)

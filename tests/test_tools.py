@@ -7,11 +7,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_ab_runs_fresh_times_each_side_in_its_own_processes():
+def test_ab_runs_times_each_side_in_its_own_processes():
     # one round of 0.5 s per child, this tree against itself
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_runs.py"), str(ROOT), "--workload", "mlp-ngd",
-         "--fresh", "1", "--seconds", "0.5"],
+         "--rounds", "1", "--seconds", "0.5"],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

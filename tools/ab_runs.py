@@ -1,44 +1,31 @@
-"""Alternating A/B timing of two kfaclab trees, in one process or in fresh ones.
+"""Alternating A/B timing of two kfaclab trees, each side in fresh processes.
 
-    python3 tools/ab_runs.py OTHER_ROOT [--workload W] [--seconds S] [--fresh ROUNDS]
+    python3 tools/ab_runs.py OTHER_ROOT [--workload W] [--rounds R] [--seconds S]
 
-imports OTHER_ROOT/src/kfaclab a second time, as the package `kfaclab_other`,
-next to the kfaclab of the checkout holding this script ("this"). For each
-workload of bench/workloads.py (all four, or the one named by --workload) it
+times the kfaclab of the checkout holding this script ("this") against
+OTHER_ROOT/src/kfaclab on each workload of bench/workloads.py (all four, or
+the one named by --workload). Each of R rounds (default 10) starts one
+child process per side, the side that goes first alternating from round to
+round; a side never shares a process, and so never a glibc heap, with the
+other, whose allocations would move the thresholds its own runs meet. A
+child runs every panel config (the ten ledger reparam seeds) once to warm
+up, then runs the panel for S seconds (default 5, at least once through).
+It times each run the way bench/run.py does: its wall time at the reference
+speed of bench/measure.py (`reference_s`, `Timings`). A run is what the
+benchmark times: build the config from its dict, run the invariance
+protocol, serialize the report. The child reports its median run time, its
+median count of minor page faults per run (the process's ru_minflt before
+and after it: memory that a run takes from the system and touches for the
+first time) and a digest of its warm-up report texts.
 
-1. runs every panel config (the ten ledger reparam seeds) once on each side
-   and prints how many of the report texts differ;
-2. then, for S seconds (default 10), takes one invariance run on each side
-   per panel config in turn, the side that goes first alternating from pair
-   to pair, and prints each side's median wall time per run, the median of
-   the paired ratios this/other, the number of pairs this side won, and
-   each side's median count of minor page faults per run (the process's
-   ru_minflt before and after it): memory that a run takes from the system
-   and touches for the first time.
-
-A run is what the benchmark times: build the config from its dict, run the
-invariance protocol, serialize the report. Both sides share one interpreter,
-one numpy and one BLAS (pinned to one thread, as bench/run.py does), so a
-machine whose speed drifts moves both sides of a pair alike. Run it from the
+The tool prints, for each round, both sides' medians and fault counts, the
+ratio this/other, and whether the report texts differ; then the median
+ratio and the rounds this side won. BLAS runs on one thread, as in
+bench/run.py. A child that outlives its timeout is killed. Run it from the
 changed tree against a copy of the parent commit:
 
     git archive --prefix=parent/ PARENT_COMMIT | tar -x -C /tmp
-    python3 tools/ab_runs.py /tmp/parent --workload mlp-ngd --seconds 30
-
-Sharing a process also shares one glibc heap, whose thresholds follow what
-the run has allocated and freed so far, so a change in how a run allocates
-can look faster or slower there than it does in a process of its own.
-`--fresh ROUNDS` times the sides in separate processes instead: each round
-starts one child process per side, the side that goes first alternating
-from round to round. A child runs every panel config once to warm up, then
-runs the panel for S seconds (at least once through), each run timed the
-way bench/run.py times it: its wall time at the reference speed of
-bench/measure.py (`reference_s`, `Timings`). It reports its median run time
-and its median minor page faults per run. The tool prints these for each
-round with the ratio this/other, then the median ratio and the rounds this
-side won. A child that outlives its timeout is killed.
-
-    python3 tools/ab_runs.py /tmp/parent --workload mlp-ngd --fresh 10 --seconds 10
+    python3 tools/ab_runs.py /tmp/parent --workload mlp-ngd --rounds 10 --seconds 10
 """
 
 import os
@@ -48,8 +35,6 @@ os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
-import importlib  # noqa: E402
-import importlib.util  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -59,19 +44,6 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 HERE = Path(__file__).resolve().parent.parent
-OTHER = "kfaclab_other"
-
-
-def load_other(root: Path):
-    """The harness module of root/src/kfaclab, imported as package OTHER.
-    kfaclab imports its own modules relatively, so they load from root."""
-    package = root / "src" / "kfaclab"
-    spec = importlib.util.spec_from_file_location(
-        OTHER, package / "__init__.py", submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[OTHER] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{OTHER}.harness")
 
 
 def run(harness, config: dict) -> str:
@@ -88,36 +60,9 @@ def timed(harness, config: dict) -> tuple:
     return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
-def compare(workload, this_harness, other_harness, seconds: float) -> None:
-    name = workload.name
-    configs = workload.configs(seed=1)
-    differ = sum(run(this_harness, c) != run(other_harness, c) for c in configs)
-    print(f"{name}: report text differs on {differ} of {len(configs)} panel configs")
-
-    this, other = [], []  # (wall time, minor faults) per run
-    end = time.perf_counter() + seconds
-    while time.perf_counter() < end:
-        for config in configs:
-            if len(this) % 2:
-                other.append(timed(other_harness, config))
-                this.append(timed(this_harness, config))
-            else:
-                this.append(timed(this_harness, config))
-                other.append(timed(other_harness, config))
-    this_s, this_faults = zip(*this)
-    other_s, other_faults = zip(*other)
-    ratios = [a / b for a, b in zip(this_s, other_s)]
-    won = sum(a < b for a, b in zip(this_s, other_s))
-    print(f"{name}: {len(ratios)} pairs; median run this {statistics.median(this_s):.5f} s, "
-          f"other {statistics.median(other_s):.5f} s; median ratio this/other "
-          f"{statistics.median(ratios):.4f}; this faster in {won} of {len(ratios)} pairs; "
-          f"median minor page faults per run this {statistics.median(this_faults):g}, "
-          f"other {statistics.median(other_faults):g}", flush=True)
-
-
 def child(workload, seconds: float) -> dict:
-    """One side of a --fresh round, in its own process: the panel once to
-    warm up, then timed runs for `seconds`, at least once through."""
+    """One side of a round, in its own process: the panel once to warm up,
+    then timed runs for `seconds`, at least once through."""
     import measure
 
     from kfaclab import harness
@@ -152,7 +97,7 @@ def fresh_child(root: Path, name: str, seconds: float) -> dict:
     return json.loads(done.stdout)
 
 
-def compare_fresh(name: str, other_root: Path, rounds: int, seconds: float) -> None:
+def compare(name: str, other_root: Path, rounds: int, seconds: float) -> None:
     ratios = []
     for i in range(rounds):
         sides = [("this", HERE), ("other", other_root)]
@@ -174,14 +119,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_root", type=Path, nargs="?", help="a checkout with src/kfaclab")
     parser.add_argument("--workload", help="one workload of bench/workloads.py (default all)")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="timed seconds per workload, or per child with --fresh "
-                             "(default 10)")
-    parser.add_argument("--fresh", type=int, metavar="ROUNDS",
-                        help="time each side in its own processes, ROUNDS rounds")
+    parser.add_argument("--rounds", type=int, default=10,
+                        help="rounds of one child process per side (default 10)")
+    parser.add_argument("--seconds", type=float, default=5.0,
+                        help="timed seconds per child (default 5)")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    # this checkout's kfaclab, or in a timing child the kfaclab of its side
+    # this checkout's kfaclab, or in a child the kfaclab of its side
     sys.path[:0] = [str((args.child or HERE).resolve() / "src"), str(HERE / "bench")]
     from workloads import WORKLOADS
 
@@ -195,18 +139,10 @@ def main(argv=None) -> int:
     root = args.other_root.resolve()
     if not (root / "src" / "kfaclab" / "__init__.py").is_file():
         parser.error(f"no kfaclab sources under {root / 'src'}")
-    if args.fresh is not None and args.fresh < 1:
-        parser.error("--fresh needs at least one round")
-    names = [args.workload] if args.workload else list(WORKLOADS)
-    if args.fresh:
-        for name in names:
-            compare_fresh(name, root, args.fresh, args.seconds)
-        return 0
-    from kfaclab import harness
-
-    other_harness = load_other(root)
-    for name in names:
-        compare(WORKLOADS[name], harness, other_harness, args.seconds)
+    if args.rounds < 1:
+        parser.error("--rounds needs at least one round")
+    for name in [args.workload] if args.workload else WORKLOADS:
+        compare(name, root, args.rounds, args.seconds)
     return 0
 
 

@@ -6,7 +6,9 @@ runs `check-invariance`, `train --out -` and `dump-factors` in a fresh
 process per call, with ROOT/src on PYTHONPATH (ROOT defaults to the checkout
 holding this script), on a fixed set of configs: the four benchmark panels
 of bench/workloads.py (reparam seeds 1000-1009 each) and the variants below.
-It prints one line per config and command:
+Each call runs BLAS on one thread, since a product's rounding can depend on
+the thread count once P is a few hundred, so the lines do not depend on the
+machine. It prints one line per config and command:
 
     <config> <command> <sha256 of stdout> <sha256 of stderr> <exit code>
 
@@ -196,8 +198,10 @@ def _sha(data: bytes) -> str:
 
 def run_cli(root: Path, path: str, command: tuple) -> subprocess.CompletedProcess:
     """One CLI call on the config at path, in a fresh process running
-    ROOT/src, with ROOT's path replaced by "<root>" in stderr."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    ROOT/src with BLAS on one thread, with ROOT's path replaced by "<root>"
+    in stderr."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
     argv = [sys.executable, "-m", "kfaclab.cli", command[0], "--config", path, *command[1:]]
     done = subprocess.run(argv, capture_output=True, env=env, cwd=root)
     done.stderr = done.stderr.replace(str(root).encode(), b"<root>")
