@@ -41,7 +41,7 @@ def _load_config(path: str) -> harness.ExperimentConfig:
             raw = json.load(fh)
         return harness.ExperimentConfig.from_dict(raw)
     except (OSError, ValueError, KeyError, TypeError, ShapeMismatch) as exc:
-        raise SystemExit(f"config error: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_check_invariance(args) -> int:
@@ -59,7 +59,7 @@ def _cmd_train(args) -> int:
     try:  # opened before the run, so an unwritable path fails before any work
         out = contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w")
     except OSError as exc:
-        raise SystemExit(f"config error: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     with out as fh:
         fh.write(harness.training_csv(harness.run_training(config)))
     return EXIT_PASS
@@ -102,13 +102,8 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_CONFIG
-        raise
-    # the config asks for arrays too large to allocate, or a run finds it
-    # names something unusable
+    # the config is unusable, asks for arrays too large to allocate, or a
+    # run finds it names something unusable
     except (MemoryError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -79,26 +79,23 @@ def synthetic_dataset(
     model,
     num_samples: int,
     seed: int,
-    teacher: nets.ParamSet = None,
     teacher_seed: int = None,
     input_scale: float = 1.0,
     weight_scale: float = 1.0,
 ) -> Dataset:
     """Inputs i.i.d. normal, targets sampled from a teacher's predictive.
 
-    The teacher is a fresh random instance of the same architecture unless
-    one is passed in. All inputs come from one draw, the teacher's outputs
-    from one batched forward pass and the targets from one model.sample
-    call, after the inputs. Deterministic per (seed, teacher_seed).
+    The teacher is a fresh random instance of the same architecture. All
+    inputs come from one draw, the teacher's outputs from one batched
+    forward pass and the targets from one model.sample call, after the
+    inputs. Deterministic per (seed, teacher_seed).
     Raises NonFinite when a teacher output overflows.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    if teacher is None:
-        teacher = nets.init_params(
-            spec, seed=seed + 1 if teacher_seed is None else teacher_seed,
-            weight_scale=weight_scale,
-        )
+    teacher = nets.init_params(
+        spec, seed=seed + 1 if teacher_seed is None else teacher_seed, weight_scale=weight_scale
+    )
     rng = np.random.default_rng(seed)
     inputs = _draw_inputs(spec, rng, num_samples, input_scale)
     outputs = nets.forward_batch(spec, teacher, inputs).output
@@ -177,6 +174,13 @@ class ExperimentConfig:
         check_name("metric", self.metric, metrics.METRICS)
         # checks learning_rate, damping and their consistency with damping_mode
         self.update = UpdateConfig(self.learning_rate, self.damping, self.damping_mode)
+        # settings the optimizer would ignore (sgd never damps; ngd damps
+        # its exact Fisher only as F + damping I)
+        if self.optimizer == "sgd" and self.damping > 0:
+            raise ValueError("optimizer sgd takes no damping: damping must be 0")
+        if self.optimizer == "ngd" and self.damping_mode == "factored":
+            raise ValueError("optimizer ngd damps only as F + damping I: damping_mode "
+                             "must be none or dense_tikhonov")
         # a metric other than the Fisher needs the output basis left alone
         self.reparam = _build_reparam(spec, self.reparam_source, self.metric != "fisher")
 

@@ -32,8 +32,8 @@ invariance harness use it.
 Each layer builds its Abar once, C-contiguous, in the array the trace
 keeps (Layer.expand): a dense layer fills one buffer with its input and
 the row of ones (_homogenize_batch); a conv layer's one gather returns it,
-the row of ones read from a cell past the padded grid (extract_patches
-with ones_row); and the recurrent cell sets the row of ones once and
+the row of ones read from a cell past the padded grid (extract_patches);
+and the recurrent cell sets the row of ones once and
 writes each state into its column, which the next step's product reads
 as a strided view, with the bits of a product on a contiguous copy.
 
@@ -52,7 +52,7 @@ RecurrentLayer.input_map_grad) call np.dot on the C-contiguous operands
 np.tensordot would build; a transposed view in place of such a copy
 changes the GEMM's bits.
 
-The per-sample path (forward, backward, jvp) evaluates one input and keeps
+The per-sample path (forward, backward) evaluates one input and keeps
 a full trace. It is the reference oracle: the Monte-Carlo Fisher, the
 per-sample output Jacobian and the tests are built on it. Activations act
 along the second-to-last axis (columns for vector layers, grids for conv
@@ -75,12 +75,9 @@ from .linalg import unvec, vec
 
 
 class Activation:
-    """Smooth map applied to pre-activations, with jvp/vjp at a point."""
+    """Smooth map applied to pre-activations, with its vjp at a point."""
 
     def value(self, z):
-        raise NotImplementedError
-
-    def jvp(self, z, dz):
         raise NotImplementedError
 
     def vjp(self, z, da):
@@ -96,9 +93,6 @@ class _Elementwise(Activation):
 
     def value(self, z):
         return self._f(z)
-
-    def jvp(self, z, dz):
-        return self._df(z) * dz
 
     def vjp(self, z, da):
         # elementwise maps have symmetric Jacobian
@@ -171,9 +165,6 @@ class AffineWrapped(Activation):
 
     def value(self, z):
         return self.outer.apply_cols(self.base.value(self.inner.apply_cols(z)))
-
-    def jvp(self, z, dz):
-        return self.outer.b @ self.base.jvp(self.inner.apply_cols(z), self.inner.b @ dz)
 
     def vjp(self, z, da):
         inner, outer = self.inner, self.outer
@@ -425,8 +416,7 @@ class ConvLayer(Layer):
         return (self.out_channels, self.in_channels * self.num_offsets + 1)
 
     def expand(self, x):
-        return extract_patches(x, self.kernel_radius, self.grid, self.padding_value,
-                               ones_row=True)
+        return extract_patches(x, self.kernel_radius, self.grid, self.padding_value)
 
     def fold(self, cols):
         return fold_patches(cols, self.kernel_radius, self.grid)
@@ -663,26 +653,15 @@ def init_params(spec: NetworkSpec, seed: int, weight_scale: float = 1.0) -> Para
     return ParamSet(layers)
 
 
-def zero_tangent(params: ParamSet) -> ParamSet:
-    return ParamSet(
-        [
-            LayerParams(
-                np.zeros_like(lp.wbar), None if lp.v is None else np.zeros_like(lp.v)
-            )
-            for lp in params.layers
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # patches
 
 
 @functools.lru_cache(maxsize=32)
-def _patch_index(radius: int, grid_hw: tuple, channels: int, ones_row: bool) -> np.ndarray:
+def _patch_index(radius: int, grid_hw: tuple, channels: int) -> np.ndarray:
     """Flat positions in a padded (J, H+2R, W+2R) block of the patch entries,
-    shaped (J*(2R+1)^2, H*W) in extract_patches' row order, then, with
-    ones_row, a row pointing at the cell just past the block; read-only."""
+    shaped (J*(2R+1)^2, H*W) in extract_patches' row order, then a row
+    pointing at the cell just past the block; read-only."""
     h, w = grid_hw
     k = 2 * radius + 1
     hp, wp = h + 2 * radius, w + 2 * radius
@@ -690,23 +669,21 @@ def _patch_index(radius: int, grid_hw: tuple, channels: int, ones_row: bool) -> 
     y, x = np.divmod(np.arange(h * w), w)
     rows = (dy * wp + dx)[:, None] + np.arange(channels) * (hp * wp)  # (offset, channel)
     index = rows.reshape(-1, 1) + (y * wp + x)
-    if ones_row:
-        index = np.vstack([index, np.full((1, h * w), channels * hp * wp)])
+    index = np.vstack([index, np.full((1, h * w), channels * hp * wp)])
     index.setflags(write=False)
     return index
 
 
-def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None,
-                    ones_row: bool = False) -> np.ndarray:
-    """Expand a channels-by-locations grid into patch columns (im2col).
+def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np.ndarray:
+    """Expand a channels-by-locations grid into homogenized patch columns
+    (im2col with a row of ones): the Abar of a conv layer.
 
     Column t holds the radius-R neighbourhood of location t, ordered
     offset-major: rows [d*J, (d+1)*J) hold channel values at spatial offset
     index d, offsets scanned row-major over the (2R+1)x(2R+1) window.
     Beyond the border patches read padding_value (zeros when omitted).
-    Leading axes are batch axes: (..., J, H*W) -> (..., J*(2R+1)^2, H*W).
-    With ones_row a last row of ones follows: the columns are then Abar,
-    (..., J*(2R+1)^2 + 1, H*W).
+    A last row of ones follows. Leading axes are batch axes:
+    (..., J, H*W) -> (..., J*(2R+1)^2 + 1, H*W).
 
     The grid is padded once, into a buffer one cell longer that holds 1.0
     there; every patch entry, and the row of ones, is then gathered by one
@@ -724,11 +701,12 @@ def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None,
     if padding_value is not None and np.any(padding_value):
         padded += np.asarray(padding_value, dtype=np.float64)[:, None, None]
     padded[..., radius : radius + h, radius : radius + w] = grid.reshape(lead + (j, h, w))
-    return flat.take(_patch_index(radius, (h, w), j, ones_row), axis=-1)
+    return flat.take(_patch_index(radius, (h, w), j), axis=-1)
 
 
 def fold_patches(patches, radius: int, grid_hw: tuple) -> np.ndarray:
-    """Adjoint of extract_patches: scatter-add patch columns back to the grid.
+    """Adjoint of extract_patches' patch rows (all but its row of ones):
+    scatter-add patch columns back to the grid.
 
     Leading axes are batch axes, as in extract_patches. The buffer holds
     them innermost, behind the channels, so each of the (2R+1)^2 shifted
@@ -893,12 +871,12 @@ def basis_jacobians(trace: BatchTrace, dz: list) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-sample reference path: forward / backward / jvp
+# per-sample reference path: forward / backward
 #
 # The batched engine above is what training, factor estimation and the dense
 # Fisher run. This path evaluates one sample at a time and stays as the oracle
-# that the per-sample output Jacobian, the Monte-Carlo Fisher, jvp and the
-# tests are built on.
+# that the per-sample output Jacobian, the Monte-Carlo Fisher and the tests
+# are built on.
 
 
 @dataclass
@@ -954,10 +932,7 @@ def forward(spec: NetworkSpec, params: ParamSet, x) -> ForwardTrace:
                 raise ShapeMismatch(
                     f"conv layer expects ({layer.in_channels}, {t}), got {carry.shape}"
                 )
-            patches = extract_patches(
-                carry, layer.kernel_radius, layer.grid, layer.padding_value
-            )
-            abar = _homogenize(patches)
+            abar = extract_patches(carry, layer.kernel_radius, layer.grid, layer.padding_value)
             z = lp.wbar @ abar
             a_out = layer.activation.value(z)
             trace.layers.append(LayerTrace("conv2d", carry, abar, z, z, a_out))
@@ -1052,42 +1027,6 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
             prev = spec.layers[i - 1]
             carry = unvec(carry, prev.out_channels, prev.num_locations)
     return BackwardTrace(layer_back, ParamSet(grads))
-
-
-def jvp(trace: ForwardTrace, param_tangent: ParamSet) -> np.ndarray:
-    """Forward-mode directional derivative of the output in a parameter direction."""
-    spec, params = trace.spec, trace.params
-    if len(param_tangent.layers) != len(params.layers):
-        raise ShapeMismatch("tangent has wrong number of layers")
-    dcarry = None  # tangent of the running activation, None means zero
-    for layer, lp, dp, lt in zip(
-        spec.layers, params.layers, param_tangent.layers, trace.layers
-    ):
-        if dp.wbar.shape != lp.wbar.shape:
-            raise ShapeMismatch("tangent wbar shape mismatch")
-        w = lp.wbar[:, :-1]
-        if layer.kind == "dense":
-            if dcarry is not None and dcarry.ndim == 2:
-                dcarry = vec(dcarry)
-            dz = dp.wbar @ lt.abar
-            if dcarry is not None:
-                dz = dz + w @ dcarry.reshape(-1, 1)
-            dcarry = layer.activation.jvp(lt.act_in, dz)[:, 0]
-        elif layer.kind == "conv2d":
-            dz = dp.wbar @ lt.abar
-            if dcarry is not None:
-                dpatches = extract_patches(dcarry, layer.kernel_radius, layer.grid)
-                dz = dz + w @ dpatches
-            dcarry = layer.activation.jvp(lt.act_in, dz)
-        else:
-            da = np.zeros((layer.hidden_dim, 1))  # initial state is a constant
-            for t in range(layer.steps):
-                dz = dp.wbar @ lt.abar[:, t].reshape(-1, 1) + w @ da
-                if dp.v is not None:
-                    dz = dz + dp.v @ lt.a_in[t].reshape(-1, 1)
-                da = layer.activation.jvp(lt.act_in[:, t].reshape(-1, 1), dz)
-            dcarry = da[:, 0]
-    return vec(dcarry) if dcarry.ndim == 2 else dcarry
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from kfaclab import kfac, nets
+from kfaclab import kfac
 from kfaclab.errors import SingularMatrix
 from kfaclab.harness import STEP0_TOL, Dataset
 from kfaclab.kfac import (
@@ -416,7 +416,7 @@ def test_patches_with_batch_axes_match_one_grid_at_a_time():
         grids = rng.standard_normal((2, 5, 3, 12))
         pad = rng.standard_normal(3)
         patches = extract_patches(grids, radius, grid_hw, pad)
-        u = rng.standard_normal(patches.shape)
+        u = rng.standard_normal(patches[..., :-1, :].shape)
         folded = fold_patches(u, radius, grid_hw)
         for idx in np.ndindex(2, 5):
             np.testing.assert_array_equal(
@@ -476,17 +476,14 @@ def test_patch_helpers_equal_the_reference_bit_for_bit(
     grid = rng.standard_normal(lead + (channels, h * w))
     grid[..., ::3] = -0.0  # signed zeros must come through unchanged
     pad = rng.standard_normal(channels) if padded else None
+    # the gather returns Abar: the patches, then a row of ones
     got = extract_patches(grid, radius, grid_hw, pad)
     want = _extract_patches_reference(grid, radius, grid_hw, pad)
-    assert got.shape == want.shape and got.flags.c_contiguous
-    np.testing.assert_array_equal(got, want, strict=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-    # with the row of ones the gather returns Abar, as the homogenized patches
-    abar = extract_patches(grid, radius, grid_hw, pad, ones_row=True)
     want_abar = _ones_below(want)
-    assert abar.shape == want_abar.shape and abar.flags.c_contiguous
-    assert abar.tobytes() == want_abar.tobytes()
-    assert nets._homogenize_batch(got).tobytes() == want_abar.tobytes()
+    assert got.shape == want_abar.shape and got.flags.c_contiguous
+    assert got.tobytes() == want_abar.tobytes()
+    np.testing.assert_array_equal(got[..., :-1, :], want, strict=True)
+    assert np.array_equal(np.signbit(got[..., :-1, :]), np.signbit(want))
 
     u = rng.standard_normal(want.shape)
     u[..., ::2, ::2] = -0.0

@@ -1294,6 +1294,11 @@ CONV_ARCHITECTURE = {
             raw, tmp, lambda d: d["activation_maps"][1].update(B="x")),
          "reparam file activation map 1 B must be a list of equal-length lists of numbers, "
          "got 'x'"),
+        (lambda raw, tmp: raw.update(optimizer="sgd", damping=0.1, damping_mode="factored"),
+         "optimizer sgd takes no damping: damping must be 0"),
+        (lambda raw, tmp: raw.update(optimizer="ngd", damping=0.1, damping_mode="factored"),
+         "optimizer ngd damps only as F + damping I: damping_mode must be none or "
+         "dense_tikhonov"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
@@ -1311,6 +1316,7 @@ CONV_ARCHITECTURE = {
         "layer-without-activation", "recurrent-layer-without-steps",
         "reparam-file-without-activation-maps", "reparam-file-map-without-offset",
         "reparam-file-maps-not-an-array", "reparam-file-matrix-not-numbers",
+        "sgd-damped", "ngd-factored",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):

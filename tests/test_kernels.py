@@ -121,11 +121,11 @@ def test_fallback_kernels_keep_solve_and_logistic_bits(tmp_path, monkeypatch):
     a, b = rng.standard_normal((13, 13)), rng.standard_normal((13, 4))
     z = np.concatenate([np.array(SPECIAL), rng.standard_normal(20) * 10])
     with np.errstate(all="ignore"):
-        before = (linalg.solve(a, b), Logistic().value(z), Logistic().jvp(z, z))
+        before = (linalg.solve(a, b), Logistic().value(z), Logistic().vjp(z, z))
         dgetrf, dgetrs, expit = _scipy.load(str(tmp_path))  # an empty directory
         monkeypatch.setattr(linalg, "dgetrf", dgetrf)
         monkeypatch.setattr(linalg, "dgetrs", dgetrs)
         monkeypatch.setattr(nets, "expit", expit)
-        after = (linalg.solve(a, b), Logistic().value(z), Logistic().jvp(z, z))
+        after = (linalg.solve(a, b), Logistic().value(z), Logistic().vjp(z, z))
     for got, want in zip(after, before):
         _assert_same_bits(got, want)

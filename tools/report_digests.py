@@ -13,7 +13,9 @@ machine. It prints one line per config and command:
     <config> <command> <sha256 of stdout> <sha256 of stderr> <exit code>
 
 ROOT's path is replaced by "<root>" in stderr before hashing, so tracebacks
-and warnings from two checkouts compare by content. To check that a change
+and warnings from two checkouts compare by content, and the temporary
+directory holding the configs by "<reparam files>" in stdout, so a report
+that echoes a reparam file's path compares too. To check that a change
 keeps every output, run the script (from the changed tree) once on a copy of
 the parent commit and once on the change, and diff the two outputs:
 
@@ -39,6 +41,8 @@ HERE = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "src"))
 sys.path.insert(0, str(HERE / "bench"))
 
+from kfaclab.harness import build_network  # noqa: E402
+from kfaclab.reparam import random_reparam, reparam_to_dict  # noqa: E402
 from workloads import LEDGER_REPARAM_SEEDS, WORKLOADS  # noqa: E402
 
 COMMANDS = (
@@ -86,6 +90,10 @@ REPARAM_FILES = {
     "maps-not-an-array.json": {"activation_maps": 5, "preactivation_maps": []},
     "matrix-not-numbers.json": {"activation_maps": [{"B": "x", "c": [0.0]}],
                                 "preactivation_maps": []},
+    # the maps of the mlp-kfac-1000 panel member, so the reparam-file
+    # variant's records equal that member's
+    "maps-mlp-kfac-1000.json": reparam_to_dict(random_reparam(
+        build_network(MLP["architecture"]), 1000, MLP["reparam_source"]["conditioning_cap"])),
 }
 # exact NGD on a conv and a recurrent net (tests/test_harness.py's NGD_NETS)
 NGD_CONV = {**NGD, "architecture": {"type": "conv", "channels": [2, 3, 2], "grid": [4, 4],
@@ -161,6 +169,13 @@ VARIANTS = {
         "kind": "file", "path": f"{REPARAM_DIR}/maps-not-an-array.json"}},
     "reparam-file-matrix-not-numbers": {**MLP, "reparam_source": {
         "kind": "file", "path": f"{REPARAM_DIR}/matrix-not-numbers.json"}},
+    "reparam-file": {**MLP, "reparam_source": {
+        "kind": "file", "path": f"{REPARAM_DIR}/maps-mlp-kfac-1000.json"}},
+    "teacher-input-scale": {**MLP, "dataset_spec": {**MLP["dataset_spec"], "teacher_seed": 3,
+                                                    "input_scale": 0.5}},
+    # settings the optimizer would ignore: config errors
+    "sgd-damped": {**MLP, "optimizer": "sgd", "damping": 0.1, "damping_mode": "factored"},
+    "ngd-factored": {**NGD, "damping": 0.1, "damping_mode": "factored"},
 }
 
 
@@ -199,12 +214,14 @@ def _sha(data: bytes) -> str:
 def run_cli(root: Path, path: str, command: tuple) -> subprocess.CompletedProcess:
     """One CLI call on the config at path, in a fresh process running
     ROOT/src with BLAS on one thread, with ROOT's path replaced by "<root>"
-    in stderr."""
+    in stderr, and the config directory's by REPARAM_DIR in stdout (a
+    report echoes the path of the reparam file it read)."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
     argv = [sys.executable, "-m", "kfaclab.cli", command[0], "--config", path, *command[1:]]
     done = subprocess.run(argv, capture_output=True, env=env, cwd=root)
     done.stderr = done.stderr.replace(str(root).encode(), b"<root>")
+    done.stdout = done.stdout.replace(os.path.dirname(path).encode(), REPARAM_DIR.encode())
     return done
 
 
