@@ -6,7 +6,8 @@ whose step meets inf/NaN entries in a solve, or whose exact Fisher is not
 finite at the initial parameters, ends as fail), 3 when the run
 hit a degenerate metric or non-finite teacher outputs, 4 for configuration
 problems. train exits 0, 3 (as above, or a solve that met inf/NaN entries)
-or 4; dump-factors exits 0, 3 (non-finite teacher outputs) or 4.
+or 4; dump-factors exits 0, 3 (non-finite teacher outputs, or a factor with
+inf/NaN entries, which JSON cannot hold) or 4.
 
 The whole config is checked when it is loaded, before any run: field names,
 types and ranges, the network and output model, and the reparam source (a

@@ -255,9 +255,13 @@ def _json_matrix(m) -> str:
 
 
 def factors_to_json(metric: KFacMetric) -> str:
-    """JSON dump of all factors, floats at 17 significant digits."""
+    """JSON dump of all factors, floats at 17 significant digits. JSON has
+    no inf or NaN, so a factor holding one raises NonFinite naming it."""
     blocks = []
     for f in metric.factors:
+        for name, m in (("A", f.a), ("G", f.g)):
+            if not np.isfinite(m).all():
+                raise NonFinite(f"layer {f.layer_index}: factor {name} has non-finite entries")
         blocks.append(
             "{"
             + f'"layer_index": {f.layer_index}, '

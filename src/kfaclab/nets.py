@@ -16,9 +16,10 @@ holds im2col patch columns) and the step count for recurrent layers. Each
 kind is one class (DenseLayer, ConvLayer, RecurrentLayer) holding the facts
 and steps that differ between kinds. The conv patch columns come from
 extract_patches, one gather from the padded grid through a cached flat
-index; its adjoint fold_patches adds the shifted offsets back with the
-batch axes innermost. Neither loops over rows of the grid, and both give
-the same bits as a per-offset loop.
+index, with the bits of a per-offset loop. A conv layer's input cotangent
+comes from fold_patches: with no more output than input channels (I <= J)
+one GEMM over gathered windows of dz, which never builds the patch
+cotangent W^T dz, and otherwise W^T dz folded back by shifted adds.
 
 The batched engine (forward_batch, backward_batch) runs all N samples at
 once: Abar is an (N, n+1, T) tensor per layer, and backward takes an
@@ -41,8 +42,8 @@ In the backward pass every product with a matrix the whole batch shares
 (W^T dz, and the Omega^T, Phi^T and Phi z + tau of a wrapped activation)
 goes through _lmul: with T = 1 the (N, K, m, 1) stack is one (N*K, m)
 matrix and the product one GEMM, where a numpy stacked matmul would make
-one BLAS call per (sample, cotangent). The conv layer's W^T dz is one
-GEMM for any T (ConvLayer.pullback). The forward pass stays one product
+one BLAS call per (sample, cotangent). The conv layer's input cotangent
+is one GEMM for any T (fold_patches). The forward pass stays one product
 per sample: the bits of an OpenBLAS GEMM row depend on how many rows or
 columns share the call (they differed in 287 of 1287 shape-and-count cases
 tried), and the run loop reads the data rows of a pass over the data
@@ -419,18 +420,15 @@ class ConvLayer(Layer):
         return extract_patches(x, self.kernel_radius, self.grid, self.padding_value)
 
     def fold(self, cols):
-        return fold_patches(cols, self.kernel_radius, self.grid)
+        return _fold_cols(cols, self.kernel_radius, self.grid)
 
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
-        """As Layer.pullback, but W^T dz is one GEMM over the (I, T*N*K)
-        columns of dz; the (N, K, J(2R+1)^2, T) view of its result hands
-        fold_patches the batch axes innermost in memory."""
+        """As Layer.pullback, but the input cotangent comes from
+        fold_patches, which never builds W^T dz when I <= J."""
         dz = self.activation.vjp(act_in[:, None], da)
         if not to_input:
             return dz, None
-        n, k, m, t = dz.shape
-        cols = lp.wbar[:, :-1].T @ dz.transpose(2, 3, 0, 1).reshape(m, -1)
-        return dz, self.fold(cols.reshape(-1, t, n, k).transpose(2, 3, 0, 1))
+        return dz, fold_patches(dz, lp.wbar[:, :-1], self.kernel_radius, self.grid)
 
     def map_input(self, m, x) -> np.ndarray:
         return m.apply_cols(x)
@@ -704,7 +702,7 @@ def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np
     return flat.take(_patch_index(radius, (h, w), j), axis=-1)
 
 
-def fold_patches(patches, radius: int, grid_hw: tuple) -> np.ndarray:
+def _fold_cols(patches, radius: int, grid_hw: tuple) -> np.ndarray:
     """Adjoint of extract_patches' patch rows (all but its row of ones):
     scatter-add patch columns back to the grid.
 
@@ -731,6 +729,44 @@ def fold_patches(patches, radius: int, grid_hw: tuple) -> np.ndarray:
         window += blocks[d]
     grid = padded[radius : radius + h, radius : radius + w].transpose(3, 2, 0, 1)
     return np.ascontiguousarray(grid).reshape(lead + (j, h * w))
+
+
+def fold_patches(dz, w, radius: int, grid_hw: tuple) -> np.ndarray:
+    """Cotangent of a conv layer's input, the fold (_fold_cols) of W^T dz,
+    for pre-activation cotangents dz, (..., I, H*W), and patch weights
+    w = Wbar[:, :-1], (I, J*(2R+1)^2); leading axes are batch axes.
+
+    The channel counts choose the order. With I <= J, dz is copied once
+    into a zero-padded (I, H+2R, W+2R, batch) buffer, its (2R+1)^2 shifted
+    windows are gathered (offset (dy, dx) reads rows from 2R-dy and columns
+    from 2R-dx), and one GEMM with W's offset blocks, reordered to
+    (J, (2R+1)^2 * I), sums every term: W^T dz is never made. With I > J the
+    gather would be the larger buffer, so W^T dz is one GEMM over the
+    (I, T * batch) columns of dz and _fold_cols adds its offsets back.
+    """
+    dz = np.asarray(dz, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    h, wd = grid_hw
+    k = 2 * radius + 1
+    if (dz.ndim < 2 or dz.shape[-1] != h * wd or w.ndim != 2
+            or w.shape[0] != dz.shape[-2] or w.shape[1] % (k * k)):
+        raise ShapeMismatch(f"cotangent {dz.shape} and weights {w.shape} do not fit")
+    lead, (i, t) = dz.shape[:-2], dz.shape[-2:]
+    size, j = math.prod(lead), w.shape[1] // (k * k)
+    cols = dz.reshape(size, i, t).transpose(1, 2, 0)  # (I, T, batch)
+    if i > j:
+        patches = (w.T @ cols.reshape(i, -1)).reshape(-1, t, size).transpose(2, 0, 1)
+        return _fold_cols(patches.reshape(lead + (-1, t)), radius, grid_hw)
+    r2 = 2 * radius
+    padded = np.zeros((i, h + r2, wd + r2, size))
+    padded[:, radius : radius + h, radius : radius + wd] = cols.reshape(i, h, wd, size)
+    windows = np.empty((k, k, i, h, wd, size))
+    for dy in range(k):
+        for dx in range(k):
+            windows[dy, dx] = padded[:, r2 - dy : r2 - dy + h, r2 - dx : r2 - dx + wd]
+    blocks = w.reshape(i, k * k, j).transpose(2, 1, 0).reshape(j, -1)  # (J, (offset, I))
+    grid = np.dot(blocks, windows.reshape(k * k * i, -1)).reshape(j, t, size)
+    return np.ascontiguousarray(grid.transpose(2, 0, 1)).reshape(lead + (j, t))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1043,7 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
             grads[i] = LayerParams(dwbar)
             layer_back[i] = LayerBackward("conv2d", dz)
             if i > 0:
-                carry = fold_patches(w.T @ dz, layer.kernel_radius, layer.grid)
+                carry = fold_patches(dz, w, layer.kernel_radius, layer.grid)
         else:
             da = carry
             dwbar = np.zeros_like(lp.wbar)

@@ -48,6 +48,7 @@ from kfaclab.nets import (
     RecurrentLayer,
     Softplus,
     Tanh,
+    _fold_cols,
     backward,
     backward_batch,
     basis_backward,
@@ -417,12 +418,12 @@ def test_patches_with_batch_axes_match_one_grid_at_a_time():
         pad = rng.standard_normal(3)
         patches = extract_patches(grids, radius, grid_hw, pad)
         u = rng.standard_normal(patches[..., :-1, :].shape)
-        folded = fold_patches(u, radius, grid_hw)
+        folded = _fold_cols(u, radius, grid_hw)
         for idx in np.ndindex(2, 5):
             np.testing.assert_array_equal(
                 patches[idx], extract_patches(grids[idx], radius, grid_hw, pad)
             )
-            np.testing.assert_array_equal(folded[idx], fold_patches(u[idx], radius, grid_hw))
+            np.testing.assert_array_equal(folded[idx], _fold_cols(u[idx], radius, grid_hw))
 
 
 # Reference im2col and fold: a sliding-window view of the padded grid, and
@@ -487,14 +488,14 @@ def test_patch_helpers_equal_the_reference_bit_for_bit(
 
     u = rng.standard_normal(want.shape)
     u[..., ::2, ::2] = -0.0
-    if batch_innermost:  # the layout ConvLayer.pullback hands over: (rows, T, batch)
+    if batch_innermost:  # the layout fold_patches hands over when I > J: (rows, T, batch)
         u = np.moveaxis(np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1))), (0, 1), (-2, -1))
-    got = fold_patches(u, radius, grid_hw)
+    got = _fold_cols(u, radius, grid_hw)
     want = _fold_patches_reference(u, radius, grid_hw)
     assert got.flags.c_contiguous
     np.testing.assert_array_equal(got, want, strict=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert got.tobytes() == fold_patches(np.ascontiguousarray(u), radius, grid_hw).tobytes()
+    assert got.tobytes() == _fold_cols(np.ascontiguousarray(u), radius, grid_hw).tobytes()
 
 
 # Reference forward: each layer's Abar concatenated from its input columns
@@ -618,3 +619,30 @@ def test_conv_input_cotangent_is_the_fold_of_w_transpose_dz(
     want = _fold_patches_reference(lp.wbar[:, :-1].T @ dz, radius, grid_hw)
     assert got.shape == want.shape == (n, k, in_channels, t)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@ENGINE_SETTINGS
+@given(
+    radius=st.integers(0, 2),
+    grid_hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    in_channels=st.integers(1, 4),
+    out_channels=st.integers(1, 4),
+    lead=st.sampled_from([(), (3,), (2, 4)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fold_patches_is_the_adjoint_of_w_times_the_patches(
+    radius, grid_hw, in_channels, out_channels, lead, seed
+):
+    # <dz, W extract_patches(a)> = <fold_patches(dz, W), a> in both orders:
+    # the gathered windows (I <= J) and the shifted adds of W^T dz (I > J)
+    rng = np.random.default_rng(seed)
+    t = grid_hw[0] * grid_hw[1]
+    w = rng.standard_normal((out_channels, in_channels * (2 * radius + 1) ** 2))
+    dz = rng.standard_normal(lead + (out_channels, t))
+    a = rng.standard_normal(lead + (in_channels, t))
+    got = fold_patches(dz, w, radius, grid_hw)
+    assert got.shape == a.shape and got.flags.c_contiguous
+    terms = [dz * (w @ extract_patches(a, radius, grid_hw)[..., :-1, :]), got * a]
+    lhs, rhs = (np.sum(x) for x in terms)
+    scale = max(np.sum(np.abs(x)) for x in terms)
+    assert abs(lhs - rhs) <= 1e-13 * scale

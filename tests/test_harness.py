@@ -884,6 +884,25 @@ def test_cli_train_on_a_singular_fisher_names_the_fisher_and_the_step(tmp_path, 
     assert captured.err.count("\n") == 1
 
 
+def test_cli_dump_factors_with_an_overflowing_factor_exits_3_naming_it(tmp_path, capsys):
+    # inputs of 1e200 overflow the A factor; JSON has no inf, so no dump
+    raw = {"architecture": {"type": "mlp", "dims": [3, 4, 3]},
+           "output_model": {"kind": "categorical", "classes": 3},
+           "dataset_spec": {"num_samples": 8, "input_scale": 1e200}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["dump-factors", "--config", str(path)]) == cli.EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: layer 0: factor A has non-finite entries\n"
+    # a finite dump is valid JSON
+    raw["dataset_spec"]["input_scale"] = 1.0
+    path.write_text(json.dumps(raw))
+    assert cli.main(["dump-factors", "--config", str(path)]) == cli.EXIT_PASS
+    factors = json.loads(capsys.readouterr().out)
+    assert [f["layer_index"] for f in factors] == [0, 1]
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"architecture": {"type": "mlp", "dims": [2, 2]}}))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from kfaclab.errors import SingularMatrix, TooLarge
+from kfaclab.errors import NonFinite, SingularMatrix, TooLarge
 from kfaclab.harness import Dataset
 from kfaclab.kfac import (
     KFacMetric,
@@ -651,3 +651,11 @@ def test_factors_to_json_round_trips_exactly():
         assert b["scale"] == f.scale
         np.testing.assert_array_equal(np.array(b["A"]), f.a)
         np.testing.assert_array_equal(np.array(b["G"]), f.g)
+
+
+@pytest.mark.parametrize("which, bad", [("A", np.inf), ("A", -np.inf), ("G", np.nan)])
+def test_factors_to_json_refuses_a_non_finite_factor_naming_it(which, bad):
+    factors = [KroneckerFactor(i, np.eye(3), np.eye(2), 1.0) for i in range(2)]
+    getattr(factors[1], which.lower())[0, 1] = bad
+    with pytest.raises(NonFinite, match=rf"^layer 1: factor {which} has non-finite entries$"):
+        factors_to_json(KFacMetric(factors))

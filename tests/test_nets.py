@@ -230,11 +230,13 @@ def test_fold_patches_is_adjoint_of_extract():
     grid_hw = (4, 5)
     j, t = 3, 20
     for radius in (0, 1, 2):
-        a = rng.standard_normal((j, t))
-        u = rng.standard_normal((j * (2 * radius + 1) ** 2, t))
-        lhs = np.sum(u * extract_patches(a, radius, grid_hw)[:-1])
-        rhs = np.sum(fold_patches(u, radius, grid_hw) * a)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        for i in (1, 3, 5):  # I <= J gathers windows of dz, I > J folds W^T dz
+            a = rng.standard_normal((j, t))
+            dz = rng.standard_normal((i, t))
+            w = rng.standard_normal((i, j * (2 * radius + 1) ** 2))
+            lhs = np.sum(dz * (w @ extract_patches(a, radius, grid_hw)[:-1]))
+            rhs = np.sum(fold_patches(dz, w, radius, grid_hw) * a)
+            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def conv_direct_sum(wbar, grid, grid_hw, radius):

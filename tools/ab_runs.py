@@ -20,7 +20,10 @@ first time) and a digest of its warm-up report texts.
 
 The tool prints, for each round, both sides' medians and fault counts, the
 ratio this/other, and whether the report texts differ; then the median
-ratio and the rounds this side won. BLAS runs on one thread, as in
+ratio, each side's median and quartiles of its per-round medians, whether
+a gain of this side holds (at least ten rounds, nine in ten of them won, and
+a median gap wider than the other side's interquartile range), and the
+rounds this side won. BLAS runs on one thread, as in
 bench/run.py. A child that outlives its timeout is killed. Run it from the
 changed tree against a copy of the parent commit:
 
@@ -97,21 +100,46 @@ def fresh_child(root: Path, name: str, seconds: float) -> dict:
     return json.loads(done.stdout)
 
 
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile), linear between the order
+    statistics; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def gain_summary(this: list, other: list) -> str:
+    """Each side's median and quartiles of its per-round medians, and
+    whether this side's gain holds: over at least ten rounds it won at least
+    nine tenths of them (ties count for neither), and its median is below
+    the other's by more than the other's interquartile range."""
+    (q1, mid, q3), (oq1, omid, oq3) = quartiles(this), quartiles(other)
+    won = sum(a < b for a, b in zip(this, other))
+    holds = len(this) >= 10 and won >= 0.9 * len(this) and omid - mid > oq3 - oq1
+    return (f"per-round medians this {mid:.6f} s (quartiles {q1:.6f}-{q3:.6f}), "
+            f"other {omid:.6f} s (quartiles {oq1:.6f}-{oq3:.6f}); gain "
+            f"{'holds' if holds else 'does not hold'} (needs 10 rounds or more, 9 in 10 won, "
+            f"and a median gap, here {omid - mid:.6f} s, above other's IQR, {oq3 - oq1:.6f} s)")
+
+
 def compare(name: str, other_root: Path, rounds: int, seconds: float) -> None:
-    ratios = []
+    ratios, this_s, other_s = [], [], []
     for i in range(rounds):
         sides = [("this", HERE), ("other", other_root)]
         got = {side: fresh_child(root, name, seconds)
                for side, root in (sides if i % 2 == 0 else sides[::-1])}
         this, other = got["this"], got["other"]
-        ratios.append(this["run_s"] / other["run_s"])
+        this_s.append(this["run_s"])
+        other_s.append(other["run_s"])
+        ratios.append(this_s[-1] / other_s[-1])
         differ = "" if this["reports"] == other["reports"] else "; report texts differ"
         print(f"{name} round {i + 1} ({'this' if i % 2 == 0 else 'other'} first): "
               f"median run at reference speed this {this['run_s']:.6f} s ({this['runs']} runs), "
               f"other {other['run_s']:.6f} s ({other['runs']} runs); ratio {ratios[-1]:.4f}; "
               f"median minor page faults per run this {this['faults']:g}, "
               f"other {other['faults']:g}{differ}", flush=True)
-    print(f"{name}: median ratio this/other {statistics.median(ratios):.4f}; this faster in "
+    print(f"{name}: median ratio this/other {statistics.median(ratios):.4f}; "
+          f"{gain_summary(this_s, other_s)}; this faster in "
           f"{sum(r < 1 for r in ratios)} of {rounds} rounds", flush=True)
 
 

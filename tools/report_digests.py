@@ -176,6 +176,15 @@ VARIANTS = {
     # settings the optimizer would ignore: config errors
     "sgd-damped": {**MLP, "optimizer": "sgd", "damping": 0.1, "damping_mode": "factored"},
     "ngd-factored": {**NGD, "damping": 0.1, "damping_mode": "factored"},
+    # a pulled-back conv layer with fewer output than input channels (4 -> 2)
+    # at radius 2 on a non-square grid: fold_patches gathers windows of dz
+    "conv-radius-2-narrowing": {**CONV, "architecture": {**CONV["architecture"],
+                                                         "channels": [3, 4, 2],
+                                                         "kernel_radius": 2, "grid": [4, 5]}},
+    # inputs so large that the A factor overflows: dump-factors exits 3
+    "dump-factors-overflow": {**MLP, "architecture": {"type": "mlp", "dims": [3, 4, 3]},
+                              "output_model": {"kind": "categorical", "classes": 3},
+                              "dataset_spec": {"num_samples": 8, "input_scale": 1e200}},
 }
 
 
