@@ -17,9 +17,10 @@ kind is one class (DenseLayer, ConvLayer, RecurrentLayer) holding the facts
 and steps that differ between kinds. The conv patch columns come from
 extract_patches, one gather from the padded grid through a cached flat
 index, with the bits of a per-offset loop. A conv layer's input cotangent
-comes from fold_patches: with no more output than input channels (I <= J)
-one GEMM over gathered windows of dz, which never builds the patch
-cotangent W^T dz, and otherwise W^T dz folded back by shifted adds.
+comes from fold_patches, one GEMM over gathered windows of dz, which never
+builds the patch cotangent W^T dz. The per-sample oracle (backward) folds
+W^T dz back by shifted adds instead (_fold_cols), so the batched engine's
+conv cotangent is checked against arithmetic it does not share.
 
 The batched engine (forward_batch, backward_batch) runs all N samples at
 once: Abar is an (N, n+1, T) tensor per layer, and backward takes an
@@ -419,12 +420,9 @@ class ConvLayer(Layer):
     def expand(self, x):
         return extract_patches(x, self.kernel_radius, self.grid, self.padding_value)
 
-    def fold(self, cols):
-        return _fold_cols(cols, self.kernel_radius, self.grid)
-
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
         """As Layer.pullback, but the input cotangent comes from
-        fold_patches, which never builds W^T dz when I <= J."""
+        fold_patches, which never builds W^T dz."""
         dz = self.activation.vjp(act_in[:, None], da)
         if not to_input:
             return dz, None
@@ -704,14 +702,14 @@ def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np
 
 def _fold_cols(patches, radius: int, grid_hw: tuple) -> np.ndarray:
     """Adjoint of extract_patches' patch rows (all but its row of ones):
-    scatter-add patch columns back to the grid.
+    scatter-add patch columns back to the grid. The per-sample oracle
+    (backward) folds W^T dz with it, apart from fold_patches' gather.
 
     Leading axes are batch axes, as in extract_patches. The buffer holds
     them innermost, behind the channels, so each of the (2R+1)^2 shifted
     adds writes contiguous runs of W x J x (batch size) values instead of
-    rows of W, and read them too when the batch axes of patches are
-    innermost in memory. The offsets go in order into a zero buffer, so
-    every grid cell sums them in offset order.
+    rows of W. The offsets go in order into a zero buffer, so every grid
+    cell sums them in offset order.
     """
     patches = np.asarray(patches, dtype=np.float64)
     h, w = grid_hw
@@ -736,13 +734,10 @@ def fold_patches(dz, w, radius: int, grid_hw: tuple) -> np.ndarray:
     for pre-activation cotangents dz, (..., I, H*W), and patch weights
     w = Wbar[:, :-1], (I, J*(2R+1)^2); leading axes are batch axes.
 
-    The channel counts choose the order. With I <= J, dz is copied once
-    into a zero-padded (I, H+2R, W+2R, batch) buffer, its (2R+1)^2 shifted
-    windows are gathered (offset (dy, dx) reads rows from 2R-dy and columns
-    from 2R-dx), and one GEMM with W's offset blocks, reordered to
-    (J, (2R+1)^2 * I), sums every term: W^T dz is never made. With I > J the
-    gather would be the larger buffer, so W^T dz is one GEMM over the
-    (I, T * batch) columns of dz and _fold_cols adds its offsets back.
+    dz is copied once into a zero-padded (I, H+2R, W+2R, batch) buffer, its
+    (2R+1)^2 shifted windows are gathered (offset (dy, dx) reads rows from
+    2R-dy and columns from 2R-dx), and one GEMM with W's offset blocks,
+    reordered to (J, (2R+1)^2 * I), sums every term: W^T dz is never made.
     """
     dz = np.asarray(dz, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -753,13 +748,10 @@ def fold_patches(dz, w, radius: int, grid_hw: tuple) -> np.ndarray:
         raise ShapeMismatch(f"cotangent {dz.shape} and weights {w.shape} do not fit")
     lead, (i, t) = dz.shape[:-2], dz.shape[-2:]
     size, j = math.prod(lead), w.shape[1] // (k * k)
-    cols = dz.reshape(size, i, t).transpose(1, 2, 0)  # (I, T, batch)
-    if i > j:
-        patches = (w.T @ cols.reshape(i, -1)).reshape(-1, t, size).transpose(2, 0, 1)
-        return _fold_cols(patches.reshape(lead + (-1, t)), radius, grid_hw)
     r2 = 2 * radius
     padded = np.zeros((i, h + r2, wd + r2, size))
-    padded[:, radius : radius + h, radius : radius + wd] = cols.reshape(i, h, wd, size)
+    padded[:, radius : radius + h, radius : radius + wd] = (
+        dz.reshape(size, i, h, wd).transpose(1, 2, 3, 0))
     windows = np.empty((k, k, i, h, wd, size))
     for dy in range(k):
         for dx in range(k):
@@ -1043,7 +1035,7 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
             grads[i] = LayerParams(dwbar)
             layer_back[i] = LayerBackward("conv2d", dz)
             if i > 0:
-                carry = fold_patches(dz, w, layer.kernel_radius, layer.grid)
+                carry = _fold_cols(w.T @ dz, layer.kernel_radius, layer.grid)
         else:
             da = carry
             dwbar = np.zeros_like(lp.wbar)

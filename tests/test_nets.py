@@ -225,18 +225,32 @@ def test_extract_patches_padding_value():
         np.testing.assert_array_equal(col[d], np.zeros(2))
 
 
-def test_fold_patches_is_adjoint_of_extract():
-    rng = np.random.default_rng(8)
-    grid_hw = (4, 5)
-    j, t = 3, 20
-    for radius in (0, 1, 2):
-        for i in (1, 3, 5):  # I <= J gathers windows of dz, I > J folds W^T dz
-            a = rng.standard_normal((j, t))
-            dz = rng.standard_normal((i, t))
-            w = rng.standard_normal((i, j * (2 * radius + 1) ** 2))
-            lhs = np.sum(dz * (w @ extract_patches(a, radius, grid_hw)[:-1]))
-            rhs = np.sum(fold_patches(dz, w, radius, grid_hw) * a)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    radius=st.integers(0, 2),
+    grid_hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    in_channels=st.integers(1, 4),
+    out_channels=st.integers(1, 4),
+    lead=st.sampled_from([(), (3,), (2, 4)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fold_patches_is_adjoint_of_extract(
+    radius, grid_hw, in_channels, out_channels, lead, seed
+):
+    # <dz, W extract_patches(a)> = <fold_patches(dz, W), a>, for layers that
+    # narrow (I <= J) and widen (I > J), with and without batch axes
+    rng = np.random.default_rng(seed)
+    t = grid_hw[0] * grid_hw[1]
+    w = rng.standard_normal((out_channels, in_channels * (2 * radius + 1) ** 2))
+    dz = rng.standard_normal(lead + (out_channels, t))
+    a = rng.standard_normal(lead + (in_channels, t))
+    got = fold_patches(dz, w, radius, grid_hw)
+    assert got.shape == a.shape and got.flags.c_contiguous
+    terms = [dz * (w @ extract_patches(a, radius, grid_hw)[..., :-1, :]), got * a]
+    lhs, rhs = (np.sum(x) for x in terms)
+    scale = max(np.sum(np.abs(x)) for x in terms)
+    assert abs(lhs - rhs) <= 1e-13 * scale
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def conv_direct_sum(wbar, grid, grid_hw, radius):
