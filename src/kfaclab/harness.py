@@ -175,12 +175,14 @@ class ExperimentConfig:
         # checks learning_rate, damping and their consistency with damping_mode
         self.update = UpdateConfig(self.learning_rate, self.damping, self.damping_mode)
         # settings the optimizer would ignore (sgd never damps; ngd damps
-        # its exact Fisher only as F + damping I)
+        # its exact Fisher only as F + damping I; neither reads the metric)
         if self.optimizer == "sgd" and self.damping > 0:
             raise ValueError("optimizer sgd takes no damping: damping must be 0")
         if self.optimizer == "ngd" and self.damping_mode == "factored":
             raise ValueError("optimizer ngd damps only as F + damping I: damping_mode "
                              "must be none or dense_tikhonov")
+        if self.optimizer != "kfac" and self.metric != "fisher":
+            raise ValueError(f"optimizer {self.optimizer} reads no metric: metric must be fisher")
         # a metric other than the Fisher needs the output basis left alone
         self.reparam = _build_reparam(spec, self.reparam_source, self.metric != "fisher")
 
@@ -547,5 +549,7 @@ def training_csv(rows) -> str:
 def dump_factors(config: ExperimentConfig) -> str:
     """Kronecker factors at the initial parameters, as JSON."""
     spec, model, params, data, _ = _setup(config)
+    trace = nets.forward_batch(spec, params, data.inputs)
     metric = metrics.METRICS[config.metric]
-    return kfac.factors_to_json(kfac.estimate_factors(spec, params, model, data, metric))
+    factors = kfac.estimate_factors(trace, nets.basis_backward(trace), model, metric)
+    return kfac.factors_to_json(factors)

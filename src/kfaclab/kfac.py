@@ -18,10 +18,15 @@ output metric has acted on them. Since all kinds go through the same
 arithmetic, the degenerate reductions (1x1 conv grid with radius 0,
 one-step recurrence) reproduce the dense factors bit for bit.
 
-The same pass serves the loss gradient: backward is linear in the
-cotangent, so the gradient is the loss cotangent contracted with the basis
-cotangents, then with Abar. The update rules take the run loop's forward
-pass at the current parameters, so each step makes only a backward pass.
+The same pass serves the loss gradient (loss_gradient): backward is linear
+in the cotangent, so the gradient is the loss cotangent contracted with the
+basis cotangents, then with Abar. The builders (estimate_factors,
+loss_gradient, metrics.exact_fisher) take the caller's pass, a trace and
+its dz, and make none of their own. All three update rules read one basis
+pass at the run loop's forward pass, so each step makes only a backward
+pass, and they share one gradient: sgd_step takes it as it is, kfac_step
+preconditions it with the Kronecker factors and ngd_step with the exact
+Fisher.
 """
 
 from dataclasses import dataclass
@@ -30,13 +35,11 @@ import numpy as np
 
 from .errors import NonFinite, SingularMatrix, TooLarge, check_real
 from .linalg import kron, solve, unvec, vec
-from .metrics import FisherMetric, exact_fisher
+from .metrics import exact_fisher
 from .nets import (
     LayerParams,
     ParamSet,
-    backward_batch,
     basis_backward,
-    forward_batch,
     gradient_from_basis,
     unflatten_params,
 )
@@ -76,8 +79,19 @@ class UpdateConfig:
 # factor estimation
 
 
-def _factors(trace, dz, model, metric) -> KFacMetric:
+def estimate_factors(trace, dz, model, metric) -> KFacMetric:
+    """Kronecker factors for every layer of the network, from a basis pass:
+    trace, a BatchTrace, and dz, the basis_backward of it.
+
+    With abar the homogenized layer inputs and C_i the Jacobian from layer
+    i's pre-activations to the output, A_i = E[abar abar^T] and
+    G_i = E_x[C_i M C_i^T], both averaged over samples and locations; M is
+    the output metric matrix at each sample. The columns of C_i are dz. With
+    the Fisher metric G_i is the exact E_x E_y[Dz Dz^T].
+    """
     n, k = trace.output.shape
+    if not n:
+        raise ValueError("a factor estimate needs a nonempty dataset")
     m = metric.matrix(model, trace.output)  # (N, K, K)
     factors = []
     for i, (abar, d) in enumerate(zip(trace.abar, dz)):
@@ -95,27 +109,12 @@ def _cols(d) -> np.ndarray:
     return d.transpose(2, 0, 1, 3).reshape(d.shape[2], -1)
 
 
-def _loss_gradient(trace, dz, model, dataset) -> ParamSet:
-    """Gradient of the empirical risk from the basis pass's dz."""
+def loss_gradient(trace, dz, model, dataset) -> ParamSet:
+    """Gradient of the empirical risk (mean loss) over dataset, from a basis
+    pass: trace, the BatchTrace over dataset's inputs, and dz, its
+    basis_backward."""
     u = model.loss_grad(dataset.targets, trace.output) / len(dataset)
     return gradient_from_basis(trace, dz, u)
-
-
-def estimate_factors(spec, params, model, dataset, metric=None) -> KFacMetric:
-    """Kronecker factors for every layer of the network.
-
-    With abar the homogenized layer inputs and C_i the Jacobian from layer
-    i's pre-activations to the output, A_i = E[abar abar^T] and
-    G_i = E_x[C_i M C_i^T], both averaged over samples and locations; M is
-    the output metric matrix at each sample. The columns of C_i come from
-    one batched backward pass of the output basis vectors. With the Fisher
-    metric G_i is the exact E_x E_y[Dz Dz^T].
-    """
-    if not len(dataset):
-        raise ValueError("a factor estimate needs a nonempty dataset")
-    trace = forward_batch(spec, params, dataset.inputs)
-    metric = FisherMetric() if metric is None else metric
-    return _factors(trace, basis_backward(trace), model, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +174,6 @@ def objective(trace, model, dataset) -> float:
     return float(np.add.reduce(loss) / len(loss))  # np.mean's arithmetic
 
 
-def _gradient(trace, model, dataset) -> ParamSet:
-    """Empirical-risk gradient from one backward pass of the loss cotangent."""
-    u = model.loss_grad(dataset.targets, trace.output) / len(dataset)
-    dz = backward_batch(trace, u[:, None, :])
-    return gradient_from_basis(trace, dz, np.ones((len(dataset), 1)))
-
-
-def objective_and_gradient(spec, params, model, dataset):
-    """Empirical risk (mean loss) and its gradient as a ParamSet, from one
-    batched forward and one batched backward pass."""
-    trace = forward_batch(spec, params, dataset.inputs)
-    return objective(trace, model, dataset), _gradient(trace, model, dataset)
-
-
 def kfac_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     """One preconditioned step on the factored parameters.
 
@@ -197,9 +182,8 @@ def kfac_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     layer's input map V has no factors and stays fixed.
     """
     dz = basis_backward(trace)
-    delta = apply_inverse(
-        _factors(trace, dz, model, metric), _loss_gradient(trace, dz, model, dataset), config
-    )
+    factors = estimate_factors(trace, dz, model, metric)
+    delta = apply_inverse(factors, loss_gradient(trace, dz, model, dataset), config)
     return trace.params.add_scaled(delta, -config.learning_rate)
 
 
@@ -210,7 +194,7 @@ def ngd_curvature(trace, model) -> tuple:
     held = trace.memo.get("ngd")
     if held is None or held[0] is not model:
         dz = basis_backward(trace)
-        fisher = exact_fisher(trace.spec, trace.params, model, trace.x, (trace, dz))
+        fisher = exact_fisher(trace, dz, model)
         held = trace.memo["ngd"] = (model, dz, fisher)
     return held[1:]
 
@@ -222,7 +206,7 @@ def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     dz, fisher = ngd_curvature(trace, model)
     if config.damping > 0:
         fisher = fisher + config.damping * np.eye(fisher.shape[0])
-    grad = _loss_gradient(trace, dz, model, dataset)
+    grad = loss_gradient(trace, dz, model, dataset)
     try:
         step = solve(fisher, grad.flatten())
     except SingularMatrix as exc:
@@ -234,9 +218,11 @@ def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
 
 
 def sgd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
-    """Plain gradient descent; the non-invariant control."""
+    """Plain gradient descent; the non-invariant control. The gradient comes
+    from the basis pass, as kfac_step's and ngd_step's do."""
     del metric
-    return trace.params.add_scaled(_gradient(trace, model, dataset), -config.learning_rate)
+    grad = loss_gradient(trace, basis_backward(trace), model, dataset)
+    return trace.params.add_scaled(grad, -config.learning_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 The exact Fisher here is the reference object everything else is judged
 against: F = (1/N) sum_x J(x)^T F_out(f(x)) J(x), with the expectation over
-targets folded into the closed-form F_out. The Jacobians of all N samples
-come from one batched forward pass and one batched backward pass of the K
-output basis vectors, so no sampling noise enters unless explicitly
-requested (mc_fisher). The per-sample output_jacobian, pullback_metric,
-mc_fisher and kl_quadratic_check stay on the per-sample path as the oracle.
+targets folded into the closed-form F_out. exact_fisher reads the
+Jacobians of all N samples from the caller's basis pass (one batched
+forward pass and one batched backward pass of the K output basis vectors),
+so no sampling noise enters unless explicitly requested (mc_fisher). The
+per-sample output_jacobian, pullback_metric, mc_fisher and
+kl_quadratic_check stay on the per-sample path as the oracle.
 """
 
 import numbers
@@ -251,19 +252,13 @@ def _check_dense_size(params) -> int:
     return p
 
 
-def exact_fisher(spec, params, model, inputs, basis=None) -> np.ndarray:
+def exact_fisher(trace, dz, model) -> np.ndarray:
     """Dense Fisher over the flattened parameters, sum_n J_n^T F_out(z_n) J_n
-    / N over inputs, as one contraction of the per-sample Jacobians J_n of
-    one batched forward and one basis backward pass. basis, when given, is
-    (that forward pass, a BatchTrace at params over inputs, the dz of its
-    basis pass), which the caller already holds; no pass is then made."""
-    if not len(inputs):
+    / N, as one contraction of the per-sample Jacobians J_n of a basis pass:
+    trace, a BatchTrace over the N inputs, and dz, its basis_backward."""
+    if not len(trace.output):
         raise ValueError("exact_fisher needs a nonempty dataset")
-    _check_dense_size(params)
-    if basis is None:
-        trace = forward_batch(spec, params, inputs)
-        basis = trace, basis_backward(trace)
-    trace, dz = basis
+    _check_dense_size(trace.params)
     jac = basis_jacobians(trace, dz)  # (N, K, P)
     f_jac = model.fisher(trace.output) @ jac
     # np.dot on the operands np.tensordot(jac, f_jac, ([0, 1], [0, 1])) builds
@@ -296,7 +291,8 @@ def kl_quadratic_check(spec, params, model, inputs, delta) -> tuple:
         z1 = forward(spec, shifted, x).output
         lhs += model.kl(z0, z1)
     lhs /= len(inputs)
-    f = exact_fisher(spec, params, model, inputs)
+    trace = forward_batch(spec, params, inputs)
+    f = exact_fisher(trace, basis_backward(trace), model)
     d = delta.flatten()
     rhs = 0.5 * float(d @ f @ d)
     return lhs, rhs

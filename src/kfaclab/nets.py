@@ -207,9 +207,9 @@ def activation_name(act: Activation) -> str:
 # layer kinds
 #
 # Each kind knows its own shapes and spaces, how a batch of inputs expands to
-# Abar and how a cotangent of Abar folds back, how a change of basis moves the
-# points it stores, and its dict form. The batched engine and the reparam code
-# loop over layers through these and never ask for the kind.
+# Abar and how a cotangent pulls back through it, how a change of basis moves
+# the points it stores, and its dict form. The batched engine and the reparam
+# code loop over layers through these and never ask for the kind.
 
 
 class Layer:
@@ -243,11 +243,6 @@ class Layer:
         """Abar for a batch x: its input columns, then the row of ones."""
         raise NotImplementedError
 
-    def fold(self, cols):
-        """Adjoint of expand's input columns: a cotangent of those columns
-        (Abar without the row of ones) to the input."""
-        raise NotImplementedError
-
     def emit(self, a):
         """The activation, (N, m, T), in the layout the layer emits."""
         return a
@@ -261,8 +256,7 @@ class Layer:
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
         """dz, (N, K, m, T), for activation cotangents da, and the cotangent
         of the layer input when to_input is set (None otherwise)."""
-        dz = self.activation.vjp(act_in[:, None], da)
-        return dz, self.fold(_lmul(lp.wbar[:, :-1].T, dz)) if to_input else None
+        raise NotImplementedError
 
     def input_map_grad(self, dz, x):
         """Gradient of the input map V for one cotangent per sample."""
@@ -351,11 +345,12 @@ class DenseLayer(Layer):
     def expand(self, x):
         return _homogenize_batch(x[:, :, None])
 
-    def fold(self, cols):
-        return cols[:, :, :, 0]
-
     def emit(self, a):
         return a[:, :, 0]
+
+    def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
+        dz = self.activation.vjp(act_in[:, None], da)
+        return dz, _lmul(lp.wbar[:, :-1].T, dz)[..., 0] if to_input else None
 
 
 @dataclass
@@ -421,8 +416,8 @@ class ConvLayer(Layer):
         return extract_patches(x, self.kernel_radius, self.grid, self.padding_value)
 
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
-        """As Layer.pullback, but the input cotangent comes from
-        fold_patches, which never builds W^T dz."""
+        """The input cotangent comes from fold_patches, which never builds
+        W^T dz."""
         dz = self.activation.vjp(act_in[:, None], da)
         if not to_input:
             return dz, None
@@ -870,8 +865,7 @@ def basis_backward(trace: BatchTrace) -> list:
 def gradient_from_basis(trace: BatchTrace, dz: list, u) -> ParamSet:
     """Parameter gradient, summed over the batch, for output cotangents u,
     (N, K), from the dz of basis_backward. Backward is linear in the
-    cotangent, so u's dz is u contracted with the basis dz. On the dz of a
-    one-cotangent pass, u = 1 gives that cotangent's gradient."""
+    cotangent, so u's dz is u contracted with the basis dz."""
     u = np.asarray(u, dtype=np.float64)[:, None, :]
     grads = []
     for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):

@@ -45,7 +45,9 @@ from kfaclab.nets import (
     RecurrentLayer,
     Tanh,
     backward,
+    basis_backward,
     forward,
+    forward_batch,
     init_params,
     unflatten_params,
 )
@@ -299,6 +301,12 @@ def test_criterion_10_kl_quadratic_form():
     _report(10, "kl quadratic form", ok, f"ratio={ratio:.6f} in [0.99, 1.01] at h=1e-03")
 
 
+def _factors(spec, params, model, data):
+    """Fisher factors over the basis pass at params over data."""
+    trace = forward_batch(spec, params, data.inputs)
+    return estimate_factors(trace, basis_backward(trace), model, METRICS["fisher"])
+
+
 def test_criterion_11_degenerate_reductions_are_bitwise():
     rng = np.random.default_rng(1100)
     model = CategoricalLogits(2)
@@ -313,10 +321,8 @@ def test_criterion_11_degenerate_reductions_are_bitwise():
     dense_params = ParamSet([LayerParams(lp.wbar.copy()) for lp in conv_params.layers])
     xs = [rng.normal(size=2) for _ in range(5)]
     ys = [int(rng.integers(2)) for _ in range(5)]
-    mc = estimate_factors(
-        conv_spec, conv_params, model, Dataset([x.reshape(2, 1) for x in xs], ys)
-    )
-    md = estimate_factors(dense_twin, dense_params, model, Dataset(xs, ys))
+    mc = _factors(conv_spec, conv_params, model, Dataset([x.reshape(2, 1) for x in xs], ys))
+    md = _factors(dense_twin, dense_params, model, Dataset(xs, ys))
     conv_ok = all(
         fc.a.tobytes() == fd.a.tobytes() and fc.g.tobytes() == fd.g.tobytes()
         for fc, fd in zip(mc.factors, md.factors)
@@ -332,12 +338,8 @@ def test_criterion_11_degenerate_reductions_are_bitwise():
     rnn_params = init_params(rnn_spec, 12)
     twin_params = ParamSet([LayerParams(lp.wbar.copy()) for lp in rnn_params.layers])
     ys = [int(rng.integers(2)) for _ in range(4)]
-    mr = estimate_factors(
-        rnn_spec, rnn_params, model, Dataset([np.zeros((1, 2)) for _ in ys], ys)
-    )
-    mt = estimate_factors(
-        rnn_twin, twin_params, model, Dataset([h0.copy() for _ in ys], ys)
-    )
+    mr = _factors(rnn_spec, rnn_params, model, Dataset([np.zeros((1, 2)) for _ in ys], ys))
+    mt = _factors(rnn_twin, twin_params, model, Dataset([h0.copy() for _ in ys], ys))
     rnn_ok = all(
         fr.a.tobytes() == fd.a.tobytes() and fr.g.tobytes() == fd.g.tobytes()
         for fr, fd in zip(mr.factors, mt.factors)

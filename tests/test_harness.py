@@ -768,7 +768,7 @@ def _forward_passes(monkeypatch, run, config):
         sizes.append(len(xs))
         return forward_batch(spec, params, xs)
 
-    for module in (nets, harness.kfac, metrics):
+    for module in (nets, metrics):
         monkeypatch.setattr(module, "forward_batch", counted)
     run(config)
     n = config.dataset_spec["num_samples"]
@@ -1318,6 +1318,10 @@ CONV_ARCHITECTURE = {
         (lambda raw, tmp: raw.update(optimizer="ngd", damping=0.1, damping_mode="factored"),
          "optimizer ngd damps only as F + damping I: damping_mode must be none or "
          "dense_tikhonov"),
+        (lambda raw, tmp: raw.update(optimizer="sgd", metric="gauss-newton"),
+         "optimizer sgd reads no metric: metric must be fisher"),
+        (lambda raw, tmp: raw.update(optimizer="ngd", metric="ggn"),
+         "optimizer ngd reads no metric: metric must be fisher"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
@@ -1335,7 +1339,7 @@ CONV_ARCHITECTURE = {
         "layer-without-activation", "recurrent-layer-without-steps",
         "reparam-file-without-activation-maps", "reparam-file-map-without-offset",
         "reparam-file-maps-not-an-array", "reparam-file-matrix-not-numbers",
-        "sgd-damped", "ngd-factored",
+        "sgd-damped", "ngd-factored", "sgd-gauss-newton", "ngd-ggn",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):

@@ -1,10 +1,12 @@
 """Factor estimation, block assembly, inverse application, and update rules."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given
 
 from kfaclab.errors import NonFinite, SingularMatrix, TooLarge
 from kfaclab.harness import Dataset
@@ -17,9 +19,9 @@ from kfaclab.kfac import (
     estimate_factors,
     factors_to_json,
     kfac_step,
+    loss_gradient,
     ngd_step,
     objective,
-    objective_and_gradient,
     sgd_step,
 )
 from kfaclab.linalg import kron, solve, vec
@@ -40,10 +42,24 @@ from kfaclab.nets import (
     NetworkSpec,
     ParamSet,
     RecurrentLayer,
+    basis_backward,
     forward,
     forward_batch,
     init_params,
 )
+from test_engine import ENGINE_SETTINGS, problems
+
+
+def _factors(spec, params, model, data, metric=FisherMetric()):
+    """estimate_factors over the basis pass at params over data."""
+    trace = forward_batch(spec, params, data.inputs)
+    return estimate_factors(trace, basis_backward(trace), model, metric)
+
+
+def _fisher(spec, params, model, inputs):
+    """exact_fisher over the basis pass at params over inputs."""
+    trace = forward_batch(spec, params, inputs)
+    return exact_fisher(trace, basis_backward(trace), model)
 
 
 def _gaussian_targets(rng, n, dim):
@@ -69,7 +85,7 @@ def test_zero_input_gives_corner_a():
     params = init_params(spec, 0)
     model = GaussianFixedVar(2)
     data = Dataset([np.zeros(3)], [np.zeros(2)])
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
     want = np.zeros((4, 4))
     want[3, 3] = 1.0
     np.testing.assert_array_equal(metric.factors[0].a, want)
@@ -83,11 +99,11 @@ def test_linear_gaussian_g_is_identity_and_block_is_exact():
     params = init_params(spec, 1)
     model = GaussianFixedVar(2)
     data = _dense_dataset(rng, 8, 3, 2)
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
     f = metric.factors[0]
     np.testing.assert_array_equal(f.g, np.eye(2))
     assert f.scale == 1.0
-    fisher = exact_fisher(spec, params, model, data.inputs)
+    fisher = _fisher(spec, params, model, data.inputs)
     np.testing.assert_allclose(kron(f.a, f.g), fisher, atol=1e-12)
 
 
@@ -99,7 +115,7 @@ def test_two_layer_factors_match_chain_rule_oracle():
     params = init_params(spec, 2)
     model = CategoricalLogits(3)
     data = _dense_dataset(rng, 6, 3, 3, categorical=True)
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
 
     n = len(data)
     a1 = np.zeros((4, 4))
@@ -127,8 +143,12 @@ def test_two_layer_factors_match_chain_rule_oracle():
 
 def test_empty_dataset_rejected():
     spec = NetworkSpec([DenseLayer(2, 2, Identity())])
-    with pytest.raises(ValueError):
-        estimate_factors(spec, init_params(spec, 0), GaussianFixedVar(2), Dataset([], []))
+    trace = forward_batch(spec, init_params(spec, 0), np.empty((0, 2)))
+    dz = basis_backward(trace)
+    with pytest.raises(ValueError, match="nonempty"):
+        estimate_factors(trace, dz, GaussianFixedVar(2), FisherMetric())
+    with pytest.raises(ValueError, match="nonempty"):
+        exact_fisher(trace, dz, GaussianFixedVar(2))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +173,7 @@ def test_conv_factors_match_per_location_loop():
     params = init_params(spec, 3)
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=(2, 9)) for _ in range(4)], _gaussian_targets(rng, 4, 2))
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
 
     layer = spec.layers[0]
     t = layer.num_locations
@@ -188,7 +208,7 @@ def test_rnn_factors_match_per_step_loop():
     params = init_params(spec, 4)
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=(3, 2)) for _ in range(4)], _gaussian_targets(rng, 4, 2))
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
 
     steps = spec.layers[0].steps
     a_slow = np.zeros_like(metric.factors[0].a)
@@ -235,7 +255,7 @@ def test_rnn_zero_recurrence_kills_early_step_cotangents():
         np.testing.assert_array_equal(dz[:, :, :2], np.zeros_like(dz[:, :, :2]))
         c = dz[:, :, 2].T
         g_last += (c @ m @ c.T) / 3.0
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
     np.testing.assert_allclose(metric.factors[0].g, g_last / len(data), atol=1e-14)
 
 
@@ -262,8 +282,8 @@ def test_trivial_conv_factors_match_dense_bitwise():
     conv_data = Dataset([x.reshape(2, 1) for x in xs], ys)
     dense_data = Dataset(xs, ys)
 
-    mc = estimate_factors(conv_spec, conv_params, model, conv_data)
-    md = estimate_factors(dense_spec, dense_params, model, dense_data)
+    mc = _factors(conv_spec, conv_params, model, conv_data)
+    md = _factors(dense_spec, dense_params, model, dense_data)
     for fc, fd in zip(mc.factors, md.factors):
         np.testing.assert_array_equal(fc.a, fd.a)
         np.testing.assert_array_equal(fc.g, fd.g)
@@ -295,8 +315,8 @@ def test_one_step_rnn_factors_match_dense_bitwise():
     rnn_data = Dataset([np.zeros((1, 2)) for _ in range(n)], ys)
     dense_data = Dataset([h0.copy() for _ in range(n)], ys)
 
-    mr = estimate_factors(rnn_spec, rnn_params, model, rnn_data)
-    md = estimate_factors(dense_spec, dense_params, model, dense_data)
+    mr = _factors(rnn_spec, rnn_params, model, rnn_data)
+    md = _factors(dense_spec, dense_params, model, dense_data)
     for fr, fd in zip(mr.factors, md.factors):
         np.testing.assert_array_equal(fr.a, fd.a)
         np.testing.assert_array_equal(fr.g, fd.g)
@@ -310,7 +330,7 @@ def test_factors_are_psd():
     for seed in range(5):
         params = init_params(spec, seed, weight_scale=2.0)
         data = _dense_dataset(rng, 6, 3, 4, categorical=True)
-        metric = estimate_factors(spec, params, model, data)
+        metric = _factors(spec, params, model, data)
         for f in metric.factors:
             assert np.linalg.eigvalsh(f.a).min() >= -1e-12
             assert np.linalg.eigvalsh(f.g).min() >= -1e-12
@@ -324,13 +344,13 @@ def test_last_layer_g_averages_the_output_metric():
     params = init_params(spec, 9)
     model = CategoricalLogits(4)
     data = _dense_dataset(rng, 6, 3, 4, categorical=True)
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
     avg = np.zeros((4, 4))
     for x in data.inputs:
         avg += model.fisher(forward(spec, params, x).output)
     np.testing.assert_allclose(metric.factors[0].g, avg / len(data), atol=1e-13)
 
-    euclid = estimate_factors(spec, params, model, data, metric=EuclideanMetric())
+    euclid = _factors(spec, params, model, data, EuclideanMetric())
     np.testing.assert_array_equal(euclid.factors[0].g, np.eye(4))
 
 
@@ -495,7 +515,16 @@ def test_zero_learning_rate_steps_are_identity():
                 np.testing.assert_array_equal(lp_new.v, lp_old.v)
 
 
-def test_identity_factors_reduce_kfac_to_sgd():
+def _identity_factors(trace, dz, model, metric):
+    """A = I, G = I and scale 1 for every layer: a preconditioner that
+    leaves the gradient as it is."""
+    return KFacMetric([KroneckerFactor(i, np.eye(lp.wbar.shape[1]), np.eye(lp.wbar.shape[0]), 1.0)
+                       for i, lp in enumerate(trace.params.layers)])
+
+
+@ENGINE_SETTINGS
+@given(problems())
+def test_identity_factors_reduce_kfac_to_sgd(problem):
     # Sign-pattern inputs make E[abar abar^T] exactly the identity, and a
     # unit-variance linear-gaussian layer has G = I, so the preconditioner
     # is a no-op.
@@ -505,7 +534,7 @@ def test_identity_factors_reduce_kfac_to_sgd():
     model = GaussianFixedVar(2)
     xs = [np.array(s, dtype=float) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     data = Dataset(xs, _gaussian_targets(rng, 4, 2))
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
     np.testing.assert_array_equal(metric.factors[0].a, np.eye(3))
     np.testing.assert_array_equal(metric.factors[0].g, np.eye(2))
     config = UpdateConfig(0.5)
@@ -513,6 +542,17 @@ def test_identity_factors_reduce_kfac_to_sgd():
     kfac = kfac_step(trace, model, data, FisherMetric(), config)
     sgd = sgd_step(trace, model, data, FisherMetric(), config)
     np.testing.assert_array_equal(kfac.layers[0].wbar, sgd.layers[0].wbar)
+
+    # On any network, identity factors make the K-FAC step the SGD step bit
+    # for bit: both read one gradient off one basis pass. A recurrent
+    # layer's V is left out, since kfac_step keeps it fixed.
+    spec, params, model, data = problem
+    trace = forward_batch(spec, params, data.inputs)
+    with mock.patch("kfaclab.kfac.estimate_factors", _identity_factors):
+        kfac = kfac_step(trace, model, data, FisherMetric(), config)
+    sgd = sgd_step(trace, model, data, FisherMetric(), config)
+    for lp_kfac, lp_sgd in zip(kfac.layers, sgd.layers):
+        np.testing.assert_array_equal(lp_kfac.wbar, lp_sgd.wbar)
 
 
 def _least_squares_optimum(spec, data):
@@ -560,8 +600,8 @@ def test_single_sample_kfac_step_equals_ngd_step():
     ngd = ngd_step(trace, model, data, FisherMetric(), config)
     assert np.abs(kfac.flatten() - ngd.flatten()).max() <= 1e-8
 
-    fisher = exact_fisher(spec, params, model, data.inputs)
-    metric = estimate_factors(spec, params, model, data)
+    fisher = _fisher(spec, params, model, data.inputs)
+    metric = _factors(spec, params, model, data)
     block = assemble_dense(metric)
     np.testing.assert_allclose(block, fisher, atol=1e-12)
 
@@ -591,8 +631,14 @@ def test_objective_and_gradient_mean_convention():
     spec = NetworkSpec([DenseLayer(2, 2, Logistic())])
     params = init_params(spec, 22)
     model = GaussianFixedVar(2)
+
+    def objective_and_gradient(data):
+        trace = forward_batch(spec, params, data.inputs)
+        grad = loss_gradient(trace, basis_backward(trace), model, data)
+        return objective(trace, model, data), grad
+
     data = _dense_dataset(rng, 5, 2, 2)
-    h, grad = objective_and_gradient(spec, params, model, data)
+    h, grad = objective_and_gradient(data)
     losses = [
         model.loss(y, forward(spec, params, x).output)
         for x, y in zip(data.inputs, data.targets)
@@ -600,7 +646,7 @@ def test_objective_and_gradient_mean_convention():
     np.testing.assert_allclose(h, np.mean(losses), rtol=1e-14)
     # doubling the dataset leaves the mean gradient unchanged
     doubled = Dataset(np.concatenate([data.inputs] * 2), np.concatenate([data.targets] * 2))
-    _, grad2 = objective_and_gradient(spec, params, model, doubled)
+    _, grad2 = objective_and_gradient(doubled)
     np.testing.assert_allclose(grad.flatten(), grad2.flatten(), rtol=1e-12, atol=1e-15)
 
 
@@ -644,7 +690,7 @@ def test_factors_to_json_round_trips_exactly():
     params = init_params(spec, 23)
     model = GaussianFixedVar(2)
     data = _dense_dataset(rng, 4, 2, 2)
-    metric = estimate_factors(spec, params, model, data)
+    metric = _factors(spec, params, model, data)
     blob = json.loads(factors_to_json(metric))
     assert [b["layer_index"] for b in blob] == [0, 1]
     for b, f in zip(blob, metric.factors):

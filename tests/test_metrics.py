@@ -30,9 +30,17 @@ from kfaclab.nets import (
     NetworkSpec,
     ParamSet,
     Tanh,
+    basis_backward,
     forward,
+    forward_batch,
     init_params,
 )
+
+
+def _fisher(spec, params, model, inputs):
+    """exact_fisher over the basis pass at params over inputs."""
+    trace = forward_batch(spec, params, inputs)
+    return exact_fisher(trace, basis_backward(trace), model)
 
 
 def mlp(dims, act):
@@ -275,7 +283,7 @@ def test_exact_fisher_linear_gaussian_is_gauss_newton():
     params = init_params(spec, seed=4)
     model = GaussianFixedVar(2, variance=1.0)
     x = np.array([1.0, -0.5, 0.25])
-    f = exact_fisher(spec, params, model, [x])
+    f = _fisher(spec, params, model, [x])
     trace = forward(spec, params, x)
     j = output_jacobian(trace)
     np.testing.assert_allclose(f, j.T @ j, atol=1e-12)
@@ -286,7 +294,7 @@ def test_exact_fisher_symmetric_psd():
     params = init_params(spec, seed=5)
     model = CategoricalLogits(3)
     rng = np.random.default_rng(8)
-    f = exact_fisher(spec, params, model, [rng.standard_normal(4) for _ in range(8)])
+    f = _fisher(spec, params, model, [rng.standard_normal(4) for _ in range(8)])
     np.testing.assert_allclose(f, f.T, atol=1e-12)
     assert sym_eig_min(f) >= -1e-10
 
@@ -295,7 +303,7 @@ def test_exact_fisher_param_cap():
     spec = mlp([80, 80], Identity())
     params = init_params(spec, seed=6)
     with pytest.raises(TooLarge):
-        exact_fisher(spec, params, GaussianFixedVar(80), [np.zeros(80)])
+        _fisher(spec, params, GaussianFixedVar(80), [np.zeros(80)])
 
 
 def test_mc_fisher_deterministic_per_seed():
@@ -315,7 +323,7 @@ def test_mc_fisher_converges_to_exact():
     params = init_params(spec, seed=8)
     model = CategoricalLogits(2)
     inputs = [np.array([0.8, -0.3])]
-    exact = exact_fisher(spec, params, model, inputs)
+    exact = _fisher(spec, params, model, inputs)
     mc = mc_fisher(spec, params, model, inputs, num_samples=50000, rng_seed=0)
     rel = np.linalg.norm(mc - exact) / np.linalg.norm(exact)
     assert rel <= 0.02
@@ -326,7 +334,7 @@ def test_mc_fisher_error_shrinks_with_samples():
     params = init_params(spec, seed=9)
     model = CategoricalLogits(2)
     inputs = [np.array([0.2, 0.9])]
-    exact = exact_fisher(spec, params, model, inputs)
+    exact = _fisher(spec, params, model, inputs)
 
     def mean_err(n):
         errs = []
@@ -433,8 +441,8 @@ def test_exact_fisher_transforms_tensorially():
     omap = reparam.output_space_map(spec, r)
     model_t = WrappedOutputModel(model, omap)
 
-    f = exact_fisher(spec, params, model, inputs)
-    f_t = exact_fisher(spec_t, params_t, model_t, inputs_t)
+    f = _fisher(spec, params, model, inputs)
+    f_t = _fisher(spec_t, params_t, model_t, inputs_t)
 
     # columns of the new->old affine parameter map give Jw
     from kfaclab.nets import unflatten_params

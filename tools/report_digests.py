@@ -176,6 +176,8 @@ VARIANTS = {
     # settings the optimizer would ignore: config errors
     "sgd-damped": {**MLP, "optimizer": "sgd", "damping": 0.1, "damping_mode": "factored"},
     "ngd-factored": {**NGD, "damping": 0.1, "damping_mode": "factored"},
+    "sgd-gauss-newton": {**MLP, "optimizer": "sgd", "metric": "gauss-newton"},
+    "ngd-ggn": {**NGD, "metric": "ggn"},
     # a pulled-back conv layer with fewer output than input channels (4 -> 2)
     # at radius 2 on a non-square grid: fold_patches gathers windows of dz
     "conv-radius-2-narrowing": {**CONV, "architecture": {**CONV["architecture"],
