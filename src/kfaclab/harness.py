@@ -70,8 +70,8 @@ def _draw_inputs(spec: nets.NetworkSpec, rng, count: int, scale: float) -> np.nd
         raise MemoryError(str(exc)) from exc
 
 
-def probe_inputs(spec: nets.NetworkSpec, seed: int, count: int = NUM_PROBES, scale: float = 1.0):
-    return _draw_inputs(spec, np.random.default_rng(seed), count, scale)
+def probe_inputs(spec: nets.NetworkSpec, seed: int, scale: float = 1.0):
+    return _draw_inputs(spec, np.random.default_rng(seed), NUM_PROBES, scale)
 
 
 def synthetic_dataset(
@@ -183,8 +183,10 @@ class ExperimentConfig:
                              "must be none or dense_tikhonov")
         if self.optimizer != "kfac" and self.metric != "fisher":
             raise ValueError(f"optimizer {self.optimizer} reads no metric: metric must be fisher")
-        # a metric other than the Fisher needs the output basis left alone
-        self.reparam = _build_reparam(spec, self.reparam_source, self.metric != "fisher")
+        # a metric that is not the model's Fisher does not move with the
+        # output basis, so it needs that basis left alone
+        pin = not isinstance(metrics.METRICS[self.metric], metrics.FisherMetric)
+        self.reparam = _build_reparam(spec, self.reparam_source, pin)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -329,11 +331,6 @@ class InvarianceReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @property
-    def max_forward_discrepancy(self) -> float:
-        """Largest forward gap over all records; NaN if any gap is NaN."""
-        return float(np.max([r.forward_discrepancy for r in self.records]))
 
 
 def compare_params_through_reparam(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NonFinite, SingularMatrix, TooLarge, check_real
 from .linalg import kron, solve, unvec, vec
-from .metrics import exact_fisher
+from .metrics import PARAM_CAP, exact_fisher
 from .nets import (
     LayerParams,
     ParamSet,
@@ -44,20 +44,15 @@ from .nets import (
     unflatten_params,
 )
 
-ASSEMBLY_CAP = 5000
-
 
 @dataclass
 class KroneckerFactor:
-    layer_index: int
+    """One layer's block scale * (A ox G) of the K-FAC metric, which is the
+    list of these blocks in layer order."""
+
     a: np.ndarray  # (n_in+1) x (n_in+1), homogenized input second moment
     g: np.ndarray  # n_out x n_out, pre-activation cotangent second moment
     scale: float
-
-
-@dataclass
-class KFacMetric:
-    factors: list
 
 
 @dataclass
@@ -79,7 +74,7 @@ class UpdateConfig:
 # factor estimation
 
 
-def estimate_factors(trace, dz, model, metric) -> KFacMetric:
+def estimate_factors(trace, dz, model, metric) -> list:
     """Kronecker factors for every layer of the network, from a basis pass:
     trace, a BatchTrace, and dz, the basis_backward of it.
 
@@ -94,13 +89,13 @@ def estimate_factors(trace, dz, model, metric) -> KFacMetric:
         raise ValueError("a factor estimate needs a nonempty dataset")
     m = metric.matrix(model, trace.output)  # (N, K, K)
     factors = []
-    for i, (abar, d) in enumerate(zip(trace.abar, dz)):
+    for abar, d in zip(trace.abar, dz):
         t = abar.shape[-1]
         cols = abar.swapaxes(0, 1).reshape(abar.shape[1], n * t)
         m_dz = (m @ d.reshape(n, k, -1)).reshape(d.shape)
         g = _cols(d) @ _cols(m_dz).T
-        factors.append(KroneckerFactor(i, cols @ cols.T / (n * t), g / (n * t), float(t)))
-    return KFacMetric(factors)
+        factors.append(KroneckerFactor(cols @ cols.T / (n * t), g / (n * t), float(t)))
+    return factors
 
 
 def _cols(d) -> np.ndarray:
@@ -121,15 +116,15 @@ def loss_gradient(trace, dz, model, dataset) -> ParamSet:
 # assembly and inverse application
 
 
-def assemble_dense(metric: KFacMetric) -> np.ndarray:
+def assemble_dense(factors: list) -> np.ndarray:
     """Block-diagonal dense form: block i = scale_i * (A_i ox G_i)."""
-    dims = [f.a.shape[0] * f.g.shape[0] for f in metric.factors]
+    dims = [f.a.shape[0] * f.g.shape[0] for f in factors]
     total = sum(dims)
-    if total > ASSEMBLY_CAP:
-        raise TooLarge(f"assembled dimension {total} exceeds {ASSEMBLY_CAP}")
+    if total > PARAM_CAP:
+        raise TooLarge(f"assembled dimension {total} exceeds {PARAM_CAP}")
     out = np.zeros((total, total))
     pos = 0
-    for f, d in zip(metric.factors, dims):
+    for f, d in zip(factors, dims):
         out[pos : pos + d, pos : pos + d] = f.scale * kron(f.a, f.g)
         pos += d
     return out
@@ -150,17 +145,17 @@ def _factor_solve(factor: KroneckerFactor, grad_wbar, config: UpdateConfig):
     return solve(a, solve(g, grad_wbar).T).T / factor.scale
 
 
-def apply_inverse(metric: KFacMetric, grad: ParamSet, config: UpdateConfig) -> ParamSet:
+def apply_inverse(factors: list, grad: ParamSet, config: UpdateConfig) -> ParamSet:
     """Per layer (1/scale) G^-1 grad_Wbar A^-1; V entries carry no factors and
     come back as None (callers decide what, if anything, to do with them)."""
     out = []
-    for factor, lp in zip(metric.factors, grad.layers):
+    for i, (factor, lp) in enumerate(zip(factors, grad.layers)):
         try:
             out.append(LayerParams(_factor_solve(factor, lp.wbar, config), None))
         except NonFinite as exc:
-            raise NonFinite(f"layer {factor.layer_index}: {exc}") from exc
+            raise NonFinite(f"layer {i}: {exc}") from exc
         except SingularMatrix as exc:
-            raise SingularMatrix(f"layer {factor.layer_index} factor is singular: {exc}") from exc
+            raise SingularMatrix(f"layer {i} factor is singular: {exc}") from exc
     return ParamSet(out)
 
 
@@ -240,17 +235,17 @@ def _json_matrix(m) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-def factors_to_json(metric: KFacMetric) -> str:
+def factors_to_json(factors: list) -> str:
     """JSON dump of all factors, floats at 17 significant digits. JSON has
     no inf or NaN, so a factor holding one raises NonFinite naming it."""
     blocks = []
-    for f in metric.factors:
+    for i, f in enumerate(factors):
         for name, m in (("A", f.a), ("G", f.g)):
             if not np.isfinite(m).all():
-                raise NonFinite(f"layer {f.layer_index}: factor {name} has non-finite entries")
+                raise NonFinite(f"layer {i}: factor {name} has non-finite entries")
         blocks.append(
             "{"
-            + f'"layer_index": {f.layer_index}, '
+            + f'"layer_index": {i}, '
             + f'"scale": {_json_number(f.scale)}, '
             + f'"A": {_json_matrix(f.a)}, '
             + f'"G": {_json_matrix(f.g)}'

@@ -213,8 +213,9 @@ class EuclideanMetric:
 # The generalized Gauss-Newton metric is the Hessian of the loss in the
 # output. Both output models here are exponential families in their natural
 # parameters (categorical logits, the Gaussian mean), where that Hessian is
-# the Fisher, so "ggn" names the Fisher metric too.
-METRICS = {"fisher": FisherMetric(), "gauss-newton": EuclideanMetric(), "ggn": FisherMetric()}
+# the Fisher, so "ggn" names the same metric object as "fisher".
+METRICS = {"fisher": FisherMetric(), "gauss-newton": EuclideanMetric()}
+METRICS["ggn"] = METRICS["fisher"]
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,6 @@ class _Elementwise(Activation):
 
 
 class Identity(_Elementwise):
-    name = "identity"
-
     def _f(self, z):
         return np.array(z, copy=True)
 
@@ -115,8 +113,6 @@ class Logistic(_Elementwise):
     """scipy.special.expit, the same compiled ufunc, loaded by kfaclab._scipy
     without scipy's package set-up."""
 
-    name = "logistic"
-
     def _f(self, z):
         return expit(z)
 
@@ -126,8 +122,6 @@ class Logistic(_Elementwise):
 
 
 class Tanh(_Elementwise):
-    name = "tanh"
-
     def _f(self, z):
         return np.tanh(z)
 
@@ -138,8 +132,6 @@ class Tanh(_Elementwise):
 
 class Softplus(_Elementwise):
     """Smooth stand-in where one would otherwise reach for ReLU."""
-
-    name = "softplus"
 
     def _f(self, z):
         return np.logaddexp(0.0, z)
@@ -162,8 +154,6 @@ class AffineWrapped(Activation):
     base: Activation
     outer: object
     inner: object
-
-    name = "affine_wrapped"
 
     def value(self, z):
         return self.outer.apply_cols(self.base.value(self.inner.apply_cols(z)))
@@ -197,19 +187,14 @@ def activation_by_name(name: str) -> Activation:
     return _BY_NAME[name]
 
 
-def activation_name(act: Activation) -> str:
-    if isinstance(act, AffineWrapped):
-        raise ValueError("wrapped activations have no serialized form")
-    return act.name
-
-
 # ---------------------------------------------------------------------------
 # layer kinds
 #
 # Each kind knows its own shapes and spaces, how a batch of inputs expands to
 # Abar and how a cotangent pulls back through it, how a change of basis moves
-# the points it stores, and its dict form. The batched engine and the reparam
-# code loop over layers through these and never ask for the kind.
+# the points it stores, and how it is read from a dict. The batched engine
+# and the reparam code loop over layers through these and never ask for the
+# kind.
 
 
 class Layer:
@@ -274,22 +259,6 @@ class Layer:
     def rebased(self, activation, in_map, out_map):
         """The layer in new bases, with the given (wrapped) activation."""
         return replace(self, activation=activation)
-
-    def to_dict(self) -> dict:
-        """Fields in declaration order; an all-zero stored point is left out."""
-        out = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "activation":
-                value = activation_name(value)
-            elif isinstance(value, np.ndarray):
-                if not value.any():
-                    continue
-                value = value.tolist()
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -567,16 +536,10 @@ class LayerParams:
     wbar: np.ndarray
     v: np.ndarray = None
 
-    def copy(self):
-        return LayerParams(self.wbar.copy(), None if self.v is None else self.v.copy())
-
 
 @dataclass
 class ParamSet:
     layers: list
-
-    def copy(self) -> "ParamSet":
-        return ParamSet([lp.copy() for lp in self.layers])
 
     def flatten(self) -> np.ndarray:
         """Column-stack each layer's wbar, then its v when present."""
@@ -1060,10 +1023,6 @@ def layer_from_dict(d: dict):
         raise ValueError(f"a layer must be a JSON object, got {d!r}")
     check_name("layer kind", d.get("kind"), LAYER_KINDS)
     return LAYER_KINDS[d["kind"]].from_dict(d)
-
-
-def spec_to_dict(spec: NetworkSpec) -> dict:
-    return {"layers": [layer.to_dict() for layer in spec.layers]}
 
 
 def spec_from_dict(d: dict) -> NetworkSpec:

@@ -196,7 +196,7 @@ def test_batched_factors_match_per_sample_loop(problem, metric_name):
     trace = forward_batch(spec, params, data.inputs)
     got = estimate_factors(trace, basis_backward(trace), model, metric)
     want_a, want_g = oracle_factors(spec, params, model, data.inputs, metric)
-    for i, f in enumerate(got.factors):
+    for i, f in enumerate(got):
         assert_rel_close(f.a, want_a[i], f"layer {i} A")
         assert_rel_close(f.g, want_g[i], f"layer {i} G")
         assert f.scale == float(forward(spec, params, data.inputs[0]).layers[i].abar.shape[1])
@@ -278,8 +278,8 @@ def test_kfac_step_matches_two_pass_reference(problem, metric_name, config):
     )
     (factors, grad, _), = calls
     fresh = forward_batch(spec, params, data.inputs)
-    want_factors = estimate_factors(fresh, basis_backward(fresh), model, metric).factors
-    for f, want in zip(factors.factors, want_factors):
+    want_factors = estimate_factors(fresh, basis_backward(fresh), model, metric)
+    for f, want in zip(factors, want_factors):
         np.testing.assert_array_equal(f.a, want.a)
         np.testing.assert_array_equal(f.g, want.g)
         assert f.scale == want.scale

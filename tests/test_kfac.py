@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given
+from hypothesis import strategies as st
 
 from kfaclab.errors import NonFinite, SingularMatrix, TooLarge
 from kfaclab.harness import Dataset
 from kfaclab.kfac import (
-    KFacMetric,
     KroneckerFactor,
     UpdateConfig,
     apply_inverse,
@@ -30,6 +30,7 @@ from kfaclab.metrics import (
     EuclideanMetric,
     FisherMetric,
     GaussianFixedVar,
+    WrappedOutputModel,
     basis_backpasses,
     exact_fisher,
 )
@@ -47,7 +48,8 @@ from kfaclab.nets import (
     forward_batch,
     init_params,
 )
-from test_engine import ENGINE_SETTINGS, problems
+from kfaclab.reparam import output_space_map, random_reparam, transform_input, transform_network
+from test_engine import ENGINE_SETTINGS, networks, problems
 
 
 def _factors(spec, params, model, data, metric=FisherMetric()):
@@ -85,10 +87,10 @@ def test_zero_input_gives_corner_a():
     params = init_params(spec, 0)
     model = GaussianFixedVar(2)
     data = Dataset([np.zeros(3)], [np.zeros(2)])
-    metric = _factors(spec, params, model, data)
+    factors = _factors(spec, params, model, data)
     want = np.zeros((4, 4))
     want[3, 3] = 1.0
-    np.testing.assert_array_equal(metric.factors[0].a, want)
+    np.testing.assert_array_equal(factors[0].a, want)
 
 
 def test_linear_gaussian_g_is_identity_and_block_is_exact():
@@ -99,8 +101,8 @@ def test_linear_gaussian_g_is_identity_and_block_is_exact():
     params = init_params(spec, 1)
     model = GaussianFixedVar(2)
     data = _dense_dataset(rng, 8, 3, 2)
-    metric = _factors(spec, params, model, data)
-    f = metric.factors[0]
+    factors = _factors(spec, params, model, data)
+    f = factors[0]
     np.testing.assert_array_equal(f.g, np.eye(2))
     assert f.scale == 1.0
     fisher = _fisher(spec, params, model, data.inputs)
@@ -115,7 +117,7 @@ def test_two_layer_factors_match_chain_rule_oracle():
     params = init_params(spec, 2)
     model = CategoricalLogits(3)
     data = _dense_dataset(rng, 6, 3, 3, categorical=True)
-    metric = _factors(spec, params, model, data)
+    factors = _factors(spec, params, model, data)
 
     n = len(data)
     a1 = np.zeros((4, 4))
@@ -135,10 +137,10 @@ def test_two_layer_factors_match_chain_rule_oracle():
         j1 = w2 * (s * (1.0 - s))  # W2 diag(phi'(z1))
         g1 += j1.T @ f_out @ j1
         g2 += f_out
-    np.testing.assert_allclose(metric.factors[0].a, a1 / n, atol=1e-12)
-    np.testing.assert_allclose(metric.factors[1].a, a2 / n, atol=1e-12)
-    np.testing.assert_allclose(metric.factors[0].g, g1 / n, atol=1e-12)
-    np.testing.assert_allclose(metric.factors[1].g, g2 / n, atol=1e-12)
+    np.testing.assert_allclose(factors[0].a, a1 / n, atol=1e-12)
+    np.testing.assert_allclose(factors[1].a, a2 / n, atol=1e-12)
+    np.testing.assert_allclose(factors[0].g, g1 / n, atol=1e-12)
+    np.testing.assert_allclose(factors[1].g, g2 / n, atol=1e-12)
 
 
 def test_empty_dataset_rejected():
@@ -173,12 +175,12 @@ def test_conv_factors_match_per_location_loop():
     params = init_params(spec, 3)
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=(2, 9)) for _ in range(4)], _gaussian_targets(rng, 4, 2))
-    metric = _factors(spec, params, model, data)
+    factors = _factors(spec, params, model, data)
 
     layer = spec.layers[0]
     t = layer.num_locations
-    a_slow = np.zeros_like(metric.factors[0].a)
-    g_slow = np.zeros_like(metric.factors[0].g)
+    a_slow = np.zeros_like(factors[0].a)
+    g_slow = np.zeros_like(factors[0].g)
     for x in data.inputs:
         trace = forward(spec, params, x)
         passes = basis_backpasses(trace)
@@ -192,9 +194,9 @@ def test_conv_factors_match_per_location_loop():
             g_slow += (c @ m @ c.T) / t
     a_slow /= len(data)
     g_slow /= len(data)
-    np.testing.assert_allclose(metric.factors[0].a, a_slow, atol=1e-12)
-    np.testing.assert_allclose(metric.factors[0].g, g_slow, atol=1e-12)
-    assert metric.factors[0].scale == float(t)
+    np.testing.assert_allclose(factors[0].a, a_slow, atol=1e-12)
+    np.testing.assert_allclose(factors[0].g, g_slow, atol=1e-12)
+    assert factors[0].scale == float(t)
 
 
 def test_rnn_factors_match_per_step_loop():
@@ -208,11 +210,11 @@ def test_rnn_factors_match_per_step_loop():
     params = init_params(spec, 4)
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=(3, 2)) for _ in range(4)], _gaussian_targets(rng, 4, 2))
-    metric = _factors(spec, params, model, data)
+    factors = _factors(spec, params, model, data)
 
     steps = spec.layers[0].steps
-    a_slow = np.zeros_like(metric.factors[0].a)
-    g_slow = np.zeros_like(metric.factors[0].g)
+    a_slow = np.zeros_like(factors[0].a)
+    g_slow = np.zeros_like(factors[0].g)
     for x in data.inputs:
         trace = forward(spec, params, x)
         passes = basis_backpasses(trace)
@@ -226,9 +228,9 @@ def test_rnn_factors_match_per_step_loop():
             g_slow += (c @ m @ c.T) / steps
     a_slow /= len(data)
     g_slow /= len(data)
-    np.testing.assert_allclose(metric.factors[0].a, a_slow, atol=1e-12)
-    np.testing.assert_allclose(metric.factors[0].g, g_slow, atol=1e-12)
-    assert metric.factors[0].scale == float(steps)
+    np.testing.assert_allclose(factors[0].a, a_slow, atol=1e-12)
+    np.testing.assert_allclose(factors[0].g, g_slow, atol=1e-12)
+    assert factors[0].scale == float(steps)
 
 
 def test_rnn_zero_recurrence_kills_early_step_cotangents():
@@ -255,8 +257,8 @@ def test_rnn_zero_recurrence_kills_early_step_cotangents():
         np.testing.assert_array_equal(dz[:, :, :2], np.zeros_like(dz[:, :, :2]))
         c = dz[:, :, 2].T
         g_last += (c @ m @ c.T) / 3.0
-    metric = _factors(spec, params, model, data)
-    np.testing.assert_allclose(metric.factors[0].g, g_last / len(data), atol=1e-14)
+    factors = _factors(spec, params, model, data)
+    np.testing.assert_allclose(factors[0].g, g_last / len(data), atol=1e-14)
 
 
 def test_trivial_conv_factors_match_dense_bitwise():
@@ -284,7 +286,7 @@ def test_trivial_conv_factors_match_dense_bitwise():
 
     mc = _factors(conv_spec, conv_params, model, conv_data)
     md = _factors(dense_spec, dense_params, model, dense_data)
-    for fc, fd in zip(mc.factors, md.factors):
+    for fc, fd in zip(mc, md):
         np.testing.assert_array_equal(fc.a, fd.a)
         np.testing.assert_array_equal(fc.g, fd.g)
         assert fc.scale == fd.scale == 1.0
@@ -317,7 +319,7 @@ def test_one_step_rnn_factors_match_dense_bitwise():
 
     mr = _factors(rnn_spec, rnn_params, model, rnn_data)
     md = _factors(dense_spec, dense_params, model, dense_data)
-    for fr, fd in zip(mr.factors, md.factors):
+    for fr, fd in zip(mr, md):
         np.testing.assert_array_equal(fr.a, fd.a)
         np.testing.assert_array_equal(fr.g, fd.g)
         assert fr.scale == fd.scale == 1.0
@@ -330,8 +332,8 @@ def test_factors_are_psd():
     for seed in range(5):
         params = init_params(spec, seed, weight_scale=2.0)
         data = _dense_dataset(rng, 6, 3, 4, categorical=True)
-        metric = _factors(spec, params, model, data)
-        for f in metric.factors:
+        factors = _factors(spec, params, model, data)
+        for f in factors:
             assert np.linalg.eigvalsh(f.a).min() >= -1e-12
             assert np.linalg.eigvalsh(f.g).min() >= -1e-12
 
@@ -344,14 +346,58 @@ def test_last_layer_g_averages_the_output_metric():
     params = init_params(spec, 9)
     model = CategoricalLogits(4)
     data = _dense_dataset(rng, 6, 3, 4, categorical=True)
-    metric = _factors(spec, params, model, data)
+    factors = _factors(spec, params, model, data)
     avg = np.zeros((4, 4))
     for x in data.inputs:
         avg += model.fisher(forward(spec, params, x).output)
-    np.testing.assert_allclose(metric.factors[0].g, avg / len(data), atol=1e-13)
+    np.testing.assert_allclose(factors[0].g, avg / len(data), atol=1e-13)
 
     euclid = _factors(spec, params, model, data, EuclideanMetric())
-    np.testing.assert_array_equal(euclid.factors[0].g, np.eye(4))
+    np.testing.assert_array_equal(euclid[0].g, np.eye(4))
+
+
+# ---------------------------------------------------------------------------
+# the factor law under a change of basis
+#
+# A twin's factors are its network's, moved by the layer's maps: with L the
+# homogeneous map of the layer's input columns (the input map lifted over the
+# conv offsets or a dense head's grid; the hidden map for the recurrent
+# cell, which reads the state it writes) and Phi the pre-activation map
+# (z = Phi z' + tau), A' = L A L^T and G' = Phi^T G Phi. The relative
+# Frobenius error is bounded by c * u * kappa^2, with c taken from the spread
+# over random draws of this strategy: A reached 14 and G 4.9e3 (G's error is
+# set by the rounding of the whole backward pass, not by kappa(Phi) alone).
+
+FACTOR_LAW_C = {"A": 32.0, "G": 1e4}
+
+
+def _assert_law(what, got, want, kappa):
+    bound = FACTOR_LAW_C[what] * np.finfo(np.float64).eps / 2 * kappa**2
+    err = np.linalg.norm(got - want)
+    assert err <= bound * np.linalg.norm(want), (what, err / np.linalg.norm(want), kappa)
+
+
+@ENGINE_SETTINGS
+@given(networks(), st.booleans(), st.integers(0, 2**31 - 1),
+       st.sampled_from((1.0, 10.0, 100.0)), st.integers(1, 6))
+def test_twin_factors_obey_the_factor_law(net, categorical, seed, cap, n):
+    spec, params, shape, rng = net
+    k = spec.output_dim
+    model = CategoricalLogits(k) if categorical and k >= 2 else GaussianFixedVar(k)
+    r = random_reparam(spec, rng_seed=seed, conditioning_cap=cap)
+    data = Dataset(rng.standard_normal((n,) + shape), np.zeros(n))  # targets unread
+    spec_t, params_t = transform_network(spec, params, r)
+    model_t = WrappedOutputModel(model, output_space_map(spec, r))
+    base = _factors(spec, params, model, data)
+    twin = _factors(spec_t, params_t, model_t,
+                    Dataset(transform_input(spec, r, data.inputs), data.targets))
+    for i, (layer, f, ft) in enumerate(zip(spec.layers, base, twin)):
+        local = r.activation_maps[i + 1] if layer.kind == "recurrent" else r.in_map(i)
+        lift = local.lift((f.a.shape[0] - 1) // local.dim).homogeneous()
+        phi = r.pre_map(i).b
+        _assert_law("A", ft.a, lift @ f.a @ lift.T, np.linalg.cond(lift))
+        _assert_law("G", ft.g, phi.T @ f.g @ phi, np.linalg.cond(phi))
+        assert ft.scale == f.scale
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +413,7 @@ def test_assemble_dense_single_block():
     rng = np.random.default_rng(10)
     a = _random_spd(rng, 3)
     g = _random_spd(rng, 2)
-    dense = assemble_dense(KFacMetric([KroneckerFactor(0, a, g, 4.0)]))
+    dense = assemble_dense([KroneckerFactor(a, g, 4.0)])
     np.testing.assert_array_equal(dense, 4.0 * kron(a, g))
 
 
@@ -376,7 +422,7 @@ def test_assemble_dense_two_blocks():
     a0, g0 = _random_spd(rng, 2), _random_spd(rng, 2)
     a1, g1 = _random_spd(rng, 2), _random_spd(rng, 2)
     dense = assemble_dense(
-        KFacMetric([KroneckerFactor(0, a0, g0, 1.0), KroneckerFactor(1, a1, g1, 3.0)])
+        [KroneckerFactor(a0, g0, 1.0), KroneckerFactor(a1, g1, 3.0)]
     )
     assert dense.shape == (8, 8)
     np.testing.assert_array_equal(dense[:4, :4], kron(a0, g0))
@@ -386,16 +432,16 @@ def test_assemble_dense_two_blocks():
 
 
 def test_assemble_dense_size_cap():
-    big = KroneckerFactor(0, np.eye(71), np.eye(71), 1.0)
+    big = KroneckerFactor(np.eye(71), np.eye(71), 1.0)
     with pytest.raises(TooLarge):
-        assemble_dense(KFacMetric([big]))
+        assemble_dense([big])
 
 
 def test_apply_inverse_identity_factors_is_identity():
     rng = np.random.default_rng(12)
     grad = ParamSet([LayerParams(rng.normal(size=(3, 5)))])
-    metric = KFacMetric([KroneckerFactor(0, np.eye(5), np.eye(3), 1.0)])
-    out = apply_inverse(metric, grad, UpdateConfig(0.1))
+    factors = [KroneckerFactor(np.eye(5), np.eye(3), 1.0)]
+    out = apply_inverse(factors, grad, UpdateConfig(0.1))
     np.testing.assert_array_equal(out.layers[0].wbar, grad.layers[0].wbar)
     assert out.layers[0].v is None
 
@@ -412,13 +458,12 @@ def test_apply_inverse_matches_dense_solve():
             n_out = int(rng.integers(2, 8))
             scale = float(rng.integers(1, 5))
             factors.append(
-                KroneckerFactor(i, _random_spd(rng, n_in), _random_spd(rng, n_out), scale)
+                KroneckerFactor(_random_spd(rng, n_in), _random_spd(rng, n_out), scale)
             )
             grads.append(LayerParams(rng.normal(size=(n_out, n_in))))
-        metric = KFacMetric(factors)
         grad = ParamSet(grads)
-        out = apply_inverse(metric, grad, config)
-        dense = assemble_dense(metric)
+        out = apply_inverse(factors, grad, config)
+        dense = assemble_dense(factors)
         want = solve(dense, grad.flatten())
         got = out.flatten()
         assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.abs(want).max())
@@ -429,8 +474,8 @@ def test_apply_inverse_diagonal_closed_form():
     grad = ParamSet([LayerParams(np.arange(1.0, 7.0).reshape(2, 3))])
     a = np.diag([1.0, 4.0, 2.0])
     g = np.diag([1.0, 9.0])
-    metric = KFacMetric([KroneckerFactor(0, a, g, 2.0)])
-    out = apply_inverse(metric, grad, UpdateConfig(1.0))
+    factors = [KroneckerFactor(a, g, 2.0)]
+    out = apply_inverse(factors, grad, UpdateConfig(1.0))
     want = grad.layers[0].wbar / (np.array([[1.0], [9.0]]) * np.array([1.0, 4.0, 2.0])) / 2.0
     np.testing.assert_allclose(out.layers[0].wbar, want, rtol=1e-14)
 
@@ -438,16 +483,16 @@ def test_apply_inverse_diagonal_closed_form():
 def test_damping_perturbs_then_dense_tikhonov_inverts_damped_block():
     rng = np.random.default_rng(14)
     a, g = _random_spd(rng, 4), _random_spd(rng, 3)
-    metric = KFacMetric([KroneckerFactor(0, a, g, 2.0)])
+    factors = [KroneckerFactor(a, g, 2.0)]
     grad = ParamSet([LayerParams(rng.normal(size=(3, 4)))])
-    dense = assemble_dense(metric)
+    dense = assemble_dense(factors)
 
-    undamped = apply_inverse(metric, grad, UpdateConfig(1.0))
+    undamped = apply_inverse(factors, grad, UpdateConfig(1.0))
     resid = dense @ undamped.flatten() - grad.flatten()
     assert np.abs(resid).max() <= 1e-9 * (1.0 + np.abs(grad.flatten()).max())
 
     lam = 0.3
-    damped = apply_inverse(metric, grad, UpdateConfig(1.0, lam, "dense_tikhonov"))
+    damped = apply_inverse(factors, grad, UpdateConfig(1.0, lam, "dense_tikhonov"))
     resid_raw = dense @ damped.flatten() - grad.flatten()
     assert np.abs(resid_raw).max() > 1e-3
     resid_damped = (dense + lam * np.eye(12)) @ damped.flatten() - grad.flatten()
@@ -458,9 +503,9 @@ def test_factored_damping_matches_dense_oracle():
     rng = np.random.default_rng(15)
     a, g = _random_spd(rng, 4), _random_spd(rng, 3)
     scale, lam = 3.0, 0.25
-    metric = KFacMetric([KroneckerFactor(0, a, g, scale)])
+    factors = [KroneckerFactor(a, g, scale)]
     grad = ParamSet([LayerParams(rng.normal(size=(3, 4)))])
-    out = apply_inverse(metric, grad, UpdateConfig(1.0, lam, "factored"))
+    out = apply_inverse(factors, grad, UpdateConfig(1.0, lam, "factored"))
     root = np.sqrt(lam)
     block = scale * kron(a + root * np.eye(4), g + root * np.eye(3))
     want = solve(block, grad.flatten())
@@ -471,10 +516,10 @@ def test_factored_damping_matches_dense_oracle():
 def test_apply_inverse_singular_factor_reports_layer():
     a = np.zeros((3, 3))
     a[2, 2] = 1.0
-    metric = KFacMetric([KroneckerFactor(0, a, np.eye(2), 1.0)])
+    factors = [KroneckerFactor(a, np.eye(2), 1.0)]
     grad = ParamSet([LayerParams(np.ones((2, 3)))])
     with pytest.raises(SingularMatrix, match="layer 0 factor is singular"):
-        apply_inverse(metric, grad, UpdateConfig(1.0))
+        apply_inverse(factors, grad, UpdateConfig(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +563,8 @@ def test_zero_learning_rate_steps_are_identity():
 def _identity_factors(trace, dz, model, metric):
     """A = I, G = I and scale 1 for every layer: a preconditioner that
     leaves the gradient as it is."""
-    return KFacMetric([KroneckerFactor(i, np.eye(lp.wbar.shape[1]), np.eye(lp.wbar.shape[0]), 1.0)
-                       for i, lp in enumerate(trace.params.layers)])
+    return [KroneckerFactor(np.eye(lp.wbar.shape[1]), np.eye(lp.wbar.shape[0]), 1.0)
+                       for i, lp in enumerate(trace.params.layers)]
 
 
 @ENGINE_SETTINGS
@@ -534,9 +579,9 @@ def test_identity_factors_reduce_kfac_to_sgd(problem):
     model = GaussianFixedVar(2)
     xs = [np.array(s, dtype=float) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     data = Dataset(xs, _gaussian_targets(rng, 4, 2))
-    metric = _factors(spec, params, model, data)
-    np.testing.assert_array_equal(metric.factors[0].a, np.eye(3))
-    np.testing.assert_array_equal(metric.factors[0].g, np.eye(2))
+    factors = _factors(spec, params, model, data)
+    np.testing.assert_array_equal(factors[0].a, np.eye(3))
+    np.testing.assert_array_equal(factors[0].g, np.eye(2))
     config = UpdateConfig(0.5)
     trace = forward_batch(spec, params, data.inputs)
     kfac = kfac_step(trace, model, data, FisherMetric(), config)
@@ -601,8 +646,8 @@ def test_single_sample_kfac_step_equals_ngd_step():
     assert np.abs(kfac.flatten() - ngd.flatten()).max() <= 1e-8
 
     fisher = _fisher(spec, params, model, data.inputs)
-    metric = _factors(spec, params, model, data)
-    block = assemble_dense(metric)
+    factors = _factors(spec, params, model, data)
+    block = assemble_dense(factors)
     np.testing.assert_allclose(block, fisher, atol=1e-12)
 
 
@@ -690,10 +735,10 @@ def test_factors_to_json_round_trips_exactly():
     params = init_params(spec, 23)
     model = GaussianFixedVar(2)
     data = _dense_dataset(rng, 4, 2, 2)
-    metric = _factors(spec, params, model, data)
-    blob = json.loads(factors_to_json(metric))
+    factors = _factors(spec, params, model, data)
+    blob = json.loads(factors_to_json(factors))
     assert [b["layer_index"] for b in blob] == [0, 1]
-    for b, f in zip(blob, metric.factors):
+    for b, f in zip(blob, factors):
         assert b["scale"] == f.scale
         np.testing.assert_array_equal(np.array(b["A"]), f.a)
         np.testing.assert_array_equal(np.array(b["G"]), f.g)
@@ -701,7 +746,7 @@ def test_factors_to_json_round_trips_exactly():
 
 @pytest.mark.parametrize("which, bad", [("A", np.inf), ("A", -np.inf), ("G", np.nan)])
 def test_factors_to_json_refuses_a_non_finite_factor_naming_it(which, bad):
-    factors = [KroneckerFactor(i, np.eye(3), np.eye(2), 1.0) for i in range(2)]
+    factors = [KroneckerFactor(np.eye(3), np.eye(2), 1.0) for i in range(2)]
     getattr(factors[1], which.lower())[0, 1] = bad
     with pytest.raises(NonFinite, match=rf"^layer 1: factor {which} has non-finite entries$"):
-        factors_to_json(KFacMetric(factors))
+        factors_to_json(factors)

@@ -58,3 +58,21 @@ def test_ab_runs_gain_rule_needs_nine_wins_in_ten_and_a_gap_above_the_iqr():
     assert "gain does not hold" in ab.gain_summary([x - 4 for x in other], other)
     # nine wins in nine rounds: too few rounds
     assert "gain does not hold" in ab.gain_summary([x - 5 for x in other[:9]], other[:9])
+
+
+def test_ab_runs_children_get_their_own_bytecode_and_fixed_malloc(monkeypatch, tmp_path):
+    ab = _ab_runs()
+    seen = []
+
+    def fake_run(argv, **kwargs):
+        seen.append(kwargs["env"])
+        return subprocess.CompletedProcess(argv, 0, stdout='{"run_s": 1.0}', stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    for side in ("this", "other"):
+        assert ab.fresh_child(ROOT, "mlp-ngd", 0.5, str(tmp_path / side)) == {"run_s": 1.0}
+    assert [env["PYTHONPYCACHEPREFIX"] for env in seen] == [str(tmp_path / "this"),
+                                                            str(tmp_path / "other")]
+    for env in seen:
+        assert env["MALLOC_MMAP_THRESHOLD_"] == "1048576"
+        assert env["MALLOC_TRIM_THRESHOLD_"] == "67108864"

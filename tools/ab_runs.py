@@ -18,6 +18,19 @@ median count of minor page faults per run (the process's ru_minflt before
 and after it: memory that a run takes from the system and touches for the
 first time) and a digest of its warm-up report texts.
 
+Each side's children read and write bytecode under their own
+PYTHONPYCACHEPREFIX in a temporary directory, so a stale or missing
+__pycache__ in either tree cannot move its side's numbers. They also run
+with glibc's malloc thresholds fixed (MALLOC_MMAP_THRESHOLD_ at 1 MiB,
+MALLOC_TRIM_THRESHOLD_ at 64 MiB), since the adaptive thresholds move with
+what the modules allocate at import, and the page faults per run with them.
+With them fixed, every array of 1 MiB or more gets fresh pages and the
+smaller ones come from a heap that is never trimmed, so the fault count is
+the pages of a run's large arrays. That costs time: conv-kfac runs read
+20-25% slower than under the adaptive thresholds that bench/run.py
+keeps, so a change to those arrays moves this tool's times more than the
+benchmark's. Both settings reach only the tool's children.
+
 The tool prints, for each round, both sides' medians and fault counts, the
 ratio this/other, and whether the report texts differ; then the median
 ratio, each side's median and quartiles of its per-round medians, whether
@@ -43,10 +56,13 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 HERE = Path(__file__).resolve().parent.parent
+# set in every child's environment (see the module docstring)
+FIXED_MALLOC = {"MALLOC_MMAP_THRESHOLD_": "1048576", "MALLOC_TRIM_THRESHOLD_": "67108864"}
 
 
 def run(harness, config: dict) -> str:
@@ -85,13 +101,16 @@ def child(workload, seconds: float) -> dict:
             "runs": len(faults), "reports": hashlib.sha256(texts.encode()).hexdigest()}
 
 
-def fresh_child(root: Path, name: str, seconds: float) -> dict:
-    """child() for the kfaclab under root, in a new process, killed if it
-    runs past its timeout."""
+def fresh_child(root: Path, name: str, seconds: float, pycache: str) -> dict:
+    """child() for the kfaclab under root, in a new process with its
+    bytecode under pycache and fixed malloc thresholds, killed if it runs
+    past its timeout."""
     argv = [sys.executable, __file__, "--child", str(root), "--workload", name,
             "--seconds", str(seconds)]
+    env = {**os.environ, **FIXED_MALLOC, "PYTHONPYCACHEPREFIX": pycache}
     try:
-        done = subprocess.run(argv, capture_output=True, text=True, timeout=120 + 4 * seconds)
+        done = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              timeout=120 + 4 * seconds)
     except subprocess.TimeoutExpired:
         sys.exit(f"ab_runs: the {name} child for {root} timed out and was killed")
     if done.returncode:
@@ -122,11 +141,11 @@ def gain_summary(this: list, other: list) -> str:
             f"and a median gap, here {omid - mid:.6f} s, above other's IQR, {oq3 - oq1:.6f} s)")
 
 
-def compare(name: str, other_root: Path, rounds: int, seconds: float) -> None:
+def compare(name: str, other_root: Path, rounds: int, seconds: float, tmp: str) -> None:
     ratios, this_s, other_s = [], [], []
     for i in range(rounds):
         sides = [("this", HERE), ("other", other_root)]
-        got = {side: fresh_child(root, name, seconds)
+        got = {side: fresh_child(root, name, seconds, os.path.join(tmp, side))
                for side, root in (sides if i % 2 == 0 else sides[::-1])}
         this, other = got["this"], got["other"]
         this_s.append(this["run_s"])
@@ -169,8 +188,9 @@ def main(argv=None) -> int:
         parser.error(f"no kfaclab sources under {root / 'src'}")
     if args.rounds < 1:
         parser.error("--rounds needs at least one round")
-    for name in [args.workload] if args.workload else WORKLOADS:
-        compare(name, root, args.rounds, args.seconds)
+    with tempfile.TemporaryDirectory() as tmp:  # each side's bytecode
+        for name in [args.workload] if args.workload else WORKLOADS:
+            compare(name, root, args.rounds, args.seconds, tmp)
     return 0
 
 
