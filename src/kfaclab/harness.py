@@ -393,21 +393,25 @@ def _transformed_side(spec, model, params, data, config: ExperimentConfig):
 _STEP_FNS = {"kfac": kfac.kfac_step, "ngd": kfac.ngd_step, "sgd": kfac.sgd_step}
 
 
-def _trajectory(config: ExperimentConfig, spec, params, model, data, probes=None):
+def _trajectory(config: ExperimentConfig, spec, params, model, data, probes):
     """The forward pass at params, then again after each of the configured
-    steps, each over data's inputs stacked with the probes when given. Each
-    pass yields (the trace of the data rows, the outputs of the probe rows);
-    the step and the objective read the data rows, the forward gap the
-    probe rows, and each step reads the pass before it."""
+    steps, each over data's inputs stacked with the probes. Each pass yields
+    (the trace of the data columns, copied out of the pass, and the outputs
+    of the probe rows); the step and the objective read the data columns,
+    the forward gap the probe rows, and each step reads the pass before it.
+    A GEMM's bits depend on how many columns share it, so train and
+    dump-factors read these passes too, to print check-invariance's
+    numbers."""
     metric = metrics.METRICS[config.metric]
-    xs = data.inputs if probes is None else np.concatenate([data.inputs, probes])
+    xs = np.concatenate([data.inputs, probes])
     n = len(data)
     for step in range(config.steps + 1):
         if step:
             params = _STEP_FNS[config.optimizer](trace, model, data, metric, config.update)
         full = nets.forward_batch(spec, params, xs)
-        trace = full.head(n)
-        yield trace, full.output[n:]
+        trace, probe_out = full.head(n), full.output[n:]
+        del full  # only the data columns' copy outlives the pass
+        yield trace, probe_out
 
 
 def run_invariance(config: ExperimentConfig) -> InvarianceReport:
@@ -529,10 +533,10 @@ def _fisher_degeneracy(fisher, damping: float) -> str:
 
 def run_training(config: ExperimentConfig):
     """Objective trajectory [(step, h(w))], step 0 included."""
-    spec, model, params, data, _ = _setup(config)
+    spec, model, params, data, probes = _setup(config)
     return [
         (step, kfac.objective(trace, model, data))
-        for step, (trace, _) in enumerate(_trajectory(config, spec, params, model, data))
+        for step, (trace, _) in enumerate(_trajectory(config, spec, params, model, data, probes))
     ]
 
 
@@ -544,9 +548,10 @@ def training_csv(rows) -> str:
 
 
 def dump_factors(config: ExperimentConfig) -> str:
-    """Kronecker factors at the initial parameters, as JSON."""
-    spec, model, params, data, _ = _setup(config)
-    trace = nets.forward_batch(spec, params, data.inputs)
+    """Kronecker factors at the initial parameters, as JSON: those of the
+    first pass of the run loop, which a kfac run's first step reads."""
+    spec, model, params, data, probes = _setup(config)
+    trace, _ = next(_trajectory(config, spec, params, model, data, probes))
     metric = metrics.METRICS[config.metric]
     factors = kfac.estimate_factors(trace, nets.basis_backward(trace), model, metric)
     return kfac.factors_to_json(factors)

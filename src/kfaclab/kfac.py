@@ -11,11 +11,13 @@ averages over the dataset, so every estimator here is deterministic.
 Every layer kind is the same homogenized map Wbar @ Abar applied at T
 locations (1 for dense, the grid size for conv, the step count for
 recurrent layers). Factors come from one batched forward pass and one
-batched backward pass of all K output basis cotangents: A is one matmul of
-the (n+1, N*T) input columns with themselves, and G one GEMM of the
-(m, N*K*T) cotangent columns with the same columns after the per-sample
-output metric has acted on them. Since all kinds go through the same
-arithmetic, the degenerate reductions (1x1 conv grid with radius 0,
+batched backward pass of all K output basis cotangents, both with the batch
+axis innermost: A is one product of the (n+1, T*N) input columns, a view
+of the pass's Abar, with themselves, and G one GEMM of the (m, T*K*N)
+cotangent columns, a view of dz, with the same columns after the
+per-sample output metric has acted on them over K, the one step that
+copies dz into another layout and back. Since all kinds go through the
+same arithmetic, the degenerate reductions (1x1 conv grid with radius 0,
 one-step recurrence) reproduce the dense factors bit for bit.
 
 The same pass serves the loss gradient (loss_gradient): backward is linear
@@ -90,18 +92,15 @@ def estimate_factors(trace, dz, model, metric) -> list:
     m = metric.matrix(model, trace.output)  # (N, K, K)
     factors = []
     for abar, d in zip(trace.abar, dz):
-        t = abar.shape[-1]
-        cols = abar.swapaxes(0, 1).reshape(abar.shape[1], n * t)
-        m_dz = (m @ d.reshape(n, k, -1)).reshape(d.shape)
-        g = _cols(d) @ _cols(m_dz).T
+        rows, t = d.shape[:2]
+        cols = abar.reshape(len(abar), -1)  # (n+1, T*N), a view
+        # the metric contracts over K per sample, on d copied to (N, K, m, T),
+        # and its product is read back in d's layout
+        d_n = np.ascontiguousarray(d.transpose(3, 2, 0, 1))
+        m_d = (m @ d_n.reshape(n, k, -1)).reshape(d_n.shape).transpose(2, 3, 1, 0)
+        g = np.dot(d.reshape(rows, -1), m_d.reshape(rows, -1).T)
         factors.append(KroneckerFactor(cols @ cols.T / (n * t), g / (n * t), float(t)))
     return factors
-
-
-def _cols(d) -> np.ndarray:
-    """(N, K, m, T) -> (m, N*K*T): the columns of d in (sample, cotangent,
-    location) order."""
-    return d.transpose(2, 0, 1, 3).reshape(d.shape[2], -1)
 
 
 def loss_gradient(trace, dz, model, dataset) -> ParamSet:

@@ -14,51 +14,43 @@ Every layer kind is the same homogenized map Wbar @ Abar applied at T
 locations: T is 1 for dense layers, the grid size for conv layers (Abar
 holds im2col patch columns) and the step count for recurrent layers. Each
 kind is one class (DenseLayer, ConvLayer, RecurrentLayer) holding the facts
-and steps that differ between kinds. The conv patch columns come from
-extract_patches, one gather from the padded grid through a cached flat
-index, with the bits of a per-offset loop. A conv layer's input cotangent
-comes from fold_patches, one GEMM over gathered windows of dz, which never
-builds the patch cotangent W^T dz. The per-sample oracle (backward) folds
-W^T dz back by shifted adds instead (_fold_cols), so the batched engine's
-conv cotangent is checked against arithmetic it does not share.
+and steps that differ between kinds.
 
-The batched engine (forward_batch, backward_batch) runs all N samples at
-once: Abar is an (N, n+1, T) tensor per layer, and backward takes an
-(N, K, output_dim) stack of cotangents, all K output coordinates in one
-pass. basis_backward runs the K output basis vectors; backward is linear in
-the cotangent, so its dz gives the gradient for any loss cotangent
+The batched engine (forward_batch, backward_batch) runs all B samples at
+once with the batch axis innermost: a layer's Abar is (n+1, T, B), its
+pre-activations (m, T, B), and backward takes a stack of K output
+cotangents per sample, so its dz is (m, T, K, B). Every product with a
+matrix the whole batch shares (W, W^T, and a wrapped activation's Omega,
+Omega^T, Phi, Phi^T) is then one GEMM over all columns of a reshaped view
+(_lmul), in both passes. The bits of a GEMM row depend on how many columns
+share the call, so a sample's numbers depend on the batch it rides in: the
+run loop reads the data columns of one pass over the data stacked with the
+probes (BatchTrace.head), and every command reads that same pass.
+
+basis_backward runs the K output basis vectors; backward is linear in the
+cotangent, so its dz gives the gradient for any loss cotangent
 (gradient_from_basis) and the per-sample output Jacobians (basis_jacobians)
-without another pass. Training, factor estimation, the dense Fisher and the
-invariance harness use it.
+without another pass. The gradient contracts the loss cotangent with dz
+over K, then makes one GEMM over reshaped views of that and Abar, the
+operands np.tensordot passes.
 
-Each layer builds its Abar once, C-contiguous, in the array the trace
-keeps (Layer.expand): a dense layer fills one buffer with its input and
-the row of ones (_homogenize_batch); a conv layer's one gather returns it,
-the row of ones read from a cell past the padded grid (extract_patches);
-and the recurrent cell sets the row of ones once and
-writes each state into its column, which the next step's product reads
-as a strided view, with the bits of a product on a contiguous copy.
+A conv layer's patch columns come from extract_patches, one gather of whole
+B-long rows from the zero-padded grid through a cached index, with the
+bits of a per-offset loop; the row of ones is read from a row past the
+padded grid. Its input cotangent comes from fold_patches, one GEMM over
+gathered windows of dz, which never builds the patch cotangent W^T dz. A
+dense layer fills one buffer with its input and the row of ones
+(_homogenize_batch); the recurrent cell sets the row of ones once and
+writes each state into its column of Abar, which the next step's product
+reads as a strided view.
 
-In the backward pass every product with a matrix the whole batch shares
-(W^T dz, and the Omega^T, Phi^T and Phi z + tau of a wrapped activation)
-goes through _lmul: with T = 1 the (N, K, m, 1) stack is one (N*K, m)
-matrix and the product one GEMM, where a numpy stacked matmul would make
-one BLAS call per (sample, cotangent). The conv layer's input cotangent
-is one GEMM for any T (fold_patches). The forward pass stays one product
-per sample: the bits of an OpenBLAS GEMM row depend on how many rows or
-columns share the call (they differed in 287 of 1287 shape-and-count cases
-tried), and the run loop reads the data rows of a pass over the data
-stacked with the probes as the bits of a pass over the data alone
-(BatchTrace.head). The gradient contractions (gradient_from_basis,
-RecurrentLayer.input_map_grad) call np.dot on the C-contiguous operands
-np.tensordot would build; a transposed view in place of such a copy
-changes the GEMM's bits.
-
-The per-sample path (forward, backward) evaluates one input and keeps
-a full trace. It is the reference oracle: the Monte-Carlo Fisher, the
-per-sample output Jacobian and the tests are built on it. Activations act
-along the second-to-last axis (columns for vector layers, grids for conv
-layers), so both paths and all layer kinds share them.
+The per-sample path (forward, backward) evaluates one input and keeps a
+full trace. It is the reference oracle: the Monte-Carlo Fisher, the
+per-sample output Jacobian and the tests are built on it, and it folds
+W^T dz back by shifted adds (_fold_cols), so the batched engine's conv
+cotangent is checked against arithmetic it does not share. Activations and
+the patch helpers act along the leading axes (channels, then locations),
+with any batch axes trailing, so both paths and all layer kinds share them.
 """
 
 import functools
@@ -137,15 +129,16 @@ class Softplus(_Elementwise):
         return np.logaddexp(0.0, z)
 
     def _df(self, z):
-        return 1.0 / (1.0 + np.exp(-z))
+        return expit(z)  # the logistic function, without exp(-z)'s overflow
 
 
 @dataclass
 class AffineWrapped(Activation):
-    """phi'(z) = outer(base(inner(z))), columnwise: outer is the
-    activation-space map Omega, inner the pre-activation map Phi, each an
-    invertible affine map with a matrix b and apply_cols (the maps act along
-    the second-to-last axis, so leading batch axes pass through).
+    """phi'(z) = outer(base(inner(z))): outer is the activation-space map
+    Omega, inner the pre-activation map Phi, each an invertible affine map
+    with a matrix b and an offset c. The maps act along the first axis of z,
+    each as one GEMM over all the trailing columns (locations, cotangents,
+    samples).
 
     This is how a change of basis of the activation and pre-activation
     spaces shows up inside the nonlinearity.
@@ -156,22 +149,25 @@ class AffineWrapped(Activation):
     inner: object
 
     def value(self, z):
-        return self.outer.apply_cols(self.base.value(self.inner.apply_cols(z)))
+        return _affine(self.outer, self.base.value(_affine(self.inner, z)))
 
     def vjp(self, z, da):
         inner, outer = self.inner, self.outer
-        point = _lmul(inner.b, z) + inner.c[:, None]
-        return _lmul(inner.b.T, self.base.vjp(point, _lmul(outer.b.T, da)))
+        return _lmul(inner.b.T, self.base.vjp(_affine(inner, z), _lmul(outer.b.T, da)))
 
 
 def _lmul(b, x) -> np.ndarray:
-    """b @ x over the second-to-last axis of x, (..., m, T): with T = 1 one
-    GEMM over all the stacked columns (x reshaped, a view where its layout
-    allows), otherwise numpy's stacked matmul. Only the backward pass uses
-    it (see the module docstring)."""
-    if x.shape[-1] != 1:
-        return b @ x
-    return (x.reshape(-1, x.shape[-2]) @ b.T).reshape(x.shape[:-2] + (b.shape[0], 1))
+    """b @ x over the first axis of x: one GEMM over all the trailing
+    columns of x, read through a reshaped view where its layout allows."""
+    cols = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    return (b @ cols).reshape(b.shape[:1] + x.shape[1:])
+
+
+def _affine(m, x) -> np.ndarray:
+    """The affine map m, b @ x + c, over the first axis of x."""
+    out = _lmul(m.b, x)
+    out += m.c.reshape((-1,) + (1,) * (x.ndim - 1))
+    return out
 
 
 _BY_NAME = {
@@ -225,30 +221,34 @@ class Layer:
         return self.output_dim // self.out_space
 
     def expand(self, x):
-        """Abar for a batch x: its input columns, then the row of ones."""
+        """Abar, (n+1, T, B), for a batch x, (*in_shape, B): its input
+        columns, then the row of ones."""
         raise NotImplementedError
 
     def emit(self, a):
-        """The activation, (N, m, T), in the layout the layer emits."""
+        """The activation, (m, T, B), in the layout the layer emits."""
         return a
 
     def apply(self, lp, x) -> tuple:
-        """(abar, act_in, output) for a batch x of shape (N, *in_shape)."""
+        """(abar, act_in, output) for a batch x of shape (*in_shape, B)."""
         abar = self.expand(x)
-        z = lp.wbar @ abar
+        z = _lmul(lp.wbar, abar)
         return abar, z, self.emit(self.activation.value(z))
 
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
-        """dz, (N, K, m, T), for activation cotangents da, and the cotangent
-        of the layer input when to_input is set (None otherwise)."""
+        """dz, (m, T, K, B), for activation cotangents da, (*out_shape, K, B),
+        and the cotangent of the layer input when to_input is set (None
+        otherwise)."""
         raise NotImplementedError
 
-    def input_map_grad(self, dz, x):
-        """Gradient of the input map V for one cotangent per sample."""
+    def input_map_grad(self, du, x):
+        """Gradient of the input map V for pre-activation cotangents du,
+        (m, T, B), one per sample; x holds the network inputs, (B, *in_shape)."""
         return None
 
     def input_map_jacobian(self, dz, x):
-        """Per-sample gradients of V, (N, K, *v_shape), for dz (N, K, m, T)."""
+        """Per-sample gradients of V, each vec-flattened, (B, K, V.size), for
+        dz (m, T, K, B)."""
         return None
 
     def map_input(self, m, x) -> np.ndarray:
@@ -312,14 +312,14 @@ class DenseLayer(Layer):
         return (self.out_dim, self.in_dim + 1)
 
     def expand(self, x):
-        return _homogenize_batch(x[:, :, None])
+        return _homogenize_batch(x[:, None])
 
     def emit(self, a):
-        return a[:, :, 0]
+        return a[:, 0]
 
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
-        dz = self.activation.vjp(act_in[:, None], da)
-        return dz, _lmul(lp.wbar[:, :-1].T, dz)[..., 0] if to_input else None
+        dz = self.activation.vjp(act_in[:, :, None], da[:, None])
+        return dz, _lmul(lp.wbar[:, :-1].T, dz[:, 0]) if to_input else None
 
 
 @dataclass
@@ -387,7 +387,7 @@ class ConvLayer(Layer):
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
         """The input cotangent comes from fold_patches, which never builds
         W^T dz."""
-        dz = self.activation.vjp(act_in[:, None], da)
+        dz = self.activation.vjp(act_in[:, :, None], da)
         if not to_input:
             return dz, None
         return dz, fold_patches(dz, lp.wbar[:, :-1], self.kernel_radius, self.grid)
@@ -447,44 +447,45 @@ class RecurrentLayer(Layer):
         return (self.hidden_dim, self.input_dim)
 
     def apply(self, lp, x) -> tuple:
-        """The steps run over the whole batch at once; Abar holds the
-        homogenized previous state at each step and act_in holds z'_t. Each
-        state is written into its column of Abar, which the next step's
-        product reads as a strided view."""
-        n, h, steps = x.shape[0], self.hidden_dim, self.steps
-        vx = lp.v @ x.swapaxes(1, 2)
-        abar = np.empty((n, h + 1, steps))
-        abar[:, h] = 1.0
-        abar[:, :h, 0] = self.initial_state
-        z = np.empty((n, h, steps))
+        """The steps run over the whole batch at once, x being (T, d, B);
+        Abar holds the homogenized previous state at each step and act_in
+        holds z'_t. Each state is written into its column of Abar, which the
+        next step's product reads as a strided view."""
+        h, steps, n = self.hidden_dim, self.steps, x.shape[-1]
+        vx = _lmul(lp.v, x.swapaxes(0, 1))
+        abar = np.empty((h + 1, steps, n))
+        abar[h] = 1.0
+        abar[:h, 0] = self.initial_state[:, None]
+        z = np.empty((h, steps, n))
         for t in range(steps):
-            zp_t = lp.wbar @ abar[:, :, t : t + 1]
-            zp_t += vx[:, :, t : t + 1]
-            a = self.activation.value(zp_t)[:, :, 0]
-            z[:, :, t] = zp_t[:, :, 0]
+            zp_t = lp.wbar @ abar[:, t]
+            zp_t += vx[:, t]
+            a = self.activation.value(zp_t)
+            z[:, t] = zp_t
             if t + 1 < steps:
-                abar[:, :h, t + 1] = a
+                abar[:h, t + 1] = a
         return abar, z, a
 
     def pullback(self, lp, act_in, da, to_input: bool) -> tuple:
         """Back through the steps; the cell is always the first layer, so
         its input cotangent is never asked for."""
         w = lp.wbar[:, :-1]
-        dz = np.empty(da.shape[:2] + act_in.shape[1:])
+        dz = np.empty(act_in.shape[:2] + da.shape[1:])
         for t in reversed(range(self.steps)):
-            dzp = self.activation.vjp(act_in[:, None, :, t : t + 1], da)
-            dz[:, :, :, t] = dzp[:, :, :, 0]
+            dzp = self.activation.vjp(act_in[:, t, None], da)
+            dz[:, t] = dzp
             da = _lmul(w.T, dzp)
         return dz, None
 
-    def input_map_grad(self, dz, x):
-        # np.tensordot(dz, x, axes=([0, 2], [0, 1])): the same C-contiguous
-        # operands and the same np.dot, without tensordot's argument handling
-        return np.dot(dz.transpose(1, 0, 2).reshape(dz.shape[1], -1),
-                      x.reshape(-1, x.shape[2]))
+    def input_map_grad(self, du, x):
+        # np.tensordot(du, x, axes=([1, 2], [1, 0])): the same operands, x
+        # copied into (T*B, d), and the same np.dot
+        return np.dot(du.reshape(du.shape[0], -1), x.swapaxes(0, 1).reshape(-1, x.shape[2]))
 
     def input_map_jacobian(self, dz, x):
-        return dz @ x[:, None]
+        # per sample and cotangent, sum_t x_t dz_t^T: vec(dV) in rows
+        per_sample = x.swapaxes(1, 2)[:, None] @ dz.transpose(3, 2, 1, 0)
+        return per_sample.reshape(per_sample.shape[:2] + (-1,))
 
     def map_input(self, m, x) -> np.ndarray:
         return np.array(x, copy=True)
@@ -613,9 +614,9 @@ def init_params(spec: NetworkSpec, seed: int, weight_scale: float = 1.0) -> Para
 
 @functools.lru_cache(maxsize=32)
 def _patch_index(radius: int, grid_hw: tuple, channels: int) -> np.ndarray:
-    """Flat positions in a padded (J, H+2R, W+2R) block of the patch entries,
-    shaped (J*(2R+1)^2, H*W) in extract_patches' row order, then a row
-    pointing at the cell just past the block; read-only."""
+    """Rows of a padded (J*(H+2R)*(W+2R), batch) block that hold the patch
+    entries, shaped (J*(2R+1)^2, H*W) in extract_patches' row order, then a
+    row pointing at the row just past the block; read-only."""
     h, w = grid_hw
     k = 2 * radius + 1
     hp, wp = h + 2 * radius, w + 2 * radius
@@ -636,26 +637,28 @@ def extract_patches(grid, radius: int, grid_hw: tuple, padding_value=None) -> np
     offset-major: rows [d*J, (d+1)*J) hold channel values at spatial offset
     index d, offsets scanned row-major over the (2R+1)x(2R+1) window.
     Beyond the border patches read padding_value (zeros when omitted).
-    A last row of ones follows. Leading axes are batch axes:
-    (..., J, H*W) -> (..., J*(2R+1)^2 + 1, H*W).
+    A last row of ones follows. Trailing axes are batch axes:
+    (J, H*W, ...) -> (J*(2R+1)^2 + 1, H*W, ...).
 
-    The grid is padded once, into a buffer one cell longer that holds 1.0
-    there; every patch entry, and the row of ones, is then gathered by one
-    take through a cached flat index into that buffer.
+    The grid is padded once, into a (J*(H+2R)*(W+2R) + 1, batch) buffer
+    whose last row holds 1.0; every patch row, and the row of ones, is then
+    gathered as a whole batch-long row by one take through a cached index.
     """
     grid = np.asarray(grid, dtype=np.float64)
     h, w = grid_hw
-    if grid.ndim < 2 or grid.shape[-1] != h * w:
-        raise ShapeMismatch(f"grid shape {grid.shape} != (..., J, {h * w})")
-    lead, j = grid.shape[:-2], grid.shape[-2]
+    if grid.ndim < 2 or grid.shape[1] != h * w:
+        raise ShapeMismatch(f"grid shape {grid.shape} != (J, {h * w}, ...)")
+    j, batch = grid.shape[0], grid.shape[2:]
+    size = math.prod(batch)
     hp, wp = h + 2 * radius, w + 2 * radius
-    flat = np.zeros(lead + (j * hp * wp + 1,))
-    flat[..., -1] = 1.0
-    padded = flat[..., :-1].reshape(lead + (j, hp, wp))
+    flat = np.zeros((j * hp * wp + 1, size))
+    flat[-1] = 1.0
+    padded = flat[:-1].reshape(j, hp, wp, size)
     if padding_value is not None and np.any(padding_value):
-        padded += np.asarray(padding_value, dtype=np.float64)[:, None, None]
-    padded[..., radius : radius + h, radius : radius + w] = grid.reshape(lead + (j, h, w))
-    return flat.take(_patch_index(radius, (h, w), j), axis=-1)
+        padded += np.asarray(padding_value, dtype=np.float64)[:, None, None, None]
+    padded[:, radius : radius + h, radius : radius + w] = grid.reshape(j, h, w, size)
+    index = _patch_index(radius, (h, w), j)
+    return flat.take(index, axis=0).reshape(index.shape + batch)
 
 
 def _fold_cols(patches, radius: int, grid_hw: tuple) -> np.ndarray:
@@ -663,60 +666,55 @@ def _fold_cols(patches, radius: int, grid_hw: tuple) -> np.ndarray:
     scatter-add patch columns back to the grid. The per-sample oracle
     (backward) folds W^T dz with it, apart from fold_patches' gather.
 
-    Leading axes are batch axes, as in extract_patches. The buffer holds
-    them innermost, behind the channels, so each of the (2R+1)^2 shifted
-    adds writes contiguous runs of W x J x (batch size) values instead of
-    rows of W. The offsets go in order into a zero buffer, so every grid
-    cell sums them in offset order.
+    Trailing axes are batch axes, as in extract_patches, and the buffer
+    holds them innermost, so each of the (2R+1)^2 shifted adds writes
+    contiguous runs of W x (batch size) values. The offsets go in order
+    into a zero buffer, so every grid cell sums them in offset order.
     """
     patches = np.asarray(patches, dtype=np.float64)
     h, w = grid_hw
     k = 2 * radius + 1
-    if patches.ndim < 2 or patches.shape[-2] % (k * k) or patches.shape[-1] != h * w:
+    if patches.ndim < 2 or patches.shape[0] % (k * k) or patches.shape[1] != h * w:
         raise ShapeMismatch(f"patch matrix shape {patches.shape} unexpected")
-    lead, j = patches.shape[:-2], patches.shape[-2] // (k * k)
-    size = math.prod(lead)
-    # (offset, row, column, channel, batch) view of the patches
-    blocks = patches.reshape(size, k * k, j, h, w).transpose(1, 3, 4, 2, 0)
-    padded = np.zeros((h + 2 * radius, w + 2 * radius, j, size))
+    j, batch = patches.shape[0] // (k * k), patches.shape[2:]
+    size = math.prod(batch)
+    blocks = patches.reshape(k * k, j, h, w, size)  # (offset, channel, row, column, batch)
+    padded = np.zeros((j, h + 2 * radius, w + 2 * radius, size))
     for d in range(k * k):
         dy, dx = divmod(d, k)
-        window = padded[dy : dy + h, dx : dx + w]  # a view: += adds in place
+        window = padded[:, dy : dy + h, dx : dx + w]  # a view: += adds in place
         window += blocks[d]
-    grid = padded[radius : radius + h, radius : radius + w].transpose(3, 2, 0, 1)
-    return np.ascontiguousarray(grid).reshape(lead + (j, h * w))
+    grid = padded[:, radius : radius + h, radius : radius + w]
+    return np.ascontiguousarray(grid).reshape((j, h * w) + batch)
 
 
 def fold_patches(dz, w, radius: int, grid_hw: tuple) -> np.ndarray:
     """Cotangent of a conv layer's input, the fold (_fold_cols) of W^T dz,
-    for pre-activation cotangents dz, (..., I, H*W), and patch weights
-    w = Wbar[:, :-1], (I, J*(2R+1)^2); leading axes are batch axes.
+    for pre-activation cotangents dz, (I, H*W, ...), and patch weights
+    w = Wbar[:, :-1], (I, J*(2R+1)^2); trailing axes are batch axes.
 
-    dz is copied once into a zero-padded (I, H+2R, W+2R, batch) buffer, its
-    (2R+1)^2 shifted windows are gathered (offset (dy, dx) reads rows from
-    2R-dy and columns from 2R-dx), and one GEMM with W's offset blocks,
-    reordered to (J, (2R+1)^2 * I), sums every term: W^T dz is never made.
+    dz is copied once into a zero-padded (I*(H+2R)*(W+2R), batch) buffer,
+    extract_patches' index gathers its (2R+1)^2 shifted windows as whole
+    batch-long rows, and one GEMM with W's offset blocks, reordered to
+    (J, (2R+1)^2 * I) with the offsets reversed (the window at offset
+    (dy, dx) meets W's offset (2R-dy, 2R-dx)), sums every term: W^T dz is
+    never made.
     """
     dz = np.asarray(dz, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     h, wd = grid_hw
     k = 2 * radius + 1
-    if (dz.ndim < 2 or dz.shape[-1] != h * wd or w.ndim != 2
-            or w.shape[0] != dz.shape[-2] or w.shape[1] % (k * k)):
+    if (dz.ndim < 2 or dz.shape[1] != h * wd or w.ndim != 2
+            or w.shape[0] != dz.shape[0] or w.shape[1] % (k * k)):
         raise ShapeMismatch(f"cotangent {dz.shape} and weights {w.shape} do not fit")
-    lead, (i, t) = dz.shape[:-2], dz.shape[-2:]
-    size, j = math.prod(lead), w.shape[1] // (k * k)
-    r2 = 2 * radius
-    padded = np.zeros((i, h + r2, wd + r2, size))
-    padded[:, radius : radius + h, radius : radius + wd] = (
-        dz.reshape(size, i, h, wd).transpose(1, 2, 3, 0))
-    windows = np.empty((k, k, i, h, wd, size))
-    for dy in range(k):
-        for dx in range(k):
-            windows[dy, dx] = padded[:, r2 - dy : r2 - dy + h, r2 - dx : r2 - dx + wd]
-    blocks = w.reshape(i, k * k, j).transpose(2, 1, 0).reshape(j, -1)  # (J, (offset, I))
-    grid = np.dot(blocks, windows.reshape(k * k * i, -1)).reshape(j, t, size)
-    return np.ascontiguousarray(grid.transpose(2, 0, 1)).reshape(lead + (j, t))
+    (i, t), batch = dz.shape[:2], dz.shape[2:]
+    size, j = math.prod(batch), w.shape[1] // (k * k)
+    flat = np.zeros((i * (h + 2 * radius) * (wd + 2 * radius), size))
+    padded = flat.reshape(i, h + 2 * radius, wd + 2 * radius, size)
+    padded[:, radius : radius + h, radius : radius + wd] = dz.reshape(i, h, wd, size)
+    windows = flat.take(_patch_index(radius, (h, wd), i)[:-1], axis=0)  # ((offset, I), T, batch)
+    blocks = w.reshape(i, k * k, j)[:, ::-1].transpose(2, 1, 0).reshape(j, -1)
+    return np.dot(blocks, windows.reshape(k * k * i, t * size)).reshape((j, t) + batch)
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +723,9 @@ def fold_patches(dz, w, radius: int, grid_hw: tuple) -> np.ndarray:
 
 @dataclass
 class BatchTrace:
-    """What forward_batch keeps per layer: the homogenized inputs abar,
-    (N, n+1, T), and what the activation saw, act_in, (N, m, T).
+    """What forward_batch keeps per layer, the batch axis innermost: the
+    homogenized inputs abar, (n+1, T, B), and what the activation saw,
+    act_in, (m, T, B).
 
     T is 1 for dense layers, the grid size for conv layers and the step
     count for recurrent layers (act_in holds z'_t there).
@@ -734,67 +733,69 @@ class BatchTrace:
 
     spec: NetworkSpec
     params: ParamSet
-    x: np.ndarray  # the stacked inputs, (N, ...)
+    x: np.ndarray  # the stacked inputs, (B, ...)
     abar: list
     act_in: list
-    output: np.ndarray  # (N, output_dim)
+    output: np.ndarray  # (B, output_dim)
     # what is derived from this pass and kept for its later readers, by name
     # (kfac.ngd_curvature keeps the basis pass and the Fisher here)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def head(self, n: int) -> "BatchTrace":
-        """The trace of the first n samples, as leading-row views of every
-        array. forward_batch treats each sample on its own, so this is, bit
-        for bit, the trace of a pass over those n samples alone."""
-        return BatchTrace(self.spec, self.params, self.x[:n], [a[:n] for a in self.abar],
-                          [z[:n] for z in self.act_in], self.output[:n])
+        """The trace of the first n samples: every abar and act_in's first n
+        columns copied out, C-contiguous, so this pass's arrays can be
+        freed. These are the bits the samples got in this pass, not those
+        of a pass over them alone."""
+        return BatchTrace(self.spec, self.params, self.x[:n],
+                          [np.ascontiguousarray(a[..., :n]) for a in self.abar],
+                          [np.ascontiguousarray(z[..., :n]) for z in self.act_in],
+                          self.output[:n])
 
 
 def _homogenize_batch(cols) -> np.ndarray:
-    """cols, (..., n, T), with a row of ones after it: (..., n+1, T), filled
-    into one buffer."""
-    out = np.empty(cols.shape[:-2] + (cols.shape[-2] + 1, cols.shape[-1]))
-    out[..., :-1, :] = cols
-    out[..., -1, :] = 1.0
+    """cols, (n, ...), with a row of ones after it: (n+1, ...), filled into
+    one buffer."""
+    out = np.empty((cols.shape[0] + 1,) + cols.shape[1:])
+    out[:-1] = cols
+    out[-1] = 1.0
     return out
 
 
-def _flatten_cols(grid) -> np.ndarray:
-    """(..., m, T) -> (..., m*T) column-major, as vec flattens one sample."""
-    return grid.swapaxes(-1, -2).reshape(grid.shape[:-2] + (-1,))
-
-
-def _unflatten_cols(flat, rows: int, cols: int) -> np.ndarray:
-    return flat.reshape(flat.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
+def _flatten_grid(grid) -> np.ndarray:
+    """(m, T, B) -> (m*T, B), each sample flattened column-major, as vec
+    flattens one."""
+    m, t, b = grid.shape
+    return grid.swapaxes(0, 1).reshape(m * t, b)
 
 
 def forward_batch(spec: NetworkSpec, params: ParamSet, xs) -> BatchTrace:
     """Evaluate the network on a batch; every layer is one Wbar @ Abar.
 
-    xs stacks the inputs, (N, *in_shape) of the first layer, as a Dataset
-    holds them (a list of inputs is stacked here). A grid that meets a
-    layer reading vectors flattens column-wise, as in forward.
+    xs stacks the inputs, (B, *in_shape) of the first layer, as a Dataset
+    holds them (a list of inputs is stacked here); the layers see them with
+    the batch axis moved innermost. A grid that meets a layer reading
+    vectors flattens column-wise, as in forward. The output is (B, K).
     """
     x = np.asarray(xs, dtype=np.float64)
     abars, act_ins = [], []
-    carry = x
+    carry = x.transpose(tuple(range(1, x.ndim)) + (0,))  # the batch axis innermost
     for layer, lp in zip(spec.layers, params.layers):
         if carry.ndim == 3 and len(layer.in_shape) == 1:
-            carry = _flatten_cols(carry)
-        if carry.shape[1:] != layer.in_shape:
+            carry = _flatten_grid(carry)
+        if carry.shape[:-1] != layer.in_shape:
             raise ShapeMismatch(
-                f"{layer.kind} layer expects (N,) + {layer.in_shape}, got {carry.shape}"
+                f"{layer.kind} layer expects {layer.in_shape} + (B,), got {carry.shape}"
             )
         abar, z, carry = layer.apply(lp, carry)
         abars.append(abar)
         act_ins.append(z)
-    output = _flatten_cols(carry) if carry.ndim == 3 else carry
+    output = np.ascontiguousarray((_flatten_grid(carry) if carry.ndim == 3 else carry).T)
     return BatchTrace(spec, params, x, abars, act_ins, output)
 
 
 def backward_batch(trace: BatchTrace, cotangents) -> list:
-    """Reverse pass for a stack of output cotangents, (N, K, output_dim):
-    the per-layer dz, (N, K, m, T).
+    """Reverse pass for a stack of output cotangents, (B, K, output_dim):
+    the per-layer dz, (m, T, K, B).
 
     dz is linear in the cotangents, so K basis vectors give every column of
     the output Jacobian in one pass, and gradient_from_basis turns dz into
@@ -809,17 +810,18 @@ def backward_batch(trace: BatchTrace, cotangents) -> list:
         )
     spec, params = trace.spec, trace.params
     dzs = [None] * len(spec.layers)
-    carry = u
+    carry = u.T  # (output_dim, K, B)
     for i in reversed(range(len(spec.layers))):
         layer, lp = spec.layers[i], params.layers[i]
-        if carry.ndim == 3:
-            carry = _unflatten_cols(carry, layer.out_space, layer.out_copies)
+        if carry.ndim == 3 and len(layer.out_shape) == 2:  # flat, column-major, meets a grid
+            carry = carry.reshape((layer.out_copies, layer.out_space) + carry.shape[1:])
+            carry = carry.swapaxes(0, 1)
         dzs[i], carry = layer.pullback(lp, trace.act_in[i], carry, i > 0)
     return dzs
 
 
 def basis_backward(trace: BatchTrace) -> list:
-    """Per-layer dz, (N, K, m, T), of one backward pass of the K output
+    """Per-layer dz, (m, T, K, B), of one backward pass of the K output
     basis vectors: the columns of every sample's output Jacobian."""
     n, k = trace.output.shape
     return backward_batch(trace, np.broadcast_to(np.eye(k), (n, k, k)))
@@ -827,31 +829,32 @@ def basis_backward(trace: BatchTrace) -> list:
 
 def gradient_from_basis(trace: BatchTrace, dz: list, u) -> ParamSet:
     """Parameter gradient, summed over the batch, for output cotangents u,
-    (N, K), from the dz of basis_backward. Backward is linear in the
-    cotangent, so u's dz is u contracted with the basis dz."""
-    u = np.asarray(u, dtype=np.float64)[:, None, :]
+    (B, K), from the dz of basis_backward. Backward is linear in the
+    cotangent, so u's dz is u contracted with the basis dz; the gradient is
+    then one GEMM over views of it and Abar, np.tensordot's operands."""
+    u = np.asarray(u, dtype=np.float64).T  # (K, B), against dz's last two axes
     grads = []
     for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):
-        du = (u @ d.reshape(d.shape[:2] + (-1,))).reshape(d.shape[:1] + d.shape[2:])
-        # np.tensordot(du, abar, axes=([0, 2], [0, 2])): the same C-contiguous
-        # operands and the same np.dot, without tensordot's argument handling
-        dwbar = np.dot(du.transpose(1, 0, 2).reshape(du.shape[1], -1),
-                       abar.transpose(0, 2, 1).reshape(-1, abar.shape[1]))
+        du = np.einsum("itkn,kn->itn", d, u)
+        dwbar = np.dot(du.reshape(len(du), -1), abar.reshape(len(abar), -1).T)
         # only a first layer has an input map V, so it reads the input
         grads.append(LayerParams(dwbar, layer.input_map_grad(du, trace.x)))
     return ParamSet(grads)
 
 
 def basis_jacobians(trace: BatchTrace, dz: list) -> np.ndarray:
-    """Per-sample output Jacobians, (N, K, P), columns in ParamSet.flatten
+    """Per-sample output Jacobians, (B, K, P), columns in ParamSet.flatten
     order, from the dz of basis_backward: per layer vec(dz abar^T), then
     vec of V's gradient."""
+    n, k = trace.output.shape
     parts = []
     for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):
-        parts.append(_flatten_cols(d @ abar[:, None].swapaxes(-1, -2)))
+        # per sample and cotangent, abar dz^T: vec(dz abar^T) in rows
+        per_sample = abar.transpose(2, 0, 1)[:, None] @ d.transpose(3, 2, 1, 0)
+        parts.append(per_sample.reshape(n, k, -1))
         jv = layer.input_map_jacobian(d, trace.x)
         if jv is not None:
-            parts.append(_flatten_cols(jv))
+            parts.append(jv)
     return np.concatenate(parts, axis=-1)
 
 

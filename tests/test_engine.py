@@ -226,7 +226,7 @@ def test_batched_backward_matches_basis_backpasses(problem):
         np.testing.assert_allclose(trace.output[s], one.output, rtol=RTOL, atol=1e-15)
         for kk, bt in enumerate(basis_backpasses(one)):
             for i, lb in enumerate(bt.layers):
-                np.testing.assert_allclose(dz[i][s, kk], lb.dz, rtol=1e-11, atol=1e-15)
+                np.testing.assert_allclose(dz[i][:, :, kk, s], lb.dz, rtol=1e-11, atol=1e-15)
 
 
 @ENGINE_SETTINGS
@@ -323,34 +323,10 @@ def test_rebased_twin_computes_the_same_function(net, cap):
     assert np.max(np.abs(back - out)) <= STEP0_TOL
 
 
-@ENGINE_SETTINGS
-@given(networks(), st.integers(1, 8), st.integers(1, 40), st.booleans())
-def test_forward_over_a_stack_is_the_forward_over_each_part(net, n_a, n_b, rebase):
-    # The run loop makes one pass over the data stacked with the probes and
-    # reads each part from its rows, so the rows must hold the bits of a pass
-    # over that part alone, and head() must keep the memory layout.
-    spec, params, shape, rng = net
-    if rebase:  # wrapped activations, remapped padding and initial states
-        r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
-        spec, params = transform_network(spec, params, r)
-    a = rng.standard_normal((n_a,) + shape)
-    b = rng.standard_normal((n_b,) + shape)
-    whole = forward_batch(spec, params, np.concatenate([a, b]))
-
-    def arrays(trace):
-        return [trace.x, trace.output] + trace.abar + trace.act_in
-
-    for g, w in zip(arrays(whole.head(n_a)), arrays(forward_batch(spec, params, a)), strict=True):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
-        assert g.flags.c_contiguous == w.flags.c_contiguous
-    tail = [x[n_a:] for x in arrays(whole)]
-    for g, w in zip(tail, arrays(forward_batch(spec, params, b)), strict=True):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
-# Reference backward: every product with a matrix the batch shares (W^T dz,
-# and the Omega^T, Phi^T and Phi z + tau of a wrapped activation) as a numpy
-# stacked matmul, one matrix-vector product per (sample, cotangent).
+# Reference backward: sample-major, (B, K, m, T), with every product with a
+# matrix the batch shares (W^T dz, and the Omega^T, Phi^T and Phi z + tau of
+# a wrapped activation) as a numpy stacked matmul, one matrix-vector product
+# per (sample, cotangent), where the engine makes one GEMM over all columns.
 
 
 def _vjp_reference(act, z, da):
@@ -364,24 +340,28 @@ def _backward_batch_reference(trace, cotangents):
     layers, dzs = trace.spec.layers, [None] * len(trace.spec.layers)
     carry = cotangents
     for i in reversed(range(len(layers))):
-        layer, w, act_in = layers[i], trace.params.layers[i].wbar[:, :-1], trace.act_in[i]
+        layer, w = layers[i], trace.params.layers[i].wbar[:, :-1]
+        act_in = np.moveaxis(trace.act_in[i], -1, 0)  # (B, m, T)
         if carry.ndim == 3:  # flat, column-major, as the layer emits it
             carry = carry.reshape(carry.shape[:2] + (layer.out_copies, layer.out_space))
             carry = carry.swapaxes(-1, -2)
         if layer.kind == "recurrent":
-            dzs[i] = np.empty(carry.shape[:2] + act_in.shape[1:])
+            dz = np.empty(carry.shape[:2] + act_in.shape[1:])
             for t in reversed(range(layer.steps)):
                 dzp = _vjp_reference(layer.activation, act_in[:, None, :, t : t + 1], carry)
-                dzs[i][:, :, :, t] = dzp[:, :, :, 0]
+                dz[:, :, :, t] = dzp[:, :, :, 0]
                 carry = w.T @ dzp
         else:
-            dzs[i] = _vjp_reference(layer.activation, act_in[:, None], carry)
+            dz = _vjp_reference(layer.activation, act_in[:, None], carry)
             if i == 0:
                 carry = None
             elif layer.kind == "conv2d":  # shifted adds, not fold_patches' gather
-                carry = _fold_cols(w.T @ dzs[i], layer.kernel_radius, layer.grid)
+                patches = np.moveaxis(w.T @ dz, (0, 1), (-2, -1))  # batch axes trailing
+                carry = np.moveaxis(_fold_cols(patches, layer.kernel_radius, layer.grid),
+                                    (-2, -1), (0, 1))
             else:
-                carry = (w.T @ dzs[i])[..., 0]
+                carry = (w.T @ dz)[..., 0]
+        dzs[i] = dz.transpose(2, 3, 1, 0)
     return dzs
 
 
@@ -400,38 +380,21 @@ def test_batched_backward_matches_the_stacked_product_reference(net, n, k, rebas
         assert_rel_close(g, w, f"layer {i} dz")
 
 
-@ENGINE_SETTINGS
-@given(networks(), st.integers(1, 8), st.integers(1, 40), st.booleans())
-def test_basis_pass_over_a_head_is_the_pass_over_those_rows(net, n_a, n_b, rebase):
-    # Exact NGD checks its Fisher on the data rows of the run loop's first
-    # stacked pass and its first step reuses it, so the basis pass over
-    # head(n) must hold the bits of a basis pass over those rows alone.
-    spec, params, shape, rng = net
-    if rebase:
-        r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
-        spec, params = transform_network(spec, params, r)
-    a = rng.standard_normal((n_a,) + shape)
-    whole = forward_batch(spec, params, np.concatenate([a, rng.standard_normal((n_b,) + shape)]))
-    got = basis_backward(whole.head(n_a))
-    want = basis_backward(forward_batch(spec, params, a))
-    for g, w in zip(got, want, strict=True):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
 def test_patches_with_batch_axes_match_one_grid_at_a_time():
     rng = np.random.default_rng(3)
     grid_hw = (3, 4)
     for radius in (0, 1, 2):
-        grids = rng.standard_normal((2, 5, 3, 12))
+        grids = rng.standard_normal((3, 12, 2, 5))
         pad = rng.standard_normal(3)
         patches = extract_patches(grids, radius, grid_hw, pad)
-        u = rng.standard_normal(patches[..., :-1, :].shape)
+        u = rng.standard_normal(patches[:-1].shape)
         folded = _fold_cols(u, radius, grid_hw)
         for idx in np.ndindex(2, 5):
+            at = (slice(None), slice(None)) + idx
             np.testing.assert_array_equal(
-                patches[idx], extract_patches(grids[idx], radius, grid_hw, pad)
+                patches[at], extract_patches(grids[at], radius, grid_hw, pad)
             )
-            np.testing.assert_array_equal(folded[idx], _fold_cols(u[idx], radius, grid_hw))
+            np.testing.assert_array_equal(folded[at], _fold_cols(u[at], radius, grid_hw))
 
 
 # Reference im2col and fold: a sliding-window view of the padded grid, and
@@ -439,32 +402,32 @@ def test_patches_with_batch_axes_match_one_grid_at_a_time():
 
 
 def _ones_below(cols):
-    """cols, (..., n, T), with a row of ones concatenated after it."""
-    return np.concatenate([cols, np.ones(cols.shape[:-2] + (1, cols.shape[-1]))], axis=-2)
+    """cols, (n, ...), with a row of ones concatenated after it."""
+    return np.concatenate([cols, np.ones((1,) + cols.shape[1:])])
 
 
 def _extract_patches_reference(grid, radius, grid_hw, padding_value=None):
     h, w = grid_hw
-    lead, j = grid.shape[:-2], grid.shape[-2]
+    j, batch = grid.shape[0], grid.shape[2:]
     k = 2 * radius + 1
-    padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
+    padded = np.zeros((j, h + 2 * radius, w + 2 * radius) + batch)
     if padding_value is not None and np.any(padding_value):
-        padded += np.asarray(padding_value, dtype=np.float64)[:, None, None]
-    padded[..., radius : radius + h, radius : radius + w] = grid.reshape(lead + (j, h, w))
-    windows = sliding_window_view(padded, (k, k), axis=(-2, -1))  # (..., J, H, W, k, k)
-    return np.moveaxis(windows, (-2, -1), (-5, -4)).reshape(lead + (k * k * j, h * w))
+        padded += np.reshape(padding_value, (j, 1, 1) + (1,) * len(batch))
+    padded[:, radius : radius + h, radius : radius + w] = grid.reshape((j, h, w) + batch)
+    windows = sliding_window_view(padded, (k, k), axis=(1, 2))  # (J, H, W, ..., k, k)
+    return np.moveaxis(windows, (-2, -1), (0, 1)).reshape((k * k * j, h * w) + batch)
 
 
 def _fold_patches_reference(patches, radius, grid_hw):
     h, w = grid_hw
     k = 2 * radius + 1
-    lead, j = patches.shape[:-2], patches.shape[-2] // (k * k)
-    blocks = patches.reshape(lead + (k * k, j, h, w))
-    padded = np.zeros(lead + (j, h + 2 * radius, w + 2 * radius))
+    j, batch = patches.shape[0] // (k * k), patches.shape[2:]
+    blocks = patches.reshape((k * k, j, h, w) + batch)
+    padded = np.zeros((j, h + 2 * radius, w + 2 * radius) + batch)
     for d in range(k * k):
         dy, dx = divmod(d, k)
-        padded[..., dy : dy + h, dx : dx + w] += blocks[..., d, :, :, :]
-    return padded[..., radius : radius + h, radius : radius + w].reshape(lead + (j, h * w))
+        padded[:, dy : dy + h, dx : dx + w] += blocks[d]
+    return padded[:, radius : radius + h, radius : radius + w].reshape((j, h * w) + batch)
 
 
 @ENGINE_SETTINGS
@@ -472,18 +435,18 @@ def _fold_patches_reference(patches, radius, grid_hw):
     radius=st.integers(0, 2),
     grid_hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
     channels=st.integers(1, 3),
-    lead=st.sampled_from([(), (3,), (2, 4)]),
+    batch=st.sampled_from([(), (3,), (2, 4)]),
     padded=st.booleans(),
-    batch_innermost=st.booleans(),
+    batch_outermost=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_patch_helpers_equal_the_reference_bit_for_bit(
-    radius, grid_hw, channels, lead, padded, batch_innermost, seed
+    radius, grid_hw, channels, batch, padded, batch_outermost, seed
 ):
     rng = np.random.default_rng(seed)
     h, w = grid_hw
-    grid = rng.standard_normal(lead + (channels, h * w))
-    grid[..., ::3] = -0.0  # signed zeros must come through unchanged
+    grid = rng.standard_normal((channels, h * w) + batch)
+    grid[:, ::3] = -0.0  # signed zeros must come through unchanged
     pad = rng.standard_normal(channels) if padded else None
     # the gather returns Abar: the patches, then a row of ones
     got = extract_patches(grid, radius, grid_hw, pad)
@@ -491,13 +454,13 @@ def test_patch_helpers_equal_the_reference_bit_for_bit(
     want_abar = _ones_below(want)
     assert got.shape == want_abar.shape and got.flags.c_contiguous
     assert got.tobytes() == want_abar.tobytes()
-    np.testing.assert_array_equal(got[..., :-1, :], want, strict=True)
-    assert np.array_equal(np.signbit(got[..., :-1, :]), np.signbit(want))
+    np.testing.assert_array_equal(got[:-1], want, strict=True)
+    assert np.array_equal(np.signbit(got[:-1]), np.signbit(want))
 
     u = rng.standard_normal(want.shape)
-    u[..., ::2, ::2] = -0.0
-    if batch_innermost:  # batch axes innermost in memory: (rows, T, batch)
-        u = np.moveaxis(np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+    u[::2, ::2] = -0.0
+    if batch_outermost:  # batch axes outermost in memory: (batch, rows, T)
+        u = np.moveaxis(np.ascontiguousarray(np.moveaxis(u, (0, 1), (-2, -1))), (-2, -1), (0, 1))
     got = _fold_cols(u, radius, grid_hw)
     want = _fold_patches_reference(u, radius, grid_hw)
     assert got.flags.c_contiguous
@@ -506,34 +469,36 @@ def test_patch_helpers_equal_the_reference_bit_for_bit(
     assert got.tobytes() == _fold_cols(np.ascontiguousarray(u), radius, grid_hw).tobytes()
 
 
-# Reference forward: each layer's Abar concatenated from its input columns
-# and a ones array, and the recurrent cell's per step, its previous state
-# copied into Abar after the product read a contiguous column.
+# Reference forward, batch axis innermost: each layer's Abar concatenated
+# from its input columns and a ones array, and the recurrent cell's per step,
+# its previous state copied into Abar after the product read a contiguous
+# column.
 
 
 def _apply_reference(layer, lp, x):
+    n = x.shape[-1]
     if layer.kind == "recurrent":
-        n = x.shape[0]
-        vx = lp.v @ x.swapaxes(1, 2)
-        abar = np.empty((n, layer.hidden_dim + 1, layer.steps))
-        z = np.empty((n, layer.hidden_dim, layer.steps))
-        a = np.broadcast_to(layer.initial_state, (n, layer.hidden_dim))
-        for t in range(layer.steps):
-            abar_t = _ones_below(a[:, :, None])
-            zp_t = lp.wbar @ abar_t + vx[:, :, t : t + 1]
-            a = layer.activation.value(zp_t)[:, :, 0]
-            abar[:, :, t] = abar_t[:, :, 0]
-            z[:, :, t] = zp_t[:, :, 0]
+        h, steps = layer.hidden_dim, layer.steps
+        vx = (lp.v @ x.swapaxes(0, 1).reshape(layer.input_dim, -1)).reshape(h, steps, n)
+        abar = np.empty((h + 1, steps, n))
+        z = np.empty((h, steps, n))
+        a = np.broadcast_to(layer.initial_state[:, None], (h, n))
+        for t in range(steps):
+            abar_t = _ones_below(a)
+            zp_t = lp.wbar @ abar_t + vx[:, t]
+            a = layer.activation.value(zp_t)
+            abar[:, t] = abar_t
+            z[:, t] = zp_t
         return abar, z, a
     if layer.kind == "conv2d":  # in C order, as a gather returns the patches
         cols = np.ascontiguousarray(
             _extract_patches_reference(x, layer.kernel_radius, layer.grid, layer.padding_value))
     else:
-        cols = x[:, :, None]
+        cols = np.ascontiguousarray(x)[:, None]
     abar = _ones_below(cols)
-    z = lp.wbar @ abar
+    z = (lp.wbar @ abar.reshape(len(abar), -1)).reshape((len(lp.wbar),) + abar.shape[1:])
     out = layer.activation.value(z)
-    return abar, z, out if layer.kind == "conv2d" else out[:, :, 0]
+    return abar, z, out if layer.kind == "conv2d" else out[:, 0]
 
 
 @ENGINE_SETTINGS
@@ -547,22 +512,24 @@ def test_forward_builds_abar_in_place_with_the_bits_of_the_concatenated_referenc
         spec, params = transform_network(spec, params, r)
     x = rng.standard_normal((n,) + shape)
     trace = forward_batch(spec, params, x)
-    carry = x
+    carry = np.moveaxis(x, 0, -1)
     for i, (layer, lp) in enumerate(zip(spec.layers, params.layers)):
         if carry.ndim == 3 and layer.kind == "dense":  # a grid flattens column-wise
-            carry = carry.swapaxes(1, 2).reshape(n, -1)
+            carry = carry.swapaxes(0, 1).reshape(-1, n)
         abar, z, carry = _apply_reference(layer, lp, carry)
         for got, want in ((trace.abar[i], abar), (trace.act_in[i], z)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous and want.flags.c_contiguous
-    want = carry.swapaxes(1, 2).reshape(n, -1) if carry.ndim == 3 else carry
+    if carry.ndim == 3:
+        carry = carry.swapaxes(0, 1).reshape(-1, n)
+    want = np.ascontiguousarray(carry.T)
     assert trace.output.shape == want.shape and trace.output.tobytes() == want.tobytes()
 
 
 @ENGINE_SETTINGS
 @given(networks(), st.integers(1, 40), st.integers(1, 4), st.booleans())
 def test_gradient_contractions_equal_tensordot_bit_for_bit(net, n, k, rebase):
-    # the contractions call np.dot on the operands np.tensordot would build
+    # the contractions call np.dot on the operands np.tensordot passes it
     spec, params, shape, rng = net
     if rebase:
         r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
@@ -572,11 +539,11 @@ def test_gradient_contractions_equal_tensordot_bit_for_bit(net, n, k, rebase):
     u = rng.standard_normal((n, k))
     got = gradient_from_basis(trace, dz, u)
     for layer, abar, d, g in zip(spec.layers, trace.abar, dz, got.layers, strict=True):
-        du = (u[:, None, :] @ d.reshape(d.shape[:2] + (-1,))).reshape(d.shape[:1] + d.shape[2:])
-        want = np.tensordot(du, abar, axes=([0, 2], [0, 2]))
+        du = np.einsum("itkn,kn->itn", d, u.T)
+        want = np.tensordot(du, abar, axes=([1, 2], [1, 2]))
         assert g.wbar.shape == want.shape and g.wbar.tobytes() == want.tobytes()
         if layer.kind == "recurrent":
-            want = np.tensordot(du, trace.x, axes=([0, 2], [0, 1]))
+            want = np.tensordot(du, trace.x, axes=([1, 2], [1, 0]))
             assert g.v.shape == want.shape and g.v.tobytes() == want.tobytes()
         else:
             assert g.v is None
@@ -623,8 +590,9 @@ def test_conv_input_cotangent_is_the_fold_of_w_transpose_dz(
     layer = ConvLayer(in_channels, out_channels, radius, grid_hw, act)
     lp = init_params(NetworkSpec([layer]), int(rng.integers(2**31))).layers[0]
     t = layer.num_locations
-    act_in = rng.standard_normal((n, out_channels, t))
-    dz, got = layer.pullback(lp, act_in, rng.standard_normal((n, k, out_channels, t)), True)
-    want = _fold_patches_reference(lp.wbar[:, :-1].T @ dz, radius, grid_hw)
-    assert got.shape == want.shape == (n, k, in_channels, t)
+    act_in = rng.standard_normal((out_channels, t, n))
+    dz, got = layer.pullback(lp, act_in, rng.standard_normal((out_channels, t, k, n)), True)
+    wt_dz = np.moveaxis(lp.wbar[:, :-1].T @ np.moveaxis(dz, (0, 1), (-2, -1)), (-2, -1), (0, 1))
+    want = _fold_patches_reference(wt_dz, radius, grid_hw)
+    assert got.shape == want.shape == (in_channels, t, k, n)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -801,7 +801,8 @@ def test_one_pass_over_the_data_per_step(monkeypatch, steps):
     # Each twin passes over the data stacked with the probes at the start
     # and after each step; the step, the objective and the forward gap all
     # read that pass, so no pass covers the probes alone. The teacher adds
-    # one pass over the data; train has no probes. Exact NGD checks the
+    # one pass over the data; train makes the same stacked passes as one
+    # twin, so its objectives carry their bits. Exact NGD checks the
     # Fisher that its first step uses, read off the first stacked pass, so
     # the check adds no pass and no Fisher of its own.
     twins = 2 * (steps + 1)
@@ -809,7 +810,7 @@ def test_one_pass_over_the_data_per_step(monkeypatch, steps):
     for config in (_mlp_config(steps=steps, dataset_spec={"num_samples": 24}), ngd):
         assert config.dataset_spec["num_samples"] != harness.NUM_PROBES
         assert _forward_passes(monkeypatch, run_invariance, config) == (1, 0, twins)
-        assert _forward_passes(monkeypatch, run_training, config) == (steps + 2, 0, 0)
+        assert _forward_passes(monkeypatch, run_training, config) == (1, 0, steps + 1)
     builds = []
     real = harness.kfac.exact_fisher
     monkeypatch.setattr(harness.kfac, "exact_fisher", lambda *a: builds.append(1) or real(*a))
@@ -853,6 +854,39 @@ def test_train_objectives_equal_the_invariance_report_objectives(tmp_path, capsy
     records = json.loads(capsys.readouterr().out)["records"]
     assert len(records) == config.steps + 1
     assert [float(row.split(",")[1]) for row in rows] == [rec["objective"] for rec in records]
+
+
+# Shapes whose GEMM bits, with OpenBLAS, depend on how many columns share
+# the call: a one-unit layer, and conv layers over T * N columns.
+_MLP_ARCH = {"type": "mlp", "dims": [5, 1, 6], "weight_scale": 4.0}
+_CONV_ARCH = {"type": "conv", "channels": [2, 3, 2], "grid": [4, 3], "head_dim": 6,
+              "weight_scale": 4.0}
+_RNN_ARCH = {"type": "rnn", "input_dim": 1, "hidden_dim": 1, "steps": 3, "head_dim": 6,
+             "weight_scale": 4.0}
+
+
+@pytest.mark.parametrize("arch", [_MLP_ARCH, _CONV_ARCH, _RNN_ARCH], ids=["mlp", "conv", "rnn"])
+def test_train_and_dump_factors_read_the_passes_of_check_invariance(tmp_path, capsys, arch):
+    # A GEMM's bits depend on how many columns share it, so a pass over the
+    # data alone would not give these numbers: train and dump-factors read
+    # the data columns of the passes over the data stacked with the probes,
+    # as check-invariance's reference twin does.
+    config = _mlp_config(architecture=arch, dataset_spec={"num_samples": 33})
+    path = _write_config(tmp_path, "run.json", config)
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_PASS
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert cli.main(["dump-factors", "--config", path]) == cli.EXIT_PASS
+    dumped = json.loads(capsys.readouterr().out)
+    used = []
+    real = kfac.apply_inverse
+    with mock.patch.object(kfac, "apply_inverse", lambda f, *a: used.append(f) or real(f, *a)):
+        assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_PASS
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [float(row.split(",")[1]) for row in rows] == [rec["objective"] for rec in records]
+    # the reference twin takes the run's first step
+    for block, factor in zip(dumped, used[0], strict=True):
+        assert np.array(block["A"]).tobytes() == factor.a.tobytes()
+        assert np.array(block["G"]).tobytes() == factor.g.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_activation_derivative_matches_finite_differences():
         # an elementwise map's Jacobian is diagonal, so its vjp of dz is the
         # directional derivative along dz
         np.testing.assert_allclose(act.vjp(z, dz), fd, atol=1e-7)
+    # far in the tails, where 1/(1 + exp(-z)) overflows, each derivative
+    # takes its limit without a warning
+    tails = np.array([[-800.0, 800.0]])
+    limits = ((Identity(), [1.0, 1.0]), (Logistic(), [0.0, 0.0]), (Tanh(), [0.0, 0.0]),
+              (Softplus(), [0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for act, want in limits:
+            assert np.isfinite(act.value(tails)).all()
+            np.testing.assert_array_equal(act.vjp(tails, np.ones_like(tails)), [want])
 
 
 def test_tanh_logistic_relation():
@@ -90,19 +101,19 @@ def test_affine_wrapped_matches_composed_steps():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_affine_wrapped_vjp_matches_central_differences(base, m, k, steps, seed):
-    # maps with condition number at most 100; T = 1 and T > 1 take both
-    # branches of nets._lmul. The point is (N, 1, m, T) against (N, K, m, T)
-    # cotangents, as the backward pass passes act_in[:, None].
+    # maps with condition number at most 100. The point is (m, T, 1, N)
+    # against (m, T, K, N) cotangents, as the backward pass passes
+    # act_in[:, :, None].
     r = random_reparam(mlp([m, m], base), seed, conditioning_cap=100.0)
     wrapped = AffineWrapped(base, r.out_map(0), r.pre_map(0))
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2, 1, m, steps))
+    z = rng.standard_normal((m, steps, 1, 2))
     dz = rng.standard_normal(z.shape)
-    u = rng.standard_normal((2, k, m, steps))
+    u = rng.standard_normal((m, steps, k, 2))
     h = 1e-6
     fd = (wrapped.value(z + h * dz) - wrapped.value(z - h * dz)) / (2 * h)
-    got = np.sum(wrapped.vjp(z, u) * dz, axis=-2)  # one pairing per (n, k, t)
-    want = np.sum(u * fd, axis=-2)
+    got = np.sum(wrapped.vjp(z, u) * dz, axis=0)  # one pairing per (t, k, n)
+    want = np.sum(u * fd, axis=0)
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
 
@@ -232,22 +243,22 @@ def test_extract_patches_padding_value():
     grid_hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
     in_channels=st.integers(1, 4),
     out_channels=st.integers(1, 4),
-    lead=st.sampled_from([(), (3,), (2, 4)]),
+    batch=st.sampled_from([(), (3,), (2, 4)]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_fold_patches_is_adjoint_of_extract(
-    radius, grid_hw, in_channels, out_channels, lead, seed
+    radius, grid_hw, in_channels, out_channels, batch, seed
 ):
     # <dz, W extract_patches(a)> = <fold_patches(dz, W), a>, for layers that
     # narrow (I <= J) and widen (I > J), with and without batch axes
     rng = np.random.default_rng(seed)
     t = grid_hw[0] * grid_hw[1]
     w = rng.standard_normal((out_channels, in_channels * (2 * radius + 1) ** 2))
-    dz = rng.standard_normal(lead + (out_channels, t))
-    a = rng.standard_normal(lead + (in_channels, t))
+    dz = rng.standard_normal((out_channels, t) + batch)
+    a = rng.standard_normal((in_channels, t) + batch)
     got = fold_patches(dz, w, radius, grid_hw)
     assert got.shape == a.shape and got.flags.c_contiguous
-    terms = [dz * (w @ extract_patches(a, radius, grid_hw)[..., :-1, :]), got * a]
+    terms = [dz * np.tensordot(w, extract_patches(a, radius, grid_hw)[:-1], axes=1), got * a]
     lhs, rhs = (np.sum(x) for x in terms)
     scale = max(np.sum(np.abs(x)) for x in terms)
     assert abs(lhs - rhs) <= 1e-13 * scale

@@ -105,6 +105,17 @@ NGD_RNN = {**NGD, "architecture": {"type": "rnn", "input_dim": 3, "hidden_dim": 
                                    "activation": "tanh", "final_activation": "identity"},
            "output_model": {"kind": "gaussian", "dim": 3}, "dataset_spec": {"num_samples": 11},
            "reparam_source": {**NGD["reparam_source"], "seed": 1000}}
+# a grid flattened into a dense layer that feeds another dense layer
+CONV_DENSE_DENSE = {
+    "type": "layers",
+    "weight_scale": 4.0,
+    "layers": [
+        {"kind": "conv2d", "in_channels": 2, "out_channels": 3, "kernel_radius": 1,
+         "grid": [3, 3], "activation": "tanh"},
+        {"kind": "dense", "in_dim": 27, "out_dim": 8, "activation": "logistic"},
+        {"kind": "dense", "in_dim": 8, "out_dim": 4, "activation": "logistic"},
+    ],
+}
 CATEGORICAL_4 = {"kind": "categorical", "classes": 4}
 GAUSSIAN_6 = {"kind": "gaussian", "dim": 6, "variance": 0.5}
 
@@ -187,6 +198,11 @@ VARIANTS = {
     "dump-factors-overflow": {**MLP, "architecture": {"type": "mlp", "dims": [3, 4, 3]},
                               "output_model": {"kind": "categorical", "classes": 3},
                               "dataset_spec": {"num_samples": 8, "input_scale": 1e200}},
+    # softplus hidden layers (on the ledger's weight scale of 4 they diverge)
+    "softplus-mlp": {**MLP, "architecture": {**MLP["architecture"], "activation": "softplus",
+                                             "final_activation": "logistic",
+                                             "weight_scale": 2.0}},
+    "conv-dense-dense": {**MLP, "architecture": CONV_DENSE_DENSE, "output_model": CATEGORICAL_4},
 }
 
 
