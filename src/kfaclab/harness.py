@@ -6,7 +6,6 @@ updates are closed-form means over the dataset, so the two runs share no
 randomness; identical configs produce byte-identical reports.
 """
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -421,41 +420,30 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     diverge come back as "report" since the damped update is not expected to
     be invariant.
     A singular factor or Fisher ends the run with a "degenerate" verdict; an
-    undamped exact-NGD run checks its Fisher at the initial parameters first
-    (F + damping I is invertible for damping > 0). A step that meets inf/NaN
-    entries (a diverged run), or an exact-NGD Fisher that already overflows
-    at the initial parameters, ends the run with "fail".
+    undamped exact-NGD run checks its Fisher at the initial parameters
+    before record 0, once both twins' first passes are made (F + damping I
+    is invertible for damping > 0). A step that meets inf/NaN entries (a
+    diverged run), or an exact-NGD Fisher that already overflows at the
+    initial parameters, ends the run with "fail".
     """
     spec, model, params, data, probes = _setup(config)
     report = InvarianceReport(
         config=config.to_dict(),
         tolerances={"step0": STEP0_TOL, "post_update": POST_UPDATE_TOL},
     )
-    ref = _trajectory(config, spec, params, model, data, probes)
-    first = next(ref)
-    if config.optimizer == "ngd":
-        # the check reads the Fisher the first step will use
-        try:
-            fisher = kfac.ngd_curvature(first[0], model)[1]
-            report.diagnostic = _fisher_degeneracy(fisher, config.damping)
-        except NonFinite as exc:  # a Fisher that overflows at the initial parameters
-            return _diverged(report, f"exact Fisher: {exc}")
-        if report.diagnostic:
-            report.verdict = "degenerate"
-            return report
     r, spec_t, params_t, data_t, model_t, out_back = _transformed_side(
         spec, model, params, data, config
     )
     probes_t = reparam.transform_input(spec, r, probes)
     back = reparam.Untransform(r, params)
-    # chain keeps its arguments for the whole run: an iterator over the
-    # first pass drops the pass once it is read, a list would keep it
-    twins = zip(itertools.chain(iter([first]), ref),
+    twins = zip(_trajectory(config, spec, params, model, data, probes),
                 _trajectory(config, spec_t, params_t, model_t, data_t, probes_t))
-    del first
     try:
         # each record is appended before the next step is taken
         for (tr, o), (tr_t, o_t) in twins:
+            if config.optimizer == "ngd" and not report.records:
+                # the check reads the Fisher the first step will use
+                _check_fisher(kfac.ngd_curvature(tr, model)[1], config.damping)
             report.records.append(
                 StepRecord(
                     len(report.records),
@@ -495,36 +483,40 @@ def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
     return run_invariance(config)
 
 
-def _fisher_degeneracy(fisher, damping: float) -> str:
-    """Why the exact Fisher is singular, or "" if it is not; raises NonFinite
-    on inf/NaN entries. F is singular when its smallest eigenvalue is at
-    most FISHER_DEGENERACY_RTOL times its largest absolute one. A Cholesky
-    factorization of F shifted down by a margin above that bound and above
-    the rounding errors of both methods (see CERTIFICATE_MARGIN) certifies
-    the common case; a Fisher that fails it gets both eigenvalues from
-    eigendecompositions, so the verdict and the printed eigenvalues are
-    those of the eigendecompositions alone. The step solves with
-    F + damping I, which is invertible for damping > 0, so a damped run only
-    checks F is finite."""
+def _check_fisher(fisher, damping: float) -> None:
+    """Raise SingularMatrix if the exact Fisher is singular, and NonFinite,
+    its message starting "exact Fisher: ", on inf/NaN entries. F is
+    singular when its smallest eigenvalue is at most FISHER_DEGENERACY_RTOL
+    times its largest absolute one. A Cholesky factorization of F shifted
+    down by a margin above that bound and above the rounding errors of both
+    methods (see CERTIFICATE_MARGIN) certifies the common case; a Fisher
+    that fails it gets both eigenvalues from eigendecompositions, so the
+    verdict and the printed eigenvalues are those of the eigendecompositions
+    alone. The step solves with F + damping I, which is invertible for
+    damping > 0, so a damped run only checks F is finite."""
     if damping > 0:
         if not np.isfinite(fisher).all():
-            raise NonFinite("non-finite entries")
-        return ""
-    shifted = symmetrized(fisher)
+            raise NonFinite("exact Fisher: non-finite entries")
+        return
+    try:
+        shifted = symmetrized(fisher)
+    except NonFinite as exc:
+        raise NonFinite(f"exact Fisher: {exc}") from exc
     n = len(shifted)
     rtol = CERTIFICATE_MARGIN * FISHER_DEGENERACY_RTOL + n * (n + 1) * np.finfo(np.float64).eps
     delta = rtol * np.abs(shifted).sum(axis=1).max()
     shifted.flat[:: n + 1] -= delta
     try:
         np.linalg.cholesky(shifted)
-        return ""  # certified: F's smallest eigenvalue clears the rule
+        return  # certified: F's smallest eigenvalue clears the rule
     except np.linalg.LinAlgError:
         pass  # not certified: decide by the eigenvalues
     emin = sym_eig_min(fisher)
     emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
     if emin > FISHER_DEGENERACY_RTOL * emax:
-        return ""
-    return f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})"
+        return
+    raise SingularMatrix(
+        f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})")
 
 
 # ---------------------------------------------------------------------------

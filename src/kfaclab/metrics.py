@@ -41,26 +41,6 @@ def _eye_like(z, scale=1.0) -> np.ndarray:
     return np.broadcast_to(scale * np.eye(k), np.shape(z) + (k,))
 
 
-def _logsumexp(z) -> np.ndarray:
-    """scipy.special.logsumexp(z, axis=-1) for real z, bit for bit, without
-    its array-API dispatch: take out the row maximum, sum the exponentials
-    of the other entries, divide by the count of maxima, then log1p. A row
-    whose result is not finite (all -inf, an inf or a NaN) falls back to
-    log(sum(exp(z))), as scipy's does."""
-    z = np.asarray(z, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z_max = _row_max(z)
-        is_max = z == z_max
-        count = np.add.reduce(is_max, axis=-1, keepdims=True, dtype=np.float64)
-        rest = _row_sum(np.exp(np.where(is_max, -np.inf, z) - z_max))
-        out = np.log1p(rest / count) + np.log(count) + z_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(_row_sum(np.exp(z))))
-    out = out[..., 0]
-    return out[()] if out.ndim == 0 else out
-
-
 def _softmax(z) -> np.ndarray:
     """scipy.special.softmax(z, axis=-1), bit for bit."""
     z = np.asarray(z)
@@ -95,7 +75,10 @@ class CategoricalLogits:
         z, y = np.asarray(z, dtype=np.float64), np.asarray(y)
         # for a batch, one fancy index picks what take_along_axis would
         picked = z[y] if y.ndim == 0 else z[np.arange(len(y)), y]
-        return _logsumexp(z) - picked
+        # log-sum-exp: a NaN row gives NaN and logits 2e308 apart overflow
+        # their difference (the sum is still right), both without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.logaddexp.reduce(z, axis=-1) - picked
 
     def loss_grad(self, y, z) -> np.ndarray:
         return _softmax(z) - np.eye(self.num_classes)[y]
@@ -119,8 +102,9 @@ class CategoricalLogits:
         return np.sum(cdf <= u[..., None], axis=-1)
 
     def kl(self, z1, z2) -> float:
-        lp1 = z1 - _logsumexp(z1)
-        lp2 = z2 - _logsumexp(z2)
+        with np.errstate(invalid="ignore", over="ignore"):  # as in loss
+            lp1 = z1 - np.logaddexp.reduce(z1, axis=-1)
+            lp2 = z2 - np.logaddexp.reduce(z2, axis=-1)
         return float(np.exp(lp1) @ (lp1 - lp2))
 
 

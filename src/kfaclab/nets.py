@@ -869,7 +869,6 @@ def basis_jacobians(trace: BatchTrace, dz: list) -> np.ndarray:
 
 @dataclass
 class LayerTrace:
-    kind: str
     a_in: np.ndarray  # dense: (n,); conv: (J,T); recurrent: (T,d) sequence
     abar: np.ndarray  # homogenized input columns: dense (n+1,1); conv (J|D|+1,T); recurrent (h+1,T)
     z: np.ndarray  # pre-activations as columns: dense (m,1); conv (I,T); recurrent (h,T) of z_t
@@ -886,11 +885,6 @@ class ForwardTrace:
     output: np.ndarray = None
 
 
-def _homogenize(cols) -> np.ndarray:
-    ones = np.ones((1, cols.shape[1]))
-    return np.vstack([cols, ones])
-
-
 def forward(spec: NetworkSpec, params: ParamSet, x) -> ForwardTrace:
     """Evaluate the network on one input, keeping every intermediate value.
 
@@ -902,62 +896,44 @@ def forward(spec: NetworkSpec, params: ParamSet, x) -> ForwardTrace:
     trace = ForwardTrace(spec, params, x)
     carry = x
     for layer, lp in zip(spec.layers, params.layers):
+        if carry.ndim == 2 and len(layer.in_shape) == 1:
+            carry = vec(carry)
+        if carry.shape != layer.in_shape:
+            raise ShapeMismatch(f"{layer.kind} layer expects {layer.in_shape}, got {carry.shape}")
         if layer.kind == "dense":
-            if carry.ndim == 2:
-                carry = vec(carry)
-            if carry.shape != (layer.in_dim,):
-                raise ShapeMismatch(
-                    f"dense layer expects ({layer.in_dim},), got {carry.shape}"
-                )
-            abar = _homogenize(carry.reshape(-1, 1))
+            abar = _homogenize_batch(carry.reshape(-1, 1))
             z = lp.wbar @ abar
             a_out = layer.activation.value(z)[:, 0]
-            trace.layers.append(LayerTrace("dense", carry, abar, z, z, a_out))
+            trace.layers.append(LayerTrace(carry, abar, z, z, a_out))
             carry = a_out
         elif layer.kind == "conv2d":
-            t = layer.num_locations
-            if carry.shape != (layer.in_channels, t):
-                raise ShapeMismatch(
-                    f"conv layer expects ({layer.in_channels}, {t}), got {carry.shape}"
-                )
             abar = extract_patches(carry, layer.kernel_radius, layer.grid, layer.padding_value)
             z = lp.wbar @ abar
             a_out = layer.activation.value(z)
-            trace.layers.append(LayerTrace("conv2d", carry, abar, z, z, a_out))
+            trace.layers.append(LayerTrace(carry, abar, z, z, a_out))
             carry = a_out
         else:
-            if carry.shape != (layer.steps, layer.input_dim):
-                raise ShapeMismatch(
-                    f"recurrent layer expects ({layer.steps}, {layer.input_dim}), "
-                    f"got {carry.shape}"
-                )
             a = layer.initial_state
             abar = np.empty((layer.hidden_dim + 1, layer.steps))
             z_cols = np.empty((layer.hidden_dim, layer.steps))
             zp_cols = np.empty((layer.hidden_dim, layer.steps))
             for t in range(layer.steps):
-                abar_t = _homogenize(a.reshape(-1, 1))
+                abar_t = _homogenize_batch(a.reshape(-1, 1))
                 z_t = lp.wbar @ abar_t
                 zp_t = z_t + lp.v @ carry[t].reshape(-1, 1)
                 a = layer.activation.value(zp_t)[:, 0]
                 abar[:, t] = abar_t[:, 0]
                 z_cols[:, t] = z_t[:, 0]
                 zp_cols[:, t] = zp_t[:, 0]
-            trace.layers.append(LayerTrace("recurrent", carry, abar, z_cols, zp_cols, a))
+            trace.layers.append(LayerTrace(carry, abar, z_cols, zp_cols, a))
             carry = a
     trace.output = vec(carry) if carry.ndim == 2 else carry
     return trace
 
 
 @dataclass
-class LayerBackward:
-    kind: str
-    dz: np.ndarray  # cotangents of the activation input, same layout as trace.act_in
-
-
-@dataclass
 class BackwardTrace:
-    layers: list
+    dz: list  # per layer, cotangents of the activation input, laid out as its act_in
     grad: ParamSet  # per-layer DWbar (and DV for recurrent layers)
 
     def flatten(self) -> np.ndarray:
@@ -973,7 +949,7 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
     if u.shape != trace.output.shape:
         raise ShapeMismatch(f"cotangent shape {u.shape} != output {trace.output.shape}")
     spec, params = trace.spec, trace.params
-    layer_back = [None] * len(spec.layers)
+    dzs = [None] * len(spec.layers)
     grads = [None] * len(spec.layers)
     carry = u
     for i in reversed(range(len(spec.layers))):
@@ -981,9 +957,7 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
         w = lp.wbar[:, :-1]
         if layer.kind == "dense":
             dz = layer.activation.vjp(lt.act_in, carry.reshape(-1, 1))
-            dwbar = dz @ lt.abar.T
-            grads[i] = LayerParams(dwbar)
-            layer_back[i] = LayerBackward("dense", dz)
+            grads[i] = LayerParams(dz @ lt.abar.T)
             if i > 0:
                 carry = w.T @ dz[:, 0]
         elif layer.kind == "conv2d":
@@ -991,30 +965,28 @@ def backward(trace: ForwardTrace, output_cotangent) -> BackwardTrace:
             if da.ndim == 1:  # flattened grid fed to a dense head or the output
                 da = unvec(da, layer.out_channels, layer.num_locations)
             dz = layer.activation.vjp(lt.act_in, da)
-            dwbar = dz @ lt.abar.T
-            grads[i] = LayerParams(dwbar)
-            layer_back[i] = LayerBackward("conv2d", dz)
+            grads[i] = LayerParams(dz @ lt.abar.T)
             if i > 0:
                 carry = _fold_cols(w.T @ dz, layer.kernel_radius, layer.grid)
         else:
             da = carry
             dwbar = np.zeros_like(lp.wbar)
             dv = np.zeros_like(lp.v)
-            dz_cols = np.empty((layer.hidden_dim, layer.steps))
+            dz = np.empty((layer.hidden_dim, layer.steps))
             for t in reversed(range(layer.steps)):
                 dzp = layer.activation.vjp(
                     lt.act_in[:, t].reshape(-1, 1), da.reshape(-1, 1)
                 )
                 dwbar += dzp @ lt.abar[:, t].reshape(1, -1)
                 dv += dzp @ lt.a_in[t].reshape(1, -1)
-                dz_cols[:, t] = dzp[:, 0]
+                dz[:, t] = dzp[:, 0]
                 da = w.T @ dzp[:, 0]
             grads[i] = LayerParams(dwbar, dv)
-            layer_back[i] = LayerBackward("recurrent", dz_cols)
+        dzs[i] = dz
         if i > 0 and spec.layers[i - 1].kind == "conv2d" and layer.kind == "dense":
             prev = spec.layers[i - 1]
             carry = unvec(carry, prev.out_channels, prev.num_locations)
-    return BackwardTrace(layer_back, ParamSet(grads))
+    return BackwardTrace(dzs, ParamSet(grads))
 
 
 # ---------------------------------------------------------------------------

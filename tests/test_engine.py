@@ -85,7 +85,7 @@ def oracle_factors(spec, params, model, inputs, metric):
         m = metric.matrix(model, trace.output)
         for i, lt in enumerate(trace.layers):
             t = lt.abar.shape[1]
-            c = np.stack([bt.layers[i].dz for bt in passes])  # (K, m, T)
+            c = np.stack([bt.dz[i] for bt in passes])  # (K, m, T)
             a[i] = a[i] + lt.abar @ lt.abar.T / t
             g[i] = g[i] + np.einsum("kit,kl,ljt->ij", c, m, c) / t
     n = len(inputs)
@@ -225,8 +225,8 @@ def test_batched_backward_matches_basis_backpasses(problem):
         one = forward(spec, params, x)
         np.testing.assert_allclose(trace.output[s], one.output, rtol=RTOL, atol=1e-15)
         for kk, bt in enumerate(basis_backpasses(one)):
-            for i, lb in enumerate(bt.layers):
-                np.testing.assert_allclose(dz[i][:, :, kk, s], lb.dz, rtol=1e-11, atol=1e-15)
+            for i, one_dz in enumerate(bt.dz):
+                np.testing.assert_allclose(dz[i][:, :, kk, s], one_dz, rtol=1e-11, atol=1e-15)
 
 
 @ENGINE_SETTINGS

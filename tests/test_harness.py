@@ -490,17 +490,17 @@ def test_ngd_invariance_on_conv_and_recurrent_nets(net):
 
 
 def _two_eigendecompositions(fisher, damping):
-    """harness._fisher_degeneracy as it was before its Cholesky certificate,
+    """harness._check_fisher as it was before its Cholesky certificate,
     with linalg.sym_eig_min's checks copied in: the reference that every
     verdict, message and exception must match."""
     if damping > 0:
         if not np.isfinite(fisher).all():
-            raise NonFinite("non-finite entries")
-        return ""
+            raise NonFinite("exact Fisher: non-finite entries")
+        return
     a = np.asarray(fisher, dtype=np.float64)
     top = np.abs(a).max()
     if not math.isfinite(top):
-        raise NonFinite("sym_eig_min received non-finite entries")
+        raise NonFinite("exact Fisher: sym_eig_min received non-finite entries")
     scale = max(top, 1.0)
     asym = np.abs(a - a.T).max()
     if asym > SYMMETRY_RTOL * scale:
@@ -508,22 +508,26 @@ def _two_eigendecompositions(fisher, damping):
     emin = float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
     emax = float(np.max(np.abs(np.linalg.eigvalsh(a))))
     if emin > 1e-12 * emax:
-        return ""
-    return f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})"
+        return
+    raise SingularMatrix(
+        f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})")
 
 
 def _outcome(check, fisher, damping=0.0):
+    """None when check accepts fisher, else the type and message of what it
+    raises."""
     try:
-        return check(fisher, damping)
-    except (NonFinite, NotSymmetric) as exc:
+        check(fisher, damping)
+    except (NonFinite, NotSymmetric, SingularMatrix) as exc:
         return type(exc), str(exc)
+    return None
 
 
 def _check_as_reference(fisher, damping=0.0) -> bool:
     """Assert that the check matches the reference on fisher; whether it
     took the eigendecompositions (the certificate failed)."""
     with mock.patch.object(harness, "sym_eig_min", wraps=sym_eig_min) as exact:
-        got = _outcome(harness._fisher_degeneracy, fisher, damping)
+        got = _outcome(harness._check_fisher, fisher, damping)
     assert got == _outcome(_two_eigendecompositions, fisher, damping)
     return exact.called
 
@@ -555,7 +559,7 @@ def test_degeneracy_check_matches_the_eigendecompositions_on_run_fishers(monkeyp
     # ngd-degenerate: two samples for 49 parameters
     fishers = _run_fishers(monkeypatch, _ngd_config(dataset_spec={"num_samples": 2}))
     assert len(fishers) == 1 and _check_as_reference(fishers[0])
-    assert _two_eigendecompositions(fishers[0], 0.0)
+    assert _outcome(_two_eigendecompositions, fishers[0])[0] is SingularMatrix
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -604,36 +608,36 @@ def test_degeneracy_check_matches_the_eigendecompositions_on_a_large_fisher():
             fisher -= 2.0 * (np.outer(v, w) + np.outer(w, v)) - 4.0 * (v @ w) * np.outer(v, v)
         fisher = 0.5 * (fisher + fisher.T)
         with mock.patch.object(harness, "sym_eig_min", wraps=sym_eig_min) as exact:
-            got = harness._fisher_degeneracy(fisher, 0.0)
-        assert got == _two_eigendecompositions(fisher, 0.0)
+            got = _outcome(harness._check_fisher, fisher)
+        assert got == _outcome(_two_eigendecompositions, fisher)
         assert exact.called != certified, ratio
-        verdicts.append(bool(got))
+        verdicts.append(got is not None)
     assert verdicts == [True, False, False, False]
 
 
 def test_degeneracy_check_boundaries_and_refusals():
     assert _check_as_reference(np.diag([1.0, 5e-13]))  # under the 1e-12 rule
-    assert _two_eigendecompositions(np.diag([1.0, 5e-13]), 0.0)
+    assert _outcome(_two_eigendecompositions, np.diag([1.0, 5e-13]))
     assert _check_as_reference(np.diag([1.0, 5e-11]))  # inside the margin: not singular
-    assert not _two_eigendecompositions(np.diag([1.0, 5e-11]), 0.0)
+    assert not _outcome(_two_eigendecompositions, np.diag([1.0, 5e-11]))
     assert not _check_as_reference(np.diag([1.0, 1e-9]))
     # The margin scales with the infinity norm, not the largest entry: the
     # all-ones direction of 11^T / n has entries 1/n but eigenvalue 1.
     n = 400
     spread = np.full((n, n), 1.0 / n) + 5e-13 * np.eye(n)
     assert _check_as_reference(spread)
-    assert _two_eigendecompositions(spread, 0.0)
+    assert _outcome(_two_eigendecompositions, spread)
     # refusals come first, with sym_eig_min's messages
     for bad in (np.inf, -np.inf, np.nan):
         fisher = np.eye(3)
         fisher[1, 2] = bad
         with pytest.raises(NonFinite):
-            harness._fisher_degeneracy(fisher, 0.0)
+            harness._check_fisher(fisher, 0.0)
         _check_as_reference(fisher)
     over = np.eye(3)
     over[0, 1] += 1.01 * SYMMETRY_RTOL  # just over the asymmetry limit
     with pytest.raises(NotSymmetric):
-        harness._fisher_degeneracy(over, 0.0)
+        harness._check_fisher(over, 0.0)
     _check_as_reference(over)
     under = np.eye(3)
     under[0, 1] += 0.99 * SYMMETRY_RTOL
@@ -1092,16 +1096,60 @@ def test_cli_random_reparam_that_fails_the_pivot_rule_is_a_config_error(tmp_path
     # with a cap of 1e26 the homogeneous [[B, c], [0, 1]] of a pre-activation
     # map fails linalg.solve's pivot rule, as it would in a reparam file
     source = {"kind": "random", "seed": 1000, "conditioning_cap": 1e26}
-    path = _write_config(tmp_path, "cap.json", _mlp_config(reparam_source=source))
-    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_CONFIG
+    configs = [
+        (_mlp_config(reparam_source=source), cli.EXIT_PASS),
+        # an exact-NGD run whose Fisher is singular too (two samples): the
+        # config error comes before the degenerate verdict, as for K-FAC
+        (_ngd_config(dataset_spec={"num_samples": 2}, reparam_source=source),
+         cli.EXIT_DEGENERATE),
+    ]
+    for config, train_exit in configs:
+        path = _write_config(tmp_path, "cap.json", config)
+        assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error: reparam_source preactivation map 0: pivot ")
+        assert captured.err.count("\n") == 1
+        # train builds no twin, so it never solves with the maps
+        assert cli.main(["train", "--config", path, "--out", "-"]) == train_exit
+        capsys.readouterr()
+
+
+def _ledger_mlp_config(**overrides):
+    """The mlp ledger config (criterion 1) with reparam seed 0, as the
+    mlp-kfac benchmark workload builds it."""
+    overrides.setdefault("reparam_source", {"kind": "random", "seed": 0,
+                                            "conditioning_cap": 100.0})
+    return _mlp_config(steps=5, **overrides)
+
+
+def test_cli_singular_kfac_factor_ends_the_run_as_degenerate(tmp_path, capsys):
+    # an identity output layer under the categorical model: softmax is
+    # invariant to adding a constant to every logit, so the last G is
+    # exactly singular
+    arch = {**_mlp_config().architecture, "final_activation": "identity"}
+    path = _write_config(tmp_path, "singular.json", _ledger_mlp_config(architecture=arch))
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["verdict"] == "degenerate"
+    assert [r["step"] for r in report["records"]] == [0]
+    assert report["diagnostic"].startswith("layer 2 factor is singular: ")
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_DEGENERATE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "config error: reparam_source preactivation map 0: pivot ")
+    assert captured.err.startswith("error: layer 2 factor is singular: ")
     assert captured.err.count("\n") == 1
-    # train builds no twin, so it never solves with the maps
-    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_PASS
-    capsys.readouterr()
+
+
+def test_preset_reparam_source_from_a_config_passes():
+    config = _ledger_mlp_config(reparam_source={"kind": "preset", "name": "logistic-to-tanh"})
+    report = run_invariance(config)
+    assert report.verdict == "pass"
+    assert len(report.records) == config.steps + 1
+    assert _worst_gap(report) <= 1e-8
 
 
 def _fails_pivot_rule(m):

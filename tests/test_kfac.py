@@ -186,7 +186,7 @@ def test_conv_factors_match_per_location_loop():
         passes = basis_backpasses(trace)
         m = model.fisher(trace.output)
         abar = trace.layers[0].abar
-        dz = np.stack([bt.layers[0].dz for bt in passes])  # K x n_out x T
+        dz = np.stack([bt.dz[0] for bt in passes])  # K x n_out x T
         for ti in range(t):
             col = abar[:, ti]
             a_slow += np.outer(col, col) / t
@@ -220,7 +220,7 @@ def test_rnn_factors_match_per_step_loop():
         passes = basis_backpasses(trace)
         m = model.fisher(trace.output)
         abar = trace.layers[0].abar
-        dz = np.stack([bt.layers[0].dz for bt in passes])
+        dz = np.stack([bt.dz[0] for bt in passes])
         for ti in range(steps):
             col = abar[:, ti]
             a_slow += np.outer(col, col) / steps
@@ -253,7 +253,7 @@ def test_rnn_zero_recurrence_kills_early_step_cotangents():
         trace = forward(spec, params, x)
         passes = basis_backpasses(trace)
         m = model.fisher(trace.output)
-        dz = np.stack([bt.layers[0].dz for bt in passes])
+        dz = np.stack([bt.dz[0] for bt in passes])
         np.testing.assert_array_equal(dz[:, :, :2], np.zeros_like(dz[:, :, :2]))
         c = dz[:, :, 2].T
         g_last += (c @ m @ c.T) / 3.0

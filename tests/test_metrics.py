@@ -14,7 +14,6 @@ from kfaclab.metrics import (
     EuclideanMetric,
     GaussianFixedVar,
     WrappedOutputModel,
-    _logsumexp,
     _softmax,
     exact_fisher,
     kl_quadratic_check,
@@ -58,9 +57,23 @@ def _assert_same_bits(got, want):
 
 
 def _assert_equal_to_scipy(z):
+    """softmax equals scipy's bit for bit; the categorical loss's
+    log-sum-exp, np.logaddexp.reduce, is within 4 eps of scipy's on the
+    scale max(|result|, |row maximum|, 1) of its rounding, with the same
+    +-inf and NaN."""
     with np.errstate(all="ignore"):
-        _assert_same_bits(_logsumexp(z), scipy.special.logsumexp(z, axis=-1))
         _assert_same_bits(_softmax(z), scipy.special.softmax(z, axis=-1))
+        want = scipy.special.logsumexp(z, axis=-1)
+        got = np.logaddexp.reduce(z, axis=-1)
+        row_max = np.max(z, axis=-1)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    scale = np.maximum(np.abs(want), np.abs(row_max))[finite]  # a finite result has a finite max
+    err = np.abs(got[finite] - want[finite])
+    assert (err <= 4 * np.finfo(np.float64).eps * np.maximum(scale, 1.0)).all()
 
 
 _SPECIAL_ROWS = [
@@ -103,8 +116,8 @@ _LOGITS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=7),
                   elements=_LOGITS))
-def test_logsumexp_and_softmax_equal_scipy_bit_for_bit(z):
-    # scipy's own arithmetic is the reference: ties, +-inf and NaN included
+def test_logsumexp_and_softmax_equal_scipy_on_drawn_logits(z):
+    # scipy is the reference: ties, +-inf and NaN included
     _assert_equal_to_scipy(z)
 
 
@@ -166,7 +179,8 @@ def test_categorical_loss_on_a_batch_equals_the_take_along_axis_pick(k, n, seed,
     model = CategoricalLogits(k)
     with np.errstate(invalid="ignore", over="ignore"):
         got = model.loss(y, z)
-        want = _logsumexp(z) - np.take_along_axis(z, y[:, None], axis=-1)[:, 0]
+        want = (np.logaddexp.reduce(z, axis=-1)
+                - np.take_along_axis(z, y[:, None], axis=-1)[:, 0])
     assert got.shape == (n,) and got.tobytes() == want.tobytes()
     for i in range(n):  # one target at a time, a scalar
         with np.errstate(invalid="ignore", over="ignore"):

@@ -372,9 +372,9 @@ def test_backward_homogeneous_vec_identity():
     rng = np.random.default_rng(13)
     trace = forward(spec, params, rng.standard_normal(3))
     bt = backward(trace, rng.standard_normal(2))
-    for lt, lb, lg in zip(trace.layers, bt.layers, bt.grad.layers):
+    for lt, dz, lg in zip(trace.layers, bt.dz, bt.grad.layers):
         assert np.array_equal(
-            vec(lg.wbar), kron(lt.abar[:, 0].reshape(-1, 1), lb.dz).ravel()
+            vec(lg.wbar), kron(lt.abar[:, 0].reshape(-1, 1), dz).ravel()
         )
 
 
