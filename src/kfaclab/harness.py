@@ -545,5 +545,5 @@ def dump_factors(config: ExperimentConfig) -> str:
     spec, model, params, data, probes = _setup(config)
     trace, _ = next(_trajectory(config, spec, params, model, data, probes))
     metric = metrics.METRICS[config.metric]
-    factors = kfac.estimate_factors(trace, nets.basis_backward(trace), model, metric)
+    factors = kfac.estimate_factors(trace, kfac.root_backward(trace, model, data, metric)[0])
     return kfac.factors_to_json(factors)

@@ -4,31 +4,30 @@ Per layer the approximation is scale * (A ox G): A is the second moment of
 homogenized layer inputs, G the second moment of pre-activation cotangents,
 and scale is 1 for dense layers, the number of spatial locations for conv
 layers, and the number of time steps for recurrent layers. Expectations over
-targets are exact (contraction of per-output-coordinate backward passes
-against the closed-form output metric); expectations over inputs are plain
-averages over the dataset, so every estimator here is deterministic.
+targets are exact: with the output metric M = C C^T in closed form, a
+backward pass of C's K columns (root_backward) gives cotangents whose Gram
+matrix is G. Expectations over inputs are plain averages over the dataset,
+so every estimator here is deterministic.
 
 Every layer kind is the same homogenized map Wbar @ Abar applied at T
 locations (1 for dense, the grid size for conv, the step count for
-recurrent layers). Factors come from one batched forward pass and one
-batched backward pass of all K output basis cotangents, both with the batch
-axis innermost: A is one product of the (n+1, T*N) input columns, a view
-of the pass's Abar, with themselves, and G one GEMM of the (m, T*K*N)
-cotangent columns, a view of dz, with the same columns after the
-per-sample output metric has acted on them over K, the one step that
-copies dz into another layout and back. Since all kinds go through the
-same arithmetic, the degenerate reductions (1x1 conv grid with radius 0,
-one-step recurrence) reproduce the dense factors bit for bit.
+recurrent layers). Factors come from one batched forward pass and that one
+batched backward pass, both with the batch axis innermost: A is one
+product of the (n+1, T*N) input columns, a view of the pass's Abar, with
+themselves, and G one product of the (m, T*K*N) cotangent columns, a view
+of dz, with themselves. Since all kinds go through the same arithmetic, the
+degenerate reductions (1x1 conv grid with radius 0, one-step recurrence)
+reproduce the dense factors bit for bit.
 
 The same pass serves the loss gradient (loss_gradient): backward is linear
-in the cotangent, so the gradient is the loss cotangent contracted with the
-basis cotangents, then with Abar. The builders (estimate_factors,
+in the cotangent and C w is the loss cotangent, so the gradient is w
+contracted with dz, then with Abar. The builders (estimate_factors,
 loss_gradient, metrics.exact_fisher) take the caller's pass, a trace and
-its dz, and make none of their own. All three update rules read one basis
-pass at the run loop's forward pass, so each step makes only a backward
-pass, and they share one gradient: sgd_step takes it as it is, kfac_step
-preconditions it with the Kronecker factors and ngd_step with the exact
-Fisher.
+its dz, and make none of their own. Each update rule reads one pass at the
+run loop's forward pass, so each step makes only a backward pass: sgd_step
+takes the root pass's gradient as it is, kfac_step preconditions it with
+the Kronecker factors, and ngd_step reads the basis pass (C = I), whose
+Jacobians build the exact Fisher.
 """
 
 from dataclasses import dataclass
@@ -41,6 +40,7 @@ from .metrics import PARAM_CAP, exact_fisher
 from .nets import (
     LayerParams,
     ParamSet,
+    backward_batch,
     basis_backward,
     gradient_from_basis,
     unflatten_params,
@@ -76,39 +76,44 @@ class UpdateConfig:
 # factor estimation
 
 
-def estimate_factors(trace, dz, model, metric) -> list:
-    """Kronecker factors for every layer of the network, from a basis pass:
-    trace, a BatchTrace, and dz, the basis_backward of it.
+def root_backward(trace, model, dataset, metric) -> tuple:
+    """(dz, loss gradient): one backward pass at trace, over dataset's inputs,
+    of the K columns of each sample's metric root, and what its weights give."""
+    stack, w = metric.root(model, dataset.targets, trace.output)
+    dz = backward_batch(trace, stack)
+    return dz, loss_gradient(trace, dz, w, model, dataset)
+
+
+def estimate_factors(trace, dz) -> list:
+    """Kronecker factors for every layer of the network, from a root pass:
+    trace, a BatchTrace, and dz, the root_backward of it.
 
     With abar the homogenized layer inputs and C_i the Jacobian from layer
     i's pre-activations to the output, A_i = E[abar abar^T] and
     G_i = E_x[C_i M C_i^T], both averaged over samples and locations; M is
-    the output metric matrix at each sample. The columns of C_i are dz. With
-    the Fisher metric G_i is the exact E_x E_y[Dz Dz^T].
+    the output metric C C^T at each sample, so G_i is the Gram matrix of dz,
+    the columns of C_i C. With the Fisher it is the exact E_x E_y[Dz Dz^T].
     """
-    n, k = trace.output.shape
+    n = trace.output.shape[0]
     if not n:
         raise ValueError("a factor estimate needs a nonempty dataset")
-    m = metric.matrix(model, trace.output)  # (N, K, K)
     factors = []
     for abar, d in zip(trace.abar, dz):
-        rows, t = d.shape[:2]
+        t = d.shape[1]
         cols = abar.reshape(len(abar), -1)  # (n+1, T*N), a view
-        # the metric contracts over K per sample, on d copied to (N, K, m, T),
-        # and its product is read back in d's layout
-        d_n = np.ascontiguousarray(d.transpose(3, 2, 0, 1))
-        m_d = (m @ d_n.reshape(n, k, -1)).reshape(d_n.shape).transpose(2, 3, 1, 0)
-        g = np.dot(d.reshape(rows, -1), m_d.reshape(rows, -1).T)
-        factors.append(KroneckerFactor(cols @ cols.T / (n * t), g / (n * t), float(t)))
+        g = d.reshape(len(d), -1)  # (m, T*K*N)
+        factors.append(KroneckerFactor(cols @ cols.T / (n * t), g @ g.T / (n * t), float(t)))
     return factors
 
 
-def loss_gradient(trace, dz, model, dataset) -> ParamSet:
-    """Gradient of the empirical risk (mean loss) over dataset, from a basis
-    pass: trace, the BatchTrace over dataset's inputs, and dz, its
-    basis_backward."""
-    u = model.loss_grad(dataset.targets, trace.output) / len(dataset)
-    return gradient_from_basis(trace, dz, u)
+def loss_gradient(trace, dz, w, model, dataset) -> ParamSet:
+    """Mean-loss gradient over dataset from a pass at trace with loss weights w
+    (the basis pass's are the loss cotangent); where one is not finite (p_y
+    underflowed to 0), from one more pass, of the loss cotangent."""
+    if not np.isfinite(w).all():
+        u = model.loss_grad(dataset.targets, trace.output)
+        dz, w = backward_batch(trace, u[:, None]), np.ones((len(u), 1))
+    return gradient_from_basis(trace, dz, w / len(dataset))
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +176,12 @@ def objective(trace, model, dataset) -> float:
 def kfac_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     """One preconditioned step on the factored parameters.
 
-    Factors and gradient come from one basis pass. Only weights that own
+    Factors and gradient come from one root pass. Only weights that own
     Kronecker factors move (every layer's homogenized W); a recurrent
     layer's input map V has no factors and stays fixed.
     """
-    dz = basis_backward(trace)
-    factors = estimate_factors(trace, dz, model, metric)
-    delta = apply_inverse(factors, loss_gradient(trace, dz, model, dataset), config)
+    dz, grad = root_backward(trace, model, dataset, metric)
+    delta = apply_inverse(estimate_factors(trace, dz), grad, config)
     return trace.params.add_scaled(delta, -config.learning_rate)
 
 
@@ -200,7 +204,8 @@ def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     dz, fisher = ngd_curvature(trace, model)
     if config.damping > 0:
         fisher = fisher + config.damping * np.eye(fisher.shape[0])
-    grad = loss_gradient(trace, dz, model, dataset)
+    u = model.loss_grad(dataset.targets, trace.output)  # the basis pass's weights
+    grad = loss_gradient(trace, dz, u, model, dataset)
     try:
         step = solve(fisher, grad.flatten())
     except SingularMatrix as exc:
@@ -213,9 +218,8 @@ def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
 
 def sgd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     """Plain gradient descent; the non-invariant control. The gradient comes
-    from the basis pass, as kfac_step's and ngd_step's do."""
-    del metric
-    grad = loss_gradient(trace, basis_backward(trace), model, dataset)
+    from the root pass, as kfac_step's does."""
+    grad = root_backward(trace, model, dataset, metric)[1]
     return trace.params.add_scaled(grad, -config.learning_rate)
 
 

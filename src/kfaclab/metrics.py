@@ -5,9 +5,9 @@ against: F = (1/N) sum_x J(x)^T F_out(f(x)) J(x), with the expectation over
 targets folded into the closed-form F_out. exact_fisher reads the
 Jacobians of all N samples from the caller's basis pass (one batched
 forward pass and one batched backward pass of the K output basis vectors),
-so no sampling noise enters unless explicitly requested (mc_fisher). The
-per-sample output_jacobian, pullback_metric, mc_fisher and
-kl_quadratic_check stay on the per-sample path as the oracle.
+so no sampling noise enters unless explicitly requested (mc_fisher); K-FAC's
+pass carries the metric's square root (root). The per-sample oracle:
+output_jacobian, pullback_metric, mc_fisher and kl_quadratic_check.
 """
 
 import numbers
@@ -33,6 +33,9 @@ PARAM_CAP = 5000  # dense P x P constructions refuse anything bigger
 #
 # loss, loss_grad, fisher and sample act along the last axis of z (and y),
 # so one call serves a single output vector or a whole (N, dim) batch of them.
+# root(y, z) gives the Fisher's square root C, its K columns stacked (..., K,
+# dim), and weights w with C C^T = fisher(z) and C w = loss_grad(y, z); a
+# metric's root(model, y, z) is its own in that layout.
 
 
 def _eye_like(z, scale=1.0) -> np.ndarray:
@@ -83,6 +86,15 @@ class CategoricalLogits:
     def loss_grad(self, y, z) -> np.ndarray:
         return _softmax(z) - np.eye(self.num_classes)[y]
 
+    def root(self, y, z) -> tuple:
+        """Columns sqrt(p_j) (e_j - p) of diag(sqrt p) - p sqrt(p)^T, and
+        w = -e_y / sqrt(p_y), not finite where p_y is 0."""
+        p = _softmax(z)
+        s, eye = np.sqrt(p), np.eye(self.num_classes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = -eye[y] / _row_sum(eye[y] * s)
+        return s[..., :, None] * (eye - p[..., None, :]), w
+
     def fisher(self, z) -> np.ndarray:
         """diag(p) - p p^T with p = softmax(z)."""
         p = _softmax(z)
@@ -132,6 +144,10 @@ class GaussianFixedVar:
     def fisher(self, z) -> np.ndarray:
         return _eye_like(z, 1.0 / self.variance)
 
+    def root(self, y, z) -> tuple:  # columns of I / sigma, w = (z - y) / sigma
+        sigma = np.sqrt(self.variance)
+        return _eye_like(z, 1.0 / sigma), (z - np.asarray(y)) / sigma
+
     def sample(self, z, rng) -> np.ndarray:
         return z + np.sqrt(self.variance) * rng.standard_normal(np.shape(z))
 
@@ -173,6 +189,10 @@ class WrappedOutputModel:
         f = self.base.fisher(self._unmap(z))
         return self.out_back.b.T @ f @ self.out_back.b
 
+    def root(self, y, z) -> tuple:  # the base root's columns c, as out_back.b^T c
+        stack, w = self.base.root(y, self._unmap(z))
+        return stack @ self.out_back.b, w
+
     def sample(self, z, rng):
         return self.base.sample(self._unmap(z), rng)
 
@@ -188,10 +208,16 @@ class FisherMetric:
     def matrix(self, model, z) -> np.ndarray:
         return model.fisher(z)
 
+    def root(self, model, y, z) -> tuple:
+        return model.root(y, z)
+
 
 class EuclideanMetric:
     def matrix(self, model, z) -> np.ndarray:
         return _eye_like(z)
+
+    def root(self, model, y, z) -> tuple:
+        return _eye_like(z), model.loss_grad(y, z)
 
 
 # The generalized Gauss-Newton metric is the Hessian of the loss in the

@@ -27,12 +27,12 @@ share the call, so a sample's numbers depend on the batch it rides in: the
 run loop reads the data columns of one pass over the data stacked with the
 probes (BatchTrace.head), and every command reads that same pass.
 
-basis_backward runs the K output basis vectors; backward is linear in the
-cotangent, so its dz gives the gradient for any loss cotangent
-(gradient_from_basis) and the per-sample output Jacobians (basis_jacobians)
-without another pass. The gradient contracts the loss cotangent with dz
-over K, then makes one GEMM over reshaped views of that and Abar, the
-operands np.tensordot passes.
+A pass carries K cotangents per sample: kfac.root_backward the columns of
+the output metric's square root, basis_backward the output basis vectors,
+whose dz are the output Jacobians (basis_jacobians). Backward is linear in
+the cotangent, so gradient_from_basis gets the gradient for any weights of
+a pass's K cotangents by contracting them with dz over K, then one GEMM
+over reshaped views of that and Abar, the operands np.tensordot passes.
 
 A conv layer's patch columns come from extract_patches, one gather of whole
 B-long rows from the zero-padded grid through a cached index, with the
@@ -828,10 +828,10 @@ def basis_backward(trace: BatchTrace) -> list:
 
 
 def gradient_from_basis(trace: BatchTrace, dz: list, u) -> ParamSet:
-    """Parameter gradient, summed over the batch, for output cotangents u,
-    (B, K), from the dz of basis_backward. Backward is linear in the
-    cotangent, so u's dz is u contracted with the basis dz; the gradient is
-    then one GEMM over views of it and Abar, np.tensordot's operands."""
+    """Parameter gradient, summed over the batch, for the output cotangent
+    that weights u, (B, K), make of the K cotangents of dz's pass (for
+    basis_backward's, u is that cotangent): u contracted with dz, then one
+    GEMM over views of it and Abar, np.tensordot's operands."""
     u = np.asarray(u, dtype=np.float64).T  # (K, B), against dz's last two axes
     grads = []
     for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):

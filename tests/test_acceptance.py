@@ -23,6 +23,7 @@ from kfaclab.kfac import (
     apply_inverse,
     assemble_dense,
     estimate_factors,
+    root_backward,
 )
 from kfaclab.linalg import inv, kron, solve, vec
 from kfaclab.metrics import (
@@ -44,7 +45,6 @@ from kfaclab.nets import (
     RecurrentLayer,
     Tanh,
     backward,
-    basis_backward,
     forward,
     forward_batch,
     init_params,
@@ -304,9 +304,9 @@ def test_criterion_10_kl_quadratic_form():
 
 
 def _factors(spec, params, model, data):
-    """Fisher factors over the basis pass at params over data."""
+    """Fisher factors over the root pass at params over data."""
     trace = forward_batch(spec, params, data.inputs)
-    return estimate_factors(trace, basis_backward(trace), model, METRICS["fisher"])
+    return estimate_factors(trace, root_backward(trace, model, data, METRICS["fisher"])[0])
 
 
 def test_criterion_11_degenerate_reductions_are_bitwise():

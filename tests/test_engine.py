@@ -27,6 +27,7 @@ from kfaclab.kfac import (
     loss_gradient,
     ngd_step,
     objective,
+    root_backward,
 )
 from kfaclab.linalg import solve
 from kfaclab.metrics import (
@@ -75,20 +76,23 @@ ENGINE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 # per-sample oracles
 
 
-def oracle_factors(spec, params, model, inputs, metric):
-    """A and G per layer from a loop over samples and locations."""
+def oracle_factors(spec, params, model, data, metric):
+    """A and G per layer from a loop over samples and locations, G from the
+    basis passes carried through the metric's root. The root is tested
+    against metric.matrix in test_metrics: where p_y is near 1, the root's
+    G is the more accurate (metric.matrix's p - p^2 cancels)."""
     a = [0.0] * len(spec.layers)
     g = [0.0] * len(spec.layers)
-    for x in inputs:
+    for x, y in zip(data.inputs, data.targets):
         trace = forward(spec, params, x)
         passes = basis_backpasses(trace)
-        m = metric.matrix(model, trace.output)
+        root = metric.root(model, y, trace.output)[0]  # row j: root column j
         for i, lt in enumerate(trace.layers):
             t = lt.abar.shape[1]
-            c = np.stack([bt.dz[i] for bt in passes])  # (K, m, T)
+            c = np.einsum("kit,jk->jit", np.stack([bt.dz[i] for bt in passes]), root)
             a[i] = a[i] + lt.abar @ lt.abar.T / t
-            g[i] = g[i] + np.einsum("kit,kl,ljt->ij", c, m, c) / t
-    n = len(inputs)
+            g[i] = g[i] + np.einsum("jit,jlt->il", c, c) / t
+    n = len(data.inputs)
     return [ai / n for ai in a], [gi / n for gi in g]
 
 
@@ -194,8 +198,8 @@ def test_batched_factors_match_per_sample_loop(problem, metric_name):
     spec, params, model, data = problem
     metric = METRICS[metric_name]
     trace = forward_batch(spec, params, data.inputs)
-    got = estimate_factors(trace, basis_backward(trace), model, metric)
-    want_a, want_g = oracle_factors(spec, params, model, data.inputs, metric)
+    got = estimate_factors(trace, root_backward(trace, model, data, metric)[0])
+    want_a, want_g = oracle_factors(spec, params, model, data, metric)
     for i, f in enumerate(got):
         assert_rel_close(f.a, want_a[i], f"layer {i} A")
         assert_rel_close(f.g, want_g[i], f"layer {i} G")
@@ -203,15 +207,19 @@ def test_batched_factors_match_per_sample_loop(problem, metric_name):
 
 
 @ENGINE_SETTINGS
-@given(problems())
-def test_batched_objective_and_gradient_match_per_sample_loop(problem):
-    # the gradient that kfac_step, ngd_step and sgd_step all read
+@given(problems(), st.sampled_from(sorted(METRICS)))
+def test_batched_objective_and_gradient_match_per_sample_loop(problem, metric_name):
+    # the gradient that kfac_step and sgd_step read from the root pass, and
+    # ngd_step from the basis pass, whose loss weights are the loss cotangent
     spec, params, model, data = problem
     trace = forward_batch(spec, params, data.inputs)
-    grad = loss_gradient(trace, basis_backward(trace), model, data)
+    root = root_backward(trace, model, data, METRICS[metric_name])[1]
+    basis = loss_gradient(trace, basis_backward(trace),
+                          model.loss_grad(data.targets, trace.output), model, data)
     want_h, want_grad = oracle_objective_and_gradient(spec, params, model, data)
     assert_rel_close(objective(trace, model, data), want_h, "objective")
-    assert_rel_close(grad.flatten(), want_grad, "gradient")
+    assert_rel_close(root.flatten(), want_grad, "root-pass gradient")
+    assert_rel_close(basis.flatten(), want_grad, "basis-pass gradient")
 
 
 @ENGINE_SETTINGS
@@ -278,7 +286,7 @@ def test_kfac_step_matches_two_pass_reference(problem, metric_name, config):
     )
     (factors, grad, _), = calls
     fresh = forward_batch(spec, params, data.inputs)
-    want_factors = estimate_factors(fresh, basis_backward(fresh), model, metric)
+    want_factors = estimate_factors(fresh, root_backward(fresh, model, data, metric)[0])
     for f, want in zip(factors, want_factors):
         np.testing.assert_array_equal(f.a, want.a)
         np.testing.assert_array_equal(f.g, want.g)

@@ -19,9 +19,9 @@ from kfaclab.kfac import (
     estimate_factors,
     factors_to_json,
     kfac_step,
-    loss_gradient,
     ngd_step,
     objective,
+    root_backward,
     sgd_step,
 )
 from kfaclab.linalg import kron, solve, vec
@@ -46,6 +46,7 @@ from kfaclab.nets import (
     basis_backward,
     forward,
     forward_batch,
+    gradient_from_basis,
     init_params,
 )
 from kfaclab.reparam import output_space_map, random_reparam, transform_input, transform_network
@@ -53,9 +54,9 @@ from test_engine import ENGINE_SETTINGS, networks, problems
 
 
 def _factors(spec, params, model, data, metric=FisherMetric()):
-    """estimate_factors over the basis pass at params over data."""
+    """estimate_factors over the root pass at params over data."""
     trace = forward_batch(spec, params, data.inputs)
-    return estimate_factors(trace, basis_backward(trace), model, metric)
+    return estimate_factors(trace, root_backward(trace, model, data, metric)[0])
 
 
 def _fisher(spec, params, model, inputs):
@@ -146,11 +147,13 @@ def test_two_layer_factors_match_chain_rule_oracle():
 def test_empty_dataset_rejected():
     spec = NetworkSpec([DenseLayer(2, 2, Identity())])
     trace = forward_batch(spec, init_params(spec, 0), np.empty((0, 2)))
-    dz = basis_backward(trace)
+    model = GaussianFixedVar(2)
+    dz, _ = root_backward(trace, model, Dataset(np.empty((0, 2)), np.empty((0, 2))),
+                          FisherMetric())
     with pytest.raises(ValueError, match="nonempty"):
-        estimate_factors(trace, dz, GaussianFixedVar(2), FisherMetric())
+        estimate_factors(trace, dz)
     with pytest.raises(ValueError, match="nonempty"):
-        exact_fisher(trace, dz, GaussianFixedVar(2))
+        exact_fisher(trace, basis_backward(trace), model)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +388,10 @@ def test_twin_factors_obey_the_factor_law(net, categorical, seed, cap, n):
     k = spec.output_dim
     model = CategoricalLogits(k) if categorical and k >= 2 else GaussianFixedVar(k)
     r = random_reparam(spec, rng_seed=seed, conditioning_cap=cap)
-    data = Dataset(rng.standard_normal((n,) + shape), np.zeros(n))  # targets unread
+    x = rng.standard_normal((n,) + shape)
+    # the root pass reads targets for its loss weights only; G does not
+    y = rng.integers(k, size=n) if categorical and k >= 2 else rng.standard_normal((n, k))
+    data = Dataset(x, y)
     spec_t, params_t = transform_network(spec, params, r)
     model_t = WrappedOutputModel(model, output_space_map(spec, r))
     base = _factors(spec, params, model, data)
@@ -560,7 +566,7 @@ def test_zero_learning_rate_steps_are_identity():
                 np.testing.assert_array_equal(lp_new.v, lp_old.v)
 
 
-def _identity_factors(trace, dz, model, metric):
+def _identity_factors(trace, dz):
     """A = I, G = I and scale 1 for every layer: a preconditioner that
     leaves the gradient as it is."""
     return [KroneckerFactor(np.eye(lp.wbar.shape[1]), np.eye(lp.wbar.shape[0]), 1.0)
@@ -598,6 +604,52 @@ def test_identity_factors_reduce_kfac_to_sgd(problem):
     sgd = sgd_step(trace, model, data, FisherMetric(), config)
     for lp_kfac, lp_sgd in zip(kfac.layers, sgd.layers):
         np.testing.assert_array_equal(lp_kfac.wbar, lp_sgd.wbar)
+
+
+def _saturated_problem():
+    """A one-layer identity net whose logits lie 1600 apart: p_y is exactly 0
+    at the first two targets, so their metric-root weights are infinite,
+    while the loss cotangent p - e_y is finite."""
+    spec = NetworkSpec([DenseLayer(2, 3, Identity())])
+    params = ParamSet([LayerParams(np.array([[400.0, -400.0, 0.0], [-400.0, 400.0, 0.0],
+                                             [400.0, 400.0, 0.0]]))])
+    data = Dataset(np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [0.5, -0.2]]),
+                   np.array([1, 0, 2, 1]))
+    return spec, params, CategoricalLogits(3), data
+
+
+def test_sgd_step_takes_an_underflowed_target_from_the_loss_cotangent():
+    spec, params, model, data = _saturated_problem()
+    trace = forward_batch(spec, params, data.inputs)
+    w = model.root(data.targets, trace.output)[1]
+    assert np.isinf(w[:2]).any(axis=1).all() and np.isfinite(w[2:]).all()
+    got = sgd_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
+    u = model.loss_grad(data.targets, trace.output) / len(data)
+    want = params.add_scaled(gradient_from_basis(trace, basis_backward(trace), u), -0.1)
+    assert np.isfinite(got.flatten()).all()
+    np.testing.assert_array_equal(got.flatten(), want.flatten())
+
+
+def test_kfac_step_on_an_underflowed_target_meets_the_singular_factor():
+    # the saturated softmax's metric is all but zero, so G is singular; the
+    # gradient stays finite, so the verdict is degenerate, not a divergence
+    spec, params, model, data = _saturated_problem()
+    trace = forward_batch(spec, params, data.inputs)
+    with pytest.raises(SingularMatrix, match="layer 0 factor is singular"):
+        kfac_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
+
+
+def test_root_pass_keeps_g_where_the_metric_matrix_cancels():
+    # logits 34 apart: p_2 = 1.7e-15, and diag(p) - p p^T's p_1 - p_1^2
+    # loses all but two digits, while the exact metric is
+    # p_1 p_2 [[1, -1], [-1, 1]]; the root columns never form p_1 - p_1^2
+    spec = NetworkSpec([DenseLayer(1, 2, Identity())])
+    params = ParamSet([LayerParams(np.array([[17.0, 0.0], [-17.0, 0.0]]))])
+    model, data = CategoricalLogits(2), Dataset(np.array([[1.0]]), np.array([0]))
+    p = scipy.special.softmax(forward_batch(spec, params, data.inputs).output[0])
+    want = p[0] * p[1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    got = _factors(spec, params, model, data)[0].g
+    assert np.linalg.norm(got - want) <= 4 * np.finfo(np.float64).eps * np.linalg.norm(want)
 
 
 def _least_squares_optimum(spec, data):
@@ -679,7 +731,7 @@ def test_objective_and_gradient_mean_convention():
 
     def objective_and_gradient(data):
         trace = forward_batch(spec, params, data.inputs)
-        grad = loss_gradient(trace, basis_backward(trace), model, data)
+        grad = root_backward(trace, model, data, FisherMetric())[1]
         return objective(trace, model, data), grad
 
     data = _dense_dataset(rng, 5, 2, 2)

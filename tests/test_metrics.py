@@ -230,6 +230,57 @@ def test_wrapped_output_model_delegates_in_old_coordinates():
     assert wrapped.kl(z_new, z_new) == pytest.approx(0.0, abs=1e-12)
 
 
+# The metric root's columns C, as root returns them, and its weights w:
+# pointwise, C C^T is metric.matrix and C w is loss_grad, to ROOT_C * u times
+# the absolute terms of metric.matrix's and loss_grad's own arithmetic
+# (diag(p) + p p^T and p + e_y for the categorical, carried through |out_back|
+# for a wrapped model). Over 20000 random draws like this strategy's the
+# ratio reached 10.1.
+ROOT_C = 32.0
+
+
+def _root_scales(model, y, z) -> tuple:
+    if isinstance(model, WrappedOutputModel):
+        s_m, s_g = _root_scales(model.base, y, model._unmap(z))
+        b = np.abs(model.out_back.b)
+        return b.T @ s_m @ b, s_g @ b
+    if isinstance(model, CategoricalLogits):
+        p = _softmax(z)
+        return p[:, :, None] * (np.eye(p.shape[1]) + p[:, None, :]), p + np.eye(p.shape[1])[y]
+    return np.eye(model.dim) / model.variance + 0 * z[..., None], np.abs(z - y) / model.variance
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 20), st.booleans(), st.booleans(),
+       st.sampled_from([1.0, 10.0, 30.0]), st.sampled_from(sorted(METRICS)),
+       st.integers(0, 2**32 - 1))
+def test_metric_root_squares_to_the_matrix_and_weights_to_the_loss_cotangent(
+        k, n, categorical, wrapped, scale, metric_name, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, k)) * scale  # in the base model's coordinates
+    if categorical:
+        model, y = CategoricalLogits(k), rng.integers(k, size=n)
+    else:  # a variance other than 1, so that sigma is not 1
+        model = GaussianFixedVar(k, float(np.exp(rng.choice([-1, 1]) * rng.uniform(0.5, 3))))
+        y = z + scale * rng.standard_normal((n, k))
+    if wrapped:
+        out_map = reparam.AffineMap(rng.standard_normal((k, k)) + 2.0 * np.eye(k),
+                                    rng.standard_normal(k))
+        model = WrappedOutputModel(model, out_map)
+        z = z @ out_map.b.T + out_map.c  # targets stay in the base coordinates
+    metric = METRICS[metric_name]
+    stack, w = metric.root(model, y, z)
+    assert stack.shape == (n, k, k) and w.shape == (n, k)
+    s_m, s_g = _root_scales(model, y, z)
+    if metric_name == "gauss-newton":
+        s_m = np.eye(k)
+    tol = ROOT_C * np.finfo(np.float64).eps / 2
+    gram = np.einsum("nji,njl->nil", stack, stack)
+    assert np.all(np.abs(gram - metric.matrix(model, z)) <= tol * s_m)
+    weighted = np.einsum("nji,nj->ni", stack, w)
+    assert np.all(np.abs(weighted - model.loss_grad(y, z)) <= tol * s_g)
+
+
 # ---------------------------------------------------------------------------
 # pullbacks
 

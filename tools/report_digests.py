@@ -117,6 +117,13 @@ CONV_DENSE_DENSE = {
     ],
 }
 CATEGORICAL_4 = {"kind": "categorical", "classes": 4}
+# logits more than about 745 apart: a target's p_y is 0 in float64, so its
+# metric-root weight -1/sqrt(p_y) is infinite and the step takes its gradient
+# from one more backward pass, of the loss cotangent
+SATURATED = {"architecture": {"type": "mlp", "dims": [2, 3], "final_activation": "identity",
+                              "weight_scale": 1000.0},
+             "output_model": {"kind": "categorical", "classes": 3},
+             "dataset_spec": {"num_samples": 8}}
 GAUSSIAN_6 = {"kind": "gaussian", "dim": 6, "variance": 0.5}
 
 VARIANTS = {
@@ -203,6 +210,8 @@ VARIANTS = {
                                              "final_activation": "logistic",
                                              "weight_scale": 2.0}},
     "conv-dense-dense": {**MLP, "architecture": CONV_DENSE_DENSE, "output_model": CATEGORICAL_4},
+    "kfac-saturated-target": {**MLP, **SATURATED},
+    "sgd-saturated-target": {**MLP, **SATURATED, "optimizer": "sgd"},
 }
 
 
