@@ -1,6 +1,7 @@
-"""The three scipy kernels kfaclab calls, loaded without scipy's package set-up.
+"""The scipy kernels kfaclab calls, loaded without scipy's package set-up.
 
-kfaclab calls LAPACK dgetrf/dgetrs (in linalg.solve) and the expit ufunc (in
+kfaclab calls LAPACK dgetrf/dgetrs (in linalg.solve), dgeqrf and dtrtrs (in
+linalg.gram_root and linalg.gram_solve) and the expit ufunc (in
 nets.Logistic). `import scipy.linalg` or `import scipy.special` would first run
 scipy's array-API layer, whose `from numpy import *` loads numpy.f2py,
 numpy.testing, numpy.ma and numpy.random: about half of a cold CLI call. So
@@ -22,6 +23,9 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+
+
+_LAPACK = ("dgetrf", "dgetrs", "dgeqrf", "dtrtrs")
 
 
 def _scipy_dir():
@@ -62,13 +66,13 @@ def _kernels(scipy_dir, name: str, kernels: tuple):
 
 
 def load(scipy_dir):
-    """(dgetrf, dgetrs, expit), from the extension files under scipy_dir
-    where they load, else from scipy's public modules."""
-    lapack = _kernels(scipy_dir, "linalg._flapack", ("dgetrf", "dgetrs"))
+    """(dgetrf, dgetrs, dgeqrf, dtrtrs, expit), from the extension files
+    under scipy_dir where they load, else from scipy's public modules."""
+    lapack = _kernels(scipy_dir, "linalg._flapack", _LAPACK)
     if lapack is None:
-        from scipy.linalg.lapack import dgetrf, dgetrs
+        import scipy.linalg.lapack
 
-        lapack = [dgetrf, dgetrs]
+        lapack = [getattr(scipy.linalg.lapack, k) for k in _LAPACK]
     special = _kernels(scipy_dir, "special._special_ufuncs", ("expit",))
     if special is None:
         from scipy.special import expit
@@ -77,4 +81,4 @@ def load(scipy_dir):
     return (*lapack, *special)
 
 
-dgetrf, dgetrs, expit = load(_scipy_dir())
+dgetrf, dgetrs, dgeqrf, dtrtrs, expit = load(_scipy_dir())

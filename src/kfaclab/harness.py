@@ -7,6 +7,7 @@ randomness; identical configs produce byte-identical reports.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,31 +16,12 @@ from . import kfac, metrics, nets, reparam
 from .errors import (ConfigError, NonFinite, SingularMatrix, check_int, check_keys, check_list,
                      check_name, check_real, naming)
 from .kfac import UpdateConfig
-from .linalg import inv, sym_eig_min, symmetrized
+from .linalg import inv, sym_eig_min  # noqa: F401 (sym_eig_min: see README, names kept)
 
 STEP0_TOL = 1e-10  # pure reparam correctness, no solves involved
 POST_UPDATE_TOL = 1e-8  # headroom over inverse-factor solve error
 NUM_PROBES = 32
 FISHER_DEGENERACY_RTOL = 1e-12
-# The Cholesky certificate factors A = F - delta*I, with
-# delta = (CERTIFICATE_MARGIN * FISHER_DEGENERACY_RTOL + n*(n+1)*eps) * ||F||_inf
-# for an n x n Fisher; ||F||_inf, the largest absolute row sum, bounds
-# |eigenvalue| from above. A Cholesky factorization that runs to completion
-# gives R^T R = A + dA with |dA_ij| <= about gamma_{n+1} * sqrt(a_ii a_jj), so
-# ||dA||_2 <= about (n+1)*u*trace(A) <= (n+1)*n*u*||F||_inf (u = eps/2;
-# Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3). R^T R
-# is positive definite, so every eigenvalue of F exceeds delta - ||dA||_2.
-# The n*(n+1)*eps term is twice that error bound: one share for the
-# Cholesky error and one for eigvalsh's, whose Householder reduction has a
-# worst-case backward error of the same n^2*u order. What is left,
-# CERTIFICATE_MARGIN times the degeneracy rule's 1e-12, keeps a certified
-# Fisher's smallest eigenvalue, as eigvalsh computes it, above the rule's
-# 1e-12*|eigenvalue|_max. Actual rounding errors sit far below these
-# bounds. The rounding term is 5.4e-13*||F||_inf at mlp-ngd's 49 parameters
-# and 5.6e-9*||F||_inf at PARAM_CAP = 5000; a Fisher whose ratio lies
-# between 1e-12 and delta / ||F||_inf fails the certificate and takes the
-# two eigendecompositions.
-CERTIFICATE_MARGIN = 100.0
 
 
 @dataclass
@@ -443,7 +425,8 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
         for (tr, o), (tr_t, o_t) in twins:
             if config.optimizer == "ngd" and not report.records:
                 # the check reads the Fisher the first step will use
-                _check_fisher(kfac.ngd_curvature(tr, model)[1], config.damping)
+                _check_fisher(kfac.ngd_curvature(tr, model, data, config.damping)[1],
+                              config.damping)
             report.records.append(
                 StepRecord(
                     len(report.records),
@@ -483,40 +466,23 @@ def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
     return run_invariance(config)
 
 
-def _check_fisher(fisher, damping: float) -> None:
-    """Raise SingularMatrix if the exact Fisher is singular, and NonFinite,
-    its message starting "exact Fisher: ", on inf/NaN entries. F is
-    singular when its smallest eigenvalue is at most FISHER_DEGENERACY_RTOL
-    times its largest absolute one. A Cholesky factorization of F shifted
-    down by a margin above that bound and above the rounding errors of both
-    methods (see CERTIFICATE_MARGIN) certifies the common case; a Fisher
-    that fails it gets both eigenvalues from eigendecompositions, so the
-    verdict and the printed eigenvalues are those of the eigendecompositions
-    alone. The step solves with F + damping I, which is invertible for
-    damping > 0, so a damped run only checks F is finite."""
-    if damping > 0:
-        if not np.isfinite(fisher).all():
-            raise NonFinite("exact Fisher: non-finite entries")
-        return
-    try:
-        shifted = symmetrized(fisher)
-    except NonFinite as exc:
-        raise NonFinite(f"exact Fisher: {exc}") from exc
-    n = len(shifted)
-    rtol = CERTIFICATE_MARGIN * FISHER_DEGENERACY_RTOL + n * (n + 1) * np.finfo(np.float64).eps
-    delta = rtol * np.abs(shifted).sum(axis=1).max()
-    shifted.flat[:: n + 1] -= delta
-    try:
-        np.linalg.cholesky(shifted)
-        return  # certified: F's smallest eigenvalue clears the rule
-    except np.linalg.LinAlgError:
-        pass  # not certified: decide by the eigenvalues
-    emin = sym_eig_min(fisher)
-    emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
-    if emin > FISHER_DEGENERACY_RTOL * emax:
-        return
-    raise SingularMatrix(
-        f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})")
+def _check_fisher(r, damping: float) -> None:
+    """Check the exact Fisher F from R with R^T R = F + damping I
+    (kfac.ngd_curvature): raise NonFinite, its message starting "exact
+    Fisher: ", when F's largest eigenvalue sigma_max(R)^2 is not finite, and
+    SingularMatrix when F is singular, its smallest eigenvalue
+    sigma_min(R)^2 at most FISHER_DEGENERACY_RTOL times its largest. R's
+    singular values decide, compared unsquared so that no square overflows.
+    The step solves with F + damping I, which is invertible for
+    damping > 0, so a damped run only checks that F is finite."""
+    # svd does not converge on NaN, so a non-finite R reads as sigma = NaN
+    s = np.linalg.svd(r, compute_uv=False) if np.isfinite(r).all() else [math.nan]
+    top, low = float(s[0]), float(s[-1])
+    if not math.isfinite(top * top):
+        raise NonFinite("exact Fisher: non-finite entries")
+    if damping == 0 and low <= math.sqrt(FISHER_DEGENERACY_RTOL) * top:
+        raise SingularMatrix(f"exact Fisher is singular: smallest eigenvalue {low * low:.6e} "
+                             f"(largest {top * top:.6e})")
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ The same pass serves the loss gradient (loss_gradient): backward is linear
 in the cotangent and C w is the loss cotangent, so the gradient is w
 contracted with dz, then with Abar. The builders (estimate_factors,
 loss_gradient, metrics.exact_fisher) take the caller's pass, a trace and
-its dz, and make none of their own. Each update rule reads one pass at the
-run loop's forward pass, so each step makes only a backward pass: sgd_step
-takes the root pass's gradient as it is, kfac_step preconditions it with
-the Kronecker factors, and ngd_step reads the basis pass (C = I), whose
-Jacobians build the exact Fisher.
+its dz, and make none of their own. Each update rule reads one root pass at
+the run loop's forward pass, so each step makes only a backward pass:
+sgd_step takes its gradient as it is, kfac_step preconditions it with the
+Kronecker factors, and ngd_step with the exact Fisher, whose rows the same
+pass gives (metrics.exact_fisher): their QR's R, with R^T R = F, makes the
+step two triangular solves, so F itself is never formed.
 """
 
 from dataclasses import dataclass
@@ -35,16 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, SingularMatrix, TooLarge, check_real
-from .linalg import kron, solve, unvec, vec
-from .metrics import PARAM_CAP, exact_fisher
-from .nets import (
-    LayerParams,
-    ParamSet,
-    backward_batch,
-    basis_backward,
-    gradient_from_basis,
-    unflatten_params,
-)
+from .linalg import gram_root, gram_solve, kron, solve, unvec, vec
+from .metrics import METRICS, PARAM_CAP, exact_fisher
+from .nets import LayerParams, ParamSet, backward_batch, gradient_from_basis, unflatten_params
 
 
 @dataclass
@@ -107,9 +101,9 @@ def estimate_factors(trace, dz) -> list:
 
 
 def loss_gradient(trace, dz, w, model, dataset) -> ParamSet:
-    """Mean-loss gradient over dataset from a pass at trace with loss weights w
-    (the basis pass's are the loss cotangent); where one is not finite (p_y
-    underflowed to 0), from one more pass, of the loss cotangent."""
+    """Mean-loss gradient over dataset from a pass at trace with loss weights
+    w; where one is not finite (p_y underflowed to 0), from one more pass, of
+    the loss cotangent."""
     if not np.isfinite(w).all():
         u = model.loss_grad(dataset.targets, trace.output)
         dz, w = backward_batch(trace, u[:, None]), np.ones((len(u), 1))
@@ -185,33 +179,33 @@ def kfac_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     return trace.params.add_scaled(delta, -config.learning_rate)
 
 
-def ngd_curvature(trace, model) -> tuple:
-    """(dz of the basis pass at trace, the dense Fisher built from it).
-    Both are kept on the trace, so the run loop's degeneracy check and the
-    first step, which read the same pass, build them once."""
+def ngd_curvature(trace, model, dataset, damping: float) -> tuple:
+    """(loss gradient, R) at trace: the gradient and the exact Fisher's rows
+    from one root pass of the model's own Fisher, and the R of those rows'
+    QR, sqrt(damping) I stacked under them when damped, so R^T R is
+    F + damping I. Both are kept on the trace, so the run loop's degeneracy
+    check and the first step, which read the same pass, build them once."""
     held = trace.memo.get("ngd")
-    if held is None or held[0] is not model:
-        dz = basis_backward(trace)
-        fisher = exact_fisher(trace, dz, model)
-        held = trace.memo["ngd"] = (model, dz, fisher)
-    return held[1:]
+    if held is None or held[0] is not model or held[1] is not dataset or held[2] != damping:
+        dz, grad = root_backward(trace, model, dataset, METRICS["fisher"])
+        rows = exact_fisher(trace, dz)
+        if damping > 0:
+            rows = np.concatenate([rows, np.sqrt(damping) * np.eye(rows.shape[1])])
+        held = trace.memo["ngd"] = (model, dataset, damping, grad, gram_root(rows))
+    return held[3:]
 
 
 def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
-    """Exact natural gradient step: the dense Fisher and the gradient both
-    come from one basis pass (ngd_curvature)."""
+    """Exact natural gradient step: the gradient solved against R^T R =
+    F + damping I (ngd_curvature), both from one root pass."""
     del metric  # the exact step always uses the model's own Fisher
-    dz, fisher = ngd_curvature(trace, model)
-    if config.damping > 0:
-        fisher = fisher + config.damping * np.eye(fisher.shape[0])
-    u = model.loss_grad(dataset.targets, trace.output)  # the basis pass's weights
-    grad = loss_gradient(trace, dz, u, model, dataset)
+    grad, r = ngd_curvature(trace, model, dataset, config.damping)
     try:
-        step = solve(fisher, grad.flatten())
+        step = gram_solve(r, grad.flatten())
     except SingularMatrix as exc:
         raise SingularMatrix(f"natural-gradient step: exact Fisher is singular: {exc}") from exc
-    except NonFinite as exc:
-        what = "gradient" if np.isfinite(fisher).all() else "exact Fisher"
+    except NonFinite as exc:  # F is finite where its diagonal, R's squared column norms, is
+        what = "gradient" if np.isfinite(np.einsum("ij,ij->j", r, r)).all() else "exact Fisher"
         raise NonFinite(f"natural-gradient step: {what} has non-finite entries") from exc
     return unflatten_params(trace.spec, trace.params.flatten() - config.learning_rate * step)
 

@@ -3,18 +3,19 @@
 Everything here is plain float64 numpy, dense, and pure. Matrices are 2-d
 ndarrays, vectors 1-d. Sizes stay at desk scale (a few hundred at most), so
 dense LAPACK routines are the honest reference implementation. solve calls
-scipy's LAPACK getrf/getrs as kfaclab._scipy loads them, without scipy's
-package set-up.
+scipy's LAPACK getrf/getrs, gram_root geqrf and gram_solve trtrs, as
+kfaclab._scipy loads them, without scipy's package set-up.
 """
 
 import math
 
 import numpy as np
 
-from ._scipy import dgetrf, dgetrs
+from ._scipy import dgeqrf, dgetrf, dgetrs, dtrtrs
 from .errors import NonFinite, NotSymmetric, SingularMatrix
 
-# Pivot threshold for solve, relative to the largest entry of the matrix.
+# Pivot threshold for solve, relative to the largest entry of the matrix, and
+# for gram_solve, relative to the largest diagonal entry of R^T R.
 SINGULARITY_RTOL = 1e-12
 
 # Allowed relative asymmetry before sym_eig_min refuses the input.
@@ -95,9 +96,47 @@ def inv(a) -> np.ndarray:
     return solve(a, np.eye(a.shape[0]))
 
 
-def symmetrized(a) -> np.ndarray:
-    """The symmetric part (a + a.T) / 2 of a square matrix, after the
-    refusals of sym_eig_min, whose messages name it.
+def gram_root(rows) -> np.ndarray:
+    """Upper-triangular R, (P, P), with R^T R = rows^T rows, for rows (M, P):
+    the R of a Householder QR (LAPACK dgeqrf) of rows, with P - M zero rows
+    appended when M < P (those rows of R are then exactly zero). Non-finite
+    rows give a non-finite R, which gram_solve refuses."""
+    rows = as_matrix(rows)
+    m, p = rows.shape
+    if m < p:
+        rows = np.concatenate([rows, np.zeros((p - m, p))])
+    return np.triu(dgeqrf(rows)[0][:p])
+
+
+def gram_solve(r, rhs) -> np.ndarray:
+    """Solve R^T R x = rhs for upper-triangular R by two triangular solves
+    (LAPACK dtrtrs), never forming R^T R.
+
+    Raises NonFinite on inf/NaN in R or rhs, or when the largest diagonal
+    entry of R^T R, a squared column norm of R, overflows; and
+    SingularMatrix when R is zero, when the smallest r_ii^2 falls below
+    SINGULARITY_RTOL times that largest entry, or when the result is not
+    finite.
+    """
+    r = as_matrix(r)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    # max diag(R^T R); NaN and inf propagate, so it checks r's entries too
+    scale = np.einsum("ij,ij->j", r, r).max() if r.size else 0.0
+    if not (math.isfinite(scale) and _all_finite(rhs)):
+        raise NonFinite("solve received non-finite entries")
+    if scale == 0.0:
+        raise SingularMatrix("matrix is identically zero")
+    pivot = np.square(r.diagonal()).min()
+    if pivot < SINGULARITY_RTOL * scale:
+        raise SingularMatrix(f"pivot {pivot:.3e} below threshold {SINGULARITY_RTOL * scale:.3e}")
+    x = dtrtrs(r, dtrtrs(r, rhs, trans=1)[0])[0]
+    if not _all_finite(x):
+        raise SingularMatrix("solve produced non-finite entries")
+    return x
+
+
+def sym_eig_min(a) -> float:
+    """Smallest eigenvalue of a symmetric matrix: eigvalsh of (a + a.T) / 2.
 
     Raises NonFinite on inf/NaN input (their asymmetry would be NaN, which
     no tolerance refuses, and a symmetric solver then fails to converge),
@@ -114,10 +153,4 @@ def symmetrized(a) -> np.ndarray:
     asym = np.abs(a - a.T).max()
     if asym > SYMMETRY_RTOL * scale:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL * scale:.3e}")
-    return 0.5 * (a + a.T)
-
-
-def sym_eig_min(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix: eigvalsh of symmetrized(a),
-    whose refusals it shares."""
-    return float(np.linalg.eigvalsh(symmetrized(a))[0])
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])

@@ -2,11 +2,11 @@
 
 The exact Fisher here is the reference object everything else is judged
 against: F = (1/N) sum_x J(x)^T F_out(f(x)) J(x), with the expectation over
-targets folded into the closed-form F_out. exact_fisher reads the
-Jacobians of all N samples from the caller's basis pass (one batched
-forward pass and one batched backward pass of the K output basis vectors),
-so no sampling noise enters unless explicitly requested (mc_fisher); K-FAC's
-pass carries the metric's square root (root). The per-sample oracle:
+targets folded into the closed-form F_out = C C^T. exact_fisher reads it off
+the caller's root pass (one batched forward pass and one batched backward
+pass of the K columns of C, root), the pass the K-FAC factors and every
+gradient come from, as rows whose Gram matrix is F, so no sampling noise
+enters unless explicitly requested (mc_fisher). The per-sample oracle:
 output_jacobian, pullback_metric, mc_fisher and kl_quadratic_check.
 """
 
@@ -19,7 +19,7 @@ from .errors import TooLarge, check_int
 from .nets import (
     ForwardTrace,
     backward,
-    basis_backward,
+    backward_batch,
     basis_jacobians,
     forward,
     forward_batch,
@@ -229,7 +229,7 @@ METRICS["ggn"] = METRICS["fisher"]
 
 
 # ---------------------------------------------------------------------------
-# pullbacks and the dense Fisher
+# pullbacks and the exact Fisher
 
 
 def basis_backpasses(trace: ForwardTrace) -> list:
@@ -263,18 +263,18 @@ def _check_dense_size(params) -> int:
     return p
 
 
-def exact_fisher(trace, dz, model) -> np.ndarray:
-    """Dense Fisher over the flattened parameters, sum_n J_n^T F_out(z_n) J_n
-    / N, as one contraction of the per-sample Jacobians J_n of a basis pass:
-    trace, a BatchTrace over the N inputs, and dz, its basis_backward."""
+def exact_fisher(trace, dz) -> np.ndarray:
+    """The exact Fisher as (N*K, P) rows J_n^T c_k / sqrt(N), whose Gram
+    matrix rows^T rows is F over the flattened parameters: the per-sample
+    Jacobians (nets.basis_jacobians) of a root pass, trace, a BatchTrace
+    over the N inputs, and dz, its backward pass of the K columns c_k of
+    each sample's Fisher root."""
     if not len(trace.output):
         raise ValueError("exact_fisher needs a nonempty dataset")
-    _check_dense_size(trace.params)
-    jac = basis_jacobians(trace, dz)  # (N, K, P)
-    f_jac = model.fisher(trace.output) @ jac
-    # np.dot on the operands np.tensordot(jac, f_jac, ([0, 1], [0, 1])) builds
-    p = jac.shape[2]
-    return np.dot(jac.transpose(2, 0, 1).reshape(p, -1), f_jac.reshape(-1, p)) / len(jac)
+    p = _check_dense_size(trace.params)
+    rows = basis_jacobians(trace, dz).reshape(-1, p)  # a view of a fresh array
+    rows /= np.sqrt(len(trace.output))
+    return rows
 
 
 def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> np.ndarray:
@@ -294,7 +294,8 @@ def mc_fisher(spec, params, model, inputs, num_samples: int, rng_seed: int) -> n
 
 
 def kl_quadratic_check(spec, params, model, inputs, delta) -> tuple:
-    """(averaged closed-form KL under a parameter shift, 1/2 delta^T F delta)."""
+    """(averaged closed-form KL under a parameter shift, 1/2 delta^T F delta),
+    the second as 1/2 |rows delta|^2 over exact_fisher's rows."""
     shifted = params.add_scaled(delta, 1.0)
     lhs = 0.0
     for x in inputs:
@@ -303,7 +304,9 @@ def kl_quadratic_check(spec, params, model, inputs, delta) -> tuple:
         lhs += model.kl(z0, z1)
     lhs /= len(inputs)
     trace = forward_batch(spec, params, inputs)
-    f = exact_fisher(trace, basis_backward(trace), model)
-    d = delta.flatten()
-    rhs = 0.5 * float(d @ f @ d)
-    return lhs, rhs
+    # the root's columns do not depend on the targets, which set only its
+    # weights, so any valid targets serve
+    y = model.sample(trace.output, np.random.default_rng(0))
+    rows = exact_fisher(trace, backward_batch(trace, model.root(y, trace.output)[0]))
+    shift = rows @ delta.flatten()
+    return lhs, 0.5 * float(shift @ shift)

@@ -27,9 +27,9 @@ share the call, so a sample's numbers depend on the batch it rides in: the
 run loop reads the data columns of one pass over the data stacked with the
 probes (BatchTrace.head), and every command reads that same pass.
 
-A pass carries K cotangents per sample: kfac.root_backward the columns of
-the output metric's square root, basis_backward the output basis vectors,
-whose dz are the output Jacobians (basis_jacobians). Backward is linear in
+A pass carries K cotangents per sample, in the run the columns of the
+output metric's square root (kfac.root_backward); basis_jacobians turns its
+dz into each sample's Jacobians of those K cotangents. Backward is linear in
 the cotangent, so gradient_from_basis gets the gradient for any weights of
 a pass's K cotangents by contracting them with dz over K, then one GEMM
 over reshaped views of that and Abar, the operands np.tensordot passes.
@@ -738,7 +738,7 @@ class BatchTrace:
     act_in: list
     output: np.ndarray  # (B, output_dim)
     # what is derived from this pass and kept for its later readers, by name
-    # (kfac.ngd_curvature keeps the basis pass and the Fisher here)
+    # (kfac.ngd_curvature keeps exact NGD's gradient and Fisher root here)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def head(self, n: int) -> "BatchTrace":
@@ -820,18 +820,12 @@ def backward_batch(trace: BatchTrace, cotangents) -> list:
     return dzs
 
 
-def basis_backward(trace: BatchTrace) -> list:
-    """Per-layer dz, (m, T, K, B), of one backward pass of the K output
-    basis vectors: the columns of every sample's output Jacobian."""
-    n, k = trace.output.shape
-    return backward_batch(trace, np.broadcast_to(np.eye(k), (n, k, k)))
-
-
 def gradient_from_basis(trace: BatchTrace, dz: list, u) -> ParamSet:
     """Parameter gradient, summed over the batch, for the output cotangent
-    that weights u, (B, K), make of the K cotangents of dz's pass (for
-    basis_backward's, u is that cotangent): u contracted with dz, then one
-    GEMM over views of it and Abar, np.tensordot's operands."""
+    that weights u, (B, K), make of the K cotangents of dz's pass (for a
+    pass of the output basis vectors, u is that cotangent): u contracted
+    with dz, then one GEMM over views of it and Abar, np.tensordot's
+    operands."""
     u = np.asarray(u, dtype=np.float64).T  # (K, B), against dz's last two axes
     grads = []
     for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):
@@ -843,9 +837,11 @@ def gradient_from_basis(trace: BatchTrace, dz: list, u) -> ParamSet:
 
 
 def basis_jacobians(trace: BatchTrace, dz: list) -> np.ndarray:
-    """Per-sample output Jacobians, (B, K, P), columns in ParamSet.flatten
-    order, from the dz of basis_backward: per layer vec(dz abar^T), then
-    vec of V's gradient."""
+    """Per-sample Jacobians of the K cotangents of dz's pass, (B, K, P),
+    columns in ParamSet.flatten order: row k of sample n is the gradient of
+    its k-th cotangent, J_n^T c_k (for the output basis vectors, the rows of
+    the output Jacobian). Per layer vec(dz abar^T), then vec of V's
+    gradient."""
     n, k = trace.output.shape
     parts = []
     for layer, abar, d in zip(trace.spec.layers, trace.abar, dz):

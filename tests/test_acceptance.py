@@ -15,7 +15,6 @@ from kfaclab.harness import (
     build_network,
     run_invariance,
     run_ngd_invariance,
-    synthetic_dataset,
 )
 from kfaclab.kfac import (
     KroneckerFactor,

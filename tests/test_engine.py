@@ -29,7 +29,7 @@ from kfaclab.kfac import (
     objective,
     root_backward,
 )
-from kfaclab.linalg import solve
+from kfaclab.linalg import gram_solve
 from kfaclab.metrics import (
     METRICS,
     CategoricalLogits,
@@ -52,7 +52,6 @@ from kfaclab.nets import (
     _fold_cols,
     backward,
     backward_batch,
-    basis_backward,
     basis_jacobians,
     extract_patches,
     forward,
@@ -66,6 +65,7 @@ from kfaclab.reparam import (
     transform_input,
     transform_network,
 )
+from conftest import basis_pass
 
 RTOL = 1e-12
 ACTIVATIONS = (Identity(), Logistic(), Tanh(), Softplus())
@@ -106,14 +106,16 @@ def oracle_objective_and_gradient(spec, params, model, data):
     return total / n, grad / n
 
 
-def oracle_fisher(spec, params, model, inputs):
-    """The dense Fisher from a loop of output_jacobian and model.fisher."""
+def oracle_fisher(spec, params, model, data):
+    """The dense Fisher from a loop of output_jacobian and the model's
+    Fisher root C, as (C^T J)^T (C^T J): like oracle_factors' G, it does not
+    take model.fisher's cancellation where p_y is near 1."""
     f = 0.0
-    for x in inputs:
+    for x, y in zip(data.inputs, data.targets):
         trace = forward(spec, params, x)
-        jac = output_jacobian(trace)
-        f = f + jac.T @ model.fisher(trace.output) @ jac
-    return f / len(inputs)
+        cj = model.root(y, trace.output)[0] @ output_jacobian(trace)  # row k: c_k^T J
+        f = f + cj.T @ cj
+    return f / len(data.inputs)
 
 
 def assert_rel_close(got, want, what):
@@ -209,12 +211,13 @@ def test_batched_factors_match_per_sample_loop(problem, metric_name):
 @ENGINE_SETTINGS
 @given(problems(), st.sampled_from(sorted(METRICS)))
 def test_batched_objective_and_gradient_match_per_sample_loop(problem, metric_name):
-    # the gradient that kfac_step and sgd_step read from the root pass, and
-    # ngd_step from the basis pass, whose loss weights are the loss cotangent
+    # the gradient that every step reads from the root pass, and the same
+    # contraction over a pass of the output basis vectors, whose loss
+    # weights are the loss cotangent
     spec, params, model, data = problem
     trace = forward_batch(spec, params, data.inputs)
     root = root_backward(trace, model, data, METRICS[metric_name])[1]
-    basis = loss_gradient(trace, basis_backward(trace),
+    basis = loss_gradient(trace, basis_pass(trace),
                           model.loss_grad(data.targets, trace.output), model, data)
     want_h, want_grad = oracle_objective_and_gradient(spec, params, model, data)
     assert_rel_close(objective(trace, model, data), want_h, "objective")
@@ -242,15 +245,15 @@ def test_batched_backward_matches_basis_backpasses(problem):
 def test_batched_exact_fisher_matches_per_sample_loop(problem):
     spec, params, model, data = problem
     trace = forward_batch(spec, params, data.inputs)
-    got = exact_fisher(trace, basis_backward(trace), model)
-    assert_rel_close(got, oracle_fisher(spec, params, model, data.inputs), "Fisher")
+    rows = exact_fisher(trace, root_backward(trace, model, data, METRICS["fisher"])[0])
+    assert_rel_close(rows.T @ rows, oracle_fisher(spec, params, model, data), "Fisher")
 
 
 # The one-pass steps are compared with the two-pass reference where the
 # curvature meets the gradient, at the arguments of the inverse application
-# (kfac_step) or of the dense solve (ngd_step). A solve amplifies rounding by
-# the condition number, which on generated nets reaches 1e12, so after it
-# only the exact composition of the step is checked.
+# (kfac_step) or of the solve with R^T R (ngd_step). A solve amplifies
+# rounding by the condition number, which on generated nets reaches 1e12, so
+# after it only the exact composition of the step is checked.
 STEP_CONFIGS = (
     UpdateConfig(0.3),
     UpdateConfig(0.3, 1.0, "factored"),
@@ -304,16 +307,17 @@ def test_ngd_step_matches_two_pass_reference(problem, config):
     spec, params, model, data = problem
     trace = forward_batch(spec, params, data.inputs)
     got, calls = _run_recording(
-        "solve", ngd_step, SingularMatrix, trace, model, data, None, config
+        "gram_solve", ngd_step, SingularMatrix, trace, model, data, None, config
     )
-    (fisher, rhs), = calls
-    want_fisher = oracle_fisher(spec, params, model, data.inputs)
+    (r, rhs), = calls
+    assert np.array_equal(r, np.triu(r))
+    want_fisher = oracle_fisher(spec, params, model, data)
     want_fisher = want_fisher + config.damping * np.eye(len(want_fisher))
-    assert_rel_close(fisher, want_fisher, "Fisher")
+    assert_rel_close(r.T @ r, want_fisher, "Fisher")
     _, want_grad = oracle_objective_and_gradient(spec, params, model, data)
     assert_rel_close(rhs, want_grad, "gradient")
     if got is not None:
-        want = params.flatten() - config.learning_rate * solve(fisher, rhs)
+        want = params.flatten() - config.learning_rate * gram_solve(r, rhs)
         np.testing.assert_array_equal(got.flatten(), want)
 
 
@@ -560,21 +564,20 @@ def test_gradient_contractions_equal_tensordot_bit_for_bit(net, n, k, rebase):
 @ENGINE_SETTINGS
 @given(networks(), st.integers(1, 40), st.sampled_from(("categorical", "gaussian")),
        st.booleans())
-def test_exact_fisher_equals_tensordot_bit_for_bit(net, n, kind, wrapped):
-    # exact_fisher calls np.dot on the operands np.tensordot would build
+def test_exact_fisher_rows_are_the_root_pass_jacobians_bit_for_bit(net, n, kind, wrapped):
+    # row (n, k) is J_n^T c_k / sqrt(N), in sample-major order
     spec, params, shape, rng = net
     k = spec.output_dim
     model = CategoricalLogits(k) if kind == "categorical" else GaussianFixedVar(k, 0.3)
     if wrapped:
         r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
         model = WrappedOutputModel(model, output_space_map(spec, r))
-    x = rng.standard_normal((n,) + shape)
-    trace = forward_batch(spec, params, x)
-    dz = basis_backward(trace)
-    got = exact_fisher(trace, dz, model)
-    jac = basis_jacobians(trace, dz)
-    want = np.tensordot(jac, model.fisher(trace.output) @ jac, axes=([0, 1], [0, 1])) / n
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    trace = forward_batch(spec, params, rng.standard_normal((n,) + shape))
+    y = model.sample(trace.output, rng)
+    dz = backward_batch(trace, model.root(y, trace.output)[0])
+    rows = exact_fisher(trace, dz)
+    want = basis_jacobians(trace, dz).reshape(n * k, -1) / np.sqrt(n)
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
 
 @ENGINE_SETTINGS

@@ -31,9 +31,9 @@ from kfaclab.harness import (
     synthetic_dataset,
     training_csv,
 )
-from kfaclab.errors import ConfigError, NonFinite, NotSymmetric, SingularMatrix
+from kfaclab.errors import ConfigError, NonFinite, SingularMatrix
 from kfaclab.kfac import UpdateConfig, kfac_step, ngd_step
-from kfaclab.linalg import SYMMETRY_RTOL, sym_eig_min
+from kfaclab.linalg import gram_root
 from kfaclab.metrics import (
     CategoricalLogits,
     FisherMetric,
@@ -489,162 +489,132 @@ def test_ngd_invariance_on_conv_and_recurrent_nets(net):
 # the exact-NGD degeneracy check
 
 
-def _two_eigendecompositions(fisher, damping):
-    """harness._check_fisher as it was before its Cholesky certificate,
-    with linalg.sym_eig_min's checks copied in: the reference that every
-    verdict, message and exception must match."""
-    if damping > 0:
-        if not np.isfinite(fisher).all():
-            raise NonFinite("exact Fisher: non-finite entries")
-        return
-    a = np.asarray(fisher, dtype=np.float64)
-    top = np.abs(a).max()
-    if not math.isfinite(top):
-        raise NonFinite("exact Fisher: sym_eig_min received non-finite entries")
-    scale = max(top, 1.0)
-    asym = np.abs(a - a.T).max()
-    if asym > SYMMETRY_RTOL * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL * scale:.3e}")
-    emin = float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
-    emax = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    if emin > 1e-12 * emax:
-        return
-    raise SingularMatrix(
-        f"exact Fisher is singular: smallest eigenvalue {emin:.6e} (largest {emax:.6e})")
+def _two_eigendecompositions(fisher) -> bool:
+    """The degeneracy rule decided on F itself, the reference for the
+    check's reading of R: whether eigvalsh's smallest eigenvalue is at most
+    1e-12 times the largest absolute one."""
+    emin = float(np.linalg.eigvalsh(fisher)[0])
+    emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
+    return emin <= 1e-12 * emax
 
 
-def _outcome(check, fisher, damping=0.0):
-    """None when check accepts fisher, else the type and message of what it
-    raises."""
+def _clears_the_rule(fisher) -> bool:
+    """Whether F's eigenvalue ratio lies farther from 1e-12 than eigvalsh's
+    rounding, n * eps * |F|, can move it, so both ways of deciding must
+    agree."""
+    lam = np.linalg.eigvalsh(fisher)
+    top = np.abs(lam).max()
+    return abs(lam[0] - 1e-12 * top) > len(lam) * np.finfo(np.float64).eps * top
+
+
+def _verdict(r, damping=0.0):
+    """True when the check finds F = R^T R singular, False when it accepts
+    it; NonFinite propagates."""
     try:
-        check(fisher, damping)
-    except (NonFinite, NotSymmetric, SingularMatrix) as exc:
-        return type(exc), str(exc)
-    return None
+        harness._check_fisher(r, damping)
+    except SingularMatrix:
+        return True
+    return False
 
 
-def _check_as_reference(fisher, damping=0.0) -> bool:
-    """Assert that the check matches the reference on fisher; whether it
-    took the eigendecompositions (the certificate failed)."""
-    with mock.patch.object(harness, "sym_eig_min", wraps=sym_eig_min) as exact:
-        got = _outcome(harness._check_fisher, fisher, damping)
-    assert got == _outcome(_two_eigendecompositions, fisher, damping)
-    return exact.called
+def _run_roots(monkeypatch, config):
+    """Every R that an invariance run of config builds."""
+    roots = []
 
+    def kept(rows):
+        roots.append(real(rows))
+        return roots[-1]
 
-def _run_fishers(monkeypatch, config):
-    """Every exact Fisher that an invariance run of config builds."""
-    fishers = []
-
-    def kept(*args, **kwargs):
-        fishers.append(exact_fisher(*args, **kwargs))
-        return fishers[-1]
-
-    exact_fisher = kfac.exact_fisher
-    monkeypatch.setattr(kfac, "exact_fisher", kept)
+    real = kfac.gram_root
+    monkeypatch.setattr(kfac, "gram_root", kept)
     run_invariance(config)
     monkeypatch.undo()
-    return fishers
+    return roots
 
 
 def test_degeneracy_check_matches_the_eigendecompositions_on_run_fishers(monkeypatch):
     sources = [{"kind": "random", "seed": s, "conditioning_cap": 100.0} for s in range(1000, 1010)]
-    certified = [_ngd_config(reparam_source=s) for s in sources]  # the mlp-ngd panel
-    certified += [_ngd_config(**NGD_NETS[net]) for net in sorted(NGD_NETS)]
-    for config in certified:
-        fishers = _run_fishers(monkeypatch, config)
-        assert len(fishers) == 2 * config.steps  # both twins, one per step
-        for fisher in fishers:
-            assert not _check_as_reference(fisher)  # decided by the certificate
+    regular = [_ngd_config(reparam_source=s) for s in sources]  # the mlp-ngd panel
+    regular += [_ngd_config(**NGD_NETS[net]) for net in sorted(NGD_NETS)]
+    for config in regular:
+        roots = _run_roots(monkeypatch, config)
+        assert len(roots) == 2 * config.steps  # both twins, one per step
+        for r in roots:
+            fisher = r.T @ r
+            assert _clears_the_rule(fisher)
+            assert not _verdict(r) and not _two_eigendecompositions(fisher)
     # ngd-degenerate: two samples for 49 parameters
-    fishers = _run_fishers(monkeypatch, _ngd_config(dataset_spec={"num_samples": 2}))
-    assert len(fishers) == 1 and _check_as_reference(fishers[0])
-    assert _outcome(_two_eigendecompositions, fishers[0])[0] is SingularMatrix
+    roots = _run_roots(monkeypatch, _ngd_config(dataset_spec={"num_samples": 2}))
+    assert len(roots) == 1 and _verdict(roots[0])
+    assert _two_eigendecompositions(roots[0].T @ roots[0])
+
+
+def _root_with_singular_values(sigma, seed):
+    """An upper-triangular R whose singular values are sigma: the R of
+    U diag(sigma) V^T for random orthogonal U and V."""
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return gram_root((u * sigma) @ v.T)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 60),
     log_ratio=st.floats(-13.0, -6.0),
-    negative=st.booleans(),
     log_scale=st.floats(-6.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_degeneracy_check_matches_the_eigendecompositions_on_spectra(
-    n, log_ratio, negative, log_scale, seed
+    n, log_ratio, log_scale, seed
 ):
-    # Q diag(lam) Q^T with lam_min / lam_max = +-10^log_ratio, across both the
-    # 1e-12 rule and the certificate's 1e-10 margin
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    # R with F's eigenvalues lam, lam_min / lam_max = 10^log_ratio, across
+    # the 1e-12 rule: the check follows the rule on lam wherever R's
+    # rounding cannot move the ratio across it, and eigvalsh of F = R^T R
+    # wherever its own rounding cannot
     lam = np.logspace(0.0, log_ratio, n) if n > 1 else np.ones(1)
-    if negative:
-        lam[-1] = -lam[-1]
-    _check_as_reference((q * (10.0**log_scale * lam)) @ q.T)
+    r = _root_with_singular_values(np.sqrt(10.0**log_scale * lam), seed)
+    got = _verdict(r)
+    if abs(log_ratio + 12.0) > 1e-6:
+        assert got == (lam[-1] <= 1e-12 * lam[0])
+    if _clears_the_rule(r.T @ r):
+        assert got == _two_eigendecompositions(r.T @ r)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(n=st.integers(2, 60), rank=st.integers(1, 59), seed=st.integers(0, 2**32 - 1))
 def test_degeneracy_check_matches_the_eigendecompositions_on_rank_deficient_gram(n, rank, seed):
-    # J^T J with fewer rows than columns is exactly singular
+    # J^T J with fewer rows than columns is exactly singular; gram_root
+    # pads J's R with exactly zero rows
     jac = np.random.default_rng(seed).standard_normal((min(rank, n - 1), n))
-    assert _check_as_reference(jac.T @ jac)
-
-
-def test_degeneracy_check_matches_the_eigendecompositions_on_a_large_fisher():
-    # At n = 1000 the certificate's rounding term, n*(n+1)*eps = 2.2e-10, is
-    # twice its 1e-10 margin, and a ratio of 1e-9 fails the certificate.
-    # Four Householder reflections of diag(lam) give a dense matrix with a
-    # known spectrum.
-    n = 1000
-    rng = np.random.default_rng(7)
-    verdicts = []
-    for ratio, certified in ((5e-13, False), (2e-12, False), (1e-9, False), (1e-7, True)):
-        fisher = np.diag(np.logspace(0.0, np.log10(ratio), n))
-        for _ in range(4):
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            w = fisher @ v
-            fisher -= 2.0 * (np.outer(v, w) + np.outer(w, v)) - 4.0 * (v @ w) * np.outer(v, v)
-        fisher = 0.5 * (fisher + fisher.T)
-        with mock.patch.object(harness, "sym_eig_min", wraps=sym_eig_min) as exact:
-            got = _outcome(harness._check_fisher, fisher)
-        assert got == _outcome(_two_eigendecompositions, fisher)
-        assert exact.called != certified, ratio
-        verdicts.append(got is not None)
-    assert verdicts == [True, False, False, False]
+    r = gram_root(jac)
+    assert _verdict(r) and _two_eigendecompositions(jac.T @ jac)
+    assert np.linalg.svd(r, compute_uv=False)[-1] == 0.0
 
 
 def test_degeneracy_check_boundaries_and_refusals():
-    assert _check_as_reference(np.diag([1.0, 5e-13]))  # under the 1e-12 rule
-    assert _outcome(_two_eigendecompositions, np.diag([1.0, 5e-13]))
-    assert _check_as_reference(np.diag([1.0, 5e-11]))  # inside the margin: not singular
-    assert not _outcome(_two_eigendecompositions, np.diag([1.0, 5e-11]))
-    assert not _check_as_reference(np.diag([1.0, 1e-9]))
-    # The margin scales with the infinity norm, not the largest entry: the
-    # all-ones direction of 11^T / n has entries 1/n but eigenvalue 1.
-    n = 400
-    spread = np.full((n, n), 1.0 / n) + 5e-13 * np.eye(n)
-    assert _check_as_reference(spread)
-    assert _outcome(_two_eigendecompositions, spread)
-    # refusals come first, with sym_eig_min's messages
+    # the rule itself, on known spectra just either side of 1e-12
+    for n, seed in ((2, 0), (7, 1), (49, 2), (245, 3)):
+        for ratio, singular in ((5e-13, True), (2e-12, False)):
+            lam = np.logspace(0.0, np.log10(ratio), n)
+            r = _root_with_singular_values(np.sqrt(3.0 * lam), seed)
+            assert _verdict(r) == singular, (n, ratio)
+    with pytest.raises(SingularMatrix, match=r"^exact Fisher is singular: smallest eigenvalue "
+                       r"1\.5000\d\de-12 \(largest 3\.000000e\+00\)$"):
+        harness._check_fisher(_root_with_singular_values(np.sqrt([3.0, 1.5e-12]), 4), 0.0)
+    assert _verdict(np.zeros((3, 3)))
+    # inf/NaN in R, or a largest eigenvalue that overflows, is a non-finite
+    # Fisher, damped or not
+    bad_roots = [np.triu(np.full((3, 3), 1e180))]
     for bad in (np.inf, -np.inf, np.nan):
-        fisher = np.eye(3)
-        fisher[1, 2] = bad
-        with pytest.raises(NonFinite):
-            harness._check_fisher(fisher, 0.0)
-        _check_as_reference(fisher)
-    over = np.eye(3)
-    over[0, 1] += 1.01 * SYMMETRY_RTOL  # just over the asymmetry limit
-    with pytest.raises(NotSymmetric):
-        harness._check_fisher(over, 0.0)
-    _check_as_reference(over)
-    under = np.eye(3)
-    under[0, 1] += 0.99 * SYMMETRY_RTOL
-    assert not _check_as_reference(under)
+        bad_roots.append(np.eye(3))
+        bad_roots[-1][1, 2] = bad
+    for r in bad_roots:
+        for damping in (0.0, 0.1):
+            with pytest.raises(NonFinite, match="^exact Fisher: non-finite entries$"):
+                harness._check_fisher(r, damping)
     # a damped run only checks that F is finite
-    for fisher in (np.zeros((2, 2)), np.diag([1.0, -1.0]), over, np.full((2, 2), np.nan)):
-        assert not _check_as_reference(fisher, damping=0.1)
+    assert not _verdict(np.zeros((2, 2)), damping=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,16 +989,15 @@ def _ngd_fisher_overflow_config(**overrides):
 
 
 def test_cli_ngd_fisher_that_overflows_at_step_0_ends_in_a_fail_report(tmp_path, capsys):
-    # inf - inf makes the Fisher's asymmetry NaN, which no tolerance refuses;
-    # the symmetric solver then failed to converge, a traceback
+    # the Fisher's rows, about 1e180, and its R are finite, but its largest
+    # eigenvalue, sigma_max(R)^2, is not
     path = _write_config(tmp_path, "overflow.json", _ngd_fisher_overflow_config())
     assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
     assert report["verdict"] == "fail"
-    assert report["diagnostic"] == (
-        "step 0 diverged: exact Fisher: sym_eig_min received non-finite entries")
+    assert report["diagnostic"] == "step 0 diverged: exact Fisher: non-finite entries"
     assert report["records"] == []
 
 

@@ -1,5 +1,6 @@
-"""kfaclab._scipy: scipy's LU and expit kernels, loaded without scipy's
-package set-up, and the public imports it falls back to."""
+"""kfaclab._scipy: scipy's LU, QR, triangular-solve and expit kernels,
+loaded without scipy's package set-up, and the public imports it falls back
+to."""
 
 import importlib.machinery
 import json
@@ -69,15 +70,24 @@ def _lu_cases():
 
 
 def test_loaded_kernels_give_the_public_bits():
-    dgetrf, dgetrs, expit = _scipy.load(_scipy._scipy_dir())
+    dgetrf, dgetrs, dgeqrf, dtrtrs, expit = _scipy.load(_scipy._scipy_dir())
+    lapack = scipy.linalg.lapack
+    rng = np.random.default_rng(3)
     with np.errstate(all="ignore"):
         for a, b in _lu_cases():
-            got, want = dgetrf(a), scipy.linalg.lapack.dgetrf(a)
+            got, want = dgetrf(a), lapack.dgetrf(a)
             for g, w in zip(got, want):
                 _assert_same_bits(g, w)
             lu, piv, _ = want
-            for g, w in zip(dgetrs(lu, piv, b), scipy.linalg.lapack.dgetrs(lu, piv, b)):
+            for g, w in zip(dgetrs(lu, piv, b), lapack.dgetrs(lu, piv, b)):
                 _assert_same_bits(g, w)
+            tall = np.concatenate([a, rng.standard_normal((3, len(a)))])
+            for g, w in zip(dgeqrf(tall), lapack.dgeqrf(tall)):
+                _assert_same_bits(g, w)
+            r = np.triu(lapack.dgeqrf(tall)[0][: len(a)])
+            for trans in (0, 1):
+                for g, w in zip(dtrtrs(r, b, trans=trans), lapack.dtrtrs(r, b, trans=trans)):
+                    _assert_same_bits(g, w)
     rng = np.random.default_rng(1)
     for z in (np.array(SPECIAL), -np.array(SPECIAL), rng.standard_normal((7, 5)) * 30,
               np.linspace(-800, 800, 1601)):
@@ -100,7 +110,8 @@ def test_loader_falls_back_to_public_scipy(tmp_path, layout):
         got = _scipy.load({str(tmp_path)!r})
         after = [m for m in public if m in sys.modules]
         import scipy.linalg.lapack, scipy.special
-        want = (scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs, scipy.special.expit)
+        lapack = scipy.linalg.lapack
+        want = (lapack.dgetrf, lapack.dgetrs, lapack.dgeqrf, lapack.dtrtrs, scipy.special.expit)
         print(json.dumps({{
             "before": before, "after": after,
             "public": all(g is w for g, w in zip(got, want)),
@@ -112,20 +123,28 @@ def test_loader_falls_back_to_public_scipy(tmp_path, layout):
 def test_loader_falls_back_when_a_kernel_is_missing(monkeypatch):
     monkeypatch.setattr(_scipy, "_extension", lambda scipy_dir, name: types.ModuleType(name))
     got = _scipy.load(_scipy._scipy_dir())
-    want = (scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs, scipy.special.expit)
-    assert all(g is w for g, w in zip(got, want))
+    lapack = scipy.linalg.lapack
+    want = (lapack.dgetrf, lapack.dgetrs, lapack.dgeqrf, lapack.dtrtrs, scipy.special.expit)
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 def test_fallback_kernels_keep_solve_and_logistic_bits(tmp_path, monkeypatch):
     rng = np.random.default_rng(2)
     a, b = rng.standard_normal((13, 13)), rng.standard_normal((13, 4))
+    rows = rng.standard_normal((30, 13))
     z = np.concatenate([np.array(SPECIAL), rng.standard_normal(20) * 10])
+
+    def results():
+        r = linalg.gram_root(rows)
+        return (linalg.solve(a, b), r, linalg.gram_solve(r, b), Logistic().value(z),
+                Logistic().vjp(z, z))
+
     with np.errstate(all="ignore"):
-        before = (linalg.solve(a, b), Logistic().value(z), Logistic().vjp(z, z))
-        dgetrf, dgetrs, expit = _scipy.load(str(tmp_path))  # an empty directory
-        monkeypatch.setattr(linalg, "dgetrf", dgetrf)
-        monkeypatch.setattr(linalg, "dgetrs", dgetrs)
-        monkeypatch.setattr(nets, "expit", expit)
-        after = (linalg.solve(a, b), Logistic().value(z), Logistic().vjp(z, z))
+        before = results()
+        kernels = _scipy.load(str(tmp_path))  # an empty directory
+        for name, kernel in zip(("dgetrf", "dgetrs", "dgeqrf", "dtrtrs"), kernels):
+            monkeypatch.setattr(linalg, name, kernel)
+        monkeypatch.setattr(nets, "expit", kernels[-1])
+        after = results()
     for got, want in zip(after, before):
         _assert_same_bits(got, want)

@@ -24,7 +24,7 @@ from kfaclab.kfac import (
     root_backward,
     sgd_step,
 )
-from kfaclab.linalg import kron, solve, vec
+from kfaclab.linalg import kron, solve
 from kfaclab.metrics import (
     CategoricalLogits,
     EuclideanMetric,
@@ -33,6 +33,7 @@ from kfaclab.metrics import (
     WrappedOutputModel,
     basis_backpasses,
     exact_fisher,
+    pullback_metric,
 )
 from kfaclab.nets import (
     ConvLayer,
@@ -43,26 +44,21 @@ from kfaclab.nets import (
     NetworkSpec,
     ParamSet,
     RecurrentLayer,
-    basis_backward,
+    backward_batch,
     forward,
     forward_batch,
     gradient_from_basis,
     init_params,
 )
 from kfaclab.reparam import output_space_map, random_reparam, transform_input, transform_network
-from test_engine import ENGINE_SETTINGS, networks, problems
+from conftest import basis_pass, fisher_matrix
+from test_engine import ENGINE_SETTINGS, networks, oracle_objective_and_gradient, problems
 
 
 def _factors(spec, params, model, data, metric=FisherMetric()):
     """estimate_factors over the root pass at params over data."""
     trace = forward_batch(spec, params, data.inputs)
     return estimate_factors(trace, root_backward(trace, model, data, metric)[0])
-
-
-def _fisher(spec, params, model, inputs):
-    """exact_fisher over the basis pass at params over inputs."""
-    trace = forward_batch(spec, params, inputs)
-    return exact_fisher(trace, basis_backward(trace), model)
 
 
 def _gaussian_targets(rng, n, dim):
@@ -106,7 +102,7 @@ def test_linear_gaussian_g_is_identity_and_block_is_exact():
     f = factors[0]
     np.testing.assert_array_equal(f.g, np.eye(2))
     assert f.scale == 1.0
-    fisher = _fisher(spec, params, model, data.inputs)
+    fisher = fisher_matrix(spec, params, model, data.inputs)
     np.testing.assert_allclose(kron(f.a, f.g), fisher, atol=1e-12)
 
 
@@ -153,7 +149,7 @@ def test_empty_dataset_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         estimate_factors(trace, dz)
     with pytest.raises(ValueError, match="nonempty"):
-        exact_fisher(trace, basis_backward(trace), model)
+        exact_fisher(trace, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +591,7 @@ def test_identity_factors_reduce_kfac_to_sgd(problem):
     np.testing.assert_array_equal(kfac.layers[0].wbar, sgd.layers[0].wbar)
 
     # On any network, identity factors make the K-FAC step the SGD step bit
-    # for bit: both read one gradient off one basis pass. A recurrent
+    # for bit: both read one gradient off one root pass. A recurrent
     # layer's V is left out, since kfac_step keeps it fixed.
     spec, params, model, data = problem
     trace = forward_batch(spec, params, data.inputs)
@@ -625,9 +621,33 @@ def test_sgd_step_takes_an_underflowed_target_from_the_loss_cotangent():
     assert np.isinf(w[:2]).any(axis=1).all() and np.isfinite(w[2:]).all()
     got = sgd_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
     u = model.loss_grad(data.targets, trace.output) / len(data)
-    want = params.add_scaled(gradient_from_basis(trace, basis_backward(trace), u), -0.1)
+    want = params.add_scaled(gradient_from_basis(trace, basis_pass(trace), u), -0.1)
     assert np.isfinite(got.flatten()).all()
     np.testing.assert_array_equal(got.flatten(), want.flatten())
+
+
+def test_ngd_step_takes_an_underflowed_target_from_the_loss_cotangent():
+    # the Fisher's rows and R come from the root pass, the gradient from one
+    # more pass, of the loss cotangent; damped, the step is the dense
+    # oracle's solve with F + damping I, and undamped the saturated
+    # softmax's all but zero Fisher is singular
+    spec, params, model, data = _saturated_problem()
+    trace = forward_batch(spec, params, data.inputs)
+    config = UpdateConfig(0.1, 0.1, "dense_tikhonov")
+    shapes = []
+    with mock.patch("kfaclab.kfac.backward_batch",
+                    lambda t, u: shapes.append(np.shape(u)) or backward_batch(t, u)):
+        got = ngd_step(trace, model, data, FisherMetric(), config).flatten()
+    assert shapes == [(4, 3, 3), (4, 1, 3)]
+    fisher = sum(pullback_metric(spec, params, model, x, FisherMetric()) for x in data.inputs)
+    fisher = fisher / len(data) + 0.1 * np.eye(len(fisher))
+    grad = oracle_objective_and_gradient(spec, params, model, data)[1]
+    want = params.flatten() - 0.1 * solve(fisher, grad)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    trace = forward_batch(spec, params, data.inputs)
+    with pytest.raises(SingularMatrix, match="^natural-gradient step: exact Fisher is singular"):
+        ngd_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
 
 
 def test_kfac_step_on_an_underflowed_target_meets_the_singular_factor():
@@ -697,7 +717,7 @@ def test_single_sample_kfac_step_equals_ngd_step():
     ngd = ngd_step(trace, model, data, FisherMetric(), config)
     assert np.abs(kfac.flatten() - ngd.flatten()).max() <= 1e-8
 
-    fisher = _fisher(spec, params, model, data.inputs)
+    fisher = fisher_matrix(spec, params, model, data.inputs)
     factors = _factors(spec, params, model, data)
     block = assemble_dense(factors)
     np.testing.assert_allclose(block, fisher, atol=1e-12)

@@ -5,6 +5,8 @@ import pytest
 
 from kfaclab.errors import KfacLabError, NonFinite, NotSymmetric, SingularMatrix
 from kfaclab.linalg import (
+    gram_root,
+    gram_solve,
     inv,
     kron,
     solve,
@@ -194,6 +196,48 @@ def _with(entry, value, a=None):
 def test_solve_errors_keep_their_type_and_message(a, rhs, error, message):
     with pytest.raises(KfacLabError) as caught:
         solve(a, rhs)
+    assert type(caught.value) is error
+    assert re.fullmatch(re.escape(message), str(caught.value))
+
+
+def test_gram_root_is_upper_triangular_with_the_gram_of_its_rows():
+    rng = np.random.default_rng(11)
+    for m, p in ((12, 5), (5, 5), (3, 7), (1, 1)):
+        rows = rng.standard_normal((m, p))
+        r = gram_root(rows)
+        assert r.shape == (p, p) and np.array_equal(r, np.triu(r))
+        np.testing.assert_allclose(r.T @ r, rows.T @ rows, rtol=0, atol=1e-13)
+        assert not r[m:].any()  # fewer rows than columns: exactly zero rows
+
+
+def test_gram_solve_solves_the_normal_equations():
+    rng = np.random.default_rng(12)
+    for rhs_shape in ((6,), (6, 3)):
+        rows = rng.standard_normal((20, 6))
+        rhs = rng.standard_normal(rhs_shape)
+        x = gram_solve(gram_root(rows), rhs)
+        assert x.shape == rhs.shape
+        np.testing.assert_allclose(rows.T @ (rows @ x), rhs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("r, rhs, error, message", [
+    (_with((1, 2), np.nan), np.ones(3), NonFinite, "solve received non-finite entries"),
+    (_with((0, 0), -np.inf), np.ones(3), NonFinite, "solve received non-finite entries"),
+    (np.triu(np.full((2, 2), 1e160)), np.ones(2), NonFinite,
+     "solve received non-finite entries"),  # diag(R^T R) overflows
+    (np.eye(2), np.array([np.inf, 1.0]), NonFinite, "solve received non-finite entries"),
+    (np.zeros((3, 3)), np.ones(3), SingularMatrix, "matrix is identically zero"),
+    (np.diag([1.0, 1e-7]), np.ones(2), SingularMatrix,
+     "pivot 1.000e-14 below threshold 1.000e-12"),
+    (np.array([[1.0, 2.0], [0.0, 1e-6]]), np.ones((2, 2)), SingularMatrix,
+     "pivot 1.000e-12 below threshold 4.000e-12"),  # scaled by |R's column|^2
+    (1e-100 * np.eye(2), np.array([1e200, 1.0]), SingularMatrix,
+     "solve produced non-finite entries"),
+], ids=["nan-in-r", "inf-in-r", "gram-overflows", "inf-rhs", "zero-matrix",
+        "pivot-below-threshold", "pivot-below-column-threshold", "non-finite-result"])
+def test_gram_solve_errors(r, rhs, error, message):
+    with pytest.raises(KfacLabError) as caught:
+        gram_solve(r, rhs)
     assert type(caught.value) is error
     assert re.fullmatch(re.escape(message), str(caught.value))
 

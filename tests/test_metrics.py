@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kfaclab import nets, reparam
+from kfaclab import reparam
 from kfaclab.errors import TooLarge
 from kfaclab.linalg import kron, sym_eig_min
 from kfaclab.metrics import (
@@ -15,7 +15,6 @@ from kfaclab.metrics import (
     GaussianFixedVar,
     WrappedOutputModel,
     _softmax,
-    exact_fisher,
     kl_quadratic_check,
     mc_fisher,
     output_jacobian,
@@ -24,22 +23,13 @@ from kfaclab.metrics import (
 from kfaclab.nets import (
     DenseLayer,
     Identity,
-    LayerParams,
     Logistic,
     NetworkSpec,
-    ParamSet,
     Tanh,
-    basis_backward,
     forward,
-    forward_batch,
     init_params,
 )
-
-
-def _fisher(spec, params, model, inputs):
-    """exact_fisher over the basis pass at params over inputs."""
-    trace = forward_batch(spec, params, inputs)
-    return exact_fisher(trace, basis_backward(trace), model)
+from conftest import fisher_matrix
 
 
 def mlp(dims, act):
@@ -348,7 +338,7 @@ def test_exact_fisher_linear_gaussian_is_gauss_newton():
     params = init_params(spec, seed=4)
     model = GaussianFixedVar(2, variance=1.0)
     x = np.array([1.0, -0.5, 0.25])
-    f = _fisher(spec, params, model, [x])
+    f = fisher_matrix(spec, params, model, [x])
     trace = forward(spec, params, x)
     j = output_jacobian(trace)
     np.testing.assert_allclose(f, j.T @ j, atol=1e-12)
@@ -359,7 +349,7 @@ def test_exact_fisher_symmetric_psd():
     params = init_params(spec, seed=5)
     model = CategoricalLogits(3)
     rng = np.random.default_rng(8)
-    f = _fisher(spec, params, model, [rng.standard_normal(4) for _ in range(8)])
+    f = fisher_matrix(spec, params, model, [rng.standard_normal(4) for _ in range(8)])
     np.testing.assert_allclose(f, f.T, atol=1e-12)
     assert sym_eig_min(f) >= -1e-10
 
@@ -368,7 +358,7 @@ def test_exact_fisher_param_cap():
     spec = mlp([80, 80], Identity())
     params = init_params(spec, seed=6)
     with pytest.raises(TooLarge):
-        _fisher(spec, params, GaussianFixedVar(80), [np.zeros(80)])
+        fisher_matrix(spec, params, GaussianFixedVar(80), [np.zeros(80)])
 
 
 def test_mc_fisher_deterministic_per_seed():
@@ -388,7 +378,7 @@ def test_mc_fisher_converges_to_exact():
     params = init_params(spec, seed=8)
     model = CategoricalLogits(2)
     inputs = [np.array([0.8, -0.3])]
-    exact = _fisher(spec, params, model, inputs)
+    exact = fisher_matrix(spec, params, model, inputs)
     mc = mc_fisher(spec, params, model, inputs, num_samples=50000, rng_seed=0)
     rel = np.linalg.norm(mc - exact) / np.linalg.norm(exact)
     assert rel <= 0.02
@@ -399,7 +389,7 @@ def test_mc_fisher_error_shrinks_with_samples():
     params = init_params(spec, seed=9)
     model = CategoricalLogits(2)
     inputs = [np.array([0.2, 0.9])]
-    exact = _fisher(spec, params, model, inputs)
+    exact = fisher_matrix(spec, params, model, inputs)
 
     def mean_err(n):
         errs = []
@@ -506,8 +496,8 @@ def test_exact_fisher_transforms_tensorially():
     omap = reparam.output_space_map(spec, r)
     model_t = WrappedOutputModel(model, omap)
 
-    f = _fisher(spec, params, model, inputs)
-    f_t = _fisher(spec_t, params_t, model_t, inputs_t)
+    f = fisher_matrix(spec, params, model, inputs)
+    f_t = fisher_matrix(spec_t, params_t, model_t, inputs_t)
 
     # columns of the new->old affine parameter map give Jw
     from kfaclab.nets import unflatten_params

@@ -12,7 +12,6 @@ from kfaclab.nets import (
     AffineWrapped,
     ConvLayer,
     DenseLayer,
-    Identity,
     LayerParams,
     Logistic,
     NetworkSpec,

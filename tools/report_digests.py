@@ -140,8 +140,8 @@ VARIANTS = {
                               "damping_mode": "dense_tikhonov"},
     "ngd-conv": NGD_CONV,
     "ngd-rnn": NGD_RNN,
-    # N*K = 260 just above P = 245: a reparam seed whose run fails, with BLAS
-    # on one thread or two
+    # N*K = 260 just above P = 245: an ill-conditioned Fisher, on a reparam
+    # seed whose twins part beyond the tolerance if the step forms F = R^T R
     "ngd-conv-near-rank": {**NGD_CONV, "dataset_spec": {"num_samples": 65},
                            "reparam_source": {**NGD["reparam_source"], "seed": 1002}},
     "gaussian-conv": {**CONV, "output_model": GAUSSIAN_6},
@@ -212,6 +212,10 @@ VARIANTS = {
     "conv-dense-dense": {**MLP, "architecture": CONV_DENSE_DENSE, "output_model": CATEGORICAL_4},
     "kfac-saturated-target": {**MLP, **SATURATED},
     "sgd-saturated-target": {**MLP, **SATURATED, "optimizer": "sgd"},
+    # damped, so the saturated softmax's all but zero Fisher does not end
+    # the run degenerate, as it does undamped
+    "ngd-saturated-target": {**MLP, **SATURATED, "optimizer": "ngd", "damping": 0.1,
+                             "damping_mode": "dense_tikhonov"},
 }
 
 
