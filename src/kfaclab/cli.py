@@ -11,12 +11,12 @@ inf/NaN entries, which JSON cannot hold) or 4.
 
 The whole config is checked when it is loaded, before any run: field names,
 types and ranges, the network and output model, and the reparam source (a
-reparam file must exist, its maps must fit the network, and each map must
-be finite and pass linalg.solve's pivot rule; runs use the maps read then).
-Any problem there, a train --out path that cannot be opened for writing
-(checked before the run), a dataset too large to allocate, or a random
-reparam map that fails the pivot rule when check-invariance builds the twin
-(errors.ConfigError), exits 4 with one line on stderr. numpy's
+reparam file must exist and its maps must fit the network; every reparam's
+maps, whatever the source, must be finite and pass linalg.solve's pivot
+rule, and are inverted then, once; runs use the maps and inverses of that
+moment). Any problem there (errors.ConfigError), a train --out path that
+cannot be opened for writing (checked before the run), or a dataset too
+large to allocate exits 4 with one line on stderr. numpy's
 floating-point warnings are silenced: a diverged run reports its NaN itself.
 """
 
@@ -103,8 +103,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    # the config is unusable, asks for arrays too large to allocate, or a
-    # run finds it names something unusable
+    # the config is unusable, or asks for arrays too large to allocate
     except (MemoryError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

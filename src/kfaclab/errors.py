@@ -31,16 +31,7 @@ class TooLarge(KfacLabError):
 
 
 class ConfigError(KfacLabError, ValueError):
-    """A config that loaded but names something a run cannot use."""
-
-
-def naming(what: str, fn, *args):
-    """fn(*args); a SingularMatrix it raises is raised again with what, the
-    matrix whose solve failed, in front of its message."""
-    try:
-        return fn(*args)
-    except SingularMatrix as exc:
-        raise SingularMatrix(f"{what}: {exc}") from exc
+    """A config, or a train --out path, that a command cannot use."""
 
 
 def check_int(what: str, value, least: int) -> None:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kfac, metrics, nets, reparam
-from .errors import (ConfigError, NonFinite, SingularMatrix, check_int, check_keys, check_list,
-                     check_name, check_real, naming)
+from .errors import (NonFinite, SingularMatrix, check_int, check_keys, check_list, check_name,
+                     check_real)
 from .kfac import UpdateConfig
-from .linalg import inv, sym_eig_min  # noqa: F401 (sym_eig_min: see README, names kept)
+from .linalg import sym_eig_min  # noqa: F401 (see README, names kept)
 
 STEP0_TOL = 1e-10  # pure reparam correctness, no solves involved
 POST_UPDATE_TOL = 1e-8  # headroom over inverse-factor solve error
@@ -127,11 +127,12 @@ class ExperimentConfig:
         for name in ("architecture", "output_model", "dataset_spec"):
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a JSON object")
-        # The network, output model, update config and reparam are built
-        # here, once, so a config that names an unknown kind or does not chain
-        # is rejected as a config error rather than mid-run, and every run
-        # uses what was checked. They are attributes, not fields, so to_dict
-        # and the reports do not carry them.
+        # The network, output model, update config, reparam and its inverse
+        # are built here, once, so a config that names an unknown kind, does
+        # not chain or holds a map that cannot be inverted is rejected as a
+        # config error rather than mid-run, and every run uses what was
+        # checked. They are attributes, not fields, so to_dict and the
+        # reports do not carry them.
         self.spec = spec = build_network(self.architecture)
         self.model = model = build_output_model(self.output_model)
         if model.dim != spec.output_dim:
@@ -167,7 +168,7 @@ class ExperimentConfig:
         # a metric that is not the model's Fisher does not move with the
         # output basis, so it needs that basis left alone
         pin = not isinstance(metrics.METRICS[self.metric], metrics.FisherMetric)
-        self.reparam = _build_reparam(spec, self.reparam_source, pin)
+        self.reparam, self.reparam_inverse = _build_reparam(spec, self.reparam_source, pin)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -234,8 +235,10 @@ def build_output_model(d: dict):
 
 
 def _build_reparam(spec: nets.NetworkSpec, source, identity_output: bool):
-    """The reparam that source names, checked against the network;
-    identity_output pins a random reparam's output map to the identity."""
+    """The reparam that source names, checked against the network, and its
+    inverse, solved here once; identity_output pins a random reparam's
+    output map to the identity. A map that is not finite or fails
+    linalg.solve's pivot rule is refused by name, whatever the source."""
     if source is None:
         source = {"kind": "identity"}
     if not isinstance(source, dict):
@@ -243,22 +246,22 @@ def _build_reparam(spec: nets.NetworkSpec, source, identity_output: bool):
     kind = source.get("kind", "random")
     if kind == "identity":
         check_keys("reparam_source", source, ("kind",))
-        return reparam.identity_reparam(spec)
-    if kind == "random":
+        r = reparam.identity_reparam(spec)
+    elif kind == "random":
         check_keys("reparam_source", source, ("kind", "seed", "conditioning_cap"))
         seed = source.get("seed", 0)
         cap = source.get("conditioning_cap", 100.0)
         check_int("reparam_source.seed", seed, 0)
         check_real("reparam_source.conditioning_cap", cap, 1.0)
-        return reparam.random_reparam(
+        r = reparam.random_reparam(
             spec, rng_seed=seed, conditioning_cap=cap, identity_output=identity_output
         )
-    if kind == "preset":
+    elif kind == "preset":
         check_keys("reparam_source", source, ("kind", "name"))
         name = source.get("name")
         check_name("reparam preset", name, reparam.PRESETS)
-        return reparam.PRESETS[name](spec)
-    if kind == "file":
+        r = reparam.PRESETS[name](spec)
+    elif kind == "file":
         check_keys("reparam_source", source, ("kind", "path"))
         path = source.get("path")
         if not isinstance(path, str):
@@ -266,24 +269,13 @@ def _build_reparam(spec: nets.NetworkSpec, source, identity_output: bool):
         with open(path) as fh:
             r = reparam.reparam_from_dict(json.load(fh))
         reparam.check_dims(spec, r)
-        for i, m in enumerate(r.activation_maps):
-            _check_file_map(f"activation map {i}", m.b, m.c)
-        for i, m in enumerate(r.preactivation_maps):
-            _check_file_map(f"preactivation map {i}", m.homogeneous(), m.c)
-        return r
-    raise ValueError(f"unknown reparam source {kind!r}")
-
-
-def _check_file_map(what: str, matrix, offset) -> None:
-    """A map read from a file must be finite, and the matrix a run solves
-    with must pass linalg.solve's pivot rule: B for an activation map, the
-    homogeneous [[B, c], [0, 1]] for a pre-activation map."""
+    else:
+        raise ValueError(f"unknown reparam source {kind!r}")
+    what = "reparam file" if kind == "file" else "reparam_source"
     try:
-        if not np.isfinite(offset).all():
-            raise NonFinite("offset has non-finite entries")
-        inv(matrix)
+        return r, r.inverse()
     except (NonFinite, SingularMatrix) as exc:
-        raise ValueError(f"reparam file {what}: {exc}") from exc
+        raise ValueError(f"{what} {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +307,10 @@ class InvarianceReport:
 
 
 def compare_params_through_reparam(
-    w: nets.ParamSet, w_t: nets.ParamSet, back: reparam.Untransform
+    w: nets.ParamSet, w_t: nets.ParamSet, back: reparam.ParamMap
 ) -> float:
     """Max abs difference after mapping the transformed parameters back
-    through back, the inverse of the reparam that made the twin.
+    through back, the ParamMap of the reparam that made the twin.
 
     Twin parameters that are non-finite, or so large that mapping them back
     overflows, cannot be compared and give NaN, which no tolerance accepts.
@@ -354,21 +346,15 @@ def _setup(config: ExperimentConfig):
 
 
 def _transformed_side(spec, model, params, data, config: ExperimentConfig):
-    """The twin. A reparam map whose solve fails linalg.solve's pivot rule
-    raises ConfigError naming the map, as a reparam file's map does when the
-    config is built; a random reparam's maps are first solved here, so a run
-    whose maps pass makes no extra solve."""
-    r = config.reparam
-    try:
-        spec_t, params_t = reparam.transform_network(spec, params, r)
-        omap = reparam.output_space_map(spec, r)
-        model_t = model if omap.is_identity() else naming(
-            f"activation map {r.num_layers}", metrics.WrappedOutputModel, model, omap)
-    except SingularMatrix as exc:
-        raise ConfigError(f"reparam_source {exc}") from exc
+    """The twin, built from the reparam and its inverse that the config
+    holds, so it makes no solve with a reparam map; and the back-map of its
+    outputs, the inverted output map."""
+    r, r_inv = config.reparam, config.reparam_inverse
+    spec_t, params_t = reparam.transform_network(spec, params, r, r_inv)
+    omap = reparam.output_space_map(spec, r)
+    model_t = model if omap.is_identity() else metrics.WrappedOutputModel(model, omap)
     data_t = Dataset(reparam.transform_input(spec, r, data.inputs), data.targets)
-    out_back = omap.inverse() if model_t is model else model_t.out_back
-    return r, spec_t, params_t, data_t, model_t, out_back
+    return r, spec_t, params_t, data_t, model_t, reparam.output_space_map(spec, r_inv)
 
 
 _STEP_FNS = {"kfac": kfac.kfac_step, "ngd": kfac.ngd_step, "sgd": kfac.sgd_step}
@@ -417,7 +403,7 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
         spec, model, params, data, config
     )
     probes_t = reparam.transform_input(spec, r, probes)
-    back = reparam.Untransform(r, params)
+    back = reparam.ParamMap(r, params)
     twins = zip(_trajectory(config, spec, params, model, data, probes),
                 _trajectory(config, spec_t, params_t, model_t, data_t, probes_t))
     try:

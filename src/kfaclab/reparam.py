@@ -12,13 +12,17 @@ per layer (conv layers lift Omega over patch offsets, recurrent layers use
 their single shared hidden-space map), the activation gets wrapped as
 phi'(z) = Omega phi(Phi z + tau) + gamma, and the two networks compute the
 same function: outputs agree after mapping through the last activation map.
+The maps are solved once, by NetworkReparam.inverse; the twin's parameters
+are then products with the inverse maps, made by the class (ParamMap) that
+maps the twin's parameters back.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, check_keys, check_list, check_numbers, naming
+from .errors import (NonFinite, ShapeMismatch, SingularMatrix, check_keys, check_list,
+                     check_numbers)
 from .linalg import kron, solve
 from .nets import AffineWrapped, LayerParams, NetworkSpec, ParamSet
 
@@ -94,9 +98,16 @@ class NetworkReparam:
         return len(self.preactivation_maps)
 
     def inverse(self) -> "NetworkReparam":
+        """The inverse maps, the only solves made with a reparam's maps:
+        activation maps first, each solved by its B, then pre-activation
+        maps, each solved in homogeneous form [[B, c], [0, 1]]. Raises
+        NonFinite or SingularMatrix, naming the map, at the first map whose
+        offset is not finite or whose solve fails linalg.solve's pivot rule."""
         return NetworkReparam(
-            [m.inverse() for m in self.activation_maps],
-            [m.inverse() for m in self.preactivation_maps],
+            [_inverted(f"activation map {i}", m, False)
+             for i, m in enumerate(self.activation_maps)],
+            [_inverted(f"preactivation map {i}", m, True)
+             for i, m in enumerate(self.preactivation_maps)],
         )
 
     def in_map(self, i: int) -> AffineMap:
@@ -107,6 +118,20 @@ class NetworkReparam:
 
     def pre_map(self, i: int) -> AffineMap:
         return self.preactivation_maps[i]
+
+
+def _inverted(what: str, m: AffineMap, homogeneous: bool) -> AffineMap:
+    """m's inverse, solved by m.b, or in homogeneous form; an error raised
+    again with what, the map's name, in front of its message."""
+    try:
+        if not np.isfinite(m.c).all():
+            raise NonFinite("offset has non-finite entries")
+        if not homogeneous:
+            return m.inverse()
+        h = solve(m.homogeneous(), np.eye(m.dim + 1))
+    except (NonFinite, SingularMatrix) as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
+    return AffineMap(h[:-1, :-1], h[:-1, -1])
 
 
 def identity_reparam(spec: NetworkSpec) -> NetworkReparam:
@@ -161,15 +186,6 @@ def _homogeneous_rows(wbar) -> np.ndarray:
     return wh
 
 
-def _transform_wbar(wbar, in_back: AffineMap, pre_map: AffineMap) -> np.ndarray:
-    """[W']_H = [Phi]_H^-1 [W]_H [Omega]_H^-1, returned without the last row;
-    in_back is Omega^-1."""
-    rhs = _homogeneous_rows(wbar) @ in_back.homogeneous()
-    # C-contiguous so downstream matmuls hit the same BLAS path as untouched
-    # parameters; the identity transform is then bitwise inert end to end.
-    return np.ascontiguousarray(solve(pre_map.homogeneous(), rhs)[: wbar.shape[0]])
-
-
 def _layer_in_map(r: NetworkReparam, i: int, lp: LayerParams) -> AffineMap:
     """Effective map on the stacked input coordinates of layer i.
 
@@ -193,31 +209,22 @@ def _layer_in_map(r: NetworkReparam, i: int, lp: LayerParams) -> AffineMap:
     return local.lift(copies)
 
 
-def transform_params(params: ParamSet, r: NetworkReparam) -> ParamSet:
-    """Parameters of the equivalent network in the new bases. A solve that
-    fails linalg.solve's pivot rule raises SingularMatrix naming its map."""
-    if len(params.layers) != r.num_layers:
-        raise ShapeMismatch("reparam layer count does not match params")
-    out = []
-    for i, lp in enumerate(params.layers):
-        pre, pre_name = r.pre_map(i), f"preactivation map {i}"
-        # a recurrent layer reads the hidden space it writes (_layer_in_map)
-        in_name = f"activation map {i + 1 if lp.v is not None else i}"
-        in_back = naming(in_name, _layer_in_map(r, i, lp).inverse)
-        wbar = naming(pre_name, _transform_wbar, lp.wbar, in_back, pre)
-        v = None if lp.v is None else np.ascontiguousarray(naming(pre_name, solve, pre.b, lp.v))
-        out.append(LayerParams(wbar, v))
-    return ParamSet(out)
+def transform_params(params: ParamSet, r_inv: NetworkReparam) -> ParamSet:
+    """Parameters of the equivalent network in the new bases of r, given
+    r_inv = r.inverse(): [W']_H = [Phi^-1]_H [W]_H [Omega^-1]_H and
+    V' = Phi^-1 V, by multiplication only."""
+    return ParamMap(r_inv, params).apply(params)
 
 
-class Untransform:
-    """The inverse of transform_params(., r) on parameters shaped like
-    params, by multiplication only: [W]_H = [Phi]_H [W']_H [Omega]_H and
-    V = Phi V'. The homogeneous maps depend on r and the shapes alone, so
-    they are built here once and reused for every parameter set mapped back.
+class ParamMap:
+    """Parameters shaped like params, mapped through r by multiplication
+    only: [W]_H = [Phi]_H [W']_H [Omega]_H and V = Phi V'. This maps the twin
+    made by r back; with r.inverse() as r, it makes the twin. The homogeneous
+    maps depend on r and the shapes alone, so they are built here once and
+    reused for every parameter set mapped.
 
-    Nothing is inverted or solved, so finite but huge twin parameters come
-    back as inf or NaN instead of raising.
+    Nothing is inverted or solved, so finite but huge parameters come back
+    as inf or NaN instead of raising.
     """
 
     def __init__(self, r: NetworkReparam, params: ParamSet):
@@ -228,9 +235,9 @@ class Untransform:
             for i, lp in enumerate(params.layers)
         ]
 
-    def apply(self, params_t: ParamSet) -> ParamSet:
+    def apply(self, params: ParamSet) -> ParamSet:
         out = []
-        for (pre_h, pre_b, in_h), lp in zip(self.maps, params_t.layers, strict=True):
+        for (pre_h, pre_b, in_h), lp in zip(self.maps, params.layers, strict=True):
             wbar = (pre_h @ _homogeneous_rows(lp.wbar) @ in_h)[: lp.wbar.shape[0]]
             out.append(LayerParams(wbar, None if lp.v is None else pre_b @ lp.v))
         return ParamSet(out)
@@ -249,8 +256,10 @@ def transform_activation(act, omega: AffineMap, phi: AffineMap):
     return AffineWrapped(act, omega, phi)
 
 
-def transform_network(spec: NetworkSpec, params: ParamSet, r: NetworkReparam):
-    """The equivalent network in the new bases: (spec, params) pair.
+def transform_network(spec: NetworkSpec, params: ParamSet, r: NetworkReparam,
+                      r_inv: NetworkReparam):
+    """The equivalent network in the new bases of r: (spec, params) pair;
+    r_inv is r.inverse().
 
     Activations get wrapped, conv padding points and recurrent initial
     states get remapped, parameters transform per layer.
@@ -264,7 +273,7 @@ def transform_network(spec: NetworkSpec, params: ParamSet, r: NetworkReparam):
         )
         for i, layer in enumerate(spec.layers)
     ]
-    return NetworkSpec(new_layers), transform_params(params, r)
+    return NetworkSpec(new_layers), transform_params(params, r_inv)
 
 
 def transform_input(spec: NetworkSpec, r: NetworkReparam, x) -> np.ndarray:

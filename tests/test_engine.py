@@ -183,7 +183,7 @@ def problems(draw):
     if draw(st.booleans()):
         r = random_reparam(spec, rng_seed=int(rng.integers(2**31)),
                            conditioning_cap=draw(st.sampled_from((1.0, 10.0, 100.0))))
-        spec_t, params_t = transform_network(spec, params, r)
+        spec_t, params_t = transform_network(spec, params, r, r.inverse())
         data_t = Dataset([transform_input(spec, r, x) for x in data.inputs], data.targets)
         omap = output_space_map(spec, r)
         return spec_t, params_t, WrappedOutputModel(model, omap), data_t
@@ -326,7 +326,7 @@ def test_ngd_step_matches_two_pass_reference(problem, config):
 def test_rebased_twin_computes_the_same_function(net, cap):
     spec, params, shape, rng = net
     r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=cap)
-    spec_t, params_t = transform_network(spec, params, r)
+    spec_t, params_t = transform_network(spec, params, r, r.inverse())
     xs = [rng.standard_normal(shape) for _ in range(4)]
     out = forward_batch(spec, params, xs).output
     xs_t = [transform_input(spec, r, x) for x in xs]
@@ -383,7 +383,7 @@ def test_batched_backward_matches_the_stacked_product_reference(net, n, k, rebas
     spec, params, shape, rng = net
     if rebase:  # wrapped activations, remapped padding and initial states
         r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=100.0)
-        spec, params = transform_network(spec, params, r)
+        spec, params = transform_network(spec, params, r, r.inverse())
     trace = forward_batch(spec, params, rng.standard_normal((n,) + shape))
     u = rng.standard_normal((n, k, spec.output_dim))
     got = backward_batch(trace, u)
@@ -521,7 +521,7 @@ def test_forward_builds_abar_in_place_with_the_bits_of_the_concatenated_referenc
     spec, params, shape, rng = net
     if rebase:  # wrapped activations, remapped padding and initial states
         r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
-        spec, params = transform_network(spec, params, r)
+        spec, params = transform_network(spec, params, r, r.inverse())
     x = rng.standard_normal((n,) + shape)
     trace = forward_batch(spec, params, x)
     carry = np.moveaxis(x, 0, -1)
@@ -545,7 +545,7 @@ def test_gradient_contractions_equal_tensordot_bit_for_bit(net, n, k, rebase):
     spec, params, shape, rng = net
     if rebase:
         r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
-        spec, params = transform_network(spec, params, r)
+        spec, params = transform_network(spec, params, r, r.inverse())
     trace = forward_batch(spec, params, rng.standard_normal((n,) + shape))
     dz = backward_batch(trace, rng.standard_normal((n, k, spec.output_dim)))
     u = rng.standard_normal((n, k))

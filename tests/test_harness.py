@@ -31,7 +31,7 @@ from kfaclab.harness import (
     synthetic_dataset,
     training_csv,
 )
-from kfaclab.errors import ConfigError, NonFinite, SingularMatrix
+from kfaclab.errors import NonFinite, SingularMatrix
 from kfaclab.kfac import UpdateConfig, kfac_step, ngd_step
 from kfaclab.linalg import gram_root
 from kfaclab.metrics import (
@@ -51,7 +51,7 @@ from kfaclab.nets import (
 )
 from kfaclab.reparam import (
     AffineMap,
-    Untransform,
+    ParamMap,
     identity_reparam,
     output_space_map,
     random_reparam,
@@ -625,16 +625,16 @@ def test_compare_params_round_trip_is_tiny():
     spec = NetworkSpec([DenseLayer(3, 4, Logistic()), DenseLayer(4, 2, Logistic())])
     params = init_params(spec, 0)
     r = random_reparam(spec, 1)
-    mapped = transform_params(params, r)
-    assert compare_params_through_reparam(params, mapped, Untransform(r, params)) <= 1e-12
+    mapped = transform_params(params, r.inverse())
+    assert compare_params_through_reparam(params, mapped, ParamMap(r, params)) <= 1e-12
 
 
 def test_compare_params_detects_unrelated_params():
     spec = NetworkSpec([DenseLayer(3, 4, Logistic()), DenseLayer(4, 2, Logistic())])
     r = random_reparam(spec, 2)
     a = init_params(spec, 0)
-    b = transform_params(init_params(spec, 1), r)
-    assert compare_params_through_reparam(a, b, Untransform(r, a)) > 1e-3
+    b = transform_params(init_params(spec, 1), r.inverse())
+    assert compare_params_through_reparam(a, b, ParamMap(r, a)) > 1e-3
 
 
 def test_compare_params_gives_nan_when_mapping_back_overflows():
@@ -646,17 +646,17 @@ def test_compare_params_gives_nan_when_mapping_back_overflows():
     twin = nets.unflatten_params(spec, params.flatten())
     twin.layers[0].wbar[0, 0] = 1e308
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(compare_params_through_reparam(params, twin, Untransform(r, params)))
+        assert np.isnan(compare_params_through_reparam(params, twin, ParamMap(r, params)))
     assert compare_params_through_reparam(
-        params, params, Untransform(identity_reparam(spec), params)) == 0.0
+        params, params, ParamMap(identity_reparam(spec), params)) == 0.0
 
 
 def test_nan_in_twin_params_gives_nan_gaps_and_no_pass(monkeypatch):
     # max(0.0, nan) is 0.0, so a Python-max reduction would record 0 here.
     real = harness.reparam.transform_network
 
-    def poisoned(spec, params, r):
-        spec_t, params_t = real(spec, params, r)
+    def poisoned(spec, params, r, r_inv):
+        spec_t, params_t = real(spec, params, r, r_inv)
         params_t.layers[-1].wbar[0, 0] = np.nan
         return spec_t, params_t
 
@@ -679,7 +679,7 @@ def test_compare_params_after_matching_steps():
     model = GaussianFixedVar(3)
     data = synthetic_dataset(spec, model, 16, seed=4, weight_scale=4.0)
     r = random_reparam(spec, 5)
-    spec_t, params_t = transform_network(spec, params, r)
+    spec_t, params_t = transform_network(spec, params, r, r.inverse())
     omap = output_space_map(spec, r)
     model_t = WrappedOutputModel(model, omap)
     data_t = Dataset([transform_input(spec, r, x) for x in data.inputs], data.targets)
@@ -688,7 +688,7 @@ def test_compare_params_after_matching_steps():
     trace_t = forward_batch(spec_t, params_t, data_t.inputs)
     stepped = kfac_step(trace, model, data, FisherMetric(), config)
     stepped_t = kfac_step(trace_t, model_t, data_t, FisherMetric(), config)
-    assert compare_params_through_reparam(stepped, stepped_t, Untransform(r, params)) <= 1e-8
+    assert compare_params_through_reparam(stepped, stepped_t, ParamMap(r, params)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -1061,28 +1061,24 @@ def test_damped_ngd_still_ends_a_run_whose_fisher_overflows_at_step_0():
     assert report.records == []
 
 
-def test_cli_random_reparam_that_fails_the_pivot_rule_is_a_config_error(tmp_path, capsys):
+def test_cli_random_reparam_that_fails_the_pivot_rule_is_a_config_error(tmp_path):
     # with a cap of 1e26 the homogeneous [[B, c], [0, 1]] of a pre-activation
-    # map fails linalg.solve's pivot rule, as it would in a reparam file
+    # map fails linalg.solve's pivot rule, as it would in a reparam file;
+    # every command refuses the config when it loads
     source = {"kind": "random", "seed": 1000, "conditioning_cap": 1e26}
-    configs = [
-        (_mlp_config(reparam_source=source), cli.EXIT_PASS),
+    for raw, threshold in (
+        ({**_mlp_config().to_dict(), "reparam_source": source}, "5.661e+00"),
         # an exact-NGD run whose Fisher is singular too (two samples): the
         # config error comes before the degenerate verdict, as for K-FAC
-        (_ngd_config(dataset_spec={"num_samples": 2}, reparam_source=source),
-         cli.EXIT_DEGENERATE),
-    ]
-    for config, train_exit in configs:
-        path = _write_config(tmp_path, "cap.json", config)
-        assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "config error: reparam_source preactivation map 0: pivot ")
-        assert captured.err.count("\n") == 1
-        # train builds no twin, so it never solves with the maps
-        assert cli.main(["train", "--config", path, "--out", "-"]) == train_exit
-        capsys.readouterr()
+        ({**_ngd_config().to_dict(), "dataset_spec": {"num_samples": 2},
+          "reparam_source": source}, "5.004e+00"),
+    ):
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(raw))
+        for code, out, err in _run_all_commands(path):
+            assert (code, out) == (cli.EXIT_CONFIG, "")
+            assert err == ("config error: reparam_source preactivation map 0: "
+                           f"pivot 1.000e+00 below threshold {threshold}\n")
 
 
 def _ledger_mlp_config(**overrides):
@@ -1128,7 +1124,7 @@ def _fails_pivot_rule(m):
 
 @pytest.mark.parametrize("which, index", [
     ("activation_maps", 1), ("preactivation_maps", 0), ("preactivation_maps", 1)])
-def test_transform_params_names_the_map_whose_solve_fails(which, index):
+def test_inverting_a_reparam_names_the_map_whose_solve_fails(which, index):
     # the recurrent cell (layer 0) and the dense head both read activation
     # map 1, the hidden space
     spec = build_network({"type": "rnn", "input_dim": 2, "hidden_dim": 3, "steps": 2,
@@ -1138,15 +1134,26 @@ def test_transform_params_names_the_map_whose_solve_fails(which, index):
     maps[index] = _fails_pivot_rule(maps[index])
     name = f"{which[:-5]} map {index}"
     with pytest.raises(SingularMatrix, match=f"^{name}: pivot "):
-        transform_params(init_params(spec, 0), r)
+        r.inverse()
 
 
-def test_an_output_map_that_fails_the_pivot_rule_is_a_config_error():
+def test_a_run_makes_no_solve_with_a_reparam_map(monkeypatch):
+    # the config inverts its reparam; the twin and the back-maps are then
+    # products, and the one solve left is WrappedOutputModel's own out_back
     config = _mlp_config()
-    config.reparam.activation_maps[-1] = _fails_pivot_rule(config.reparam.activation_maps[-1])
-    spec, model, params, data, _ = harness._setup(config)
-    with pytest.raises(ConfigError, match="^reparam_source activation map 3: pivot "):
-        harness._transformed_side(spec, model, params, data, config)
+    real, solved = harness.reparam.solve, []
+    monkeypatch.setattr(harness.reparam, "solve",
+                        lambda a, rhs: solved.append(a.shape) or real(a, rhs))
+    assert run_invariance(config).verdict == "pass"
+    assert solved == [(6, 6)]
+
+
+def test_an_output_map_that_fails_the_pivot_rule_is_a_config_error(tmp_path):
+    raw = _mlp_config().to_dict()
+    _broken_file_reparam(raw, tmp_path, lambda d: d["activation_maps"][3].update(
+        B=_fails_pivot_rule(AffineMap.identity(6)).b.tolist()))
+    with pytest.raises(ValueError, match="^reparam file activation map 3: pivot "):
+        ExperimentConfig.from_dict(raw)
 
 
 def _run_all_commands(path):
@@ -1291,6 +1298,13 @@ def _tiny_pivot(raw, tmp_path):
     )
 
 
+def _singular_preactivation_map(raw, tmp_path):
+    _broken_file_reparam(
+        raw, tmp_path,
+        lambda d: d["preactivation_maps"][0].update(B=np.diag(np.r_[np.ones(11), 1e-13]).tolist()),
+    )
+
+
 CONV_ARCHITECTURE = {
     "type": "conv", "channels": [2, 3], "kernel_radius": 1, "grid": [3, 3], "head_dim": 6,
 }
@@ -1328,6 +1342,8 @@ CONV_ARCHITECTURE = {
         (_zero_b, "reparam file activation map 1: matrix is identically zero"),
         (_nan_offset, "reparam file preactivation map 0: offset has non-finite entries"),
         (_tiny_pivot, "reparam file preactivation map 0: pivot 1.000e-300 below threshold"),
+        (_singular_preactivation_map,
+         "reparam file preactivation map 0: pivot 1.000e-13 below threshold 1.000e-12\n"),
         (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "kernel_raduis": 2}),
          "unknown architecture fields: ['kernel_raduis']"),
         (lambda raw, tmp: raw.update(architecture={
@@ -1402,6 +1418,7 @@ CONV_ARCHITECTURE = {
         "zero-variance", "negative-kernel-radius", "zero-width-output",
         "reparam-file-of-another-network", "reparam-file-zero-matrix",
         "reparam-file-nan-offset", "reparam-file-pivot-below-threshold",
+        "reparam-file-singular-preactivation-map",
         "unknown-architecture-key", "unknown-layers-architecture-key", "unknown-layer-key",
         "unknown-output-model-key", "unknown-dataset-spec-key", "unknown-reparam-source-key",
         "unknown-identity-reparam-source-key", "conv-without-channels",

@@ -1,4 +1,5 @@
-"""Every module under tests/ and tools/ reads each name it imports.
+"""Every module under src/kfaclab/, tests/ and tools/ reads each name it
+imports, but for the names that ALLOWED keeps.
 
 An AST scan, stdlib only: the names an import statement binds against the
 names the module's code reads (a dotted import binds its first part).
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+MODULES = [path for folder in ("src/kfaclab", "tests", "tools")
+           for path in sorted((ROOT / folder).glob("*.py"))]
+# imported for the benchmark alone (README, "Names kept for the benchmark")
+ALLOWED = {"src/kfaclab/harness.py": {"sym_eig_min"}}
 
 
 def unused_imports(source: str) -> list:
@@ -37,4 +41,6 @@ def test_the_scan_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    allowed = ALLOWED.get(path.relative_to(ROOT).as_posix(), set())
+    assert [(line, name) for line, name in unused_imports(path.read_text())
+            if name not in allowed] == []

@@ -388,7 +388,7 @@ def test_twin_factors_obey_the_factor_law(net, categorical, seed, cap, n):
     # the root pass reads targets for its loss weights only; G does not
     y = rng.integers(k, size=n) if categorical and k >= 2 else rng.standard_normal((n, k))
     data = Dataset(x, y)
-    spec_t, params_t = transform_network(spec, params, r)
+    spec_t, params_t = transform_network(spec, params, r, r.inverse())
     model_t = WrappedOutputModel(model, output_space_map(spec, r))
     base = _factors(spec, params, model, data)
     twin = _factors(spec_t, params_t, model_t,

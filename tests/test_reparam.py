@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfaclab.errors import ShapeMismatch, SingularMatrix
+from kfaclab.errors import NonFinite, ShapeMismatch, SingularMatrix
+from kfaclab.linalg import solve
 from kfaclab.nets import (
     AffineWrapped,
     ConvLayer,
@@ -25,7 +26,7 @@ from kfaclab.reparam import (
     PRESETS,
     AffineMap,
     NetworkReparam,
-    Untransform,
+    ParamMap,
     compose,
     identity_reparam,
     logistic_to_tanh,
@@ -159,7 +160,7 @@ def test_identity_reparam_is_bit_exact():
     for spec in (MLP3, CONV2, RNN4):
         params = init_params(spec, 0)
         r = identity_reparam(spec)
-        spec_t, params_t = transform_network(spec, params, r)
+        spec_t, params_t = transform_network(spec, params, r, r.inverse())
         for lp_t, lp in zip(params_t.layers, params.layers):
             np.testing.assert_array_equal(lp_t.wbar, lp.wbar)
             if lp.v is not None:
@@ -177,7 +178,7 @@ def test_pure_scaling_divides_weights():
         [AffineMap(2.0 * np.eye(2), np.zeros(2)), AffineMap.identity(2)],
         [AffineMap(3.0 * np.eye(2), np.zeros(2))],
     )
-    out = transform_params(params, r)
+    out = transform_params(params, r.inverse())
     w = params.layers[0].wbar
     np.testing.assert_allclose(out.layers[0].wbar[:, :2], w[:, :2] / 6.0, atol=1e-14)
     np.testing.assert_allclose(out.layers[0].wbar[:, 2], w[:, 2] / 3.0, atol=1e-14)
@@ -187,7 +188,7 @@ def test_dense_forward_equivalence():
     rng = np.random.default_rng(4)
     params = init_params(MLP3, 4)
     r = random_reparam(MLP3, 40)
-    spec_t, params_t = transform_network(MLP3, params, r)
+    spec_t, params_t = transform_network(MLP3, params, r, r.inverse())
     inputs = [_rand_input(rng, MLP3) for _ in range(32)]
     assert _forward_gap(MLP3, params, spec_t, params_t, r, inputs) <= 1e-10
 
@@ -197,7 +198,7 @@ def test_reparam_dims_must_match_network():
     wrong = identity_reparam(MLP3)
     wrong.activation_maps[1] = AffineMap.identity(7)
     with pytest.raises(ShapeMismatch):
-        transform_network(MLP3, params, wrong)
+        transform_network(MLP3, params, wrong, wrong.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +244,8 @@ def test_trivial_conv_transform_matches_dense():
     r_dense = NetworkReparam(
         [m for m in r_conv.activation_maps], [m for m in r_conv.preactivation_maps]
     )
-    out_conv = transform_params(params, r_conv)
-    out_dense = transform_params(dense_params, r_dense)
+    out_conv = transform_params(params, r_conv.inverse())
+    out_dense = transform_params(dense_params, r_dense.inverse())
     np.testing.assert_array_equal(out_conv.layers[0].wbar, out_dense.layers[0].wbar)
 
 
@@ -252,7 +253,7 @@ def test_conv_forward_equivalence():
     rng = np.random.default_rng(8)
     params = init_params(CONV2, 8)
     r = random_reparam(CONV2, 80)
-    spec_t, params_t = transform_network(CONV2, params, r)
+    spec_t, params_t = transform_network(CONV2, params, r, r.inverse())
     inputs = [_rand_input(rng, CONV2) for _ in range(32)]
     assert _forward_gap(CONV2, params, spec_t, params_t, r, inputs) <= 1e-10
 
@@ -267,12 +268,12 @@ def test_conv_padding_point_moves_with_the_input_map():
     )
     params = init_params(spec, 9)
     r = random_reparam(spec, 90)
-    spec_t, _ = transform_network(spec, params, r)
+    spec_t, _ = transform_network(spec, params, r, r.inverse())
     want = r.in_map(0).apply(pad)
     np.testing.assert_allclose(spec_t.layers[0].padding_value, want, atol=1e-12)
 
     rng = np.random.default_rng(9)
-    _, params_t = transform_network(spec, params, r)
+    _, params_t = transform_network(spec, params, r, r.inverse())
     inputs = [_rand_input(rng, spec) for _ in range(16)]
     assert _forward_gap(spec, params, spec_t, params_t, r, inputs) <= 1e-10
 
@@ -282,7 +283,7 @@ def test_rnn_hidden_states_track_the_activation_map():
     rng = np.random.default_rng(10)
     params = init_params(RNN4, 10)
     r = random_reparam(RNN4, 100)
-    spec_t, params_t = transform_network(RNN4, params, r)
+    spec_t, params_t = transform_network(RNN4, params, r, r.inverse())
     omega = r.out_map(0)
     for _ in range(8):
         x = _rand_input(rng, RNN4)
@@ -307,7 +308,7 @@ def test_rnn_initial_state_transforms():
     )
     params = init_params(spec, 11)
     r = random_reparam(spec, 110)
-    spec_t, params_t = transform_network(spec, params, r)
+    spec_t, params_t = transform_network(spec, params, r, r.inverse())
     want = r.out_map(0).apply(h0)
     np.testing.assert_allclose(spec_t.layers[0].initial_state, want, atol=1e-12)
 
@@ -321,7 +322,7 @@ def test_rnn_sequence_input_map_must_stay_identity():
     r = identity_reparam(RNN4)
     r.activation_maps[0] = AffineMap(2.0 * np.eye(2), np.zeros(2))
     with pytest.raises(ShapeMismatch):
-        transform_network(RNN4, params, r)
+        transform_network(RNN4, params, r, r.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +333,8 @@ def test_compose_matches_sequential_transforms():
     params = init_params(MLP3, 13)
     r = random_reparam(MLP3, 130)
     s = random_reparam(MLP3, 131)
-    twice = transform_params(transform_params(params, r), s)
-    once = transform_params(params, compose(s, r))
+    twice = transform_params(transform_params(params, r.inverse()), s.inverse())
+    once = transform_params(params, compose(s, r).inverse())
     for lp_a, lp_b in zip(twice.layers, once.layers):
         assert np.abs(lp_a.wbar - lp_b.wbar).max() <= 1e-10
 
@@ -342,7 +343,7 @@ def test_inverse_transform_round_trips():
     for spec, seed in ((MLP3, 14), (CONV2, 15), (RNN4, 16)):
         params = init_params(spec, seed)
         r = random_reparam(spec, 10 * seed)
-        back = transform_params(transform_params(params, r), r.inverse())
+        back = transform_params(transform_params(params, r.inverse()), r)
         for lp_b, lp in zip(back.layers, params.layers):
             assert np.abs(lp_b.wbar - lp.wbar).max() <= 1e-10
             if lp.v is not None:
@@ -351,20 +352,105 @@ def test_inverse_transform_round_trips():
 
 
 def test_untransform_params_inverts_transform_params():
+    # the twin made by LU solves, mapped back by ParamMap's products
     for spec, seed in ((MLP3, 14), (CONV2, 15), (RNN4, 16)):
         params = init_params(spec, seed)
         r = random_reparam(spec, 10 * seed)
-        mapped = transform_params(params, r)
-        back = Untransform(r, mapped).apply(mapped)
-        via_inverse = transform_params(mapped, r.inverse())
-        for lp_b, lp_i, lp in zip(back.layers, via_inverse.layers, params.layers):
+        mapped = _reference_twin(params, r)
+        back = ParamMap(r, mapped).apply(mapped)
+        for lp_b, lp in zip(back.layers, params.layers):
             assert np.abs(lp_b.wbar - lp.wbar).max() <= 1e-10
-            assert np.abs(lp_b.wbar - lp_i.wbar).max() <= 1e-10
             if lp.v is not None:
                 assert np.abs(lp_b.v - lp.v).max() <= 1e-10
         # the identity maps back exactly
-        same = Untransform(identity_reparam(spec), params).apply(params)
+        same = ParamMap(identity_reparam(spec), params).apply(params)
         np.testing.assert_array_equal(same.flatten(), params.flatten())
+
+
+# ---------------------------------------------------------------------------
+# the twin against an LU-solve reference
+
+
+def _reference_in_map(r, i, lp):
+    """Layer i's input-space map: the hidden-space map of a recurrent layer,
+    else its input map repeated over the copies the weight width holds."""
+    if lp.v is not None:
+        return r.out_map(i)
+    m = r.in_map(i)
+    copies = (lp.wbar.shape[1] - 1) // m.dim
+    return AffineMap(np.kron(np.eye(copies), m.b), np.tile(m.c, copies))
+
+
+def _reference_twin(params, r):
+    """The twin's parameters by LU solves with r's own maps:
+    [W']_H = solve([Phi]_H, [W]_H [Omega]_H^-1), Omega^-1 the lifted input
+    map's inverse, and V' = solve(Phi, V)."""
+    out = []
+    for i, lp in enumerate(params.layers):
+        pre = r.pre_map(i)
+        wh = np.vstack([lp.wbar, np.eye(lp.wbar.shape[1])[-1:]])
+        rhs = wh @ _reference_in_map(r, i, lp).inverse().homogeneous()
+        v = None if lp.v is None else solve(pre.b, lp.v)
+        out.append(LayerParams(solve(pre.homogeneous(), rhs)[:-1], v))
+    return ParamSet(out)
+
+
+TWIN_TOL_C = 8.0  # measured worst 3.3 over 1350 (network, seed, cap) draws
+
+
+@pytest.mark.parametrize("spec", [MLP3, CONV2, RNN4], ids=["dense", "conv-dense-head", "rnn"])
+@pytest.mark.parametrize("cap", [1.0, 100.0, 1e4])
+def test_twin_by_multiplication_matches_the_lu_solve_reference(spec, cap):
+    # per layer, max |W'_mult - W'_ref| <= c u kappa max |W'_ref|, kappa the
+    # product of the homogeneous maps' condition numbers (Phi's alone for V)
+    u = np.finfo(np.float64).eps / 2
+    for seed in range(5):
+        params = init_params(spec, seed, weight_scale=4.0)
+        r = random_reparam(spec, 1000 + seed, conditioning_cap=cap)
+        got, want = transform_params(params, r.inverse()), _reference_twin(params, r)
+        for i, (g, w, lp) in enumerate(zip(got.layers, want.layers, params.layers, strict=True)):
+            kappa = (np.linalg.cond(r.pre_map(i).homogeneous())
+                     * np.linalg.cond(_reference_in_map(r, i, lp).homogeneous()))
+            tol = TWIN_TOL_C * u * kappa * np.abs(w.wbar).max()
+            assert np.abs(g.wbar - w.wbar).max() <= tol, (seed, i)
+            if lp.v is not None:
+                tol = TWIN_TOL_C * u * np.linalg.cond(r.pre_map(i).b) * np.abs(w.v).max()
+                assert np.abs(g.v - w.v).max() <= tol, (seed, i)
+
+
+# ---------------------------------------------------------------------------
+# inverting a reparam
+
+
+def _singular(m):
+    return AffineMap(np.diag(np.r_[np.ones(m.dim - 1), 1e-13]), m.c)
+
+
+def test_inverse_names_activation_maps_before_preactivation_maps():
+    r = random_reparam(MLP3, 23)
+    r.preactivation_maps[0] = _singular(r.preactivation_maps[0])
+    r.activation_maps[2] = _singular(r.activation_maps[2])
+    with pytest.raises(SingularMatrix, match="^activation map 2: pivot "):
+        r.inverse()
+
+
+def test_inverse_refuses_a_non_finite_offset_by_name():
+    r = random_reparam(MLP3, 24)
+    r.activation_maps[1].c[0] = np.inf
+    with pytest.raises(NonFinite, match="^activation map 1: offset has non-finite entries$"):
+        r.inverse()
+
+
+def test_inverse_solves_a_preactivation_map_in_homogeneous_form():
+    # [[B, c], [0, 1]] fails the pivot rule once max |B| passes 1e12, though
+    # B alone passes: its corner pivot 1 is below 1e-12 max |B|
+    r = identity_reparam(MLP3)
+    r.activation_maps[1] = AffineMap(1e13 * np.eye(5), np.zeros(5))
+    r.inverse()
+    r.preactivation_maps[0] = AffineMap(1e13 * np.eye(5), np.zeros(5))
+    with pytest.raises(SingularMatrix, match="^preactivation map 0: pivot 1.000e\\+00 "):
+        r.inverse()
+
 
 # ---------------------------------------------------------------------------
 # random_reparam
@@ -459,7 +545,7 @@ def test_logistic_to_tanh_networks_agree():
     assert "logistic-to-tanh" in PRESETS
     params = init_params(MLP3, 23)
     r = logistic_to_tanh(MLP3)
-    spec_t, params_t = transform_network(MLP3, params, r)
+    spec_t, params_t = transform_network(MLP3, params, r, r.inverse())
     for layer in spec_t.layers:
         z = np.tile(np.linspace(-3.0, 3.0, 41), (layer.out_dim, 1))
         np.testing.assert_allclose(

@@ -28,6 +28,7 @@ A change that moves the last bits of the arithmetic changes many digests;
 tools/report_drift.py then shows what moved in the reports.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -95,6 +96,12 @@ REPARAM_FILES = {
     "maps-mlp-kfac-1000.json": reparam_to_dict(random_reparam(
         build_network(MLP["architecture"]), 1000, MLP["reparam_source"]["conditioning_cap"])),
 }
+# the same maps with pre-activation map 0's B made diag(1, ..., 1, 1e-13),
+# whose last pivot fails linalg.solve's pivot rule
+_SINGULAR = copy.deepcopy(REPARAM_FILES["maps-mlp-kfac-1000.json"])
+_SINGULAR["preactivation_maps"][0]["B"] = [
+    [(1.0 if i < 11 else 1e-13) if i == j else 0.0 for j in range(12)] for i in range(12)]
+REPARAM_FILES["preactivation-map-0-singular.json"] = _SINGULAR
 # exact NGD on a conv and a recurrent net (tests/test_harness.py's NGD_NETS)
 NGD_CONV = {**NGD, "architecture": {"type": "conv", "channels": [2, 3, 2], "grid": [4, 4],
                                     "kernel_radius": 1, "head_dim": 4, "activation": "tanh",
@@ -189,6 +196,8 @@ VARIANTS = {
         "kind": "file", "path": f"{REPARAM_DIR}/matrix-not-numbers.json"}},
     "reparam-file": {**MLP, "reparam_source": {
         "kind": "file", "path": f"{REPARAM_DIR}/maps-mlp-kfac-1000.json"}},
+    "reparam-file-fails-pivot-rule": {**MLP, "reparam_source": {
+        "kind": "file", "path": f"{REPARAM_DIR}/preactivation-map-0-singular.json"}},
     "teacher-input-scale": {**MLP, "dataset_spec": {**MLP["dataset_spec"], "teacher_seed": 3,
                                                     "input_scale": 0.5}},
     # settings the optimizer would ignore: config errors
