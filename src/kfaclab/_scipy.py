@@ -1,7 +1,7 @@
 """The scipy kernels kfaclab calls, loaded without scipy's package set-up.
 
-kfaclab calls LAPACK dgetrf/dgetrs (in linalg.solve), dgeqrf and dtrtrs (in
-linalg.gram_root and linalg.gram_solve) and the expit ufunc (in
+kfaclab calls LAPACK dgetrf/dgetrs/dgecon (in linalg.solve), dgeqrf, dtrtrs
+and dtrcon (in linalg's gram_* functions) and the expit ufunc (in
 nets.Logistic). `import scipy.linalg` or `import scipy.special` would first run
 scipy's array-API layer, whose `from numpy import *` loads numpy.f2py,
 numpy.testing, numpy.ma and numpy.random: about half of a cold CLI call. So
@@ -25,7 +25,7 @@ import os
 import sys
 
 
-_LAPACK = ("dgetrf", "dgetrs", "dgeqrf", "dtrtrs")
+_LAPACK = ("dgetrf", "dgetrs", "dgecon", "dgeqrf", "dtrtrs", "dtrcon")
 
 
 def _scipy_dir():
@@ -66,8 +66,8 @@ def _kernels(scipy_dir, name: str, kernels: tuple):
 
 
 def load(scipy_dir):
-    """(dgetrf, dgetrs, dgeqrf, dtrtrs, expit), from the extension files
-    under scipy_dir where they load, else from scipy's public modules."""
+    """_LAPACK's kernels and expit, from the extension files under
+    scipy_dir where they load, else from scipy's public modules."""
     lapack = _kernels(scipy_dir, "linalg._flapack", _LAPACK)
     if lapack is None:
         import scipy.linalg.lapack
@@ -81,4 +81,4 @@ def load(scipy_dir):
     return (*lapack, *special)
 
 
-dgetrf, dgetrs, dgeqrf, dtrtrs, expit = load(_scipy_dir())
+dgetrf, dgetrs, dgecon, dgeqrf, dtrtrs, dtrcon, expit = load(_scipy_dir())

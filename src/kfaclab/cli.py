@@ -12,12 +12,13 @@ inf/NaN entries, which JSON cannot hold) or 4.
 The whole config is checked when it is loaded, before any run: field names,
 types and ranges, the network and output model, and the reparam source (a
 reparam file must exist and its maps must fit the network; every reparam's
-maps, whatever the source, must be finite and pass linalg.solve's pivot
-rule, and are inverted then, once; runs use the maps and inverses of that
-moment). Any problem there (errors.ConfigError), a train --out path that
-cannot be opened for writing (checked before the run), or a dataset too
-large to allocate exits 4 with one line on stderr. numpy's
-floating-point warnings are silenced: a diverged run reports its NaN itself.
+maps, whatever the source, must be finite with an rcond estimate of at
+least linalg.SINGULARITY_RTOL, the rule of every solve, and are inverted
+then, once; runs use the maps and inverses of that moment). Any problem
+there (errors.ConfigError), a train --out path that cannot be opened for
+writing (checked before the run), or a dataset too large to allocate exits
+4 with one line on stderr. numpy's floating-point warnings are silenced: a
+diverged run reports its NaN itself.
 """
 
 import argparse

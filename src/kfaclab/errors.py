@@ -11,7 +11,8 @@ class KfacLabError(Exception):
 
 
 class SingularMatrix(KfacLabError):
-    """A solve or inverse hit a pivot below the singularity threshold."""
+    """A solve's matrix has an rcond estimate, which the message quotes,
+    below linalg.SINGULARITY_RTOL, or the solve's result is not finite."""
 
 
 class NonFinite(KfacLabError, ValueError):

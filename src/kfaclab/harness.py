@@ -7,7 +7,6 @@ randomness; identical configs produce byte-identical reports.
 """
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,12 +15,12 @@ from . import kfac, metrics, nets, reparam
 from .errors import (NonFinite, SingularMatrix, check_int, check_keys, check_list, check_name,
                      check_real)
 from .kfac import UpdateConfig
+from .linalg import gram_rcond
 from .linalg import sym_eig_min  # noqa: F401 (see README, names kept)
 
 STEP0_TOL = 1e-10  # pure reparam correctness, no solves involved
 POST_UPDATE_TOL = 1e-8  # headroom over inverse-factor solve error
 NUM_PROBES = 32
-FISHER_DEGENERACY_RTOL = 1e-12
 
 
 @dataclass
@@ -237,8 +236,8 @@ def build_output_model(d: dict):
 def _build_reparam(spec: nets.NetworkSpec, source, identity_output: bool):
     """The reparam that source names, checked against the network, and its
     inverse, solved here once; identity_output pins a random reparam's
-    output map to the identity. A map that is not finite or fails
-    linalg.solve's pivot rule is refused by name, whatever the source."""
+    output map to the identity. A map that is not finite or that
+    linalg.solve finds singular is refused by name, whatever the source."""
     if source is None:
         source = {"kind": "identity"}
     if not isinstance(source, dict):
@@ -388,11 +387,10 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
     diverge come back as "report" since the damped update is not expected to
     be invariant.
     A singular factor or Fisher ends the run with a "degenerate" verdict; an
-    undamped exact-NGD run checks its Fisher at the initial parameters
-    before record 0, once both twins' first passes are made (F + damping I
-    is invertible for damping > 0). A step that meets inf/NaN entries (a
-    diverged run), or an exact-NGD Fisher that already overflows at the
-    initial parameters, ends the run with "fail".
+    exact-NGD run checks the R its first step solves with, by that step's
+    rule, before record 0, once both twins' first passes are made. A step
+    that meets inf/NaN entries (a diverged run), or an exact-NGD Fisher that
+    already overflows at the initial parameters, ends the run with "fail".
     """
     spec, model, params, data, probes = _setup(config)
     report = InvarianceReport(
@@ -411,8 +409,7 @@ def run_invariance(config: ExperimentConfig) -> InvarianceReport:
         for (tr, o), (tr_t, o_t) in twins:
             if config.optimizer == "ngd" and not report.records:
                 # the check reads the Fisher the first step will use
-                _check_fisher(kfac.ngd_curvature(tr, model, data, config.damping)[1],
-                              config.damping)
+                _check_fisher(kfac.ngd_curvature(tr, model, data, config.damping)[1])
             report.records.append(
                 StepRecord(
                     len(report.records),
@@ -452,23 +449,16 @@ def run_ngd_invariance(config: ExperimentConfig) -> InvarianceReport:
     return run_invariance(config)
 
 
-def _check_fisher(r, damping: float) -> None:
-    """Check the exact Fisher F from R with R^T R = F + damping I
-    (kfac.ngd_curvature): raise NonFinite, its message starting "exact
-    Fisher: ", when F's largest eigenvalue sigma_max(R)^2 is not finite, and
-    SingularMatrix when F is singular, its smallest eigenvalue
-    sigma_min(R)^2 at most FISHER_DEGENERACY_RTOL times its largest. R's
-    singular values decide, compared unsquared so that no square overflows.
-    The step solves with F + damping I, which is invertible for
-    damping > 0, so a damped run only checks that F is finite."""
-    # svd does not converge on NaN, so a non-finite R reads as sigma = NaN
-    s = np.linalg.svd(r, compute_uv=False) if np.isfinite(r).all() else [math.nan]
-    top, low = float(s[0]), float(s[-1])
-    if not math.isfinite(top * top):
-        raise NonFinite("exact Fisher: non-finite entries")
-    if damping == 0 and low <= math.sqrt(FISHER_DEGENERACY_RTOL) * top:
-        raise SingularMatrix(f"exact Fisher is singular: smallest eigenvalue {low * low:.6e} "
-                             f"(largest {top * top:.6e})")
+def _check_fisher(r) -> None:
+    """Check the R that the first exact-NGD step solves with (R^T R =
+    F + damping I, kfac.ngd_curvature) by that step's rule, gram_rcond,
+    naming the exact Fisher in its NonFinite or SingularMatrix."""
+    try:
+        gram_rcond(r)
+    except NonFinite as exc:
+        raise NonFinite("exact Fisher: non-finite entries") from exc
+    except SingularMatrix as exc:
+        raise SingularMatrix(f"exact Fisher is singular: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -201,12 +201,11 @@ def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     del metric  # the exact step always uses the model's own Fisher
     grad, r = ngd_curvature(trace, model, dataset, config.damping)
     try:
-        step = gram_solve(r, grad.flatten())
+        step = gram_solve(r, grad.flatten(), ("exact Fisher", "gradient"))
     except SingularMatrix as exc:
         raise SingularMatrix(f"natural-gradient step: exact Fisher is singular: {exc}") from exc
-    except NonFinite as exc:  # F is finite where its diagonal, R's squared column norms, is
-        what = "gradient" if np.isfinite(np.einsum("ij,ij->j", r, r)).all() else "exact Fisher"
-        raise NonFinite(f"natural-gradient step: {what} has non-finite entries") from exc
+    except NonFinite as exc:
+        raise NonFinite(f"natural-gradient step: {exc}") from exc
     return unflatten_params(trace.spec, trace.params.flatten() - config.learning_rate * step)
 
 

@@ -3,19 +3,23 @@
 Everything here is plain float64 numpy, dense, and pure. Matrices are 2-d
 ndarrays, vectors 1-d. Sizes stay at desk scale (a few hundred at most), so
 dense LAPACK routines are the honest reference implementation. solve calls
-scipy's LAPACK getrf/getrs, gram_root geqrf and gram_solve trtrs, as
-kfaclab._scipy loads them, without scipy's package set-up.
+scipy's LAPACK getrf/getrs/gecon, gram_root geqrf and gram_solve trtrs and
+trcon, as kfaclab._scipy loads them, without scipy's package set-up.
+
+One rule decides every singular verdict: LAPACK's estimate (dgecon on
+solve's LU factors, dtrcon on gram_solve's R) of the reciprocal 1-norm
+condition number of the matrix inverted, against SINGULARITY_RTOL.
 """
 
 import math
 
 import numpy as np
 
-from ._scipy import dgeqrf, dgetrf, dgetrs, dtrtrs
+from ._scipy import dgecon, dgeqrf, dgetrf, dgetrs, dtrcon, dtrtrs
 from .errors import NonFinite, NotSymmetric, SingularMatrix
 
-# Pivot threshold for solve, relative to the largest entry of the matrix, and
-# for gram_solve, relative to the largest diagonal entry of R^T R.
+# The least reciprocal 1-norm condition number of a matrix that solve or
+# gram_solve inverts (for gram_solve, of R^T R: rcond(R)^2).
 SINGULARITY_RTOL = 1e-12
 
 # Allowed relative asymmetry before sym_eig_min refuses the input.
@@ -53,17 +57,24 @@ def _all_finite(x) -> bool:
     return bool(np.logical_and.reduce(np.isfinite(x), axis=None))
 
 
+def _checked(rcond: float) -> float:
+    """rcond, LAPACK's reciprocal condition estimate of the matrix a step
+    inverts; SingularMatrix, quoting it, when it is below SINGULARITY_RTOL."""
+    if not rcond >= SINGULARITY_RTOL:
+        raise SingularMatrix(f"rcond {rcond:.3e} below {SINGULARITY_RTOL:g}")
+    return rcond
+
+
 def solve(a, rhs) -> np.ndarray:
     """Solve a @ x = rhs by LU with partial pivoting.
 
     rhs may be a vector or a matrix of stacked right-hand sides; the result
-    has the same shape. Raises NonFinite on inf/NaN input, and
-    SingularMatrix when a is zero, when any pivot falls below
-    SINGULARITY_RTOL times the largest entry of a, or when the result is
-    not finite. Calls LAPACK dgetrf/dgetrs directly, the routines behind
-    scipy's lu_factor/lu_solve, from scipy's own _flapack extension (see
-    kfaclab._scipy), so its results are those of scipy.linalg.lapack bit for
-    bit.
+    has the same shape. Raises NonFinite on inf/NaN input or when ||a||_1
+    overflows, and SingularMatrix when a's rcond (0 at an exactly zero
+    pivot) is below SINGULARITY_RTOL or the result is not finite. Calls
+    LAPACK dgetrf/dgetrs/dgecon from scipy's own _flapack extension (see
+    kfaclab._scipy), so its results are those of scipy.linalg.lapack bit
+    for bit.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -71,22 +82,15 @@ def solve(a, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs leading dim {rhs.shape[0]} != {a.shape[0]}")
-    # NaN and inf propagate through the max, so scale checks a's entries too
-    scale = np.abs(a).max() if a.size else 0.0
-    if not (math.isfinite(scale) and _all_finite(rhs)):
+    # ||a||_1, dgecon's scale; NaN and inf propagate, so it checks a's entries too
+    norm = np.add.reduce(np.abs(a), axis=0).max()
+    if not (math.isfinite(norm) and _all_finite(rhs)):
         raise NonFinite("solve received non-finite entries")
-    if scale == 0.0:
-        raise SingularMatrix("matrix is identically zero")
-    lu, piv, _ = dgetrf(a)  # an exactly zero pivot fails the check below
-    pivot = np.abs(lu.diagonal()).min()
-    if pivot < SINGULARITY_RTOL * scale:
-        raise SingularMatrix(
-            f"pivot {pivot:.3e} below threshold "
-            f"{SINGULARITY_RTOL * scale:.3e}"
-        )
+    lu, piv, info = dgetrf(a)  # info > 0: U has an exactly zero pivot
+    rcond = _checked(dgecon(lu, norm)[0] if info == 0 else 0.0)
     x, _ = dgetrs(lu, piv, rhs)
     if not _all_finite(x):
-        raise SingularMatrix("solve produced non-finite entries")
+        raise SingularMatrix(f"solve produced non-finite entries at rcond {rcond:.3e}")
     return x
 
 
@@ -108,30 +112,31 @@ def gram_root(rows) -> np.ndarray:
     return np.triu(dgeqrf(rows)[0][:p])
 
 
-def gram_solve(r, rhs) -> np.ndarray:
-    """Solve R^T R x = rhs for upper-triangular R by two triangular solves
-    (LAPACK dtrtrs), never forming R^T R.
-
-    Raises NonFinite on inf/NaN in R or rhs, or when the largest diagonal
-    entry of R^T R, a squared column norm of R, overflows; and
-    SingularMatrix when R is zero, when the smallest r_ii^2 falls below
-    SINGULARITY_RTOL times that largest entry, or when the result is not
-    finite.
-    """
+def gram_rcond(r, name: str = "R^T R") -> float:
+    """R^T R's rcond, dtrcon's estimate for upper-triangular R, squared.
+    Raises NonFinite, naming R^T R by name, on inf/NaN in R or when R's
+    largest squared column norm overflows, and SingularMatrix when the
+    rcond is below SINGULARITY_RTOL."""
     r = as_matrix(r)
+    # NaN and inf propagate through the max, so it checks r's entries too
+    if not math.isfinite(np.einsum("ij,ij->j", r, r).max()):
+        raise NonFinite(f"{name} has non-finite entries")
+    return _checked(dtrcon(r)[0] ** 2)
+
+
+def gram_solve(r, rhs, names=("R^T R", "rhs")) -> np.ndarray:
+    """Solve R^T R x = rhs for upper-triangular R by two triangular solves
+    (LAPACK dtrtrs), never forming R^T R, once R passes gram_rcond. Raises
+    NonFinite naming R^T R or rhs by names (R first), and SingularMatrix
+    from gram_rcond or when the result is not finite."""
+    r = as_matrix(r)
+    rcond = gram_rcond(r, names[0])
     rhs = np.asarray(rhs, dtype=np.float64)
-    # max diag(R^T R); NaN and inf propagate, so it checks r's entries too
-    scale = np.einsum("ij,ij->j", r, r).max() if r.size else 0.0
-    if not (math.isfinite(scale) and _all_finite(rhs)):
-        raise NonFinite("solve received non-finite entries")
-    if scale == 0.0:
-        raise SingularMatrix("matrix is identically zero")
-    pivot = np.square(r.diagonal()).min()
-    if pivot < SINGULARITY_RTOL * scale:
-        raise SingularMatrix(f"pivot {pivot:.3e} below threshold {SINGULARITY_RTOL * scale:.3e}")
+    if not _all_finite(rhs):
+        raise NonFinite(f"{names[1]} has non-finite entries")
     x = dtrtrs(r, dtrtrs(r, rhs, trans=1)[0])[0]
     if not _all_finite(x):
-        raise SingularMatrix("solve produced non-finite entries")
+        raise SingularMatrix(f"solve produced non-finite entries at rcond {rcond:.3e}")
     return x
 
 

@@ -102,7 +102,7 @@ class NetworkReparam:
         activation maps first, each solved by its B, then pre-activation
         maps, each solved in homogeneous form [[B, c], [0, 1]]. Raises
         NonFinite or SingularMatrix, naming the map, at the first map whose
-        offset is not finite or whose solve fails linalg.solve's pivot rule."""
+        offset is not finite or whose solved matrix fails linalg.solve."""
         return NetworkReparam(
             [_inverted(f"activation map {i}", m, False)
              for i, m in enumerate(self.activation_maps)],

@@ -309,7 +309,7 @@ def test_ngd_step_matches_two_pass_reference(problem, config):
     got, calls = _run_recording(
         "gram_solve", ngd_step, SingularMatrix, trace, model, data, None, config
     )
-    (r, rhs), = calls
+    (r, rhs, _), = calls
     assert np.array_equal(r, np.triu(r))
     want_fisher = oracle_fisher(spec, params, model, data)
     want_fisher = want_fisher + config.damping * np.eye(len(want_fisher))

@@ -489,10 +489,15 @@ def test_ngd_invariance_on_conv_and_recurrent_nets(net):
 # the exact-NGD degeneracy check
 
 
+EPS = np.finfo(np.float64).eps
+# how far above the exact rcond LAPACK's estimate may lie (tests/test_linalg.py)
+RCOND_OVERESTIMATE = 10.0
+
+
 def _two_eigendecompositions(fisher) -> bool:
-    """The degeneracy rule decided on F itself, the reference for the
-    check's reading of R: whether eigvalsh's smallest eigenvalue is at most
-    1e-12 times the largest absolute one."""
+    """The 2-norm reference for the rule, decided on F itself: whether
+    eigvalsh's smallest eigenvalue is at most 1e-12 times the largest
+    absolute one."""
     emin = float(np.linalg.eigvalsh(fisher)[0])
     emax = float(np.max(np.abs(np.linalg.eigvalsh(fisher))))
     return emin <= 1e-12 * emax
@@ -500,18 +505,39 @@ def _two_eigendecompositions(fisher) -> bool:
 
 def _clears_the_rule(fisher) -> bool:
     """Whether F's eigenvalue ratio lies farther from 1e-12 than eigvalsh's
-    rounding, n * eps * |F|, can move it, so both ways of deciding must
-    agree."""
+    rounding, n * eps * |F|, can move it."""
     lam = np.linalg.eigvalsh(fisher)
     top = np.abs(lam).max()
-    return abs(lam[0] - 1e-12 * top) > len(lam) * np.finfo(np.float64).eps * top
+    return abs(lam[0] - 1e-12 * top) > len(lam) * EPS * top
 
 
-def _verdict(r, damping=0.0):
-    """True when the check finds F = R^T R singular, False when it accepts
-    it; NonFinite propagates."""
+def _exact_rcond(r) -> float:
+    """R's reciprocal 1-norm condition number, 1 / (||R||_1 ||R^-1||_1),
+    from numpy's inverse; 0 when R has an exactly zero diagonal entry. The
+    rule judges R^T R by this number squared, as LAPACK estimates it."""
+    if not r.diagonal().all():
+        return 0.0
+    return 1.0 / (np.linalg.norm(r, 1) * np.linalg.norm(np.linalg.inv(r), 1))
+
+
+def _rule_must_say(r):
+    """The verdict that the rule must reach on R whatever its estimate's
+    error, which lies between -n * eps and a factor RCOND_OVERESTIMATE of
+    the exact rcond: True (singular), False, or None where it may go
+    either way."""
+    rcond = _exact_rcond(r)
+    if rcond - len(r) * EPS >= 1e-6:
+        return False
+    if RCOND_OVERESTIMATE * rcond < 1e-6:
+        return True
+    return None
+
+
+def _verdict(r):
+    """True when the check finds R^T R singular, False when it accepts it;
+    NonFinite propagates."""
     try:
-        harness._check_fisher(r, damping)
+        harness._check_fisher(r)
     except SingularMatrix:
         return True
     return False
@@ -533,6 +559,8 @@ def _run_roots(monkeypatch, config):
 
 
 def test_degeneracy_check_matches_the_eigendecompositions_on_run_fishers(monkeypatch):
+    # on the Fishers that runs build, the 1-norm rule agrees with the exact
+    # rcond and with the 2-norm rule on F's eigenvalues
     sources = [{"kind": "random", "seed": s, "conditioning_cap": 100.0} for s in range(1000, 1010)]
     regular = [_ngd_config(reparam_source=s) for s in sources]  # the mlp-ngd panel
     regular += [_ngd_config(**NGD_NETS[net]) for net in sorted(NGD_NETS)]
@@ -541,11 +569,11 @@ def test_degeneracy_check_matches_the_eigendecompositions_on_run_fishers(monkeyp
         assert len(roots) == 2 * config.steps  # both twins, one per step
         for r in roots:
             fisher = r.T @ r
-            assert _clears_the_rule(fisher)
+            assert _clears_the_rule(fisher) and _rule_must_say(r) is False
             assert not _verdict(r) and not _two_eigendecompositions(fisher)
     # ngd-degenerate: two samples for 49 parameters
     roots = _run_roots(monkeypatch, _ngd_config(dataset_spec={"num_samples": 2}))
-    assert len(roots) == 1 and _verdict(roots[0])
+    assert len(roots) == 1 and _verdict(roots[0]) and _rule_must_say(roots[0]) is True
     assert _two_eigendecompositions(roots[0].T @ roots[0])
 
 
@@ -561,7 +589,7 @@ def _root_with_singular_values(sigma, seed):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 60),
-    log_ratio=st.floats(-13.0, -6.0),
+    log_ratio=st.floats(-20.0, -6.0),
     log_scale=st.floats(-6.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -569,52 +597,76 @@ def test_degeneracy_check_matches_the_eigendecompositions_on_spectra(
     n, log_ratio, log_scale, seed
 ):
     # R with F's eigenvalues lam, lam_min / lam_max = 10^log_ratio, across
-    # the 1e-12 rule: the check follows the rule on lam wherever R's
-    # rounding cannot move the ratio across it, and eigvalsh of F = R^T R
-    # wherever its own rounding cannot
+    # the 1e-12 rule: the check follows the exact rcond of R wherever the
+    # estimate's error cannot move it across the rule, and the 2-norm rule
+    # on lam wherever the 1-norm, within a factor n of the 2-norm, cannot
+    # either (the range reaches 1e-20, so that both sides of that rule occur)
     lam = np.logspace(0.0, log_ratio, n) if n > 1 else np.ones(1)
     r = _root_with_singular_values(np.sqrt(10.0**log_scale * lam), seed)
     got = _verdict(r)
-    if abs(log_ratio + 12.0) > 1e-6:
+    must = _rule_must_say(r)
+    if must is not None:
+        assert got == must
+    rcond_2 = np.sqrt(lam[-1] / lam[0])  # sigma_min / sigma_max of R
+    if rcond_2 / n - n * EPS >= 1e-6 or RCOND_OVERESTIMATE * n * rcond_2 < 1e-6:
         assert got == (lam[-1] <= 1e-12 * lam[0])
-    if _clears_the_rule(r.T @ r):
-        assert got == _two_eigendecompositions(r.T @ r)
+        if _clears_the_rule(r.T @ r):
+            assert got == _two_eigendecompositions(r.T @ r)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(n=st.integers(2, 60), rank=st.integers(1, 59), seed=st.integers(0, 2**32 - 1))
 def test_degeneracy_check_matches_the_eigendecompositions_on_rank_deficient_gram(n, rank, seed):
     # J^T J with fewer rows than columns is exactly singular; gram_root
-    # pads J's R with exactly zero rows
+    # pads J's R with exactly zero rows, so its exact rcond is 0
     jac = np.random.default_rng(seed).standard_normal((min(rank, n - 1), n))
     r = gram_root(jac)
     assert _verdict(r) and _two_eigendecompositions(jac.T @ jac)
-    assert np.linalg.svd(r, compute_uv=False)[-1] == 0.0
+    assert _exact_rcond(r) == 0.0
+
+
+def _root_with_rcond(rcond, n, seed):
+    """An upper-triangular R whose exact rcond is rcond: a well-conditioned
+    R with its last row scaled, the scale found by a few fixed-point steps
+    (the rcond is all but proportional to it)."""
+    base = _root_with_singular_values(np.logspace(0.0, -1.0, n), seed)
+    scale = 1.0
+    for _ in range(6):
+        r = base.copy()
+        r[-1] *= scale
+        scale *= rcond / _exact_rcond(r)
+    base[-1] *= scale
+    return base
 
 
 def test_degeneracy_check_boundaries_and_refusals():
-    # the rule itself, on known spectra just either side of 1e-12
+    # the rule itself, on R^T R whose exact rcond, rcond(R)^2, lies just
+    # either side of 1e-12
     for n, seed in ((2, 0), (7, 1), (49, 2), (245, 3)):
-        for ratio, singular in ((5e-13, True), (2e-12, False)):
-            lam = np.logspace(0.0, np.log10(ratio), n)
-            r = _root_with_singular_values(np.sqrt(3.0 * lam), seed)
+        for ratio, singular in ((5e-13, True), (9.9e-13, True), (1.01e-12, False),
+                                (2e-12, False)):
+            r = _root_with_rcond(np.sqrt(ratio), n, seed)
+            assert _exact_rcond(r) ** 2 == pytest.approx(ratio, rel=1e-9)
             assert _verdict(r) == singular, (n, ratio)
-    with pytest.raises(SingularMatrix, match=r"^exact Fisher is singular: smallest eigenvalue "
-                       r"1\.5000\d\de-12 \(largest 3\.000000e\+00\)$"):
-        harness._check_fisher(_root_with_singular_values(np.sqrt([3.0, 1.5e-12]), 4), 0.0)
+    r = _root_with_singular_values(np.sqrt([3.0, 1.5e-12]), 4)
+    want = f"{_exact_rcond(r) ** 2:.3e}"  # a 2x2 R's estimate is exact
+    with pytest.raises(SingularMatrix, match=f"^exact Fisher is singular: rcond {want} "
+                       r"below 1e-12$"):
+        harness._check_fisher(r)
     assert _verdict(np.zeros((3, 3)))
-    # inf/NaN in R, or a largest eigenvalue that overflows, is a non-finite
-    # Fisher, damped or not
+    # inf/NaN in R, or a largest diagonal entry of R^T R that overflows, is
+    # a non-finite Fisher
     bad_roots = [np.triu(np.full((3, 3), 1e180))]
     for bad in (np.inf, -np.inf, np.nan):
         bad_roots.append(np.eye(3))
         bad_roots[-1][1, 2] = bad
     for r in bad_roots:
-        for damping in (0.0, 0.1):
-            with pytest.raises(NonFinite, match="^exact Fisher: non-finite entries$"):
-                harness._check_fisher(r, damping)
-    # a damped run only checks that F is finite
-    assert not _verdict(np.zeros((2, 2)), damping=0.1)
+        with pytest.raises(NonFinite, match="^exact Fisher: non-finite entries$"):
+            harness._check_fisher(r)
+    # a damped run checks the R of F + damping I, which the damping makes
+    # regular where F is singular
+    rows = np.concatenate([np.ones((1, 2)), np.sqrt(0.1) * np.eye(2)])
+    assert _verdict(gram_root(rows[:1])) and not _verdict(gram_root(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -902,15 +954,14 @@ def test_cli_degenerate_exit_code(tmp_path, capsys):
 
 
 def test_cli_train_on_a_singular_fisher_names_the_fisher_and_the_step(tmp_path, capsys):
-    # train makes no degeneracy check: the first step's solve meets the pivot
+    # train makes no degeneracy check: the first step's solve meets the rule
     config = _ngd_config(dataset_spec={"num_samples": 2})
     path = _write_config(tmp_path, "degen.json", config)
     assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_DEGENERATE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "error: natural-gradient step: exact Fisher is singular: pivot ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == (
+        "error: natural-gradient step: exact Fisher is singular: rcond 0.000e+00 below 1e-12\n")
 
 
 def test_cli_dump_factors_with_an_overflowing_factor_exits_3_naming_it(tmp_path, capsys):
@@ -1001,9 +1052,13 @@ def test_cli_ngd_fisher_that_overflows_at_step_0_ends_in_a_fail_report(tmp_path,
     assert report["records"] == []
 
 
-def _diverging_ngd_config():
+def _diverging_ngd_config(reparam_seed=2):
+    """Exact NGD at learning rate 1e308 on 32 samples. With reparam seed 2
+    the Fishers stay regular until one overflows at step 2; with seed 1 the
+    twin's R at step 1 already fails the rule."""
     raw = _diverging_kfac_config().to_dict()
-    raw.update(dataset_spec={"num_samples": 32}, optimizer="ngd")
+    raw.update(dataset_spec={"num_samples": 32}, optimizer="ngd",
+               reparam_source={"kind": "random", "seed": reparam_seed})
     return ExperimentConfig.from_dict(raw)
 
 
@@ -1026,6 +1081,20 @@ def test_cli_diverging_ngd_run_names_the_fisher_and_the_step(tmp_path, capsys):
     report = json.loads(captured.out)
     assert report["diagnostic"] == (
         "step 2 diverged: natural-gradient step: exact Fisher has non-finite entries")
+
+
+def test_cli_ngd_run_whose_twin_fisher_turns_singular_ends_degenerate(tmp_path, capsys):
+    # after one step at learning rate 1e308 the twin's R has an rcond of
+    # 7.582e-13 (R^T R's), just below the rule, where the original's Fisher
+    # is still regular; the run ends before its Fishers overflow
+    path = _write_config(tmp_path, "ngd.json", _diverging_ngd_config(reparam_seed=1))
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert (report["verdict"], [r["step"] for r in report["records"]]) == ("degenerate", [0])
+    assert report["diagnostic"] == (
+        "natural-gradient step: exact Fisher is singular: rcond 7.582e-13 below 1e-12")
 
 
 def test_ngd_step_names_a_non_finite_gradient():
@@ -1063,22 +1132,22 @@ def test_damped_ngd_still_ends_a_run_whose_fisher_overflows_at_step_0():
 
 def test_cli_random_reparam_that_fails_the_pivot_rule_is_a_config_error(tmp_path):
     # with a cap of 1e26 the homogeneous [[B, c], [0, 1]] of a pre-activation
-    # map fails linalg.solve's pivot rule, as it would in a reparam file;
-    # every command refuses the config when it loads
+    # map has an rcond below the rule, as it would in a reparam file; every
+    # command refuses the config when it loads
     source = {"kind": "random", "seed": 1000, "conditioning_cap": 1e26}
-    for raw, threshold in (
-        ({**_mlp_config().to_dict(), "reparam_source": source}, "5.661e+00"),
+    for raw, rcond in (
+        ({**_mlp_config().to_dict(), "reparam_source": source}, "4.704e-14"),
         # an exact-NGD run whose Fisher is singular too (two samples): the
         # config error comes before the degenerate verdict, as for K-FAC
         ({**_ngd_config().to_dict(), "dataset_spec": {"num_samples": 2},
-          "reparam_source": source}, "5.004e+00"),
+          "reparam_source": source}, "8.156e-14"),
     ):
         path = tmp_path / "cap.json"
         path.write_text(json.dumps(raw))
         for code, out, err in _run_all_commands(path):
             assert (code, out) == (cli.EXIT_CONFIG, "")
             assert err == ("config error: reparam_source preactivation map 0: "
-                           f"pivot 1.000e+00 below threshold {threshold}\n")
+                           f"rcond {rcond} below 1e-12\n")
 
 
 def _ledger_mlp_config(**overrides):
@@ -1118,7 +1187,8 @@ def test_preset_reparam_source_from_a_config_passes():
 
 
 def _fails_pivot_rule(m):
-    """m with its matrix made diag(1, ..., 1, 1e-13): a pivot below the rule."""
+    """m with its matrix made diag(1, ..., 1, 1e-13), whose rcond, 1e-13, is
+    below the rule."""
     return AffineMap(np.diag(np.r_[np.ones(m.dim - 1), 1e-13]), m.c)
 
 
@@ -1133,7 +1203,10 @@ def test_inverting_a_reparam_names_the_map_whose_solve_fails(which, index):
     maps = getattr(r, which)
     maps[index] = _fails_pivot_rule(maps[index])
     name = f"{which[:-5]} map {index}"
-    with pytest.raises(SingularMatrix, match=f"^{name}: pivot "):
+    # a pre-activation map is solved in homogeneous form, whose rcond its c moves
+    rcond = {"activation map 1": "1.000e-13", "preactivation map 0": "4.049e-14",
+             "preactivation map 1": "5.766e-14"}[name]
+    with pytest.raises(SingularMatrix, match=f"^{name}: rcond {rcond} below 1e-12$"):
         r.inverse()
 
 
@@ -1152,7 +1225,8 @@ def test_an_output_map_that_fails_the_pivot_rule_is_a_config_error(tmp_path):
     raw = _mlp_config().to_dict()
     _broken_file_reparam(raw, tmp_path, lambda d: d["activation_maps"][3].update(
         B=_fails_pivot_rule(AffineMap.identity(6)).b.tolist()))
-    with pytest.raises(ValueError, match="^reparam file activation map 3: pivot "):
+    with pytest.raises(ValueError,
+                       match="^reparam file activation map 3: rcond 1.000e-13 below 1e-12$"):
         ExperimentConfig.from_dict(raw)
 
 
@@ -1339,11 +1413,11 @@ CONV_ARCHITECTURE = {
         (lambda raw, tmp: raw.update(reparam_source=_file_reparam(
             tmp, NetworkSpec([DenseLayer(3, 4, Logistic())]))),
          "reparam dims [3, 4]/[4] do not match network"),
-        (_zero_b, "reparam file activation map 1: matrix is identically zero"),
+        (_zero_b, "reparam file activation map 1: rcond 0.000e+00 below 1e-12"),
         (_nan_offset, "reparam file preactivation map 0: offset has non-finite entries"),
-        (_tiny_pivot, "reparam file preactivation map 0: pivot 1.000e-300 below threshold"),
+        (_tiny_pivot, "reparam file preactivation map 0: rcond 5.159e-301 below 1e-12"),
         (_singular_preactivation_map,
-         "reparam file preactivation map 0: pivot 1.000e-13 below threshold 1.000e-12\n"),
+         "reparam file preactivation map 0: rcond 1.819e-14 below 1e-12\n"),
         (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "kernel_raduis": 2}),
          "unknown architecture fields: ['kernel_raduis']"),
         (lambda raw, tmp: raw.update(architecture={

@@ -1,6 +1,6 @@
-"""kfaclab._scipy: scipy's LU, QR, triangular-solve and expit kernels,
-loaded without scipy's package set-up, and the public imports it falls back
-to."""
+"""kfaclab._scipy: scipy's LU, QR, triangular-solve, condition-estimate and
+expit kernels, loaded without scipy's package set-up, and the public imports
+it falls back to."""
 
 import importlib.machinery
 import json
@@ -70,7 +70,7 @@ def _lu_cases():
 
 
 def test_loaded_kernels_give_the_public_bits():
-    dgetrf, dgetrs, dgeqrf, dtrtrs, expit = _scipy.load(_scipy._scipy_dir())
+    dgetrf, dgetrs, dgecon, dgeqrf, dtrtrs, dtrcon, expit = _scipy.load(_scipy._scipy_dir())
     lapack = scipy.linalg.lapack
     rng = np.random.default_rng(3)
     with np.errstate(all="ignore"):
@@ -81,6 +81,9 @@ def test_loaded_kernels_give_the_public_bits():
             lu, piv, _ = want
             for g, w in zip(dgetrs(lu, piv, b), lapack.dgetrs(lu, piv, b)):
                 _assert_same_bits(g, w)
+            norm = np.abs(a).sum(axis=0).max()
+            for g, w in zip(dgecon(lu, norm), lapack.dgecon(lu, norm)):
+                _assert_same_bits(g, w)
             tall = np.concatenate([a, rng.standard_normal((3, len(a)))])
             for g, w in zip(dgeqrf(tall), lapack.dgeqrf(tall)):
                 _assert_same_bits(g, w)
@@ -88,6 +91,8 @@ def test_loaded_kernels_give_the_public_bits():
             for trans in (0, 1):
                 for g, w in zip(dtrtrs(r, b, trans=trans), lapack.dtrtrs(r, b, trans=trans)):
                     _assert_same_bits(g, w)
+            for g, w in zip(dtrcon(r), lapack.dtrcon(r)):
+                _assert_same_bits(g, w)
     rng = np.random.default_rng(1)
     for z in (np.array(SPECIAL), -np.array(SPECIAL), rng.standard_normal((7, 5)) * 30,
               np.linspace(-800, 800, 1601)):
@@ -111,7 +116,8 @@ def test_loader_falls_back_to_public_scipy(tmp_path, layout):
         after = [m for m in public if m in sys.modules]
         import scipy.linalg.lapack, scipy.special
         lapack = scipy.linalg.lapack
-        want = (lapack.dgetrf, lapack.dgetrs, lapack.dgeqrf, lapack.dtrtrs, scipy.special.expit)
+        want = (lapack.dgetrf, lapack.dgetrs, lapack.dgecon, lapack.dgeqrf, lapack.dtrtrs,
+                lapack.dtrcon, scipy.special.expit)
         print(json.dumps({{
             "before": before, "after": after,
             "public": all(g is w for g, w in zip(got, want)),
@@ -124,7 +130,8 @@ def test_loader_falls_back_when_a_kernel_is_missing(monkeypatch):
     monkeypatch.setattr(_scipy, "_extension", lambda scipy_dir, name: types.ModuleType(name))
     got = _scipy.load(_scipy._scipy_dir())
     lapack = scipy.linalg.lapack
-    want = (lapack.dgetrf, lapack.dgetrs, lapack.dgeqrf, lapack.dtrtrs, scipy.special.expit)
+    want = (lapack.dgetrf, lapack.dgetrs, lapack.dgecon, lapack.dgeqrf, lapack.dtrtrs,
+            lapack.dtrcon, scipy.special.expit)
     assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
@@ -136,13 +143,16 @@ def test_fallback_kernels_keep_solve_and_logistic_bits(tmp_path, monkeypatch):
 
     def results():
         r = linalg.gram_root(rows)
-        return (linalg.solve(a, b), r, linalg.gram_solve(r, b), Logistic().value(z),
-                Logistic().vjp(z, z))
+        rconds = []  # the estimates that solve and gram_solve judge
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_checked", lambda rcond: rconds.append(rcond) or rcond)
+            solved = (linalg.solve(a, b), r, linalg.gram_solve(r, b))
+        return (*solved, np.array(rconds), Logistic().value(z), Logistic().vjp(z, z))
 
     with np.errstate(all="ignore"):
         before = results()
         kernels = _scipy.load(str(tmp_path))  # an empty directory
-        for name, kernel in zip(("dgetrf", "dgetrs", "dgeqrf", "dtrtrs"), kernels):
+        for name, kernel in zip(_scipy._LAPACK, kernels):
             monkeypatch.setattr(linalg, name, kernel)
         monkeypatch.setattr(nets, "expit", kernels[-1])
         after = results()

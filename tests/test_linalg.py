@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kfaclab import linalg
 from kfaclab.errors import KfacLabError, NonFinite, NotSymmetric, SingularMatrix
 from kfaclab.linalg import (
     gram_root,
@@ -184,13 +187,13 @@ def _with(entry, value, a=None):
      "solve received non-finite entries"),
     (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([np.inf, 1.0]), NonFinite,
      "solve received non-finite entries"),
-    (np.zeros((3, 3)), np.ones(3), SingularMatrix, "matrix is identically zero"),
-    (np.diag([1.0, 1e-13]), np.ones(2), SingularMatrix,
-     "pivot 1.000e-13 below threshold 1.000e-12"),
+    (np.zeros((3, 3)), np.ones(3), SingularMatrix, "rcond 0.000e+00 below 1e-12"),
+    (np.diag([1.0, 1e-13]), np.ones(2), SingularMatrix, "rcond 1.000e-13 below 1e-12"),
+    # ||a||_1 = 8, ||a^-1||_1 = 2.5e11
     (np.diag([4.0, -8.0, 4e-12]), np.ones((3, 2)), SingularMatrix,
-     "pivot 4.000e-12 below threshold 8.000e-12"),
+     "rcond 5.000e-13 below 1e-12"),
     (1e-200 * np.eye(2), np.array([1e200, 1.0]), SingularMatrix,
-     "solve produced non-finite entries"),
+     "solve produced non-finite entries at rcond 1.000e+00"),
 ], ids=["nan-in-a", "inf-in-a", "nan-rhs-zero-a", "inf-rhs-singular-a", "zero-matrix",
         "pivot-below-threshold", "pivot-below-scaled-threshold", "non-finite-result"])
 def test_solve_errors_keep_their_type_and_message(a, rhs, error, message):
@@ -221,18 +224,18 @@ def test_gram_solve_solves_the_normal_equations():
 
 
 @pytest.mark.parametrize("r, rhs, error, message", [
-    (_with((1, 2), np.nan), np.ones(3), NonFinite, "solve received non-finite entries"),
-    (_with((0, 0), -np.inf), np.ones(3), NonFinite, "solve received non-finite entries"),
+    (_with((1, 2), np.nan), np.ones(3), NonFinite, "R^T R has non-finite entries"),
+    (_with((0, 0), -np.inf), np.ones(3), NonFinite, "R^T R has non-finite entries"),
     (np.triu(np.full((2, 2), 1e160)), np.ones(2), NonFinite,
-     "solve received non-finite entries"),  # diag(R^T R) overflows
-    (np.eye(2), np.array([np.inf, 1.0]), NonFinite, "solve received non-finite entries"),
-    (np.zeros((3, 3)), np.ones(3), SingularMatrix, "matrix is identically zero"),
-    (np.diag([1.0, 1e-7]), np.ones(2), SingularMatrix,
-     "pivot 1.000e-14 below threshold 1.000e-12"),
+     "R^T R has non-finite entries"),  # diag(R^T R) overflows
+    (np.eye(2), np.array([np.inf, 1.0]), NonFinite, "rhs has non-finite entries"),
+    (np.zeros((3, 3)), np.ones(3), SingularMatrix, "rcond 0.000e+00 below 1e-12"),
+    (np.diag([1.0, 1e-7]), np.ones(2), SingularMatrix, "rcond 1.000e-14 below 1e-12"),
+    # rcond(R) = 1 / (||R||_1 ||R^-1||_1) = 1 / (2.000001 * 3e6), squared
     (np.array([[1.0, 2.0], [0.0, 1e-6]]), np.ones((2, 2)), SingularMatrix,
-     "pivot 1.000e-12 below threshold 4.000e-12"),  # scaled by |R's column|^2
+     "rcond 2.778e-14 below 1e-12"),
     (1e-100 * np.eye(2), np.array([1e200, 1.0]), SingularMatrix,
-     "solve produced non-finite entries"),
+     "solve produced non-finite entries at rcond 1.000e+00"),
 ], ids=["nan-in-r", "inf-in-r", "gram-overflows", "inf-rhs", "zero-matrix",
         "pivot-below-threshold", "pivot-below-column-threshold", "non-finite-result"])
 def test_gram_solve_errors(r, rhs, error, message):
@@ -240,6 +243,76 @@ def test_gram_solve_errors(r, rhs, error, message):
         gram_solve(r, rhs)
     assert type(caught.value) is error
     assert re.fullmatch(re.escape(message), str(caught.value))
+
+
+def _exact_rcond(m) -> float:
+    """The reciprocal 1-norm condition number 1 / (||m||_1 ||m^-1||_1), from
+    numpy's inverse."""
+    return 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1))
+
+
+def _with_rcond(target, n, seed):
+    """An upper-triangular (n, n) matrix whose exact rcond is target: a
+    well-conditioned R with its last row scaled, the scale found by a few
+    fixed-point steps (rcond is all but proportional to it)."""
+    rng = np.random.default_rng(seed)
+    base = gram_root(well_conditioned(rng, n))
+    scale = 1.0
+    for _ in range(6):
+        m = base.copy()
+        m[-1] *= scale
+        scale *= target / _exact_rcond(m)
+    base[-1] *= scale
+    return base
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (7, 2), (49, 3), (245, 4)])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_the_rule_refuses_just_below_1e_12_and_accepts_just_above(n, seed, scale):
+    # solve judges a, and gram_solve R^T R, whose rcond is rcond(R)^2; the
+    # verdict does not move when a is scaled by 1e+-200 (R^T R by 1e+-200)
+    for rcond in (9.9e-13, 1.01e-12):
+        a, r = _with_rcond(rcond, n, seed), _with_rcond(np.sqrt(rcond), n, seed)
+        assert _exact_rcond(a) == pytest.approx(rcond, rel=1e-9)
+        assert _exact_rcond(r) ** 2 == pytest.approx(rcond, rel=1e-9)
+        for solver, m in ((solve, scale * a), (gram_solve, np.sqrt(scale) * r)):
+            if rcond < 1e-12:
+                with pytest.raises(SingularMatrix, match=r"^rcond 9\.900e-13 below 1e-12$"):
+                    solver(m, np.ones(n))
+            else:
+                assert np.isfinite(solver(m, np.ones(n))).all()
+
+
+def _estimates(solver, m):
+    """The rcond estimates that solver judges while it solves with m: the
+    rule's argument, recorded, with the rule itself switched off."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_checked", lambda rcond: seen.append(rcond) or rcond)
+        solver(m, np.ones(len(m)))
+    return seen
+
+
+# how far above the exact rcond the estimate may lie: the largest ratio is
+# 1.80 over this test's examples and 5.74 over 20000 random draws of its kind
+RCOND_OVERESTIMATE = 10.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), log_cond=st.floats(0.0, 14.0), seed=st.integers(0, 2**32 - 1))
+def test_rcond_estimates_bracket_the_exact_rcond(n, log_cond, seed):
+    # Hager's estimator bounds ||m^-1||_1 from below, so the estimate lies
+    # at or above the exact rcond, less rounding (n * eps, absolute, covers
+    # numpy's inverse too); above, it stays within a small factor
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    a = (u * np.logspace(0.0, -log_cond, n)) @ v.T
+    r = gram_root(a)
+    (est_a,), (est_gram,) = _estimates(solve, a), _estimates(gram_solve, r)
+    eps = np.finfo(np.float64).eps
+    for est, m in ((est_a, a), (np.sqrt(est_gram), r)):
+        exact = _exact_rcond(m)
+        assert exact - n * eps <= est <= RCOND_OVERESTIMATE * exact
 
 
 @pytest.mark.parametrize("a", [

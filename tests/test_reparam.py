@@ -430,7 +430,7 @@ def test_inverse_names_activation_maps_before_preactivation_maps():
     r = random_reparam(MLP3, 23)
     r.preactivation_maps[0] = _singular(r.preactivation_maps[0])
     r.activation_maps[2] = _singular(r.activation_maps[2])
-    with pytest.raises(SingularMatrix, match="^activation map 2: pivot "):
+    with pytest.raises(SingularMatrix, match="^activation map 2: rcond 1.000e-13 below 1e-12$"):
         r.inverse()
 
 
@@ -442,13 +442,14 @@ def test_inverse_refuses_a_non_finite_offset_by_name():
 
 
 def test_inverse_solves_a_preactivation_map_in_homogeneous_form():
-    # [[B, c], [0, 1]] fails the pivot rule once max |B| passes 1e12, though
-    # B alone passes: its corner pivot 1 is below 1e-12 max |B|
+    # [[B, c], [0, 1]] fails the rule once |B| passes 1e12, though B alone
+    # passes: for B = 1e13 I and c = 0 it is diag(1e13, ..., 1e13, 1), whose
+    # rcond is 1e-13, where B's is 1
     r = identity_reparam(MLP3)
     r.activation_maps[1] = AffineMap(1e13 * np.eye(5), np.zeros(5))
     r.inverse()
     r.preactivation_maps[0] = AffineMap(1e13 * np.eye(5), np.zeros(5))
-    with pytest.raises(SingularMatrix, match="^preactivation map 0: pivot 1.000e\\+00 "):
+    with pytest.raises(SingularMatrix, match="^preactivation map 0: rcond 1.000e-13 below 1e-12$"):
         r.inverse()
 
 

@@ -96,8 +96,8 @@ REPARAM_FILES = {
     "maps-mlp-kfac-1000.json": reparam_to_dict(random_reparam(
         build_network(MLP["architecture"]), 1000, MLP["reparam_source"]["conditioning_cap"])),
 }
-# the same maps with pre-activation map 0's B made diag(1, ..., 1, 1e-13),
-# whose last pivot fails linalg.solve's pivot rule
+# the same maps with pre-activation map 0's B made diag(1, ..., 1, 1e-13), so
+# that map's homogeneous form has an rcond below linalg.SINGULARITY_RTOL
 _SINGULAR = copy.deepcopy(REPARAM_FILES["maps-mlp-kfac-1000.json"])
 _SINGULAR["preactivation_maps"][0]["B"] = [
     [(1.0 if i < 11 else 1e-13) if i == j else 0.0 for j in range(12)] for i in range(12)]
@@ -163,8 +163,14 @@ VARIANTS = {
     "diverging-sgd": {**MLP, **SMALL_MLP, "optimizer": "sgd"},
     "kfac-singular-factor": {**MLP, "architecture": {**MLP["architecture"],
                                                      "final_activation": "identity"}},
+    # exact NGD at learning rate 1e308: with reparam seed 1 the twin's R fails
+    # the rule at step 1 (degenerate); with seed 2 the Fishers stay regular
+    # until one overflows at step 2 (a diverged run, fail)
     "diverging-ngd": {**MLP, **SMALL_MLP, "dataset_spec": {"num_samples": 32},
                       "optimizer": "ngd"},
+    "diverging-ngd-mid-run": {**MLP, **SMALL_MLP, "dataset_spec": {"num_samples": 32},
+                              "reparam_source": {"kind": "random", "seed": 2},
+                              "optimizer": "ngd"},
     "ngd-fisher-overflow": {**NGD, "architecture": {"type": "mlp", "dims": [2, 2, 2, 2],
                                                     "activation": "identity",
                                                     "weight_scale": 1e90},
