@@ -1,16 +1,18 @@
 """Command-line entry point.
 
 Exit codes for check-invariance: 0 when the verdict is pass (or the run is
-damped and therefore only reported), 2 on a fail verdict (a diverged run
-whose step meets inf/NaN entries in a solve, or whose exact Fisher is not
-finite at the initial parameters, ends as fail), 3 when the run
+damped and therefore only reported), 2 on a fail verdict (a diverged run,
+whose step meets inf/NaN entries in a solve, ends as fail), 3 when the run
 hit a degenerate metric or non-finite teacher outputs, 4 for configuration
-problems. train exits 0, 3 (as above, or a solve that met inf/NaN entries)
-or 4; dump-factors exits 0, 3 (non-finite teacher outputs, or a factor with
-inf/NaN entries, which JSON cannot hold) or 4.
+problems. For every optimizer, a step that cannot be solved ends the run
+after the record of the pass that step read. train exits 0, 3 (as above, or
+a solve that met inf/NaN entries) or 4; dump-factors exits 0, 3 (non-finite
+teacher outputs, or a factor with inf/NaN entries, which JSON cannot hold)
+or 4.
 
 The whole config is checked when it is loaded, before any run: field names,
-types and ranges, the network and output model, and the reparam source (a
+types and ranges, the network and output model (an exact-NGD network may
+have at most metrics.PARAM_CAP parameters), and the reparam source (a
 reparam file must exist and its maps must fit the network; every reparam's
 maps, whatever the source, must be finite with an rcond estimate of at
 least linalg.SINGULARITY_RTOL, the rule of every solve, and are inverted

@@ -179,29 +179,18 @@ def kfac_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
     return trace.params.add_scaled(delta, -config.learning_rate)
 
 
-def ngd_curvature(trace, model, dataset, damping: float) -> tuple:
-    """(loss gradient, R) at trace: the gradient and the exact Fisher's rows
-    from one root pass of the model's own Fisher, and the R of those rows'
-    QR, sqrt(damping) I stacked under them when damped, so R^T R is
-    F + damping I. Both are kept on the trace, so the run loop's degeneracy
-    check and the first step, which read the same pass, build them once."""
-    held = trace.memo.get("ngd")
-    if held is None or held[0] is not model or held[1] is not dataset or held[2] != damping:
-        dz, grad = root_backward(trace, model, dataset, METRICS["fisher"])
-        rows = exact_fisher(trace, dz)
-        if damping > 0:
-            rows = np.concatenate([rows, np.sqrt(damping) * np.eye(rows.shape[1])])
-        held = trace.memo["ngd"] = (model, dataset, damping, grad, gram_root(rows))
-    return held[3:]
-
-
 def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
-    """Exact natural gradient step: the gradient solved against R^T R =
-    F + damping I (ngd_curvature), both from one root pass."""
+    """Exact natural gradient step: from one root pass of the model's own
+    Fisher, the gradient solved against R^T R = F + damping I, R that of a
+    QR of the exact Fisher's rows, sqrt(damping) I stacked under them when
+    damped."""
     del metric  # the exact step always uses the model's own Fisher
-    grad, r = ngd_curvature(trace, model, dataset, config.damping)
+    dz, grad = root_backward(trace, model, dataset, METRICS["fisher"])
+    rows = exact_fisher(trace, dz)
+    if config.damping > 0:
+        rows = np.concatenate([rows, np.sqrt(config.damping) * np.eye(rows.shape[1])])
     try:
-        step = gram_solve(r, grad.flatten(), ("exact Fisher", "gradient"))
+        step = gram_solve(gram_root(rows), grad.flatten(), ("exact Fisher", "gradient"))
     except SingularMatrix as exc:
         raise SingularMatrix(f"natural-gradient step: exact Fisher is singular: {exc}") from exc
     except NonFinite as exc:

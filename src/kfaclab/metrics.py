@@ -159,18 +159,18 @@ class GaussianFixedVar:
 @dataclass
 class WrappedOutputModel:
     """A base model observed through new output coordinates z' = omega z + gamma,
-    out_map an invertible affine map with matrix b = omega and offset c = gamma.
+    out_map an invertible affine map with matrix b = omega and offset c = gamma,
+    and out_back its inverse, which the caller solves (a run takes it from
+    its config's inverted reparam), so the model makes no solve.
 
     Losses, gradients, Fisher, KL, and sampling all agree with the base model
     expressed in the old coordinates; in particular the Fisher transforms as
-    omega^-T F omega^-1. out_back is out_map's inverse, computed once.
+    omega^-T F omega^-1.
     """
 
     base: object
     out_map: object
-
-    def __post_init__(self):
-        self.out_back = self.out_map.inverse()
+    out_back: object
 
     @property
     def dim(self) -> int:

@@ -728,7 +728,9 @@ class BatchTrace:
     act_in, (m, T, B).
 
     T is 1 for dense layers, the grid size for conv layers and the step
-    count for recurrent layers (act_in holds z'_t there).
+    count for recurrent layers (act_in holds z'_t there). It keeps nothing
+    derived from the pass: each reader, a step or the objective, builds what
+    it needs from it.
     """
 
     spec: NetworkSpec
@@ -737,9 +739,6 @@ class BatchTrace:
     abar: list
     act_in: list
     output: np.ndarray  # (B, output_dim)
-    # what is derived from this pass and kept for its later readers, by name
-    # (kfac.ngd_curvature keeps exact NGD's gradient and Fisher root here)
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def head(self, n: int) -> "BatchTrace":
         """The trace of the first n samples: every abar and act_in's first n

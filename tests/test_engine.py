@@ -186,7 +186,7 @@ def problems(draw):
         spec_t, params_t = transform_network(spec, params, r, r.inverse())
         data_t = Dataset([transform_input(spec, r, x) for x in data.inputs], data.targets)
         omap = output_space_map(spec, r)
-        return spec_t, params_t, WrappedOutputModel(model, omap), data_t
+        return spec_t, params_t, WrappedOutputModel(model, omap, omap.inverse()), data_t
     return spec, params, model, data
 
 
@@ -571,7 +571,8 @@ def test_exact_fisher_rows_are_the_root_pass_jacobians_bit_for_bit(net, n, kind,
     model = CategoricalLogits(k) if kind == "categorical" else GaussianFixedVar(k, 0.3)
     if wrapped:
         r = random_reparam(spec, rng_seed=int(rng.integers(2**31)), conditioning_cap=10.0)
-        model = WrappedOutputModel(model, output_space_map(spec, r))
+        omap = output_space_map(spec, r)
+        model = WrappedOutputModel(model, omap, omap.inverse())
     trace = forward_batch(spec, params, rng.standard_normal((n,) + shape))
     y = model.sample(trace.output, rng)
     dz = backward_batch(trace, model.root(y, trace.output)[0])

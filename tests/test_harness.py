@@ -33,7 +33,7 @@ from kfaclab.harness import (
 )
 from kfaclab.errors import NonFinite, SingularMatrix
 from kfaclab.kfac import UpdateConfig, kfac_step, ngd_step
-from kfaclab.linalg import gram_root
+from kfaclab.linalg import gram_rcond, gram_root
 from kfaclab.metrics import (
     CategoricalLogits,
     FisherMetric,
@@ -371,8 +371,8 @@ def test_report_dict_and_json_equal_asdict_and_the_dict_is_a_copy(make, verdict)
     assert report.verdict == verdict
     if verdict == "fail":
         assert np.isnan(report.records[-1].forward_discrepancy)
-    if verdict == "degenerate":
-        assert report.records == []
+    if verdict == "degenerate":  # the first step's solve fails after record 0
+        assert [rec.step for rec in report.records] == [0]
     d = report.to_dict()
     assert d == dataclasses.asdict(report)
     assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2)
@@ -454,11 +454,13 @@ def test_ngd_invariance_on_tiny_mlp():
 
 def test_ngd_degenerate_fisher_is_reported():
     # Two samples cannot span the 49-dim weight space, so the exact Fisher
-    # is singular and the run must say so instead of producing a verdict.
+    # is singular and the run must say so instead of producing a verdict:
+    # the first step cannot be solved, so the run ends after record 0.
     report = run_ngd_invariance(_ngd_config(dataset_spec={"num_samples": 2}))
     assert report.verdict == "degenerate"
-    assert "exact Fisher is singular" in report.diagnostic
-    assert report.records == []
+    assert report.diagnostic == (
+        "natural-gradient step: exact Fisher is singular: rcond 0.000e+00 below 1e-12")
+    assert [rec.step for rec in report.records] == [0]
 
 
 # Exact NGD beyond the dense mlp: a conv and a recurrent net whose Fishers are
@@ -534,10 +536,10 @@ def _rule_must_say(r):
 
 
 def _verdict(r):
-    """True when the check finds R^T R singular, False when it accepts it;
+    """True when the rule finds R^T R singular, False when it accepts it;
     NonFinite propagates."""
     try:
-        harness._check_fisher(r)
+        gram_rcond(r)
     except SingularMatrix:
         return True
     return False
@@ -650,9 +652,8 @@ def test_degeneracy_check_boundaries_and_refusals():
             assert _verdict(r) == singular, (n, ratio)
     r = _root_with_singular_values(np.sqrt([3.0, 1.5e-12]), 4)
     want = f"{_exact_rcond(r) ** 2:.3e}"  # a 2x2 R's estimate is exact
-    with pytest.raises(SingularMatrix, match=f"^exact Fisher is singular: rcond {want} "
-                       r"below 1e-12$"):
-        harness._check_fisher(r)
+    with pytest.raises(SingularMatrix, match=f"^rcond {want} below 1e-12$"):
+        gram_rcond(r, "exact Fisher")
     assert _verdict(np.zeros((3, 3)))
     # inf/NaN in R, or a largest diagonal entry of R^T R that overflows, is
     # a non-finite Fisher
@@ -661,8 +662,8 @@ def test_degeneracy_check_boundaries_and_refusals():
         bad_roots.append(np.eye(3))
         bad_roots[-1][1, 2] = bad
     for r in bad_roots:
-        with pytest.raises(NonFinite, match="^exact Fisher: non-finite entries$"):
-            harness._check_fisher(r)
+        with pytest.raises(NonFinite, match="^exact Fisher has non-finite entries$"):
+            gram_rcond(r, "exact Fisher")
     # a damped run checks the R of F + damping I, which the damping makes
     # regular where F is singular
     rows = np.concatenate([np.ones((1, 2)), np.sqrt(0.1) * np.eye(2)])
@@ -733,7 +734,7 @@ def test_compare_params_after_matching_steps():
     r = random_reparam(spec, 5)
     spec_t, params_t = transform_network(spec, params, r, r.inverse())
     omap = output_space_map(spec, r)
-    model_t = WrappedOutputModel(model, omap)
+    model_t = WrappedOutputModel(model, omap, omap.inverse())
     data_t = Dataset([transform_input(spec, r, x) for x in data.inputs], data.targets)
     config = UpdateConfig(0.05)
     trace = forward_batch(spec, params, data.inputs)
@@ -828,9 +829,8 @@ def test_one_pass_over_the_data_per_step(monkeypatch, steps):
     # and after each step; the step, the objective and the forward gap all
     # read that pass, so no pass covers the probes alone. The teacher adds
     # one pass over the data; train makes the same stacked passes as one
-    # twin, so its objectives carry their bits. Exact NGD checks the
-    # Fisher that its first step uses, read off the first stacked pass, so
-    # the check adds no pass and no Fisher of its own.
+    # twin, so its objectives carry their bits. Exact NGD builds a Fisher
+    # only in its steps, one per step of either twin.
     twins = 2 * (steps + 1)
     ngd = _ngd_config(steps=steps, dataset_spec={"num_samples": 24})
     for config in (_mlp_config(steps=steps, dataset_spec={"num_samples": 24}), ngd):
@@ -841,14 +841,14 @@ def test_one_pass_over_the_data_per_step(monkeypatch, steps):
     real = harness.kfac.exact_fisher
     monkeypatch.setattr(harness.kfac, "exact_fisher", lambda *a: builds.append(1) or real(*a))
     assert run_invariance(ngd).verdict == "pass"
-    assert len(builds) == (2 * steps or 1)  # one per step of either twin, the check's first
+    assert len(builds) == 2 * steps
 
 
 def test_a_run_keeps_only_the_passes_its_next_steps_read(monkeypatch):
     # When a twin makes a pass, it still holds its last one, which its step
     # read, and the other twin holds its own: two data traces are alive at
-    # most. A trace kept longer (the first pass, read by exact NGD's
-    # degeneracy check) would stay in memory for the whole run.
+    # most. A trace kept longer, such as the first pass, would stay in
+    # memory for the whole run.
     heads, alive = [], []
     real_head = nets.BatchTrace.head
 
@@ -964,6 +964,68 @@ def test_cli_train_on_a_singular_fisher_names_the_fisher_and_the_step(tmp_path, 
         "error: natural-gradient step: exact Fisher is singular: rcond 0.000e+00 below 1e-12\n")
 
 
+def _singular_factor_config():
+    """K-FAC whose last G factor is singular: categorical logits behind an
+    identity final activation sum their gradients to zero."""
+    return _mlp_config(architecture={**_mlp_config().architecture, "final_activation": "identity"})
+
+
+@pytest.mark.parametrize("make", [_singular_factor_config,
+                                  lambda: _ngd_config(dataset_spec={"num_samples": 2})],
+                         ids=["kfac-singular-factor", "ngd-degenerate"])
+def test_a_step_that_cannot_be_solved_ends_the_run_after_the_record_of_its_pass(
+        tmp_path, capsys, monkeypatch, make):
+    # one policy for every optimizer: check-invariance says what train
+    # says, and its last record is that of the pass the failing step read
+    config = make()
+    path = _write_config(tmp_path, "degen.json", config)
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    step, calls = harness._STEP_FNS[config.optimizer], []
+    monkeypatch.setitem(harness._STEP_FNS, config.optimizer,
+                        lambda *args: calls.append(1) or step(*args))
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_DEGENERATE
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "degenerate"
+    assert err == f"error: {report['diagnostic']}\n"
+    # the twins step in turn, so the failing call, the last, is step
+    # (calls + 1) // 2 of one twin, which read the pass of record step - 1
+    assert [r["step"] for r in report["records"]] == list(range((len(calls) + 1) // 2))
+
+
+def test_ngd_run_of_no_steps_on_a_singular_fisher_passes_as_train_does(tmp_path, capsys):
+    # no step is taken, so the singular Fisher is never solved
+    path = _write_config(tmp_path, "ngd.json",
+                         _ngd_config(dataset_spec={"num_samples": 2}, steps=0))
+    assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_PASS
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], [r["step"] for r in report["records"]]) == ("pass", [0])
+    assert cli.main(["train", "--config", path, "--out", "-"]) == cli.EXIT_PASS
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines()[1:], captured.err) == (
+        [f"0,{report['records'][0]['objective']!r}"], "")
+
+
+@pytest.mark.parametrize("arch, size", [
+    ({"type": "mlp", "dims": [99, 50]}, 5000),
+    ({"type": "mlp", "dims": [100, 50]}, 5050),
+    # a recurrent layer's V counts: 50 x 51 homogenized weights and 50 x 49
+    ({"type": "rnn", "input_dim": 49, "hidden_dim": 50, "steps": 2}, 5000),
+    ({"type": "rnn", "input_dim": 50, "hidden_dim": 50, "steps": 2}, 5050),
+], ids=["mlp-at-cap", "mlp-above-cap", "rnn-at-cap", "rnn-above-cap"])
+def test_ngd_above_the_dense_cap_is_a_config_error(arch, size):
+    raw = {**_ngd_config().to_dict(), "architecture": arch,
+           "output_model": {"kind": "gaussian", "dim": 50}}
+    config = ExperimentConfig.from_dict({**raw, "optimizer": "kfac"})  # K-FAC has no cap
+    assert init_params(config.spec, 0).num_params == size
+    if size <= metrics.PARAM_CAP:
+        ExperimentConfig.from_dict(raw)
+    else:
+        with pytest.raises(ValueError, match=f"^optimizer ngd: {size} parameters exceeds "
+                           "the dense cap 5000$"):
+            ExperimentConfig.from_dict(raw)
+
+
 def test_cli_dump_factors_with_an_overflowing_factor_exits_3_naming_it(tmp_path, capsys):
     # inputs of 1e200 overflow the A factor; JSON has no inf, so no dump
     raw = {"architecture": {"type": "mlp", "dims": [3, 4, 3]},
@@ -1041,15 +1103,17 @@ def _ngd_fisher_overflow_config(**overrides):
 
 def test_cli_ngd_fisher_that_overflows_at_step_0_ends_in_a_fail_report(tmp_path, capsys):
     # the Fisher's rows, about 1e180, and its R are finite, but its largest
-    # eigenvalue, sigma_max(R)^2, is not
+    # eigenvalue, sigma_max(R)^2, is not: the first step's solve refuses it
+    # after record 0
     path = _write_config(tmp_path, "overflow.json", _ngd_fisher_overflow_config())
     assert cli.main(["check-invariance", "--config", path]) == cli.EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
     assert report["verdict"] == "fail"
-    assert report["diagnostic"] == "step 0 diverged: exact Fisher: non-finite entries"
-    assert report["records"] == []
+    assert report["diagnostic"] == (
+        "step 1 diverged: natural-gradient step: exact Fisher has non-finite entries")
+    assert [r["step"] for r in report["records"]] == [0]
 
 
 def _diverging_ngd_config(reparam_seed=2):
@@ -1126,8 +1190,9 @@ def test_damped_ngd_still_ends_a_run_whose_fisher_overflows_at_step_0():
     with np.errstate(over="ignore", invalid="ignore"):
         report = run_invariance(config)
     assert report.verdict == "fail"
-    assert report.diagnostic == "step 0 diverged: exact Fisher: non-finite entries"
-    assert report.records == []
+    assert report.diagnostic == (
+        "step 1 diverged: natural-gradient step: exact Fisher has non-finite entries")
+    assert [rec.step for rec in report.records] == [0]
 
 
 def test_cli_random_reparam_that_fails_the_pivot_rule_is_a_config_error(tmp_path):
@@ -1211,14 +1276,14 @@ def test_inverting_a_reparam_names_the_map_whose_solve_fails(which, index):
 
 
 def test_a_run_makes_no_solve_with_a_reparam_map(monkeypatch):
-    # the config inverts its reparam; the twin and the back-maps are then
-    # products, and the one solve left is WrappedOutputModel's own out_back
+    # the config inverts its reparam; the twin, the back-maps and the twin's
+    # output model are then products with the maps and their inverses
     config = _mlp_config()
     real, solved = harness.reparam.solve, []
     monkeypatch.setattr(harness.reparam, "solve",
                         lambda a, rhs: solved.append(a.shape) or real(a, rhs))
     assert run_invariance(config).verdict == "pass"
-    assert solved == [(6, 6)]
+    assert solved == []
 
 
 def test_an_output_map_that_fails_the_pivot_rule_is_a_config_error(tmp_path):
@@ -1484,6 +1549,9 @@ CONV_ARCHITECTURE = {
          "optimizer sgd reads no metric: metric must be fisher"),
         (lambda raw, tmp: raw.update(optimizer="ngd", metric="ggn"),
          "optimizer ngd reads no metric: metric must be fisher"),
+        (lambda raw, tmp: raw.update(optimizer="ngd", architecture={"type": "mlp",
+                                                                    "dims": [60, 80, 6]}),
+         "optimizer ngd: 5366 parameters exceeds the dense cap 5000"),
     ],
     ids=[
         "conditioning-cap-below-1", "unknown-preset", "unknown-reparam-kind",
@@ -1502,7 +1570,7 @@ CONV_ARCHITECTURE = {
         "layer-without-activation", "recurrent-layer-without-steps",
         "reparam-file-without-activation-maps", "reparam-file-map-without-offset",
         "reparam-file-maps-not-an-array", "reparam-file-matrix-not-numbers",
-        "sgd-damped", "ngd-factored", "sgd-gauss-newton", "ngd-ggn",
+        "sgd-damped", "ngd-factored", "sgd-gauss-newton", "ngd-ggn", "ngd-over-param-cap",
     ],
 )
 def test_cli_invalid_field_exits_with_config_error(tmp_path, capsys, edit, message):

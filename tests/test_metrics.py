@@ -205,7 +205,8 @@ def test_wrapped_output_model_delegates_in_old_coordinates():
     base = CategoricalLogits(3)
     omega = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
     gamma = rng.standard_normal(3)
-    wrapped = WrappedOutputModel(base, reparam.AffineMap(omega, gamma))
+    out_map = reparam.AffineMap(omega, gamma)
+    wrapped = WrappedOutputModel(base, out_map, out_map.inverse())
     z = rng.standard_normal(3)
     z_new = omega @ z + gamma
     assert wrapped.loss(1, z_new) == pytest.approx(base.loss(1, z), abs=1e-10)
@@ -256,7 +257,7 @@ def test_metric_root_squares_to_the_matrix_and_weights_to_the_loss_cotangent(
     if wrapped:
         out_map = reparam.AffineMap(rng.standard_normal((k, k)) + 2.0 * np.eye(k),
                                     rng.standard_normal(k))
-        model = WrappedOutputModel(model, out_map)
+        model = WrappedOutputModel(model, out_map, out_map.inverse())
         z = z @ out_map.b.T + out_map.c  # targets stay in the base coordinates
     metric = METRICS[metric_name]
     stack, w = metric.root(model, y, z)
@@ -494,7 +495,7 @@ def test_exact_fisher_transforms_tensorially():
     spec_t, params_t = reparam.transform_network(spec, params, r, r.inverse())
     inputs_t = [reparam.transform_input(spec, r, x) for x in inputs]
     omap = reparam.output_space_map(spec, r)
-    model_t = WrappedOutputModel(model, omap)
+    model_t = WrappedOutputModel(model, omap, omap.inverse())
 
     f = fisher_matrix(spec, params, model, inputs)
     f_t = fisher_matrix(spec_t, params_t, model_t, inputs_t)

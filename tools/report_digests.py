@@ -145,6 +145,11 @@ VARIANTS = {
     "ngd-degenerate": {**NGD, "dataset_spec": {"num_samples": 2}},
     "ngd-degenerate-damped": {**NGD, "dataset_spec": {"num_samples": 2}, "damping": 0.1,
                               "damping_mode": "dense_tikhonov"},
+    # no step solves the singular Fisher: a pass with one record, as train
+    "ngd-steps-0-singular": {**NGD, "dataset_spec": {"num_samples": 2}, "steps": 0},
+    # 5123 parameters, above metrics.PARAM_CAP: a config error
+    "ngd-over-param-cap": {**NGD, "architecture": {"type": "mlp", "dims": [60, 80, 3]},
+                           "output_model": {"kind": "categorical", "classes": 3}},
     "ngd-conv": NGD_CONV,
     "ngd-rnn": NGD_RNN,
     # N*K = 260 just above P = 245: an ill-conditioned Fisher, on a reparam
