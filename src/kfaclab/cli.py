@@ -17,10 +17,11 @@ reparam file must exist and its maps must fit the network; every reparam's
 maps, whatever the source, must be finite with an rcond estimate of at
 least linalg.SINGULARITY_RTOL, the rule of every solve, and are inverted
 then, once; runs use the maps and inverses of that moment). Any problem
-there (errors.ConfigError), a train --out path that cannot be opened for
-writing (checked before the run), or a dataset too large to allocate exits
-4 with one line on stderr. numpy's floating-point warnings are silenced: a
-diverged run reports its NaN itself.
+there (errors.ConfigError; a config or reparam file nested past Python's
+recursion limit is one), a train --out path that cannot be opened for
+writing (checked before the run), or parameters, a dataset or probes too
+large to allocate or address exits 4 with one line on stderr. numpy's
+floating-point warnings are silenced: a diverged run reports its NaN itself.
 """
 
 import argparse
@@ -44,7 +45,7 @@ def _load_config(path: str) -> harness.ExperimentConfig:
         with open(path) as fh:
             raw = json.load(fh)
         return harness.ExperimentConfig.from_dict(raw)
-    except (OSError, ValueError, KeyError, TypeError, ShapeMismatch) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ShapeMismatch, RecursionError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -44,10 +44,7 @@ class Dataset:
 def _draw_inputs(spec: nets.NetworkSpec, rng, count: int, scale: float) -> np.ndarray:
     """count i.i.d. normal inputs in one draw, the same numbers as count
     draws of one input each."""
-    try:
-        return scale * rng.standard_normal((count,) + spec.layers[0].in_shape)
-    except ValueError as exc:  # numpy refuses a size it cannot address
-        raise MemoryError(str(exc)) from exc
+    return scale * rng.standard_normal((count,) + spec.layers[0].in_shape)
 
 
 def probe_inputs(spec: nets.NetworkSpec, seed: int, scale: float = 1.0):
@@ -335,17 +332,17 @@ def _forward_gap(o, o_t, out_back) -> float:
 
 def _setup(config: ExperimentConfig):
     spec, model = config.spec, config.model
-    params = nets.init_params(spec, seed=config.seed, weight_scale=config.weight_scale)
-    data = synthetic_dataset(
-        spec,
-        model,
-        config.num_samples,
-        seed=config.seed + 1,
-        teacher_seed=config.teacher_seed,
-        input_scale=config.input_scale,
-        weight_scale=config.weight_scale,
-    )
-    probes = probe_inputs(spec, seed=config.seed + 3, scale=config.input_scale)
+    try:  # every array sized from the config
+        params = nets.init_params(spec, seed=config.seed, weight_scale=config.weight_scale)
+        data = synthetic_dataset(spec, model, config.num_samples, seed=config.seed + 1,
+                                 teacher_seed=config.teacher_seed,
+                                 input_scale=config.input_scale,
+                                 weight_scale=config.weight_scale)
+        probes = probe_inputs(spec, seed=config.seed + 3, scale=config.input_scale)
+    except NonFinite:  # a teacher whose outputs overflow, a ValueError too
+        raise
+    except ValueError as exc:  # numpy refuses a size it cannot address
+        raise MemoryError(str(exc)) from exc
     return spec, model, params, data, probes
 
 
@@ -372,13 +369,18 @@ def _trajectory(config: ExperimentConfig, spec, params, model, data, probes):
     the forward gap the probe rows, and each step reads the pass before it.
     A GEMM's bits depend on how many columns share it, so train and
     dump-factors read these passes too, to print check-invariance's
-    numbers."""
+    numbers. This is the only place a step is taken: one root pass gives dz
+    and the gradient, the rule turns them into a direction, and the step is
+    w - learning_rate * direction."""
     metric = metrics.METRICS[config.metric]
     xs = np.concatenate([data.inputs, probes])
     n = len(data)
     for step in range(config.steps + 1):
         if step:
-            params = _STEP_FNS[config.optimizer](trace, model, data, metric, config.update)
+            dz, grad = kfac.root_backward(trace, model, data, metric)
+            delta = _STEP_FNS[config.optimizer](trace, dz, grad, config.update)
+            params = trace.params.add_scaled(delta, -config.update.learning_rate)
+            del dz, grad, delta  # freed before the next forward pass, not after it
         full = nets.forward_batch(spec, params, xs)
         trace, probe_out = full.head(n), full.output[n:]
         del full  # only the data columns' copy outlives the pass

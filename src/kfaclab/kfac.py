@@ -23,12 +23,12 @@ The same pass serves the loss gradient (loss_gradient): backward is linear
 in the cotangent and C w is the loss cotangent, so the gradient is w
 contracted with dz, then with Abar. The builders (estimate_factors,
 loss_gradient, metrics.exact_fisher) take the caller's pass, a trace and
-its dz, and make none of their own. Each update rule reads one root pass at
-the run loop's forward pass, so each step makes only a backward pass:
-sgd_step takes its gradient as it is, kfac_step preconditions it with the
-Kronecker factors, and ngd_step with the exact Fisher, whose rows the same
-pass gives (metrics.exact_fisher): their QR's R, with R^T R = F, makes the
-step two triangular solves, so F itself is never formed.
+its dz, and make none of their own. Each update rule gives M^-1 grad, M its
+metric: the run loop makes the root pass and the step w - lr M^-1 grad.
+sgd_step returns the gradient as it is (M = I), kfac_step preconditions it
+with the Kronecker factors, and ngd_step with the exact Fisher, whose rows
+the same pass gives (metrics.exact_fisher): their QR's R, with R^T R = F,
+makes the direction two triangular solves, so F itself is never formed.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NonFinite, SingularMatrix, TooLarge, check_real
 from .linalg import gram_root, gram_solve, kron, solve, unvec, vec
-from .metrics import METRICS, PARAM_CAP, exact_fisher
+from .metrics import PARAM_CAP, exact_fisher
 from .nets import LayerParams, ParamSet, backward_batch, gradient_from_basis, unflatten_params
 
 
@@ -167,42 +167,35 @@ def objective(trace, model, dataset) -> float:
     return float(np.add.reduce(loss) / len(loss))  # np.mean's arithmetic
 
 
-def kfac_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
-    """One preconditioned step on the factored parameters.
-
-    Factors and gradient come from one root pass. Only weights that own
-    Kronecker factors move (every layer's homogenized W); a recurrent
-    layer's input map V has no factors and stays fixed.
-    """
-    dz, grad = root_backward(trace, model, dataset, metric)
-    delta = apply_inverse(estimate_factors(trace, dz), grad, config)
-    return trace.params.add_scaled(delta, -config.learning_rate)
+def kfac_step(trace, dz, grad, update: UpdateConfig) -> ParamSet:
+    """K-FAC's direction: grad preconditioned by the Kronecker factors of the
+    root pass dz at trace. Only weights that own factors move (every
+    layer's homogenized W); a recurrent layer's input map V has none, so
+    its entry is None and V stays fixed."""
+    return apply_inverse(estimate_factors(trace, dz), grad, update)
 
 
-def ngd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
-    """Exact natural gradient step: from one root pass of the model's own
-    Fisher, the gradient solved against R^T R = F + damping I, R that of a
-    QR of the exact Fisher's rows, sqrt(damping) I stacked under them when
-    damped."""
-    del metric  # the exact step always uses the model's own Fisher
-    dz, grad = root_backward(trace, model, dataset, METRICS["fisher"])
+def ngd_step(trace, dz, grad, update: UpdateConfig) -> ParamSet:
+    """Exact natural gradient's direction: grad solved against
+    R^T R = F + damping I, R that of a QR of the exact Fisher's rows, which
+    the root pass dz of the model's own Fisher gives, sqrt(damping) I
+    stacked under them when damped."""
     rows = exact_fisher(trace, dz)
-    if config.damping > 0:
-        rows = np.concatenate([rows, np.sqrt(config.damping) * np.eye(rows.shape[1])])
+    if update.damping > 0:
+        rows = np.concatenate([rows, np.sqrt(update.damping) * np.eye(rows.shape[1])])
     try:
         step = gram_solve(gram_root(rows), grad.flatten(), ("exact Fisher", "gradient"))
     except SingularMatrix as exc:
         raise SingularMatrix(f"natural-gradient step: exact Fisher is singular: {exc}") from exc
     except NonFinite as exc:
         raise NonFinite(f"natural-gradient step: {exc}") from exc
-    return unflatten_params(trace.spec, trace.params.flatten() - config.learning_rate * step)
+    return unflatten_params(trace.spec, step)
 
 
-def sgd_step(trace, model, dataset, metric, config: UpdateConfig) -> ParamSet:
-    """Plain gradient descent; the non-invariant control. The gradient comes
-    from the root pass, as kfac_step's does."""
-    grad = root_backward(trace, model, dataset, metric)[1]
-    return trace.params.add_scaled(grad, -config.learning_rate)
+def sgd_step(trace, dz, grad, update: UpdateConfig) -> ParamSet:
+    """Plain gradient descent's direction, the gradient itself; the
+    non-invariant control."""
+    return grad
 
 
 # ---------------------------------------------------------------------------

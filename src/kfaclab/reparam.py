@@ -100,7 +100,7 @@ class NetworkReparam:
     def inverse(self) -> "NetworkReparam":
         """The inverse maps, the only solves made with a reparam's maps:
         activation maps first, each solved by its B, then pre-activation
-        maps, each solved in homogeneous form [[B, c], [0, 1]]. Raises
+        maps, each solved in homogeneous form [[B, t c], [0, s]]. Raises
         NonFinite or SingularMatrix, naming the map, at the first map whose
         offset is not finite or whose solved matrix fails linalg.solve."""
         return NetworkReparam(
@@ -121,17 +121,24 @@ class NetworkReparam:
 
 
 def _inverted(what: str, m: AffineMap, homogeneous: bool) -> AffineMap:
-    """m's inverse, solved by m.b, or in homogeneous form; an error raised
-    again with what, the map's name, in front of its message."""
+    """m's inverse, solved by m.b, or in homogeneous form [[B, t c], [0, s]],
+    s and t powers of two that bring the corner and c's column to B's scale,
+    so its rcond is about B's; the offset times s / t then has the unscaled
+    form's bits. Errors are raised again with what, the map's name, first."""
     try:
         if not np.isfinite(m.c).all():
             raise NonFinite("offset has non-finite entries")
         if not homogeneous:
             return m.inverse()
-        h = solve(m.homogeneous(), np.eye(m.dim + 1))
+        p = np.frexp(np.abs(m.b).sum(axis=0).max())[1] - 1  # s = 2**p <= ||B||_1 < 2 s
+        norm_c = np.abs(m.c).sum()
+        q = 0 if norm_c <= 2.0**p else p - np.frexp(norm_c)[1]  # t = 2**q: t ||c||_1 < s
+        h = AffineMap(m.b, np.ldexp(m.c, q)).homogeneous()
+        h[-1, -1] = 2.0**p
+        h = solve(h, np.eye(m.dim + 1))
     except (NonFinite, SingularMatrix) as exc:
         raise type(exc)(f"{what}: {exc}") from exc
-    return AffineMap(h[:-1, :-1], h[:-1, -1])
+    return AffineMap(h[:-1, :-1], np.ldexp(h[:-1, -1], p - q))
 
 
 def identity_reparam(spec: NetworkSpec) -> NetworkReparam:

@@ -2,8 +2,17 @@ import sys
 
 import numpy as np
 
-from kfaclab.metrics import exact_fisher
+from kfaclab.kfac import root_backward
+from kfaclab.metrics import FisherMetric, exact_fisher
 from kfaclab.nets import backward_batch, forward_batch
+
+
+def take_step(rule, trace, model, data, update, metric=FisherMetric()):
+    """The parameters after one step of rule at trace, taken as the run loop
+    (harness._trajectory) takes it: one root pass, rule's direction from it,
+    and w - learning_rate * direction."""
+    dz, grad = root_backward(trace, model, data, metric)
+    return trace.params.add_scaled(rule(trace, dz, grad, update), -update.learning_rate)
 
 
 def basis_pass(trace) -> list:

@@ -65,7 +65,7 @@ from kfaclab.reparam import (
     transform_input,
     transform_network,
 )
-from conftest import basis_pass
+from conftest import basis_pass, take_step
 
 RTOL = 1e-12
 ACTIVATIONS = (Identity(), Logistic(), Tanh(), Softplus())
@@ -285,7 +285,7 @@ def test_kfac_step_matches_two_pass_reference(problem, metric_name, config):
     metric = METRICS[metric_name]
     trace = forward_batch(spec, params, data.inputs)
     got, calls = _run_recording(
-        "apply_inverse", kfac_step, SingularMatrix, trace, model, data, metric, config
+        "apply_inverse", take_step, SingularMatrix, kfac_step, trace, model, data, config, metric
     )
     (factors, grad, _), = calls
     fresh = forward_batch(spec, params, data.inputs)
@@ -307,7 +307,7 @@ def test_ngd_step_matches_two_pass_reference(problem, config):
     spec, params, model, data = problem
     trace = forward_batch(spec, params, data.inputs)
     got, calls = _run_recording(
-        "gram_solve", ngd_step, SingularMatrix, trace, model, data, None, config
+        "gram_solve", take_step, SingularMatrix, ngd_step, trace, model, data, config
     )
     (r, rhs, _), = calls
     assert np.array_equal(r, np.triu(r))

@@ -36,7 +36,6 @@ from kfaclab.kfac import UpdateConfig, kfac_step, ngd_step
 from kfaclab.linalg import gram_rcond, gram_root
 from kfaclab.metrics import (
     CategoricalLogits,
-    FisherMetric,
     GaussianFixedVar,
     WrappedOutputModel,
 )
@@ -60,6 +59,8 @@ from kfaclab.reparam import (
     transform_network,
     transform_params,
 )
+from conftest import take_step
+from test_acceptance import CONV_ARCH, MLP_ARCH, REPARAM_SEEDS, RNN_ARCH, _invariance_config
 
 
 def _worst_gap(report) -> float:
@@ -739,9 +740,59 @@ def test_compare_params_after_matching_steps():
     config = UpdateConfig(0.05)
     trace = forward_batch(spec, params, data.inputs)
     trace_t = forward_batch(spec_t, params_t, data_t.inputs)
-    stepped = kfac_step(trace, model, data, FisherMetric(), config)
-    stepped_t = kfac_step(trace_t, model_t, data_t, FisherMetric(), config)
+    stepped = take_step(kfac_step, trace, model, data, config)
+    stepped_t = take_step(kfac_step, trace_t, model_t, data_t, config)
     assert compare_params_through_reparam(stepped, stepped_t, ParamMap(r, params)) <= 1e-8
+
+
+# One-step covariance: at step 0 of each bench panel config, the twin's
+# direction mapped back by ParamMap's linear part, dW = B_Phi dW' [Omega]_H
+# and dV = B_Phi dV', is the original's for the invariant rules. Measured
+# per-layer gaps: mlp-kfac 5.9e-15 to 3.3e-12, conv-kfac 1.8e-15 to 2.4e-12,
+# rnn-kfac 4.3e-15 to 2.5e-13, mlp-ngd 3.9e-14 to 1.6e-12; sgd 6.3e2 to 5.0e3.
+ONE_STEP_PANELS = {
+    "mlp": (MLP_ARCH, 64), "conv": (CONV_ARCH, 64), "rnn": (RNN_ARCH, 32),
+}
+
+
+def _one_step_gaps(config) -> list:
+    """Per layer, max |D - back(D')| / max |D| over the layer's W and V: D
+    the original's step-0 direction, D' the twin's, each the rule's output
+    on a root pass at a forward pass over its own data, and back ParamMap's
+    linear part."""
+    spec, model, params, data, _ = harness._setup(config)
+    r, spec_t, params_t, data_t, model_t, _ = harness._transformed_side(
+        spec, model, params, data, config)
+    rule, directions = harness._STEP_FNS[config.optimizer], []
+    for s, p, m, d in ((spec, params, model, data), (spec_t, params_t, model_t, data_t)):
+        trace = forward_batch(s, p, d.inputs)
+        dz, grad = kfac.root_backward(trace, m, d, metrics.METRICS[config.metric])
+        directions.append(rule(trace, dz, grad, config.update).layers)
+    gaps = []
+    for (_, b_phi, omega_h), lp, lp_t in zip(ParamMap(r, params).maps, *directions, strict=True):
+        pairs = [(lp.wbar, b_phi @ lp_t.wbar @ omega_h)]
+        if lp.v is not None:
+            pairs.append((lp.v, b_phi @ lp_t.v))
+        gaps.append(max(np.abs(d - back).max() for d, back in pairs)
+                    / max(np.abs(d).max() for d, _ in pairs))
+    return gaps
+
+
+@pytest.mark.parametrize("panel, optimizer", [
+    ("mlp", "kfac"), ("conv", "kfac"), ("rnn", "kfac"), ("mlp-ngd", "ngd"), ("mlp", "sgd")],
+    ids=["mlp-kfac", "conv-kfac", "rnn-kfac", "mlp-ngd", "mlp-sgd"])
+def test_one_step_direction_is_covariant_on_the_bench_panels(panel, optimizer):
+    for seed in REPARAM_SEEDS:
+        if optimizer == "ngd":
+            config = _ngd_config(reparam_source={"kind": "random", "seed": seed,
+                                                 "conditioning_cap": 100.0})
+        else:
+            config = _invariance_config(*ONE_STEP_PANELS[panel], seed, optimizer=optimizer)
+        gaps = _one_step_gaps(config)
+        if optimizer == "sgd":  # the non-invariant control
+            assert min(gaps) >= 1, (seed, gaps)
+        else:
+            assert max(gaps) <= 1e-10, (seed, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -1168,7 +1219,7 @@ def test_ngd_step_names_a_non_finite_gradient():
     data = Dataset(data.inputs, np.full_like(data.targets, np.inf))
     with np.errstate(invalid="ignore"), pytest.raises(
             NonFinite, match="^natural-gradient step: gradient has non-finite entries$"):
-        ngd_step(trace, model, data, FisherMetric(), config.update)
+        take_step(ngd_step, trace, model, data, config.update)
 
 
 def test_damped_ngd_on_a_singular_fisher_only_reports(tmp_path, capsys):
@@ -1195,24 +1246,31 @@ def test_damped_ngd_still_ends_a_run_whose_fisher_overflows_at_step_0():
     assert [rec.step for rec in report.records] == [0]
 
 
-def test_cli_random_reparam_that_fails_the_pivot_rule_is_a_config_error(tmp_path):
-    # with a cap of 1e26 the homogeneous [[B, c], [0, 1]] of a pre-activation
-    # map has an rcond below the rule, as it would in a reparam file; every
-    # command refuses the config when it loads
-    source = {"kind": "random", "seed": 1000, "conditioning_cap": 1e26}
-    for raw, rcond in (
-        ({**_mlp_config().to_dict(), "reparam_source": source}, "4.704e-14"),
-        # an exact-NGD run whose Fisher is singular too (two samples): the
-        # config error comes before the degenerate verdict, as for K-FAC
-        ({**_ngd_config().to_dict(), "dataset_spec": {"num_samples": 2},
-          "reparam_source": source}, "8.156e-14"),
-    ):
-        path = tmp_path / "cap.json"
-        path.write_text(json.dumps(raw))
-        for code, out, err in _run_all_commands(path):
-            assert (code, out) == (cli.EXIT_CONFIG, "")
-            assert err == ("config error: reparam_source preactivation map 0: "
-                           f"rcond {rcond} below 1e-12\n")
+def test_cli_random_reparam_at_cap_1e26_is_judged_by_its_b(tmp_path):
+    # at a cap of 1e26 a pre-activation map's B is near 1e13 and well
+    # conditioned; the scaled homogeneous form reads B's rcond, so the
+    # config loads, train and dump-factors run the original network, and
+    # check-invariance ends degenerate on the twin's singular A factor
+    raw = {**_mlp_config().to_dict(),
+           "reparam_source": {"kind": "random", "seed": 1000, "conditioning_cap": 1e26}}
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(raw))
+    (code, out, err), *others = _run_all_commands(path)
+    report = json.loads(out)
+    assert (code, err, [r["step"] for r in report["records"]]) == (cli.EXIT_DEGENERATE, "", [0])
+    assert report["diagnostic"] == "layer 0 factor is singular: rcond 1.104e-26 below 1e-12"
+    assert [(code, err) for code, _, err in others] == [(cli.EXIT_PASS, "")] * 2
+    # an exact-NGD run whose Fisher is singular too (two samples) and whose
+    # reparam file holds a singular B: the config error comes before the
+    # degenerate verdict, as for K-FAC
+    raw = {**_ngd_config().to_dict(), "dataset_spec": {"num_samples": 2}}
+    _broken_file_reparam(raw, tmp_path, lambda d: d["preactivation_maps"][0].update(
+        B=_fails_pivot_rule(AffineMap.identity(5)).b.tolist()))
+    path.write_text(json.dumps(raw))
+    for code, out, err in _run_all_commands(path):
+        assert (code, out) == (cli.EXIT_CONFIG, "")
+        assert err == ("config error: reparam file preactivation map 0: "
+                       "rcond 5.589e-14 below 1e-12\n")
 
 
 def _ledger_mlp_config(**overrides):
@@ -1268,8 +1326,9 @@ def test_inverting_a_reparam_names_the_map_whose_solve_fails(which, index):
     maps = getattr(r, which)
     maps[index] = _fails_pivot_rule(maps[index])
     name = f"{which[:-5]} map {index}"
-    # a pre-activation map is solved in homogeneous form, whose rcond its c moves
-    rcond = {"activation map 1": "1.000e-13", "preactivation map 0": "4.049e-14",
+    # a pre-activation map is solved in homogeneous form, whose rcond its
+    # scaled c moves
+    rcond = {"activation map 1": "1.000e-13", "preactivation map 0": "5.764e-14",
              "preactivation map 1": "5.766e-14"}[name]
     with pytest.raises(SingularMatrix, match=f"^{name}: rcond {rcond} below 1e-12$"):
         r.inverse()
@@ -1341,19 +1400,38 @@ def test_cli_unallocatable_dataset_exits_with_config_error(tmp_path):
 
 
 def test_cli_unaddressable_dataset_exits_with_config_error(tmp_path):
-    # 1e18 samples of 4 floats exceed numpy's largest array size, so numpy
-    # refuses the shape before it allocates anything
-    raw = _mlp_config().to_dict()
-    raw.update(
-        architecture={"type": "mlp", "dims": [4, 5, 3]},
-        output_model={"kind": "categorical", "classes": 3},
-        dataset_spec={"num_samples": 10**18},
-    )
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(raw))
-    for code, out, err in _run_all_commands(path):
-        assert (code, out) == (cli.EXIT_CONFIG, "")
-        assert err.startswith("config error: array is too big") and err.count("\n") == 1
+    # numpy refuses a shape beyond its largest array size before it
+    # allocates anything: 1e18 samples of 4 floats, or the initial weights
+    # of a conv layer of radius 1e9, (2R+1)^2 patch offsets
+    for edit in (
+        {"architecture": {"type": "mlp", "dims": [4, 5, 3]},
+         "dataset_spec": {"num_samples": 10**18}},
+        {"architecture": {"type": "conv", "channels": [1, 1], "kernel_radius": 10**9,
+                          "grid": [2, 2], "head_dim": 3},
+         "dataset_spec": {"num_samples": 4}},
+    ):
+        raw = {**_mlp_config().to_dict(), **edit,
+               "output_model": {"kind": "categorical", "classes": 3}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        for code, out, err in _run_all_commands(path):
+            assert (code, out) == (cli.EXIT_CONFIG, "")
+            assert err.startswith("config error: array is too big") and err.count("\n") == 1
+
+
+def test_cli_file_nested_past_the_recursion_limit_exits_with_config_error(tmp_path):
+    # json.load raises RecursionError on arrays nested 200000 deep, in the
+    # config itself or in the reparam file it names
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    source = {"kind": "file", "path": str(deep)}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_mlp_config().to_dict(), "reparam_source": source}))
+    for path in (deep, config):
+        for code, out, err in _run_all_commands(path):
+            assert (code, out) == (cli.EXIT_CONFIG, "")
+            assert err.startswith("config error: maximum recursion depth exceeded")
+            assert err.count("\n") == 1
 
 
 def test_file_reparam_is_read_once_when_the_config_is_built(tmp_path):
@@ -1482,7 +1560,7 @@ CONV_ARCHITECTURE = {
         (_nan_offset, "reparam file preactivation map 0: offset has non-finite entries"),
         (_tiny_pivot, "reparam file preactivation map 0: rcond 5.159e-301 below 1e-12"),
         (_singular_preactivation_map,
-         "reparam file preactivation map 0: rcond 1.819e-14 below 1e-12\n"),
+         "reparam file preactivation map 0: rcond 6.402e-14 below 1e-12\n"),
         (lambda raw, tmp: raw.update(architecture={**CONV_ARCHITECTURE, "kernel_raduis": 2}),
          "unknown architecture fields: ['kernel_raduis']"),
         (lambda raw, tmp: raw.update(architecture={

@@ -51,7 +51,7 @@ from kfaclab.nets import (
     init_params,
 )
 from kfaclab.reparam import output_space_map, random_reparam, transform_input, transform_network
-from conftest import basis_pass, fisher_matrix
+from conftest import basis_pass, fisher_matrix, take_step
 from test_engine import ENGINE_SETTINGS, networks, oracle_objective_and_gradient, problems
 
 
@@ -556,7 +556,7 @@ def test_zero_learning_rate_steps_are_identity():
     for step, spec, data in cases:
         params = init_params(spec, 16)
         trace = forward_batch(spec, params, data.inputs)
-        new = step(trace, model, data, FisherMetric(), config)
+        new = take_step(step, trace, model, data, config)
         for lp_new, lp_old in zip(new.layers, params.layers):
             np.testing.assert_array_equal(lp_new.wbar, lp_old.wbar)
             if lp_old.v is not None:
@@ -587,8 +587,8 @@ def test_identity_factors_reduce_kfac_to_sgd(problem):
     np.testing.assert_array_equal(factors[0].g, np.eye(2))
     config = UpdateConfig(0.5)
     trace = forward_batch(spec, params, data.inputs)
-    kfac = kfac_step(trace, model, data, FisherMetric(), config)
-    sgd = sgd_step(trace, model, data, FisherMetric(), config)
+    kfac = take_step(kfac_step, trace, model, data, config)
+    sgd = take_step(sgd_step, trace, model, data, config)
     np.testing.assert_array_equal(kfac.layers[0].wbar, sgd.layers[0].wbar)
 
     # On any network, identity factors make the K-FAC step the SGD step bit
@@ -597,8 +597,8 @@ def test_identity_factors_reduce_kfac_to_sgd(problem):
     spec, params, model, data = problem
     trace = forward_batch(spec, params, data.inputs)
     with mock.patch("kfaclab.kfac.estimate_factors", _identity_factors):
-        kfac = kfac_step(trace, model, data, FisherMetric(), config)
-    sgd = sgd_step(trace, model, data, FisherMetric(), config)
+        kfac = take_step(kfac_step, trace, model, data, config)
+    sgd = take_step(sgd_step, trace, model, data, config)
     for lp_kfac, lp_sgd in zip(kfac.layers, sgd.layers):
         np.testing.assert_array_equal(lp_kfac.wbar, lp_sgd.wbar)
 
@@ -620,7 +620,7 @@ def test_sgd_step_takes_an_underflowed_target_from_the_loss_cotangent():
     trace = forward_batch(spec, params, data.inputs)
     w = model.root(data.targets, trace.output)[1]
     assert np.isinf(w[:2]).any(axis=1).all() and np.isfinite(w[2:]).all()
-    got = sgd_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
+    got = take_step(sgd_step, trace, model, data, UpdateConfig(0.1))
     u = model.loss_grad(data.targets, trace.output) / len(data)
     want = params.add_scaled(gradient_from_basis(trace, basis_pass(trace), u), -0.1)
     assert np.isfinite(got.flatten()).all()
@@ -638,7 +638,7 @@ def test_ngd_step_takes_an_underflowed_target_from_the_loss_cotangent():
     shapes = []
     with mock.patch("kfaclab.kfac.backward_batch",
                     lambda t, u: shapes.append(np.shape(u)) or backward_batch(t, u)):
-        got = ngd_step(trace, model, data, FisherMetric(), config).flatten()
+        got = take_step(ngd_step, trace, model, data, config).flatten()
     assert shapes == [(4, 3, 3), (4, 1, 3)]
     fisher = sum(pullback_metric(spec, params, model, x, FisherMetric()) for x in data.inputs)
     fisher = fisher / len(data) + 0.1 * np.eye(len(fisher))
@@ -648,7 +648,7 @@ def test_ngd_step_takes_an_underflowed_target_from_the_loss_cotangent():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
     trace = forward_batch(spec, params, data.inputs)
     with pytest.raises(SingularMatrix, match="^natural-gradient step: exact Fisher is singular"):
-        ngd_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
+        take_step(ngd_step, trace, model, data, UpdateConfig(0.1))
 
 
 def test_kfac_step_on_an_underflowed_target_meets_the_singular_factor():
@@ -657,7 +657,7 @@ def test_kfac_step_on_an_underflowed_target_meets_the_singular_factor():
     spec, params, model, data = _saturated_problem()
     trace = forward_batch(spec, params, data.inputs)
     with pytest.raises(SingularMatrix, match="layer 0 factor is singular"):
-        kfac_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
+        take_step(kfac_step, trace, model, data, UpdateConfig(0.1))
 
 
 def test_root_pass_keeps_g_where_the_metric_matrix_cancels():
@@ -689,7 +689,7 @@ def test_kfac_full_step_solves_linear_gaussian():
     model = GaussianFixedVar(2, variance=2.0)
     data = _dense_dataset(rng, 12, 3, 2)
     trace = forward_batch(spec, params, data.inputs)
-    new = kfac_step(trace, model, data, FisherMetric(), UpdateConfig(1.0))
+    new = take_step(kfac_step, trace, model, data, UpdateConfig(1.0))
     np.testing.assert_allclose(new.layers[0].wbar, _least_squares_optimum(spec, data), atol=1e-8)
 
 
@@ -700,7 +700,7 @@ def test_ngd_full_step_solves_linear_gaussian():
     model = GaussianFixedVar(2)
     data = _dense_dataset(rng, 12, 3, 2)
     trace = forward_batch(spec, params, data.inputs)
-    new = ngd_step(trace, model, data, FisherMetric(), UpdateConfig(1.0))
+    new = take_step(ngd_step, trace, model, data, UpdateConfig(1.0))
     np.testing.assert_allclose(new.layers[0].wbar, _least_squares_optimum(spec, data), atol=1e-8)
 
 
@@ -714,8 +714,8 @@ def test_single_sample_kfac_step_equals_ngd_step():
     data = Dataset([rng.normal(size=3)], [rng.normal(size=2)])
     config = UpdateConfig(0.7, 0.5, "dense_tikhonov")
     trace = forward_batch(spec, params, data.inputs)
-    kfac = kfac_step(trace, model, data, FisherMetric(), config)
-    ngd = ngd_step(trace, model, data, FisherMetric(), config)
+    kfac = take_step(kfac_step, trace, model, data, config)
+    ngd = take_step(ngd_step, trace, model, data, config)
     assert np.abs(kfac.flatten() - ngd.flatten()).max() <= 1e-8
 
     fisher = fisher_matrix(spec, params, model, data.inputs)
@@ -736,11 +736,11 @@ def test_kfac_step_freezes_recurrent_input_map():
     model = GaussianFixedVar(2)
     data = Dataset([rng.normal(size=(3, 2)) for _ in range(6)], _gaussian_targets(rng, 6, 2))
     trace = forward_batch(spec, params, data.inputs)
-    new = kfac_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
+    new = take_step(kfac_step, trace, model, data, UpdateConfig(0.1))
     np.testing.assert_array_equal(new.layers[0].v, params.layers[0].v)
     assert np.abs(new.layers[0].wbar - params.layers[0].wbar).max() > 0
 
-    moved = sgd_step(trace, model, data, FisherMetric(), UpdateConfig(0.1))
+    moved = take_step(sgd_step, trace, model, data, UpdateConfig(0.1))
     assert np.abs(moved.layers[0].v - params.layers[0].v).max() > 0
 
 

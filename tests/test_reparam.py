@@ -442,15 +442,40 @@ def test_inverse_refuses_a_non_finite_offset_by_name():
 
 
 def test_inverse_solves_a_preactivation_map_in_homogeneous_form():
-    # [[B, c], [0, 1]] fails the rule once |B| passes 1e12, though B alone
-    # passes: for B = 1e13 I and c = 0 it is diag(1e13, ..., 1e13, 1), whose
-    # rcond is 1e-13, where B's is 1
+    # [[B, t c], [0, s]], s and t powers of two, reads about B's rcond, so a
+    # B that passes passes at any scale of B and c; unscaled, the form
+    # [[B, c], [0, 1]] of B = 1e13 I or 1e-13 I reads about 1e-13
     r = identity_reparam(MLP3)
-    r.activation_maps[1] = AffineMap(1e13 * np.eye(5), np.zeros(5))
-    r.inverse()
-    r.preactivation_maps[0] = AffineMap(1e13 * np.eye(5), np.zeros(5))
+    for scale, c in ((1e13, 0.5), (1e-13, 0.5), (1.0, 1e16)):
+        r.preactivation_maps[0] = AffineMap(scale * np.eye(5), np.full(5, c))
+        inv = r.inverse().preactivation_maps[0]
+        np.testing.assert_allclose(inv.b, np.eye(5) / scale, rtol=1e-15)
+        np.testing.assert_allclose(inv.c, np.full(5, -c / scale), rtol=1e-15)
+    r.preactivation_maps[0] = _singular(AffineMap.identity(5))
     with pytest.raises(SingularMatrix, match="^preactivation map 0: rcond 1.000e-13 below 1e-12$"):
         r.inverse()
+
+
+def test_scaled_homogeneous_inverse_has_the_bits_of_the_unscaled_solve():
+    # well-conditioned B of norm 1e-6 to 1e14 and offsets up to 1e16: each
+    # map is accepted, and where solve([[B, c], [0, 1]], I) accepts it too,
+    # the inverse is that solve's bit for bit
+    rng = np.random.default_rng(25)
+    unscaled_accepted = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        q1, q2 = np.linalg.qr(rng.standard_normal((2, n, n)))[0]
+        b = 10.0 ** rng.uniform(-6, 14) * (q1 * rng.uniform(0.1, 10, n)) @ q2.T
+        m = AffineMap(b, 10.0 ** rng.uniform(-3, 16) * rng.standard_normal(n))
+        got = NetworkReparam([AffineMap.identity(1)] * 2, [m]).inverse().preactivation_maps[0]
+        try:
+            want = solve(m.homogeneous(), np.eye(n + 1))
+        except SingularMatrix:
+            continue
+        unscaled_accepted += 1
+        np.testing.assert_array_equal(got.b, want[:-1, :-1])
+        np.testing.assert_array_equal(got.c, want[:-1, -1])
+    assert 10 <= unscaled_accepted < 60
 
 
 # ---------------------------------------------------------------------------

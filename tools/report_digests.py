@@ -199,7 +199,9 @@ VARIANTS = {
         k: v for k, v in RNN["architecture"].items() if k != "hidden_dim"}},
     "layer-without-activation": {**MLP, "architecture": {
         "type": "layers", "layers": [{"kind": "dense", "in_dim": 8, "out_dim": 6}]}},
-    "reparam-random-fails-pivot-rule": {**MLP, "reparam_source": {
+    # pre-activation maps whose B is near 1e13 and well conditioned: judged
+    # by B, they load, and the twin's A factor is singular
+    "reparam-random-cap-1e26": {**MLP, "reparam_source": {
         "kind": "random", "seed": 1000, "conditioning_cap": 1e26}},
     "reparam-file-maps-not-an-array": {**MLP, "reparam_source": {
         "kind": "file", "path": f"{REPARAM_DIR}/maps-not-an-array.json"}},
@@ -221,6 +223,13 @@ VARIANTS = {
     "conv-radius-2-narrowing": {**CONV, "architecture": {**CONV["architecture"],
                                                          "channels": [3, 4, 2],
                                                          "kernel_radius": 2, "grid": [4, 5]}},
+    # a conv layer of radius 1e9: numpy cannot address its initial weights,
+    # (2R+1)^2 patch offsets, so every command exits 4
+    "conv-unaddressable": {**MLP, "architecture": {"type": "conv", "channels": [1, 1],
+                                                   "kernel_radius": 10**9, "grid": [2, 2],
+                                                   "head_dim": 2},
+                           "output_model": {"kind": "categorical", "classes": 2},
+                           "dataset_spec": {"num_samples": 4}},
     # inputs so large that the A factor overflows: dump-factors exits 3
     "dump-factors-overflow": {**MLP, "architecture": {"type": "mlp", "dims": [3, 4, 3]},
                               "output_model": {"kind": "categorical", "classes": 3},
